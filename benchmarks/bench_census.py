@@ -8,7 +8,7 @@ reconstruction.
 
 The sweep-engine entries measure the sharded execution paths added for the
 oblivious-adversary studies (Winkler et al., arXiv:2202.12397): the serial
-engine path (shared per-shard interner + memoized level extensions) and the
+engine path (one shared interner per shard and process count) and the
 4-worker process fan-out.  The two-process family itself finishes in a few
 milliseconds, so process fan-out can only lose there — the multi-core win
 is measured on the heavier random rooted n=5 family, and the "parallel
@@ -25,9 +25,9 @@ from conftest import emit
 
 from repro.adversaries import random_rooted_family, two_process_oblivious_family
 from repro.analysis import render_report, summarize
+from repro.api import jobs_for, run_sweep
 from repro.backends import SerialBackend, _run_jobs
 from repro.consensus.census import two_process_census
-from repro.sweep import jobs_for, run_sweep
 from repro.viz import render_census
 
 

@@ -28,7 +28,10 @@ SHARED_INTERNER = ViewInterner(3)
 
 
 def build_prefix(interner: ViewInterner | None = None) -> PTGPrefix:
-    return PTGPrefix(interner or SHARED_INTERNER, INPUTS, [G1, G2])
+    # Not ``interner or ...``: a fresh interner is empty, hence falsy.
+    if interner is None:
+        interner = SHARED_INTERNER
+    return PTGPrefix(interner, INPUTS, [G1, G2])
 
 
 def test_fig2_process_time_graph(benchmark):

@@ -28,7 +28,8 @@ MODULES = [
     "repro.simulation.traces",
     "repro.viz.ascii", "repro.cli",
     "repro.api", "repro.specs", "repro.records", "repro.backends",
-    "repro.sweep", "repro.analysis",
+    "repro.fleet", "repro.store", "repro.service", "repro.io",
+    "repro.analysis",
 ]
 
 

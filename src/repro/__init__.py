@@ -84,7 +84,7 @@ _API_NAMES = {
     "SweepBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ManifestBackend",
+    "FleetBackend",
     "run_sweep",
     "jobs_for",
     "retry_jobs",
@@ -107,11 +107,6 @@ def __getattr__(name: str):
         import repro.consensus as _cons
 
         return getattr(_cons, name)
-    if name == "SweepRecord":
-        # Deprecation alias: the unified RunRecord schema.
-        import repro.records as _records
-
-        return _records.RunRecord
     if name in _API_NAMES:
         import repro.api as _api
 

@@ -56,7 +56,7 @@ class MessageAdversary(ABC):
         self.name = name or type(self).__name__
         self._live_cache: frozenset | None = None
         self._state_cache: frozenset | None = None
-        self._ext_cache: dict[frozenset, tuple] = {}
+        self._extensions_cache: dict[frozenset, tuple] = {}
         self._ext_graphs_cache: dict[frozenset, tuple] = {}
 
     # ------------------------------------------------------------------ #
@@ -201,7 +201,7 @@ class MessageAdversary(ABC):
         tuple return type keeps the shared cache immutable for callers.
         """
         states = frozenset(states)
-        cached = self._ext_cache.get(states)
+        cached = self._extensions_cache.get(states)
         if cached is not None:
             return cached
         live = self.live_states()
@@ -211,7 +211,7 @@ class MessageAdversary(ABC):
             if nxt:
                 result.append((graph, nxt))
         result = tuple(result)
-        self._ext_cache[states] = result
+        self._extensions_cache[states] = result
         return result
 
     def extension_alphabet(self, states: frozenset) -> tuple[Digraph, ...]:

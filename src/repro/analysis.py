@@ -3,13 +3,13 @@
 A million-scenario census is only as useful as the questions you can ask
 of its output.  This module turns any stream of
 :class:`~repro.records.RunRecord` — a fresh in-memory sweep, a merged
-manifest run, an archived JSONL file from an earlier revision — into a
+fleet run, an archived JSONL file from an earlier revision — into a
 :class:`SweepReport`: status and certificate histograms, per-family and
 per-``(n, |D|)`` pivot tables, the undecided frontier (the scenarios that
 exhausted their depth budget, i.e. where to spend more compute next), and
 the slowest jobs.  ``repro-consensus report records.jsonl`` renders it
 from the command line; :func:`repro.consensus.census` rows and
-:func:`~repro.sweep.run_sweep` results feed it directly.
+:func:`~repro.api.run_sweep` results feed it directly.
 
 >>> from repro.records import RunRecord
 >>> record = RunRecord(index=0, adversary="X", n=2, alphabet=2, max_depth=4,

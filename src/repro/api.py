@@ -9,11 +9,11 @@ library's workflow around four ideas:
 * :class:`~repro.consensus.solvability.CheckOptions` — the checker's
   tuning knobs as one value object, instead of a pile of kwargs.
 * :class:`Session` — owns per-``n`` view interners plus default options,
-  so consecutive checks share view tables and memoized level extensions
-  the way a sweep shard does; ``session.check(...)`` accepts specs or
-  live adversaries, ``session.sweep(...)`` fans a family out through any
+  so consecutive checks share view tables the way a sweep shard does;
+  ``session.check(...)`` accepts specs or live adversaries,
+  ``session.sweep(...)`` fans a family out through any
   :class:`~repro.backends.SweepBackend` — including the crash-tolerant
-  :class:`~repro.fleet.FleetBackend`.
+  :class:`~repro.fleet.FleetBackend` — via :func:`run_sweep`.
 * :class:`~repro.records.RunRecord` — the single versioned result schema
   every sweep, census, and benchmark writes, with :mod:`repro.analysis`
   reports on top.
@@ -29,8 +29,8 @@ Quickstart
 ['solvable']
 
 The compatibility wrappers (:func:`repro.consensus.check_consensus` with
-keywords, ``repro.sweep.SweepRecord``, headerless JSONL reading) remain in
-place; see README "Public API" for the old → new migration table.
+keywords, headerless JSONL reading) remain in place; see README "Public
+API" for the old → new migration table.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.analysis import (
     summarize,
 )
 from repro.backends import (
-    ManifestBackend,
     ProcessBackend,
     SerialBackend,
     SweepBackend,
@@ -55,7 +54,6 @@ from repro.backends import (
     jobs_for,
     load_manifest,
     retry_jobs,
-    run_manifest,
     write_manifest,
 )
 from repro.consensus.solvability import (
@@ -83,7 +81,6 @@ from repro.specs import (
 )
 from repro.store.backend import CachedBackend
 from repro.store.cache import ResultStore
-from repro.sweep import run_sweep
 
 __all__ = [
     "AdversarySpec",
@@ -94,7 +91,6 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ManifestBackend",
     "FleetBackend",
     "CachedBackend",
     "ResultStore",
@@ -113,7 +109,6 @@ __all__ = [
     "render_report",
     "report_jsonl",
     "retry_jobs",
-    "run_manifest",
     "run_sweep",
     "summarize",
     "write_jsonl",
@@ -121,13 +116,52 @@ __all__ = [
 ]
 
 
+def run_sweep(
+    jobs: Sequence[SweepJob],
+    workers: int = 1,
+    jsonl_path: str | Path | None = None,
+    backend: SweepBackend | None = None,
+    options: CheckOptions | None = None,
+    store: ResultStore | str | Path | None = None,
+) -> list[RunRecord]:
+    """Classify every job on a sweep backend.
+
+    With an explicit ``backend`` the ``workers`` count is ignored;
+    otherwise ``workers <= 1`` runs the inline
+    :class:`~repro.backends.SerialBackend` (the fully deterministic
+    reference path) and ``workers > 1`` the strided
+    :class:`~repro.backends.ProcessBackend`.  A ``store`` (a
+    :class:`~repro.store.cache.ResultStore` or a path to one) wraps
+    whichever backend was chosen in a
+    :class:`~repro.store.backend.CachedBackend`: jobs whose verdicts are
+    already cached never reach the backend, and every computed cacheable
+    verdict is written back.  The returned records are sorted by job
+    index regardless of completion order, and — when ``jsonl_path`` is
+    given — are then written to disk in that order via
+    :func:`~repro.records.write_jsonl` (one JSON object per line after the
+    schema header; the write happens after the backend completes, so an
+    interrupted sweep leaves no partial file).
+    """
+    jobs = list(jobs)
+    if backend is None:
+        if workers <= 1 or len(jobs) <= 1:
+            backend = SerialBackend()
+        else:
+            backend = ProcessBackend(min(workers, len(jobs)))
+    if store is not None:
+        backend = CachedBackend(store, backend)
+    records = backend.run(jobs, options)
+    if jsonl_path is not None:
+        write_jsonl(records, jsonl_path)
+    return records
+
+
 class Session:
     """A reusable checking context: per-``n`` view interners + options.
 
     Views depend only on inputs and in-neighborhoods, never on the
     adversary, so every check the session runs for the same process count
-    shares one :class:`~repro.core.views.ViewInterner` — including its
-    memoized ``(level, graph)`` extension cache.  Checking a family
+    shares one :class:`~repro.core.views.ViewInterner`.  Checking a family
     through one session therefore costs what one sweep shard costs,
     instead of rebuilding view tables per call.
 
@@ -136,10 +170,6 @@ class Session:
     options:
         Default :class:`CheckOptions` for every check (individual calls
         may override).
-    memo_extensions:
-        Default for the interner-sharing memo when the per-call options
-        leave it ``None``; the session shares interners by design, so the
-        default here is ``True``.
     store:
         Optional content-addressed result store
         (:class:`~repro.store.cache.ResultStore`, or a path that opens
@@ -154,12 +184,9 @@ class Session:
     def __init__(
         self,
         options: CheckOptions | None = None,
-        memo_extensions: bool = True,
         store: ResultStore | str | Path | None = None,
     ) -> None:
         self.options = options or CheckOptions()
-        if self.options.memo_extensions is None:
-            self.options = self.options.replace(memo_extensions=memo_extensions)
         self.store: ResultStore | None
         if store is None or isinstance(store, ResultStore):
             self.store = store
@@ -283,11 +310,11 @@ class Session:
         ``targets`` may be ready-made :class:`SweepJob` lists or plain
         iterables of specs/adversaries (indexed in order, with the
         effective options' ``max_depth`` as each job's depth budget).
-        Backend selection matches :func:`repro.sweep.run_sweep`; shards
-        use their own interners — process boundaries cannot share the
-        session's tables.  The session's ``store`` (or the per-call
-        ``store`` override) turns repeat sweeps of equal specs into pure
-        cache reads — see :func:`repro.sweep.run_sweep`.
+        Backend selection matches :func:`run_sweep`; shards use their own
+        interners — process boundaries cannot share the session's tables.
+        The session's ``store`` (or the per-call ``store`` override) turns
+        repeat sweeps of equal specs into pure cache reads — see
+        :func:`run_sweep`.
         """
         effective = options or self.options
         targets = list(targets)

@@ -1,4 +1,4 @@
-"""Pluggable sweep backends: serial, process pool, and file-based manifests.
+"""Pluggable sweep backends: serial and process pool, plus shard manifests.
 
 The sweep engine classifies a family of adversaries by fanning independent
 :func:`~repro.consensus.solvability.check_consensus` calls somewhere.  The
@@ -9,15 +9,12 @@ The sweep engine classifies a family of adversaries by fanning independent
 * :class:`ProcessBackend` — the strided ``multiprocessing`` fan-out (shard
   ``k`` runs jobs ``k, k + w, k + 2w, ...``), as introduced by the sharded
   engine revision.
-* :class:`ManifestBackend` — the distributed-runner interface: jobs are
-  written to per-shard *manifest* files (JSON lists of serializable
-  :class:`~repro.specs.AdversarySpec` descriptions — never pickled live
-  objects), each shard is executed by an independent
-  ``repro-consensus sweep --manifest shard_k.json`` subprocess, and the
-  per-shard JSONL outputs are merged.  Because the manifest is plain JSON
-  and the shard runner is a CLI invocation, the same three files (manifest
-  in, JSONL out, merge) are exactly what a remote fleet needs — nothing in
-  a shard run refers back to this process.
+* :class:`~repro.fleet.FleetBackend` (in :mod:`repro.fleet`) — the
+  distributed, crash-tolerant backend.  Its shards travel as *manifest*
+  files (:func:`write_manifest` / :func:`load_manifest`: JSON lists of
+  serializable :class:`~repro.specs.AdversarySpec` descriptions — never
+  pickled live objects), so nothing in a shard run refers back to the
+  process that wrote it.
 
 All backends return the same :class:`~repro.records.RunRecord` list,
 sorted by job index, and accept ``record_timing=False`` to zero the
@@ -32,17 +29,17 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.adversaries.base import MessageAdversary
 from repro.consensus.solvability import CheckOptions
 from repro.core.views import ViewInterner, _WORKER_CAP_ENV
 from repro.errors import AnalysisError
-from repro.records import RunRecord, certificate_summary, read_jsonl, write_jsonl
+from repro.io.atomic import atomic_write_text
+from repro.records import RunRecord, certificate_summary
 from repro.schemas import SWEEP_MANIFEST
 from repro.specs import AdversarySpec
 
@@ -52,13 +49,11 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ManifestBackend",
     "iter_job_records",
     "jobs_for",
     "retry_jobs",
     "write_manifest",
     "load_manifest",
-    "run_manifest",
 ]
 
 #: Schema tag of shard manifest files (defined in :mod:`repro.schemas`).
@@ -71,7 +66,7 @@ class SweepJob:
     A job carries a live ``adversary``, a serializable ``spec``
     (:class:`~repro.specs.AdversarySpec`), or both.  Spec-carrying jobs
     build their adversary lazily — on whichever worker runs them — which
-    is what lets :class:`ManifestBackend` ship jobs as JSON.
+    is what lets shard manifests ship jobs as JSON.
     """
 
     __slots__ = ("index", "max_depth", "tags", "spec", "_adversary")
@@ -389,7 +384,7 @@ class ProcessBackend:
 
 
 # --------------------------------------------------------------------- #
-# Manifest backend: the file-based interface for distributed runners
+# Shard manifests: the file interface of distributed runners
 # --------------------------------------------------------------------- #
 
 
@@ -406,7 +401,8 @@ def write_manifest(
     id (stamped into the records), the full checker options, and one
     serializable spec per job.  Jobs holding only live adversaries are
     converted via :meth:`SweepJob.resolved_spec`, which fails loudly for
-    adversary types without a canonical serialization.
+    adversary types without a canonical serialization.  The write is
+    atomic and fsynced: a crash leaves the old manifest or the new one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -417,8 +413,7 @@ def write_manifest(
         "record_timing": record_timing,
         "jobs": [job.to_dict() for job in _validate_jobs(jobs)],
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return path
 
 
@@ -436,144 +431,3 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
         "record_timing": data.get("record_timing", True),
         "jobs": [SweepJob.from_dict(job) for job in data["jobs"]],
     }
-
-
-def run_manifest(path: str | Path, out: str | Path | None = None) -> list[RunRecord]:
-    """Execute a shard manifest inline and write its JSONL output.
-
-    This is what ``repro-consensus sweep --manifest shard.json`` calls; the
-    default output path replaces the manifest's suffix with ``.jsonl``.
-    """
-    manifest = load_manifest(path)
-    records = _run_jobs(
-        manifest["shard"],
-        manifest["jobs"],
-        manifest["options"],
-        manifest["record_timing"],
-    )
-    records.sort(key=lambda record: record.index)
-    out = Path(out) if out is not None else Path(path).with_suffix(".jsonl")
-    write_jsonl(records, out)
-    return records
-
-
-class ManifestBackend:
-    """Run shards as independent ``repro-consensus sweep --manifest`` CLIs.
-
-    ``run`` writes ``shard_k.json`` manifests under ``workdir``, launches
-    one subprocess per shard (all concurrently), and merges the per-shard
-    ``shard_k.jsonl`` outputs.  No pickled object ever crosses the process
-    boundary — shard runners rebuild every adversary from its spec — so
-    the same manifest files can be executed by workers on other machines
-    and their JSONL merged identically.
-
-    Parameters
-    ----------
-    workdir:
-        Directory for manifests and shard outputs (created; files are left
-        in place afterwards as the sweep's audit trail).
-    shards:
-        Number of shard manifests (capped by the job count).  Striding
-        matches :class:`ProcessBackend`, so equal-spec runs of both
-        backends produce identical record sets.
-    python:
-        Interpreter for shard subprocesses (default: this interpreter).
-    record_timing:
-        Forwarded into the manifests; ``False`` zeroes per-record timings,
-        making same-seed runs byte-identical across backends.
-    """
-
-    def __init__(
-        self,
-        workdir: str | Path,
-        shards: int = 2,
-        python: str | None = None,
-        record_timing: bool = True,
-    ) -> None:
-        if shards < 1:
-            raise AnalysisError("ManifestBackend needs shards >= 1")
-        self.workdir = Path(workdir)
-        self.shards = shards
-        self.python = python or sys.executable
-        self.record_timing = record_timing
-
-    def _subprocess_env(self) -> dict[str, str]:
-        # Shard runners import repro via ``-m repro.cli``; make sure the
-        # package that spawned them is importable even from a source tree
-        # that was never pip-installed.
-        import repro
-
-        package_root = str(Path(repro.__file__).resolve().parents[1])
-        env = os.environ.copy()
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        if self.shards > 1:
-            # Same oversubscription guard as _run_shard: concurrent shard
-            # subprocesses own the parallelism, so per-check extension
-            # workers inside them are clamped to the serial path.
-            env[_WORKER_CAP_ENV] = "1"
-        return env
-
-    def shard_paths(self, shard: int) -> tuple[Path, Path]:
-        """The (manifest, jsonl) file pair of one shard."""
-        return (
-            self.workdir / f"shard_{shard}.json",
-            self.workdir / f"shard_{shard}.jsonl",
-        )
-
-    def run(
-        self,
-        jobs: Sequence[SweepJob],
-        options: CheckOptions | None = None,
-    ) -> list[RunRecord]:
-        jobs = _validate_jobs(jobs)
-        if not jobs:
-            return []
-        shards = min(self.shards, len(jobs))
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        pairs = []
-        for k in range(shards):
-            manifest_path, out_path = self.shard_paths(k)
-            write_manifest(
-                jobs[k::shards],
-                manifest_path,
-                shard=k,
-                options=options,
-                record_timing=self.record_timing,
-            )
-            pairs.append((manifest_path, out_path))
-        env = self._subprocess_env()
-        processes = [
-            subprocess.Popen(
-                [
-                    self.python, "-m", "repro.cli", "sweep",
-                    "--manifest", str(manifest_path), "--out", str(out_path),
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env=env,
-                text=True,
-            )
-            for manifest_path, out_path in pairs
-        ]
-        failures = []
-        for (manifest_path, _), process in zip(pairs, processes):
-            _, stderr = process.communicate()
-            if process.returncode != 0:
-                failures.append(
-                    f"shard {manifest_path.name} exited "
-                    f"{process.returncode}:\n{stderr.strip()}"
-                )
-        if failures:
-            raise AnalysisError(
-                "manifest shard run(s) failed:\n" + "\n".join(failures)
-            )
-        records = [
-            record
-            for _, out_path in pairs
-            for record in read_jsonl(out_path)
-        ]
-        records.sort(key=lambda record: record.index)
-        return records

@@ -4,12 +4,9 @@ Subcommands:
 
 * ``check`` — run the solvability checker on a named adversary;
 * ``census`` — classify two-process (or random rooted) oblivious adversaries;
-* ``sweep`` — fan a family of check jobs across a sweep backend (JSONL
-  out); ``--manifest shard.json`` executes one serialized shard manifest,
-  which is how :class:`~repro.backends.ManifestBackend` (and any external
-  distributed runner) drives this process; ``--retry records.jsonl
-  --max-depth +2`` re-queues only the undecided records of an earlier
-  sweep at a deeper budget;
+* ``sweep`` — fan a family of check jobs across a serial or process-pool
+  backend (JSONL out); ``--retry records.jsonl --max-depth +2`` re-queues
+  only the undecided records of an earlier sweep at a deeper budget;
 * ``fleet`` — fault-tolerant distributed sweep over a shared state
   directory: ``fleet run`` initializes the leased shard queue and drives
   worker subprocesses to completion (``--chaos`` injects deterministic
@@ -73,13 +70,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     adversary = _resolve(args.adversary)
     interner = ViewInterner(adversary.n) if args.stats else None
-    # The interner here is for observability only: keep the extension memo
-    # at its default-off setting so --stats measures the same run shape.
     result = check_consensus(
-        adversary,
-        max_depth=args.max_depth,
-        interner=interner,
-        memo_extensions=False if interner is not None else None,
+        adversary, max_depth=args.max_depth, interner=interner
     )
     print(result.explain())
     if interner is not None:
@@ -156,24 +148,13 @@ def _sweep_specs(args: argparse.Namespace) -> list:
 
 def _sweep_backend(args: argparse.Namespace):
     """Resolve --backend/--workers into a backend (None = worker default)."""
-    from pathlib import Path
-
-    from repro.backends import ManifestBackend, ProcessBackend, SerialBackend
+    from repro.backends import ProcessBackend, SerialBackend
 
     record_timing = not args.no_timing
     if args.backend == "serial":
         return SerialBackend(record_timing=record_timing)
     if args.backend == "process":
         return ProcessBackend(max(args.workers, 1), record_timing=record_timing)
-    if args.backend == "manifest":
-        workdir = args.manifest_dir
-        if workdir is None:
-            workdir = (
-                Path(args.out).parent / "shards" if args.out else Path("sweep-shards")
-            )
-        return ManifestBackend(
-            workdir, shards=max(args.workers, 1), record_timing=record_timing
-        )
     if args.no_timing:
         # No explicit backend: mirror run_sweep's worker-count default but
         # thread record_timing through, which run_sweep cannot do itself.
@@ -239,29 +220,13 @@ def _print_sweep_records(records, workers: int, out) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import jobs_for, run_manifest, run_sweep
-
-    if args.manifest:
-        # Shard-runner mode: execute one serialized manifest and exit.
-        # This is the subprocess entry point of ManifestBackend — and of
-        # any external runner that distributes shard files.
-        from pathlib import Path
-
-        records = run_manifest(args.manifest, out=args.out)
-        by_status = Counter(record.status for record in records)
-        summary = ", ".join(
-            f"{count} {status}" for status, count in sorted(by_status.items())
-        )
-        # Mirror run_manifest's default output path exactly.
-        out = args.out or Path(args.manifest).with_suffix(".jsonl")
-        print(f"manifest {args.manifest}: {len(records)} jobs ({summary}) -> {out}")
-        return 0
+    from repro.api import jobs_for, run_sweep
 
     absolute, extra = _parse_sweep_depth(args)
     if args.retry:
         # Re-queue the undecided frontier of an earlier sweep at a deeper
         # budget; everything decided stays decided and is not re-run.
-        from repro.sweep import read_jsonl, retry_jobs
+        from repro.api import read_jsonl, retry_jobs
 
         if args.family is not None:
             # The retried records define the family; a combined
@@ -674,16 +639,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_family_arguments(sweep)
     sweep.add_argument("--workers", type=int, default=1,
-                       help="process/manifest shard count (ignored with "
-                            "--backend serial)")
-    sweep.add_argument("--backend", choices=["serial", "process", "manifest"],
+                       help="process-pool size (ignored with --backend "
+                            "serial); use `fleet run` for crash-tolerant "
+                            "subprocess shards")
+    sweep.add_argument("--backend", choices=["serial", "process"],
                        help="sweep backend (default: serial for --workers 1, "
                             "process pool otherwise)")
-    sweep.add_argument("--manifest",
-                       help="run one serialized shard manifest and exit "
-                            "(the ManifestBackend subprocess entry point)")
-    sweep.add_argument("--manifest-dir",
-                       help="shard file directory for --backend manifest")
     sweep.add_argument("--retry", metavar="RECORDS_JSONL",
                        help="re-queue only the undecided records of an "
                             "earlier sweep's JSONL at a deeper budget")

@@ -7,7 +7,7 @@ two processes the classification is provably complete; for three processes
 it reports exactly where the heuristic baseline diverges from the certified
 checker.
 
-Both censuses run on the sweep engine (:mod:`repro.sweep`): pass
+Both censuses run on the sweep engine (:func:`repro.api.run_sweep`): pass
 ``workers > 1`` (or an explicit :class:`~repro.backends.SweepBackend`) to
 fan the checker jobs out.  Every row is backed by the same versioned
 :class:`~repro.records.RunRecord` schema the sweep engine writes — with
@@ -201,9 +201,9 @@ def _classify(
     store=None,
 ) -> list[CensusRow]:
     """Run the checker over a family and attach oracle/CGP verdicts."""
-    # Lazy: repro.sweep pulls in the backends module, which imports this
+    # Lazy: repro.api pulls in the backends module, which imports this
     # package — resolving it at call time keeps module import acyclic.
-    from repro.sweep import jobs_for, run_sweep
+    from repro.api import jobs_for, run_sweep
 
     adversaries = list(adversaries)
     if backend is not None or workers > 1 or store is not None:
@@ -222,7 +222,7 @@ def _classify(
     else:
         # Serial path: share one interner per process count across the
         # family, exactly as a sweep shard would — same-n jobs reuse view
-        # tables and the memoized level extensions.
+        # tables.
         from repro.core.views import ViewInterner
 
         interners: dict[int, ViewInterner] = {}

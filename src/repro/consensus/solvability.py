@@ -75,11 +75,6 @@ class CheckOptions:
         Prefix-space node budget; exceeding it aborts the deepening.
     use_impossibility_provers / use_broadcaster_certificate:
         Allow disabling individual certificates (useful for ablations).
-    memo_extensions:
-        Forwarded to :class:`~repro.topology.prefixspace.PrefixSpace`;
-        ``None`` keeps its default (memoize exactly when the interner is
-        shared).  ``False`` when the interner is provided only for
-        observability, not cross-space reuse.
     layer_backend:
         Columnar-pipeline kernel backend for interners created by the
         checker (``"numpy"``/``"python"``; ``None`` = import-time
@@ -112,7 +107,6 @@ class CheckOptions:
     max_nodes: int = 2_000_000
     use_impossibility_provers: bool = True
     use_broadcaster_certificate: bool = True
-    memo_extensions: bool | None = None
     layer_backend: str | None = None
     plan_cache_size: int | None = None
     extension_workers: int = 1
@@ -127,9 +121,14 @@ class CheckOptions:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckOptions":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected by name."""
+        """Inverse of :meth:`to_dict`; unknown keys are rejected by name.
+
+        The removed ``memo_extensions`` knob is accepted and dropped, so
+        manifests, fleet directories, and client requests written before
+        its removal still load.
+        """
         known = {field: data[field] for field in cls.__dataclass_fields__ if field in data}
-        unknown = set(data) - set(known)
+        unknown = set(data) - set(known) - {"memo_extensions"}
         if unknown:
             raise AnalysisError(f"unknown CheckOptions fields: {sorted(unknown)}")
         return cls(**known)
@@ -324,17 +323,16 @@ def check_consensus(
     max_nodes: int | object = _UNSET,
     use_impossibility_provers: bool | object = _UNSET,
     use_broadcaster_certificate: bool | object = _UNSET,
-    memo_extensions: bool | None | object = _UNSET,
     options: CheckOptions | None = None,
 ) -> SolvabilityResult:
     """Decide consensus solvability under a message adversary.
 
     This is the keyword-compatibility wrapper over
     :func:`check_consensus_with_options`: the tuning keywords
-    (``max_depth=10``, ``max_nodes=2_000_000``, the certificate toggles,
-    ``memo_extensions`` — defaults as in :class:`CheckOptions`) are folded
-    into a :class:`CheckOptions`, overriding ``options`` field-by-field
-    when both are given.  New code should pass ``options`` (or use
+    (``max_depth=10``, ``max_nodes=2_000_000``, the certificate toggles —
+    defaults as in :class:`CheckOptions`) are folded into a
+    :class:`CheckOptions`, overriding ``options`` field-by-field when both
+    are given.  New code should pass ``options`` (or use
     :class:`repro.api.Session`).
 
     Parameters
@@ -364,7 +362,6 @@ def check_consensus(
             ("max_nodes", max_nodes),
             ("use_impossibility_provers", use_impossibility_provers),
             ("use_broadcaster_certificate", use_broadcaster_certificate),
-            ("memo_extensions", memo_extensions),
         )
         if value is not _UNSET
     }
@@ -392,7 +389,6 @@ def check_consensus_with_options(
     max_nodes = options.max_nodes
     use_impossibility_provers = options.use_impossibility_provers
     use_broadcaster_certificate = options.use_broadcaster_certificate
-    memo_extensions = options.memo_extensions
     spec = spec or ConsensusSpec()
     if input_vectors is None:
         input_vectors = all_assignments(adversary.n, spec.domain)
@@ -432,7 +428,6 @@ def check_consensus_with_options(
         input_vectors=input_vectors,
         interner=interner,
         max_nodes=max_nodes,
-        memo_extensions=memo_extensions,
         layer_backend=options.layer_backend,
         plan_cache_size=options.plan_cache_size,
         extension_workers=options.extension_workers,

@@ -32,9 +32,7 @@ resolve by comparing against the arena, and the per-row hash is kept
 (``_row_hashes``) so table growth rehashes without touching row contents.
 Because row ids are allocated consecutively, the node lookup key
 ``row_id * n + p`` stays dense and the node "table" remains a flat slot
-array indexed directly.  The ``(level, graph)`` extension cache of the
-memoized hot path is likewise keyed by compact integers: levels and graphs
-get small ids, the memo key is ``level_id << 32 | graph_id``.
+array indexed directly.
 
 The interner also maintains, per view, the bitmask of processes whose
 *initial* node ``(q, 0, x_q)`` occurs in the causal past, together with the
@@ -67,12 +65,14 @@ batch:
 * ``"python"`` — the same batched structure in pure Python, so
   ``dependencies = []`` stays true and the kernel is always available.
 
-:meth:`ViewInterner.extend_layer` remains as the tuple-returning
-compatibility wrapper (and the memoized path, whose ``(level, graph)``
-cache is keyed by level tuples).  Both backends produce structurally
-identical views over the same shared row arena, so they may be mixed
-freely with the per-parent :meth:`ViewInterner.extend_level_multi` path on
-one interner; only the view-id *numbering* may differ between backends.
+This is the only layer-extension path.  Two thin entry points sit on top
+of the same row arena: :meth:`ViewInterner.extend_level` extends one
+level by one graph through the per-parent loop (what
+:class:`~repro.core.ptg.PTGPrefix` needs, and cheaper than a one-row
+batch), and :meth:`ViewInterner.extend_layer` is a tuple-in, tuple-out
+wrapper over :meth:`ViewInterner.extend_layer_table`.  All paths produce
+structurally identical views and may be mixed freely on one interner;
+only the view-id *numbering* may differ between them.
 """
 
 from __future__ import annotations
@@ -414,11 +414,10 @@ class ViewStats:
 
     Beyond the view counts, the stats expose the table geometry that the
     benchmarks and the CLI use to watch interner pressure: ``rows`` is the
-    number of distinct interned child sets, ``cached_extensions`` the number
-    of memoized ``(level, graph)`` extensions, ``cached_plans`` the number
-    of per-alphabet extension plans currently held (an LRU with
+    number of distinct interned child sets, ``cached_plans`` the number of
+    per-alphabet extension plans currently held (an LRU with
     ``plan_cache_size`` capacity), and ``approx_bytes`` an estimate of the
-    resident size of all tables (columns, side tables, cache and plan keys;
+    resident size of all tables (columns, side tables and plan keys;
     Python object headers of shared children are not counted).
     ``mp_fallbacks`` counts sharded extension dispatches that fell back to
     the serial kernel because the worker pool failed — nonzero means the
@@ -431,7 +430,6 @@ class ViewStats:
         "leaves",
         "max_depth",
         "rows",
-        "cached_extensions",
         "cached_plans",
         "approx_bytes",
         "mp_fallbacks",
@@ -443,7 +441,6 @@ class ViewStats:
         leaves: int,
         max_depth: int,
         rows: int = 0,
-        cached_extensions: int = 0,
         approx_bytes: int = 0,
         cached_plans: int = 0,
         mp_fallbacks: int = 0,
@@ -452,7 +449,6 @@ class ViewStats:
         self.leaves = leaves
         self.max_depth = max_depth
         self.rows = rows
-        self.cached_extensions = cached_extensions
         self.cached_plans = cached_plans
         self.approx_bytes = approx_bytes
         self.mp_fallbacks = mp_fallbacks
@@ -461,7 +457,6 @@ class ViewStats:
         return (
             f"ViewStats(total={self.total}, leaves={self.leaves}, "
             f"max_depth={self.max_depth}, rows={self.rows}, "
-            f"cached_extensions={self.cached_extensions}, "
             f"cached_plans={self.cached_plans}, "
             f"approx_bytes={self.approx_bytes}, "
             f"mp_fallbacks={self.mp_fallbacks})"
@@ -519,9 +514,6 @@ class ViewInterner:
         "_row_slot_mask",
         "_row_masks",
         "_leaf_count",
-        "_level_table",
-        "_graph_ids",
-        "_ext_cache",
         "_plan_cache",
     )
 
@@ -592,10 +584,6 @@ class ViewInterner:
         # while masks fit so the numpy kernel can gather it by buffer.
         self._row_masks = array("q") if n <= _MASK_ARRAY_MAX_N else []
         self._leaf_count = 0
-        # (level, graph) extension memo, keyed ``level_id << 32 | graph_id``.
-        self._level_table: dict[tuple[int, ...], int] = {}
-        self._graph_ids: dict[Digraph, int] = {}
-        self._ext_cache: dict[int, tuple[int, ...]] = {}
         # Per-alphabet extension plan LRU: distinct (p, in-neighborhood)
         # patterns in first-occurrence order + per-graph assembly layouts.
         self._plan_cache: dict[tuple, tuple] = {}
@@ -904,65 +892,14 @@ class ViewInterner:
 
         ``level`` must be the full view-id tuple of one prefix at some time
         ``t`` (so the children of each new view are mutually consistent by
-        construction); the result is the level at time ``t + 1``.  Results
-        are memoized per ``(level, graph)`` in the compact-integer extension
-        cache, and origin *values* of the new views are materialized lazily
-        (only :meth:`origins` and :meth:`input_of` force them) — the
-        prefix-space hot path needs only the origin masks.
+        construction); the result is the level at time ``t + 1``.  Runs the
+        per-parent loop directly — for one level and one graph that is
+        about half the cost of a one-row :meth:`extend_layer_table` batch.
+        Origin *values* of the new views are materialized lazily (only
+        :meth:`origins` and :meth:`input_of` force them) — the prefix-space
+        hot path needs only the origin masks.
         """
-        return self.extend_level_multi(level, (graph,), memo=True)[0]
-
-    def extend_level_multi(
-        self,
-        level: tuple[int, ...],
-        graphs: Sequence[Digraph],
-        memo: bool = False,
-    ) -> list[tuple[int, ...]]:
-        """Extend one level by every graph of an alphabet in a single pass.
-
-        Equivalent to ``[self.extend_level(level, g) for g in graphs]`` but
-        shares the per-``(p, in-neighborhood)`` work across graphs: alphabets
-        typically repeat in-rows (e.g. every graph in which ``p`` hears
-        everyone produces the same view of ``p``), so each distinct row is
-        interned once.  This is the inner loop of prefix-space layer
-        construction.
-
-        With ``memo=True`` every ``(level, graph)`` result is stored in (and
-        served from) the extension cache, so repeated extensions — across
-        prefix spaces sharing this interner, as in the sweep engine — are a
-        single dict lookup.  The cache grows by one entry per distinct
-        extension; streaming/evicting spaces leave ``memo`` off to keep
-        depth-10+ runs frontier-bounded.
-        """
-        if memo:
-            level_table = self._level_table
-            level_id = level_table.get(level)
-            if level_id is None:
-                level_id = len(level_table)
-                level_table[level] = level_id
-            graph_ids = self._graph_ids
-            ext_cache = self._ext_cache
-            base = level_id << 32
-            results: list = []
-            missing: list[tuple[int, Digraph, int]] = []
-            for i, graph in enumerate(graphs):
-                gid = graph_ids.get(graph)
-                if gid is None:
-                    gid = len(graph_ids)
-                    graph_ids[graph] = gid
-                key = base | gid
-                cached = ext_cache.get(key)
-                results.append(cached)
-                if cached is None:
-                    missing.append((i, graph, key))
-            if not missing:
-                return results
-            fresh = self._extend_batch(level, [graph for _, graph, _ in missing])
-            for (i, _, key), out in zip(missing, fresh):
-                ext_cache[key] = out
-                results[i] = out
-            return results
-        return self._extend_batch(level, graphs)
+        return self._extend_batch(level, (graph,))[0]
 
     def _alphabet_plan(self, graphs: Sequence[Digraph]) -> tuple:
         """The distinct ``(p, in-neighborhood)`` patterns of an alphabet.
@@ -979,9 +916,9 @@ class ViewInterner:
         through the last two.
 
         The cache is an LRU holding at most ``plan_cache_size`` entries,
-        keyed by graphs-tuple — the adversary alphabets plus, on the memo
-        path, their partial-miss subsets.  Real families use a handful of
-        alphabets, so the working set fits the cap; eviction merely
+        keyed by graphs-tuple — the adversary alphabets plus the
+        single-graph tuples of :meth:`extend_level`.  Real families use a
+        handful of alphabets, so the working set fits the cap; eviction merely
         recomputes (plans are pure functions of the alphabet) and
         :class:`ViewStats` reports the live count as ``cached_plans``.
         """
@@ -1033,9 +970,16 @@ class ViewInterner:
         return plan
 
     def _extend_batch(
-        self, level: tuple[int, ...], graphs: Sequence[Digraph]
+        self, level: Sequence[int], graphs: Sequence[Digraph]
     ) -> list[tuple[int, ...]]:
-        """Uncached batched extension (the per-parent columnar hot loop)."""
+        """Extend one level by every graph of an alphabet (per-parent loop).
+
+        Shares the per-``(p, in-neighborhood)`` work across graphs:
+        alphabets repeat in-rows (e.g. every graph in which ``p`` hears
+        everyone produces the same view of ``p``), so each distinct row is
+        interned once.  Views are allocated in first-occurrence pattern
+        order, graph by graph.
+        """
         patterns, layouts, _, _ = self._alphabet_plan(graphs)
         node_slots = self._node_slots
         row_masks = self._row_masks
@@ -1119,17 +1063,13 @@ class ViewInterner:
         alphabet to extend every parent by.  Returns one :class:`LayerTable`
         per graph, aligned with the parents: ``result[j][i]`` is parent
         ``i`` extended by ``graphs[j]`` — element-wise equal to per-parent
-        :meth:`extend_level_multi` calls, but the batch deduplicates parent
+        :meth:`extend_level` calls, but the batch deduplicates parent
         levels, builds and dedups every candidate child row of the layer
         per distinct in-neighborhood, interns each distinct row once
         through the open-addressing row table, and allocates new views at
         unique-row granularity — without materializing any per-child level
         tuple.  The backend (numpy or pure Python) follows
         ``self.layer_backend``; tiny layers always run the per-parent loop.
-
-        This is the non-memoized hot path (streaming spaces).  For the
-        ``(level, graph)``-memoized variant use :meth:`extend_layer` — the
-        cache is keyed by level tuples, so that path materializes them.
         """
         graphs = tuple(graphs)
         if not isinstance(table, LayerTable):
@@ -1154,96 +1094,18 @@ class ViewInterner:
 
     def extend_layer(
         self,
-        levels: Sequence[tuple[int, ...]],
+        levels: Sequence[Sequence[int]],
         graphs: Sequence[Digraph],
-        memo: bool = False,
     ) -> list[list[tuple[int, ...]]]:
-        """Tuple-returning batched layer extension (compat + memo path).
+        """:meth:`extend_layer_table` with per-level tuples in and out.
 
-        Equivalent to :meth:`extend_layer_table` but accepts and returns
-        per-level tuples: ``result[j][i]`` is ``levels[i]`` extended by
-        ``graphs[j]``.  With ``memo=True`` results are served from — and
-        stored into — the same ``(level, graph)`` extension cache as
-        :meth:`extend_level`, so spaces sharing this interner reuse
-        whole-layer work across calls and across the per-parent path (the
-        cache is keyed by level tuples, which is why this wrapper exists).
-
+        ``result[j][i]`` is ``levels[i]`` extended by ``graphs[j]``.
         Levels must be full (length ``n``) view-id tuples of one common
         depth, as produced by :meth:`leaf_level` or a previous extension;
-        this hot-path contract is checked only cheaply.  Duplicate levels
-        are fine: candidate rows dedup across the whole batch anyway.
+        duplicate levels are fine.
         """
-        graphs = tuple(graphs)
-        if not graphs:
-            return []
-        levels = [
-            level if type(level) is tuple else tuple(level) for level in levels
-        ]
-        if not levels:
-            return [[] for _ in graphs]
-        if len(levels[0]) != self.n:
-            raise AnalysisError(
-                f"level of length {len(levels[0])} for n={self.n} interner"
-            )
-        if memo:
-            return self._extend_layer_memo(levels, graphs)
-        return self._extend_layer_batch(levels, graphs)
-
-    def _extend_layer_memo(
-        self, levels: list[tuple[int, ...]], graphs: tuple[Digraph, ...]
-    ) -> list[list[tuple[int, ...]]]:
-        """Layer batch through the ``(level, graph)`` extension cache.
-
-        Only levels with at least one uncached ``(level, graph)`` pair
-        enter the batch; its results are stored per pair, so later layers,
-        other spaces, and the per-parent memo path all hit the same cache.
-        """
-        level_table = self._level_table
-        graph_ids = self._graph_ids
-        ext_cache = self._ext_cache
-        gids = []
-        for graph in graphs:
-            gid = graph_ids.get(graph)
-            if gid is None:
-                gid = len(graph_ids)
-                graph_ids[graph] = gid
-            gids.append(gid)
-        bases = []
-        missing: list[int] = []
-        seen_missing: set[int] = set()
-        for u, level in enumerate(levels):
-            lid = level_table.get(level)
-            if lid is None:
-                lid = len(level_table)
-                level_table[level] = lid
-            base = lid << 32
-            bases.append(base)
-            if base not in seen_missing and any(
-                base | gid not in ext_cache for gid in gids
-            ):
-                seen_missing.add(base)
-                missing.append(u)
-        if missing:
-            if len(missing) == len(levels):
-                fresh = self._extend_layer_batch(levels, graphs)
-            else:
-                fresh = self._extend_layer_batch(
-                    [levels[u] for u in missing], graphs
-                )
-            for j, gid in enumerate(gids):
-                column = fresh[j]
-                for mi, u in enumerate(missing):
-                    ext_cache.setdefault(bases[u] | gid, column[mi])
-        return [[ext_cache[base | gid] for base in bases] for gid in gids]
-
-    def _extend_layer_batch(
-        self, levels: list[tuple[int, ...]], graphs: tuple[Digraph, ...]
-    ) -> list[list[tuple[int, ...]]]:
-        """Tuple-world layer batch: pack, run the column kernel, unpack."""
-        table = LayerTable.from_levels(self.n, levels)
         return [
-            LayerTable(self.n, column).tolist()
-            for column in self._extend_layer_columns(table, graphs)
+            table.tolist() for table in self.extend_layer_table(levels, graphs)
         ]
 
     def _extend_layer_columns(
@@ -1642,7 +1504,7 @@ class ViewInterner:
     def _force_origins(self, vid: int) -> tuple:
         """Materialize lazily-deferred origin values (fast-path views only).
 
-        Views created through :meth:`extend_level` defer the value merge;
+        Views created by the extension kernels defer the value merge;
         their children are mutually consistent by construction, so a plain
         union suffices.
         """
@@ -1704,16 +1566,10 @@ class ViewInterner:
             + getsizeof(self._row_hashes)
             + getsizeof(self._row_slots)
             + getsizeof(self._row_masks)
-            + getsizeof(self._level_table)
-            + getsizeof(self._graph_ids)
-            + getsizeof(self._ext_cache)
         )
-        # Interned level tuples of the memo path and the forced
-        # origin-value tuples; child ids live flat in the arena (already
-        # counted above) and shared small ints are not charged.
+        # The forced origin-value tuples; child ids live flat in the arena
+        # (already counted above) and shared small ints are not charged.
         tuple_header = getsizeof(())
-        for lvl in self._level_table:
-            approx += tuple_header + 8 * len(lvl)
         for entry in self._origin_values:
             if entry is not None:
                 approx += tuple_header + len(entry) * (tuple_header + 16)
@@ -1736,7 +1592,6 @@ class ViewInterner:
             self._leaf_count,
             max_depth,
             rows=len(self._row_hashes),
-            cached_extensions=len(self._ext_cache),
             cached_plans=len(self._plan_cache),
             approx_bytes=approx,
             mp_fallbacks=self._mp_fallbacks,

@@ -1,14 +1,13 @@
 """Fault-tolerant fleet runner: leased shards, heartbeats, resumable merges.
 
-The sweep engine's :class:`~repro.backends.ManifestBackend` already made
-shard execution a file protocol — manifest in, JSONL out — but it still
-assumes every shard subprocess survives: one dead worker loses its shard
-and the merge.  This package layers a crash-safe coordinator on the same
-file interface, built for the ROADMAP's 10^6-adversary census, where
-worker death, stalls, and partial output are normal events.
+This is the library's distributed sweep backend.  Shard execution is a
+file protocol — a shard manifest in (:func:`~repro.backends.write_manifest`),
+JSONL out — run by ``repro-consensus fleet work`` subprocesses under a
+crash-safe coordinator, built for censuses where worker death, stalls,
+and partial output are normal events.
 
 All coordination is plain files in one *fleet directory*, written
-exclusively through the atomic primitives of :mod:`repro.fleet.files`, so
+exclusively through the atomic primitives of :mod:`repro.io.atomic`, so
 any participant can be SIGKILLed at any instant and the run resumes from
 the surviving state:
 

@@ -42,17 +42,22 @@ from repro.backends import SweepJob, _validate_jobs
 from repro.consensus.solvability import CheckOptions
 from repro.core.views import _WORKER_CAP_ENV
 from repro.errors import AnalysisError
-from repro.fleet import files, state
+from repro.fleet import state
 from repro.fleet.chaos import ChaosSpec
 from repro.fleet.clock import sleep, wall_now
 from repro.fleet.state import FleetConfig, FleetPaths
+from repro.io import atomic
 from repro.records import RunRecord
 
 __all__ = ["FleetRunner", "FleetBackend"]
 
 
 def _worker_env(workers: int) -> dict[str, str]:
-    """Environment for worker subprocesses (mirrors ManifestBackend)."""
+    """Environment for ``fleet work`` subprocesses.
+
+    Workers import repro via ``-m repro.cli``, so the package that spawned
+    them is put on ``PYTHONPATH`` (a source tree need not be installed).
+    """
     import repro
 
     package_root = str(Path(repro.__file__).resolve().parents[1])
@@ -175,7 +180,7 @@ class FleetRunner:
                     {
                         "shard": shard,
                         "attempt": current,
-                        "digest": files.sha256_file(out),
+                        "digest": atomic.sha256_file(out),
                         "records": len(records),
                     },
                 )
@@ -326,8 +331,8 @@ class FleetRunner:
 class FleetBackend:
     """The fault-tolerant entry in the ``SweepBackend`` protocol.
 
-    Drop-in wherever :class:`~repro.backends.ManifestBackend` fits, with
-    the crash-safety of the fleet directory underneath.  Parameters map
+    Shards run as ``fleet work`` subprocesses with the crash-safety of
+    the fleet directory underneath.  Parameters map
     onto :class:`~repro.fleet.state.FleetConfig`; ``workers`` is the live
     subprocess pool size and ``shards`` the queue granularity (more
     shards than workers keeps the pool busy when one shard is slow and

@@ -43,9 +43,9 @@ from typing import Any, Sequence
 from repro.backends import SweepJob, load_manifest, write_manifest
 from repro.consensus.solvability import CheckOptions
 from repro.errors import AnalysisError
-from repro.fleet import files
 from repro.fleet.chaos import ChaosSpec
 from repro.fleet.clock import wall_now
+from repro.io import atomic
 from repro.records import RunRecord, read_jsonl, write_jsonl
 from repro.schemas import FLEET_STATE
 
@@ -296,18 +296,18 @@ def init_fleet(
     # later journal parse.  (No merge entries can predate the config, so
     # create-or-truncate is safe.)
     temp = paths.journal.with_name(f".{paths.journal.name}.{os.getpid()}.tmp")
-    files.append_line(
+    atomic.append_line(
         temp,
         json.dumps({"schema": FLEET_STATE, "kind": "journal"}, sort_keys=True),
     )
-    files.atomic_replace_file(temp, paths.journal)
-    files.atomic_write_json(paths.config, config.to_dict())
+    atomic.atomic_replace_file(temp, paths.journal)
+    atomic.atomic_write_json(paths.config, config.to_dict())
     return config
 
 
 def load_config(root: str | Path) -> FleetConfig:
     paths = FleetPaths(root)
-    doc = _require(files.read_json(paths.config), "config", paths.config)
+    doc = _require(atomic.read_json(paths.config), "config", paths.config)
     return FleetConfig.from_dict(doc)
 
 
@@ -344,7 +344,7 @@ def pid_alive(pid: int) -> bool:
 
 def read_lease(root: str | Path, shard: int) -> dict[str, Any] | None:
     paths = FleetPaths(root)
-    doc = files.read_json(paths.lease(shard))
+    doc = atomic.read_json(paths.lease(shard))
     if doc is None:
         return None
     return _require(doc, "lease", paths.lease(shard))
@@ -363,12 +363,12 @@ def claim_shard(
 
     Any number of workers (or whole racing coordinators) may call this
     concurrently for the same shard: the hard-link create in
-    :func:`repro.fleet.files.atomic_create_json` guarantees exactly one
+    :func:`repro.io.atomic.atomic_create_json` guarantees exactly one
     winner, and losers see False without having disturbed the winner's
     lease.
     """
     now = wall_now() if now is None else now
-    return files.atomic_create_json(
+    return atomic.atomic_create_json(
         FleetPaths(root).lease(shard),
         {
             "schema": FLEET_STATE,
@@ -411,7 +411,7 @@ def renew_lease(
         return False
     lease = dict(lease)
     lease["deadline"] = now + ttl_s
-    files.atomic_write_json(FleetPaths(root).lease(shard), lease)
+    atomic.atomic_write_json(FleetPaths(root).lease(shard), lease)
     return True
 
 
@@ -441,7 +441,7 @@ def lease_expired(lease: dict[str, Any], now: float | None = None) -> bool:
 def read_attempts(root: str | Path) -> dict[str, Any]:
     paths = FleetPaths(root)
     doc = _require(
-        files.read_json(paths.attempts_ledger), "attempts", paths.attempts_ledger
+        atomic.read_json(paths.attempts_ledger), "attempts", paths.attempts_ledger
     )
     shards = doc["shards"]
     if not isinstance(shards, dict):
@@ -450,7 +450,7 @@ def read_attempts(root: str | Path) -> dict[str, Any]:
 
 
 def write_attempts(root: str | Path, shards: dict[str, Any]) -> None:
-    files.atomic_write_json(
+    atomic.atomic_write_json(
         FleetPaths(root).attempts_ledger,
         {"schema": FLEET_STATE, "kind": "attempts", "shards": shards},
     )
@@ -458,12 +458,12 @@ def write_attempts(root: str | Path, shards: dict[str, Any]) -> None:
 
 def read_poison(root: str | Path) -> dict[str, Any]:
     paths = FleetPaths(root)
-    doc = _require(files.read_json(paths.poison), "poison", paths.poison)
+    doc = _require(atomic.read_json(paths.poison), "poison", paths.poison)
     return doc["shards"]
 
 
 def write_poison(root: str | Path, shards: dict[str, Any]) -> None:
-    files.atomic_write_json(
+    atomic.atomic_write_json(
         FleetPaths(root).poison,
         {"schema": FLEET_STATE, "kind": "poison", "shards": shards},
     )
@@ -491,7 +491,7 @@ def backoff_delay(config: FleetConfig, shard: int, failures: int) -> float:
 
 def append_merge(root: str | Path, entry: dict[str, Any]) -> None:
     """Append one completed-merge line (coordinator only)."""
-    files.append_line(
+    atomic.append_line(
         FleetPaths(root).journal,
         json.dumps({"kind": "merge", **entry}, sort_keys=True),
     )
@@ -523,7 +523,7 @@ def _parse_journal(
 ) -> tuple[list[dict[str, Any]], int | None]:
     """Parse the journal; returns (entries, torn_line_number_or_None)."""
     paths = FleetPaths(root)
-    lines = files.read_lines(paths.journal)
+    lines = atomic.read_lines(paths.journal)
     if lines is None:
         raise AnalysisError(f"{paths.journal}: fleet journal missing")
     stripped = [
@@ -568,10 +568,10 @@ def repair_journal(root: str | Path) -> bool:
         return False
     temp = paths.journal.with_name(f".{paths.journal.name}.{os.getpid()}.tmp")
     header = json.dumps({"schema": FLEET_STATE, "kind": "journal"}, sort_keys=True)
-    files.append_line(temp, header)
+    atomic.append_line(temp, header)
     for entry in entries:
-        files.append_line(temp, json.dumps(entry, sort_keys=True))
-    files.atomic_replace_file(temp, paths.journal)
+        atomic.append_line(temp, json.dumps(entry, sort_keys=True))
+    atomic.atomic_replace_file(temp, paths.journal)
     return True
 
 
@@ -596,7 +596,7 @@ def validate_attempt(
     verdict, never an exception: damaged output is a normal fleet event.
     """
     paths = FleetPaths(root)
-    done = files.read_json(paths.attempt_done(shard, attempt))
+    done = atomic.read_json(paths.attempt_done(shard, attempt))
     if done is None:
         return None, "no done marker"
     done = _require(done, "done", paths.attempt_done(shard, attempt))
@@ -605,7 +605,7 @@ def validate_attempt(
     out = paths.attempt_out(shard, attempt)
     if not out.exists():
         return None, "done marker without output file"
-    if files.sha256_file(out) != done.get("digest"):
+    if atomic.sha256_file(out) != done.get("digest"):
         return None, "output digest mismatch (damaged after completion?)"
     try:
         records, corruption = read_jsonl(out, recover=True)
@@ -641,7 +641,7 @@ def rebuild_merged(root: str | Path) -> list[RunRecord]:
     records: list[RunRecord] = []
     for entry in read_journal(root):
         out = paths.attempt_out(entry["shard"], entry["attempt"])
-        if files.sha256_file(out) != entry["digest"]:
+        if atomic.sha256_file(out) != entry["digest"]:
             raise AnalysisError(
                 f"{out}: journaled attempt no longer matches its digest; "
                 f"the fleet directory has been tampered with"
@@ -650,7 +650,7 @@ def rebuild_merged(root: str | Path) -> list[RunRecord]:
     records.sort(key=lambda record: record.index)
     temp = paths.merged.with_name(f".{paths.merged.name}.{os.getpid()}.tmp")
     write_jsonl(records, temp)
-    files.atomic_replace_file(temp, paths.merged)
+    atomic.atomic_replace_file(temp, paths.merged)
     return records
 
 

@@ -37,7 +37,6 @@ from pathlib import Path
 
 from repro.backends import iter_job_records
 from repro.errors import AnalysisError
-from repro.fleet import files
 from repro.fleet.chaos import ChaosPlan
 from repro.fleet.clock import sleep, wall_now
 from repro.fleet.state import (
@@ -52,6 +51,7 @@ from repro.fleet.state import (
     release_lease,
     renew_lease,
 )
+from repro.io import atomic
 from repro.records import SCHEMA as RECORD_SCHEMA
 from repro.schemas import FLEET_STATE
 
@@ -170,7 +170,7 @@ def run_attempt(
     # every merge), so a pre-existing file can only be debris from our own
     # failed claim; start clean rather than appending to it.
     out.unlink(missing_ok=True)
-    files.append_line(out, json.dumps({"schema": RECORD_SCHEMA}, sort_keys=True))
+    atomic.append_line(out, json.dumps({"schema": RECORD_SCHEMA}, sort_keys=True))
     stop: threading.Event | None = None
     # A stalled attempt gets no heartbeat at all — that is the fault being
     # injected: the lease deadline must genuinely pass while the worker is
@@ -187,7 +187,7 @@ def run_attempt(
         for record in iter_job_records(0, jobs, options, record_timing):
             if plan.kill_after is not None and written == plan.kill_after:
                 _crash(simulate, f"chaos kill mid-shard {shard} attempt {attempt}")
-            files.append_line(
+            atomic.append_line(
                 out, json.dumps(record.to_dict(), sort_keys=True)
             )
             written += 1
@@ -205,8 +205,8 @@ def run_attempt(
         size = out.stat().st_size
         os.truncate(out, max(1, size - 7))
     if plan.corrupt:
-        files.overwrite_bytes(out, out.stat().st_size // 2, b"\x00chaos\x00")
-    files.atomic_write_json(
+        atomic.overwrite_bytes(out, out.stat().st_size // 2, b"\x00chaos\x00")
+    atomic.atomic_write_json(
         paths.attempt_done(shard, attempt),
         {
             "schema": FLEET_STATE,
@@ -214,7 +214,7 @@ def run_attempt(
             "shard": shard,
             "attempt": attempt,
             "worker": worker,
-            "digest": files.sha256_file(out),
+            "digest": atomic.sha256_file(out),
             "records": written,
         },
     )

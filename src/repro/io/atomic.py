@@ -20,10 +20,9 @@ instruction:
   is a normal state (an unclaimed shard simply has no lease file; an
   uncached key simply has no object file).
 
-This module grew out of ``repro.fleet.files`` (which now re-exports it
-unchanged); repro-lint rule R9 enforces the funnel for both consumers:
-any module under ``repro.fleet`` or ``repro.store`` that opens a file for
-writing outside this module is a lint error.
+Repro-lint rule R9 enforces the funnel for both consumers: any module
+under ``repro.fleet`` or ``repro.store`` that opens a file for writing
+outside this module is a lint error.
 """
 
 from __future__ import annotations
@@ -91,22 +90,24 @@ def _write_temp(path: Path, payload: dict[str, Any]) -> Path:
 
 def atomic_write_json(path: str | Path, payload: dict[str, Any]) -> None:
     """Replace ``path`` with a JSON document, atomically."""
-    path = Path(path)
-    temp = _write_temp(path, payload)
-    os.replace(temp, path)
-    fsync_dir(path.parent)
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Replace ``path`` with arbitrary text, atomically.
 
-    The non-JSON sibling of :func:`atomic_write_json`: same temp-then-
-    ``os.replace`` shape, for payloads that are not a single JSON object
-    (e.g. a compacted JSONL journal).
+    The temp-then-``os.replace`` shape behind :func:`atomic_write_json`,
+    for any payload (e.g. a compacted JSONL journal or a shard manifest).
+    If the replace fails, the temp file is removed and ``path`` keeps its
+    old content.
     """
     path = Path(path)
     temp = _write_temp_text(path, text)
-    os.replace(temp, path)
+    try:
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     fsync_dir(path.parent)
 
 

@@ -39,7 +39,7 @@ __all__ = [
 RUN_RECORD = "repro.run-record/2"
 
 #: Self-contained sweep shard manifests executed by independent
-#: ``repro-consensus sweep --manifest`` subprocesses.
+#: ``repro-consensus fleet work`` subprocesses.
 SWEEP_MANIFEST = "repro.sweep-manifest/1"
 
 #: The machine-readable ``repro-consensus report --json`` document.

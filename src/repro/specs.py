@@ -5,8 +5,8 @@ of adversaries, not pickled live objects.  An :class:`AdversarySpec` is that
 description: a registered family name, a dict of JSON-able parameters, and
 an optional sampling seed.  ``spec.build()`` reconstructs the adversary
 anywhere the library is importable; ``to_dict``/``from_dict`` round-trip
-through JSON, which is what sweep manifests and
-:class:`~repro.backends.ManifestBackend` shards are made of.
+through JSON, which is what the shard manifests of
+:class:`~repro.fleet.FleetBackend` runs are made of.
 
 Communication graphs are encoded by their packed integer edge keys
 (:attr:`repro.core.digraph.Digraph.key`), the graphs' canonical identity.

@@ -1037,8 +1037,7 @@ class AtomicStateWriteRule(Rule):
     can be SIGKILLed between any two instructions and the on-disk state
     stays readable.  That holds because every write goes through the
     crash-safe shapes in :mod:`repro.io.atomic` (write-temp-then-rename,
-    exclusive hard-link create, fsynced append; re-exported by
-    ``repro.fleet.files`` for compatibility).  A bare
+    exclusive hard-link create, fsynced append).  A bare
     ``open(path, "w")`` anywhere else in those packages reintroduces
     torn files — silently, and only under the exact crash timing the
     chaos harness exists to produce.  So: modules under
@@ -1056,7 +1055,7 @@ class AtomicStateWriteRule(Rule):
     repro_only = True
     defaults: dict[str, Any] = {
         "state_modules": ["repro.fleet", "repro.store"],
-        "io_modules": ["repro.fleet.files", "repro.io.atomic"],
+        "io_modules": ["repro.io.atomic"],
     }
 
     #: Mode characters that make an ``open`` call a write.

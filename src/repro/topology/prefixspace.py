@@ -47,10 +47,10 @@ indices.  The contract:
   :class:`~repro.errors.AnalysisError`;
 * :class:`PrefixNode` / :class:`~repro.core.ptg.PTGPrefix` materialization
   needs the graph history of *every* ancestor layer, so it is unavailable
-  in frontier mode altogether (it raises once any ancestor is condensed);
-* frontier-mode extension skips the interner's ``(level, graph)`` memo so
-  depth-14+ runs hold the frontier plus the interner's view tables and
-  nothing else.
+  in frontier mode altogether (it raises once any ancestor is condensed).
+
+Depth-14+ frontier runs therefore hold the frontier plus the interner's
+view tables and nothing else.
 
 ``retain="all"`` (the default) keeps every layer, exactly as before.
 """
@@ -277,13 +277,6 @@ class PrefixSpace:
         ``"all"`` (default) keeps every constructed layer; ``"frontier"``
         condenses historical layers to parents + input indices as the
         frontier advances (see module docstring for the eviction contract).
-    memo_extensions:
-        Whether layer extension populates the interner's ``(level, graph)``
-        memo so other spaces sharing the interner reuse the work.  Defaults
-        to ``None`` = "memoize exactly when an interner was passed in and
-        layers are retained" (a shared interner signals cross-space reuse,
-        e.g. the sweep engine; frontier mode keeps the memo off so memory
-        stays frontier-bounded).
     layer_backend:
         Columnar-pipeline kernel backend (``"numpy"``/``"python"``/``None``
         for the import-time default) of the interner this space creates
@@ -317,7 +310,6 @@ class PrefixSpace:
         interner: ViewInterner | None = None,
         max_nodes: int = 2_000_000,
         retain: str = "all",
-        memo_extensions: bool | None = None,
         layer_backend: str | None = None,
         plan_cache_size: int | None = None,
         extension_workers: int | None = None,
@@ -326,9 +318,6 @@ class PrefixSpace:
         if retain not in ("all", "frontier"):
             raise AnalysisError(f"retain must be 'all' or 'frontier', got {retain!r}")
         self.retain = retain
-        if memo_extensions is None:
-            memo_extensions = interner is not None and retain == "all"
-        self.memo_extensions = memo_extensions
         # Not ``interner or ...``: an empty interner is falsy via __len__
         # and must still be adopted (the sweep engine shares fresh ones).
         if interner is None:
@@ -407,8 +396,6 @@ class PrefixSpace:
             raise AnalysisError("cannot extend: the frontier layer was condensed")
         adversary = self.adversary
         extensions = adversary.admissible_extensions
-        alphabet_of = adversary.extension_alphabet
-        memo = self.memo_extensions
         cur_table = current.levels
         cur_states = current.states
         count = len(current)
@@ -447,37 +434,26 @@ class PrefixSpace:
             )
         if len(groups) == 1 and next(iter(groups.values())) is None:
             store = self._extend_single_group(
-                cur_table, current, next(iter(groups)), memo
+                cur_table, current, next(iter(groups))
             )
         else:
-            store = self._extend_grouped(cur_table, current, groups, memo)
+            store = self._extend_grouped(cur_table, current, groups)
         self._stores.append(store)
         if self.retain == "frontier":
             self._stores[-2].condense()
 
     def _extend_single_group(
-        self, cur_table: LayerTable, current: LayerStore, node_states, memo: bool
+        self, cur_table: LayerTable, current: LayerStore, node_states
     ) -> LayerStore:
         """One kernel call over the whole layer; columns interleave flat."""
         adversary = self.adversary
         exts = adversary.admissible_extensions(node_states)
         alphabet = adversary.extension_alphabet(node_states)
-        interner = self.interner
         n = adversary.n
         count = len(cur_table)
         width = len(exts)
-        if memo:
-            # The (level, graph) memo is keyed by level tuples, so this
-            # path materializes them (shared-interner interactive use).
-            by_graph = interner.extend_layer(cur_table.tolist(), alphabet, True)
-            flat = array("q")
-            for i in range(count):
-                for column in by_graph:
-                    flat.extend(column[i])
-            child_table = LayerTable(n, flat)
-        else:
-            tables = interner.extend_layer_table(cur_table, alphabet)
-            child_table = _interleave_tables(n, count, tables)
+        tables = self.interner.extend_layer_table(cur_table, alphabet)
+        child_table = _interleave_tables(n, count, tables)
         np = numpy_module()
         if np is not None and isinstance(child_table.ids, np.ndarray):
             parents = np.repeat(np.arange(count, dtype=np.int64), width)
@@ -501,7 +477,7 @@ class PrefixSpace:
         )
 
     def _extend_grouped(
-        self, cur_table: LayerTable, current: LayerStore, groups: dict, memo: bool
+        self, cur_table: LayerTable, current: LayerStore, groups: dict
     ) -> LayerStore:
         """One whole-layer kernel call per state group, merged parent-major."""
         adversary = self.adversary
@@ -520,16 +496,10 @@ class PrefixSpace:
             if not exts:
                 continue
             sub = _gather_subtable(cur_table, members)
-            alphabet = alphabet_of(node_states)
-            if memo:
-                by_graph = interner.extend_layer(sub.tolist(), alphabet, True)
-                group_cols = [
-                    LayerTable.from_levels(n, column).ids for column in by_graph
-                ]
-            else:
-                group_cols = [
-                    t.ids for t in interner.extend_layer_table(sub, alphabet)
-                ]
+            group_cols = [
+                t.ids
+                for t in interner.extend_layer_table(sub, alphabet_of(node_states))
+            ]
             for mi, i in enumerate(members):
                 exts_of[i] = exts
                 cols_of[i] = group_cols

@@ -1,9 +1,9 @@
 """Equivalence tests of the whole-layer extension kernel.
 
-``ViewInterner.extend_layer`` batches the successor interning of an entire
-prefix-space layer; these tests pin it — on both the numpy and the
-pure-Python backend — to the per-parent ``extend_level_multi`` path across
-every adversary family shape (oblivious single-group layers, eventually/
+``ViewInterner.extend_layer_table`` batches the successor interning of an
+entire prefix-space layer; these tests pin it — on both the numpy and the
+pure-Python backend — to per-parent ``extend_level`` calls across every
+adversary family shape (oblivious single-group layers, eventually/
 stabilizing multi-group layers, randomized oblivious alphabets).
 
 View-id *numbering* is explicitly not part of the contract (backends
@@ -85,7 +85,7 @@ def canonical_levels(interner, levels):
 
 
 def per_parent_layers(adversary, depth, interner, input_vectors=None):
-    """The PR-3 reference: one ``extend_level_multi`` call per parent.
+    """The per-parent reference: one ``extend_level`` call per (parent, graph).
 
     Returns per depth the ``(levels, parents, graphs)`` columns in the
     exact order the original ``PrefixSpace.extend`` emitted them.
@@ -99,12 +99,8 @@ def per_parent_layers(adversary, depth, interner, input_vectors=None):
     for _ in range(depth):
         new_levels, new_states, parents, graphs = [], [], [], []
         for i, node_states in enumerate(states):
-            exts = adversary.admissible_extensions(node_states)
-            outs = interner.extend_level_multi(
-                levels[i], adversary.extension_alphabet(node_states)
-            )
-            for (graph, nxt), level in zip(exts, outs):
-                new_levels.append(level)
+            for graph, nxt in adversary.admissible_extensions(node_states):
+                new_levels.append(interner.extend_level(levels[i], graph))
                 new_states.append(nxt)
                 parents.append(i)
                 graphs.append(graph)
@@ -208,8 +204,8 @@ def test_extend_layer_column_alignment_and_duplicates(backend):
         # Duplicate parents map to identical results...
         assert column[0] == column[2]
         # ...and every cell equals the per-parent extension.
-        assert column[0] == interner.extend_level_multi(level_a, graphs)[j]
-        assert column[1] == interner.extend_level_multi(level_b, graphs)[j]
+        assert column[0] == interner.extend_level(level_a, graph)
+        assert column[1] == interner.extend_level(level_b, graph)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -224,33 +220,19 @@ def test_extend_layer_edge_cases(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_extend_layer_memo_populates_and_serves_the_extension_cache(backend):
+def test_repeated_extension_interns_nothing_new(backend):
     interner = ViewInterner(2, layer_backend=backend)
     levels = [interner.leaf_level((0, 1)), interner.leaf_level((1, 0))]
     graphs = lossy_link_full().alphabet()
-    first = interner.extend_layer(levels, graphs, memo=True)
-    cached = interner.stats().cached_extensions
-    assert cached == len(levels) * len(graphs)
-    views = len(interner)
-    # A second batched call is pure cache service.
-    second = interner.extend_layer(levels, graphs, memo=True)
-    assert second == first
-    assert len(interner) == views
-    assert interner.stats().cached_extensions == cached
-    # The per-parent memo path shares the same cache entries.
+    first = interner.extend_layer(levels, graphs)
+    views, rows = len(interner), interner.stats().rows
+    # Interning is idempotent: a repeat batch and the per-parent path
+    # resolve every view through the row table without allocating.
+    assert interner.extend_layer(levels, graphs) == first
     for i, level in enumerate(levels):
-        assert interner.extend_level_multi(level, graphs, memo=True) == [
-            column[i] for column in first
-        ]
-    assert interner.stats().cached_extensions == cached
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_extend_layer_without_memo_leaves_cache_empty(backend):
-    interner = ViewInterner(2, layer_backend=backend)
-    levels = [interner.leaf_level((0, 1))]
-    interner.extend_layer(levels, lossy_link_full().alphabet())
-    assert interner.stats().cached_extensions == 0
+        for j, graph in enumerate(graphs):
+            assert interner.extend_level(level, graph) == first[j][i]
+    assert (len(interner), interner.stats().rows) == (views, rows)
 
 
 def test_plan_cache_reported_in_stats():

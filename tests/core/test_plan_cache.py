@@ -46,7 +46,7 @@ class TestPlanCacheLRU:
         interner = ViewInterner(3, plan_cache_size=4)
         level = interner.leaf_level((0, 1, 0))
         for alphabet in _alphabets(3, 10):
-            interner.extend_level_multi(level, alphabet)
+            interner.extend_layer([level], alphabet)
         assert interner.stats().cached_plans <= 4
 
     def test_eviction_preserves_results(self):
@@ -57,8 +57,8 @@ class TestPlanCacheLRU:
         big = ViewInterner(3, plan_cache_size=1000)
         level_tiny = tiny.leaf_level((0, 1, 1))
         level_big = big.leaf_level((0, 1, 1))
-        out_tiny = [tiny.extend_level_multi(level_tiny, a) for a in schedule]
-        out_big = [big.extend_level_multi(level_big, a) for a in schedule]
+        out_tiny = [tiny.extend_layer([level_tiny], a) for a in schedule]
+        out_big = [big.extend_layer([level_big], a) for a in schedule]
         assert out_tiny == out_big
         assert len(tiny) == len(big)
         assert tiny.stats().rows == big.stats().rows
@@ -71,10 +71,10 @@ class TestPlanCacheLRU:
         a = tuple(lossy_link_full().alphabet())
         b = a[:2]
         c = a[:1]
-        interner.extend_level_multi(level, a)
-        interner.extend_level_multi(level, b)
-        interner.extend_level_multi(level, a)  # touch a: b is now coldest
-        interner.extend_level_multi(level, c)  # evicts b
+        interner.extend_layer([level], a)
+        interner.extend_layer([level], b)
+        interner.extend_layer([level], a)  # touch a: b is now coldest
+        interner.extend_layer([level], c)  # evicts b
         assert set(interner._plan_cache) == {a, c}
 
     def test_layer_path_respects_cap(self):

@@ -1,12 +1,12 @@
 """Randomized equivalence: array-backed view tables vs the dict interner.
 
 The array-backed :class:`~repro.core.views.ViewInterner` (parallel columns,
-interned child-row table, compact-integer node keys and extension-cache
-keys) replaced the PR-1 dict-of-tuples storage.  These property tests pin
-the new tables to a self-contained reimplementation of the dict interner:
-identical id allocation, owners, depths, origin masks, origin values,
-children, and stats on randomized construction sequences — plus the
-memoized extension path and the new table-geometry stats.
+interned child-row table, compact-integer node keys) replaced the PR-1
+dict-of-tuples storage.  These property tests pin the new tables to a
+self-contained reimplementation of the dict interner: identical id
+allocation, owners, depths, origin masks, origin values, children, and
+stats on randomized construction sequences — plus the table-geometry
+stats.
 """
 
 import random
@@ -71,8 +71,8 @@ class DictInterner:
             out.append(self.node(p, [level[q] for q in in_list]))
         return tuple(out)
 
-    def extend_level_multi(self, level, graphs):
-        return [self.extend_level(level, g) for g in graphs]
+    def extend_layer(self, levels, graphs):
+        return [[self.extend_level(level, g) for level in levels] for g in graphs]
 
     def origins(self, vid):
         return self._origin_values[vid]
@@ -129,7 +129,7 @@ def _random_graphs(rng, n, count):
     return graphs
 
 
-def _run_script(interner, script, multi_memo=None):
+def _run_script(interner, script):
     """Drive one interner through a script, returning all produced ids."""
     n, vectors, seed, rounds, alphabet_size = script
     rng = random.Random(seed)
@@ -138,15 +138,10 @@ def _run_script(interner, script, multi_memo=None):
     produced.extend(vid for level in levels for vid in level)
     for _ in range(rounds):
         alphabet = _random_graphs(rng, n, alphabet_size)
-        nxt = []
-        for level in levels:
-            if multi_memo is None:
-                extended = interner.extend_level_multi(level, alphabet)
-            else:
-                extended = interner.extend_level_multi(level, alphabet, memo=multi_memo)
-            nxt.extend(extended)
-            # Exercise the single-graph (memoized) path too.
-            assert interner.extend_level(level, alphabet[0]) == extended[0]
+        nxt = [interner.extend_level(level, g) for level in levels for g in alphabet]
+        # The whole-layer path resolves to the same (already interned) views.
+        by_graph = interner.extend_layer(levels, alphabet)
+        assert [by_graph[j][i] for i in range(len(levels)) for j in range(len(alphabet))] == nxt
         levels = nxt
         produced.extend(vid for level in levels for vid in level)
     return produced
@@ -172,17 +167,6 @@ def test_ids_and_columns_match_dict_reference(script):
     assert stats.total == len(reference._pid)
     assert stats.leaves == reference._leaf_count
     assert stats.max_depth == (max(reference._depth) if reference._depth else 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(construction_scripts())
-def test_memoized_extensions_are_equivalent(script):
-    """memo=True must produce identical ids/levels as the uncached path."""
-    n = script[0]
-    plain = ViewInterner(n)
-    memoized = ViewInterner(n)
-    assert _run_script(plain, script) == _run_script(memoized, script, multi_memo=True)
-    assert memoized.stats().cached_extensions >= plain.stats().cached_extensions
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +231,6 @@ def test_stats_report_table_geometry():
     assert grown.total == 4
     assert grown.leaves == 2
     assert grown.rows == 2
-    assert grown.cached_extensions == 1
     assert grown.approx_bytes > stats.approx_bytes
 
 

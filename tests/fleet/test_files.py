@@ -6,37 +6,37 @@ import threading
 
 import pytest
 
-from repro.fleet import files
+from repro.io import atomic
 
 
 def test_atomic_write_round_trip(tmp_path):
     path = tmp_path / "doc.json"
-    files.atomic_write_json(path, {"b": 2, "a": 1})
-    assert files.read_json(path) == {"a": 1, "b": 2}
-    files.atomic_write_json(path, {"a": 3})
-    assert files.read_json(path) == {"a": 3}
+    atomic.atomic_write_json(path, {"b": 2, "a": 1})
+    assert atomic.read_json(path) == {"a": 1, "b": 2}
+    atomic.atomic_write_json(path, {"a": 3})
+    assert atomic.read_json(path) == {"a": 3}
     # No temp debris: the write either landed or never happened.
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 def test_read_json_missing_is_none(tmp_path):
-    assert files.read_json(tmp_path / "absent.json") is None
-    assert files.read_lines(tmp_path / "absent.txt") is None
+    assert atomic.read_json(tmp_path / "absent.json") is None
+    assert atomic.read_lines(tmp_path / "absent.txt") is None
 
 
 def test_read_json_rejects_non_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        files.read_json(path)
+        atomic.read_json(path)
 
 
 def test_exclusive_create_single_winner(tmp_path):
     path = tmp_path / "claim.json"
-    assert files.atomic_create_json(path, {"worker": "w0"}) is True
-    assert files.atomic_create_json(path, {"worker": "w1"}) is False
+    assert atomic.atomic_create_json(path, {"worker": "w0"}) is True
+    assert atomic.atomic_create_json(path, {"worker": "w1"}) is False
     # The loser's payload never replaces the winner's.
-    assert files.read_json(path) == {"worker": "w0"}
+    assert atomic.read_json(path) == {"worker": "w0"}
     assert [p.name for p in tmp_path.iterdir()] == ["claim.json"]
 
 
@@ -47,7 +47,7 @@ def test_exclusive_create_threaded_race(tmp_path):
 
     def claimant(name):
         barrier.wait()
-        outcomes[name] = files.atomic_create_json(path, {"worker": name})
+        outcomes[name] = atomic.atomic_create_json(path, {"worker": name})
 
     threads = [
         threading.Thread(target=claimant, args=(f"w{i}",)) for i in range(8)
@@ -58,25 +58,25 @@ def test_exclusive_create_threaded_race(tmp_path):
         thread.join()
     winners = [name for name, won in outcomes.items() if won]
     assert len(winners) == 1
-    assert files.read_json(path) == {"worker": winners[0]}
+    assert atomic.read_json(path) == {"worker": winners[0]}
 
 
 def test_append_line_accumulates(tmp_path):
     path = tmp_path / "log.jsonl"
-    files.append_line(path, json.dumps({"n": 1}))
-    files.append_line(path, json.dumps({"n": 2}))
-    assert files.read_lines(path) == ['{"n": 1}\n', '{"n": 2}\n']
+    atomic.append_line(path, json.dumps({"n": 1}))
+    atomic.append_line(path, json.dumps({"n": 2}))
+    assert atomic.read_lines(path) == ['{"n": 1}\n', '{"n": 2}\n']
 
 
 def test_sha256_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob"
     payload = b"x" * 100_000 + b"tail"
     path.write_bytes(payload)
-    assert files.sha256_file(path) == hashlib.sha256(payload).hexdigest()
+    assert atomic.sha256_file(path) == hashlib.sha256(payload).hexdigest()
 
 
 def test_overwrite_bytes_clobbers_in_place(tmp_path):
     path = tmp_path / "victim"
     path.write_bytes(b"0123456789")
-    files.overwrite_bytes(path, 4, b"XX")
+    atomic.overwrite_bytes(path, 4, b"XX")
     assert path.read_bytes() == b"0123XX6789"

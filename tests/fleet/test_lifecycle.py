@@ -8,11 +8,11 @@ orderings exist for; they drive the steppable coordinator with explicit
 import pytest
 
 from repro.errors import AnalysisError
-from repro.fleet import FleetConfig, FleetRunner
-from repro.fleet import files, state
+from repro.fleet import FleetConfig, FleetRunner, state
 from repro.fleet import worker as worker_module
 from repro.fleet.state import FleetPaths
 from repro.fleet.worker import claim_next, run_attempt
+from repro.io import atomic
 
 
 @pytest.fixture()
@@ -176,7 +176,7 @@ def test_stranded_lease_of_journaled_shard_is_swept(fleet):
     # A crash window leaves a lease behind for an already-journaled
     # shard; the next step must sweep it rather than wedge the shard.
     out = FleetPaths(root).attempt_out(0, 0)
-    assert files.sha256_file(out)  # attempt files stay for audit
+    assert atomic.sha256_file(out)  # attempt files stay for audit
     assert state.claim_shard(root, 0, "stray", 0, 10.0, now=2.0)
     runner.step(now=3.0)
     assert state.read_lease(root, 0) is None

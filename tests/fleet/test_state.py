@@ -6,10 +6,10 @@ import pytest
 
 from repro.backends import load_manifest
 from repro.errors import AnalysisError
-from repro.fleet import FleetConfig, FleetRunner
-from repro.fleet import files, state
+from repro.fleet import FleetConfig, FleetRunner, state
 from repro.fleet.state import FleetPaths
 from repro.fleet.worker import run_attempt
+from repro.io import atomic
 from repro.records import read_jsonl
 from repro.schemas import FLEET_STATE
 
@@ -52,7 +52,7 @@ def test_init_is_crash_idempotent_before_config_lands(tmp_path, jobs6):
     FleetRunner(root).initialize(jobs6)
     assert state.read_journal(root) == []
     header_lines = [
-        line for line in files.read_lines(FleetPaths(root).journal) if line.strip()
+        line for line in atomic.read_lines(FleetPaths(root).journal) if line.strip()
     ]
     assert len(header_lines) == 1
 
@@ -179,7 +179,7 @@ def test_validate_attempt_verdicts(fleet):
     paths = FleetPaths(root)
     out = paths.attempt_out(0, 0)
     # Damage after completion -> digest mismatch, never an exception.
-    files.overwrite_bytes(out, out.stat().st_size // 2, b"\x00x\x00")
+    atomic.overwrite_bytes(out, out.stat().st_size // 2, b"\x00x\x00")
     _, reason = state.validate_attempt(root, 0, 0, expected)
     assert "digest mismatch" in reason
 
@@ -193,9 +193,9 @@ def test_validate_attempt_torn_output(fleet):
     out.write_bytes(torn)
     # Republish a marker matching the torn bytes: the digest now passes
     # and the recovery reader is what must catch the damage.
-    done = files.read_json(paths.attempt_done(1, 0))
-    done["digest"] = files.sha256_file(out)
-    files.atomic_write_json(paths.attempt_done(1, 0), done)
+    done = atomic.read_json(paths.attempt_done(1, 0))
+    done["digest"] = atomic.sha256_file(out)
+    atomic.atomic_write_json(paths.attempt_done(1, 0), done)
     _, reason = state.validate_attempt(root, 1, 0, runner.expected_indices(1))
     assert "torn output" in reason
 
@@ -210,7 +210,7 @@ def test_rebuild_merged_idempotent_and_tamper_evident(fleet, jobs6):
             {
                 "shard": shard,
                 "attempt": 0,
-                "digest": files.sha256_file(out),
+                "digest": atomic.sha256_file(out),
                 "records": 2,
             },
         )
@@ -221,7 +221,7 @@ def test_rebuild_merged_idempotent_and_tamper_evident(fleet, jobs6):
     merged = FleetPaths(root).merged
     assert len(list(read_jsonl(merged))) == 6
     out = FleetPaths(root).attempt_out(2, 0)
-    files.overwrite_bytes(out, 4, b"!")
+    atomic.overwrite_bytes(out, 4, b"!")
     with pytest.raises(AnalysisError, match="tampered"):
         state.rebuild_merged(root)
 

@@ -238,6 +238,28 @@ def test_invalid_requests_answer_errors_not_disconnects(tmp_path):
     assert responses[-1]["pong"] is True  # connection survived every error
 
 
+def test_legacy_memo_extensions_option_is_accepted_and_dropped(tmp_path):
+    # Clients written against the removed extension-memo switch still send
+    # it; every spelling decodes to the same options and the same key.
+    async def scenario(service, host, port):
+        client = await _Client.connect(host, port)
+        responses = []
+        for i, legacy in enumerate((True, False, None)):
+            payload = query_payload(8, f"r{i}")
+            payload["options"] = dict(payload["options"], memo_extensions=legacy)
+            responses.append(await client.request(payload))
+        await client.close()
+        return responses
+
+    responses = run(with_service(ResultStore(tmp_path), scenario))
+    assert all(r["ok"] for r in responses)
+    assert [r["hot"] for r in responses] == [False, True, True]
+    assert {r["job"] for r in responses} == {cache_key(spec_for(8), OPTIONS)}
+    assert execute_query(
+        spec_for(8).to_dict(), dict(OPTIONS.to_dict(), memo_extensions=True)
+    ) == responses[0]["record"]
+
+
 def test_stats_op_reports_store_and_service_counters(tmp_path):
     async def scenario(service, host, port):
         client = await _Client.connect(host, port)

@@ -6,7 +6,7 @@ no interner, and still returns records byte-identical to a cold
 ``record_timing=False`` serial run.
 """
 
-from repro.api import Session
+from repro.api import Session, run_sweep
 from repro.adversaries import two_process_oblivious_family
 from repro.backends import SerialBackend, jobs_for
 from repro.consensus.census import two_process_census
@@ -14,7 +14,6 @@ from repro.consensus.solvability import CheckOptions
 from repro.records import write_jsonl
 from repro.specs import AdversarySpec
 from repro.store import CachedBackend, ResultStore
-from repro.sweep import run_sweep
 
 OPTIONS = CheckOptions(max_depth=3)
 

@@ -31,6 +31,19 @@ def test_key_is_deterministic_and_hex_sha256():
     int(key, 16)  # hex
 
 
+def test_key_is_pinned_across_releases():
+    # Computed once and frozen: a changed digest would orphan every
+    # stored verdict, so any change here must come with a KERNEL_EPOCH
+    # bump.  Removing option fields that were never part of the key
+    # (e.g. the old extension-memo switch) must leave it untouched.
+    spec = AdversarySpec("oblivious", {"n": 2, "graphs": [2, 4]})
+    assert cache_key(spec, CheckOptions(max_depth=6)) == (
+        "3da42dfdd982f9e0132b95f20bac5e867b697f711df0e1085212c2f49e1306eb"
+    )
+    legacy = CheckOptions.from_dict({"max_depth": 6, "memo_extensions": True})
+    assert cache_key(spec, legacy) == cache_key(spec, CheckOptions(max_depth=6))
+
+
 def test_key_survives_param_dict_orderings():
     forward = AdversarySpec("random-oblivious", {"n": 2, "size": 2}, seed=11)
     reversed_params = AdversarySpec(
@@ -89,7 +102,6 @@ def test_observability_options_do_not_change_the_key():
         OPTIONS.replace(layer_backend="python"),
         OPTIONS.replace(extension_workers=4),
         OPTIONS.replace(plan_cache_size=7),
-        OPTIONS.replace(memo_extensions=True),
     ):
         assert cache_key(SPEC, variant) == base
 

@@ -3,9 +3,9 @@
 import json
 
 from repro.analysis import certificate_kind, render_report, report_jsonl, summarize
+from repro.api import jobs_for, run_sweep
 from repro.records import RunRecord
 from repro.specs import AdversarySpec
-from repro.sweep import jobs_for, run_sweep
 
 
 def _record(index, status="solvable", certificate="decision-table@1", **kw):

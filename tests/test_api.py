@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AdversarySpec, CheckOptions, RunRecord, Session, SweepRecord
+from repro import AdversarySpec, CheckOptions, Session
 from repro.adversaries import (
     ObliviousAdversary,
     SafetyAdversary,
@@ -206,8 +206,15 @@ class TestSpecDerivation:
 
 class TestCheckOptions:
     def test_dict_round_trip(self):
-        options = CheckOptions(max_depth=4, memo_extensions=False)
+        options = CheckOptions(max_depth=4, use_broadcaster_certificate=False)
         assert CheckOptions.from_dict(options.to_dict()) == options
+
+    @pytest.mark.parametrize("legacy", [True, False, None])
+    def test_legacy_memo_extensions_key_is_dropped(self, legacy):
+        # Manifests, fleet directories, and client requests written before
+        # the extension memo was removed still carry the key.
+        data = dict(CheckOptions(max_depth=4).to_dict(), memo_extensions=legacy)
+        assert CheckOptions.from_dict(data) == CheckOptions(max_depth=4)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(AnalysisError, match="unknown CheckOptions"):
@@ -247,7 +254,7 @@ class TestUndecidedCertificate:
         assert certificate_summary(result) == "undecided@4"
 
     def test_undecided_depth_lands_in_records(self):
-        from repro.sweep import jobs_for, run_sweep
+        from repro.api import jobs_for, run_sweep
 
         options = CheckOptions(
             use_impossibility_provers=False, use_broadcaster_certificate=False
@@ -290,14 +297,8 @@ class TestSession:
 
 
 class TestDeprecationShims:
-    def test_sweeprecord_alias(self):
-        from repro.sweep import SweepRecord as FromSweep
-
-        assert SweepRecord is RunRecord
-        assert FromSweep is RunRecord
-
     def test_sweepjob_legacy_positional_construction(self):
-        from repro.sweep import SweepJob
+        from repro.backends import SweepJob
 
         job = SweepJob(3, lossy_link_no_hub(), 7, {"k": "v"})
         assert job.index == 3
@@ -306,7 +307,7 @@ class TestDeprecationShims:
         assert job.tags == {"k": "v"}
 
     def test_sweepjob_requires_adversary_or_spec(self):
-        from repro.sweep import SweepJob
+        from repro.backends import SweepJob
 
         with pytest.raises(AnalysisError):
             SweepJob(0)
@@ -370,7 +371,7 @@ class TestLayerBackendOption:
 
     def test_manifest_carries_the_backend_to_shard_runners(self, tmp_path):
         from repro.backends import load_manifest, write_manifest
-        from repro.sweep import jobs_for
+        from repro.api import jobs_for
 
         spec = AdversarySpec("two-process", {"index": 3})
         path = tmp_path / "shard.json"
@@ -385,7 +386,7 @@ class TestLayerBackendOption:
     def test_backend_choice_does_not_change_verdicts(self):
         from repro.adversaries import two_process_oblivious_family
         from repro.core.views import numpy_available
-        from repro.sweep import jobs_for
+        from repro.api import jobs_for
 
         backends = ["python"] + (["numpy"] if numpy_available() else [])
         fingerprints = []

@@ -12,9 +12,9 @@ from repro.adversaries import (
 from repro.consensus import check_consensus
 from repro.consensus.census import random_rooted_census, two_process_census
 from repro.errors import AnalysisError
-from repro.sweep import (
+from repro.api import (
+    RunRecord,
     SweepJob,
-    SweepRecord,
     certificate_summary,
     jobs_for,
     read_jsonl,
@@ -98,7 +98,7 @@ class TestJsonl:
         assert [json.loads(line)["index"] for line in lines[1:]] == [0, 1, 2, 3, 4]
 
     def test_write_read_helpers(self, tmp_path):
-        record = SweepRecord(
+        record = RunRecord(
             index=0, adversary="X", n=2, alphabet=1, max_depth=3,
             status="solvable", certified_depth=1, certificate="decision-table@1",
             elapsed_s=0.1, views_interned=7, shard=0, tags={"k": "v"},
@@ -169,30 +169,25 @@ class TestSweepCli:
         assert all(r.family == "random-rooted" and r.seed is not None
                    for r in records)
 
-    def test_sweep_manifest_backend_and_shard_runner(self, tmp_path, capsys):
+    def test_fleet_run_matches_serial_sweep_bytes(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "two_process.jsonl"
-        shard_dir = tmp_path / "shards"
+        reference = tmp_path / "serial.jsonl"
         assert main([
             "sweep", "--family", "two-process", "--max-depth", "4",
-            "--workers", "2", "--backend", "manifest",
-            "--manifest-dir", str(shard_dir), "--out", str(out),
+            "--backend", "serial", "--no-timing", "--out", str(reference),
         ]) == 0
-        assert len(list(read_jsonl(out))) == 15
-        assert (shard_dir / "shard_0.json").exists()
-        assert (shard_dir / "shard_1.jsonl").exists()
-        capsys.readouterr()
-
-        # The shard runner entry point re-runs one manifest standalone.
-        rerun_out = tmp_path / "shard_0_rerun.jsonl"
+        fleet_dir = tmp_path / "fleet"
         assert main([
-            "sweep", "--manifest", str(shard_dir / "shard_0.json"),
-            "--out", str(rerun_out),
+            "fleet", "run", "--dir", str(fleet_dir), "--family", "two-process",
+            "--max-depth", "4", "--shards", "2", "--workers", "2",
+            "--no-timing", "--poll", "0.05",
         ]) == 0
-        rerun = list(read_jsonl(rerun_out))
-        assert rerun and all(r.shard == 0 for r in rerun)
-        assert "jobs" in capsys.readouterr().out
+        # Subprocess shards ran from JSON manifests and merged byte for byte.
+        assert (fleet_dir / "shards" / "shard_1.json").exists()
+        merged = fleet_dir / "merged.jsonl"
+        assert merged.read_bytes() == reference.read_bytes()
+        assert "merged.jsonl is the record of truth" in capsys.readouterr().out
 
     def test_report_command(self, tmp_path, capsys):
         from repro.cli import main
@@ -213,7 +208,7 @@ class TestRetry:
     def _undecided_sweep(self, tmp_path):
         """A seeded rooted sweep at depth 0 with a real undecided frontier."""
         from repro.specs import random_rooted_specs
-        from repro.sweep import retry_jobs
+        from repro.api import retry_jobs
 
         specs = random_rooted_specs(7, 3, 10, sizes=(1, 2))
         path = tmp_path / "first.jsonl"
@@ -246,7 +241,7 @@ class TestRetry:
 
     def test_records_without_specs_are_reported_not_dropped_silently(self):
         from repro.records import RunRecord
-        from repro.sweep import retry_jobs
+        from repro.api import retry_jobs
 
         bare = RunRecord(
             index=0, adversary="X", n=2, alphabet=1, max_depth=2,

@@ -482,11 +482,11 @@ def log(path, line):
 
 R9_GOOD = """\
 import json
-from repro.fleet import files
+from repro.io import atomic
 
 
 def save(path, doc):
-    files.atomic_write_json(path, doc)
+    atomic.atomic_write_json(path, doc)
 
 
 def load(path):
@@ -523,7 +523,7 @@ def test_r9_dynamic_mode_is_flagged():
 
 def test_r9_exempts_the_io_module_and_other_packages():
     # The funnel itself may open files for writing...
-    assert findings(R9_BAD, module="repro.fleet.files", select={"R9"}) == []
+    assert findings(R9_BAD, module="repro.io.atomic", select={"R9"}) == []
     # ...and modules outside the fleet are out of scope entirely.
     assert findings(R9_BAD, module="repro.backends", select={"R9"}) == []
 
@@ -564,8 +564,12 @@ def test_r9_covers_the_result_store_package():
 
 
 def test_r9_exempts_the_hoisted_funnel_module():
-    # repro.io.atomic implements the funnel, so it may open for writing —
-    # exactly like the repro.fleet.files shim that re-exports it.
+    # repro.io.atomic implements the funnel, so it may open for writing;
+    # it is the only module exempt by default, so every fleet and store
+    # module is checked.
+    from repro.tools.lint.rules import AtomicStateWriteRule
+
+    assert AtomicStateWriteRule.defaults["io_modules"] == ["repro.io.atomic"]
     assert findings(R9_BAD, module="repro.io.atomic", select={"R9"}) == []
 
 

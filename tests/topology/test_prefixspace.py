@@ -185,29 +185,18 @@ class TestStreaming:
         with pytest.raises(AnalysisError):
             PrefixSpace(lossy_link_no_hub(), retain="sometimes")
 
-    def test_shared_interner_memoizes_extensions_across_spaces(self):
+    def test_shared_interner_reuses_views_across_spaces(self):
         from repro.core.views import ViewInterner
 
         interner = ViewInterner(2)
         first = PrefixSpace(lossy_link_full(), interner=interner)
-        assert first.memo_extensions is True
         first.ensure_depth(3)
-        cached = interner.stats().cached_extensions
-        assert cached > 0
+        views = len(interner)
         second = PrefixSpace(lossy_link_full(), interner=interner)
         second.ensure_depth(3)
         assert second.layer_store(3).levels == first.layer_store(3).levels
-        # The second space reuses the memo instead of growing it.
-        assert interner.stats().cached_extensions == cached
-
-    def test_frontier_mode_skips_extension_memo(self):
-        from repro.core.views import ViewInterner
-
-        interner = ViewInterner(2)
-        space = PrefixSpace(lossy_link_full(), interner=interner, retain="frontier")
-        assert space.memo_extensions is False
-        space.ensure_depth(3)
-        assert interner.stats().cached_extensions == 0
+        # The second space resolves every view through the shared tables.
+        assert len(interner) == views
 
 
 class TestLivenessPruning:
