@@ -27,6 +27,7 @@ from repro.consensus.solvability import (
 )
 from repro.consensus.spec import ConsensusSpec
 from repro.core.views import numpy_available
+from repro.specs import NAMED_ADVERSARIES
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
 
@@ -354,6 +355,36 @@ def test_scaling_components_quick(benchmark, backend):
         [repr(analysis.summary())],
     )
     assert len(analysis.components) == 1
+
+
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+def test_scaling_stateful_check_quick(benchmark, backend):
+    """Smoke-gate stateful scenario: full check of eventually-to-full-base.
+
+    The eventually-forever adversary splits every layer into state-keyed
+    groups, so each extension runs one kernel call per group and the
+    grouped merge scatters their columns into the child layer; the check
+    walks every depth through the 78,732-prefix depth-9 layer (components
+    at each depth) before the broadcaster certificate answers.  Small
+    enough for the CI quick run on both legs; this is the entry that keeps
+    the grouped merge honest between full re-recordings.
+    """
+    options = CheckOptions(max_depth=9, layer_backend=backend)
+    result = benchmark.pedantic(
+        lambda: check_consensus_with_options(
+            NAMED_ADVERSARIES["eventually-to-full-base"](), options
+        ),
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    emit(
+        benchmark,
+        f"scaling: stateful full check, depth=9, backend={backend}",
+        [f"{result.status.name}; |layer 9| = {result.history[-1].prefixes}"],
+    )
+    assert result.status.name == "SOLVABLE"
+    assert result.history[-1].prefixes == 4 * 3**9
 
 
 @pytest.mark.bench_deep

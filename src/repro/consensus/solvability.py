@@ -42,7 +42,7 @@ from repro.consensus.provers import (
 )
 from repro.consensus.spec import ConsensusSpec
 from repro.core.inputs import all_assignments
-from repro.core.views import ViewInterner
+from repro.core.views import LAYER_BACKENDS, ViewInterner
 from repro.errors import AnalysisError
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
@@ -121,17 +121,58 @@ class CheckOptions:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckOptions":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected by name.
+        """Inverse of :meth:`to_dict`, checking names, types, and ranges.
 
-        The removed ``memo_extensions`` knob is accepted and dropped, so
-        manifests, fleet directories, and client requests written before
-        its removal still load.
+        Unknown keys are rejected by name, and every value must have its
+        field's type (a bool is not an int) and lie in its range:
+        ``max_depth >= 0``, ``max_nodes >= 1``, ``extension_workers >= 1``,
+        ``plan_cache_size`` ``None`` or ``>= 1``, bool toggles, and
+        ``layer_backend`` ``None`` or one of
+        :data:`~repro.core.views.LAYER_BACKENDS`.  A malformed value raises
+        :class:`~repro.errors.AnalysisError` instead of running (and
+        caching) a check under a junk key.  The removed
+        ``memo_extensions`` knob is accepted and dropped, so manifests,
+        fleet directories, and client requests written before its removal
+        still load.
         """
         known = {field: data[field] for field in cls.__dataclass_fields__ if field in data}
         unknown = set(data) - set(known) - {"memo_extensions"}
         if unknown:
             raise AnalysisError(f"unknown CheckOptions fields: {sorted(unknown)}")
+        for name, value in known.items():
+            _check_option(name, value)
         return cls(**known)
+
+
+#: Smallest allowed value of each integer :class:`CheckOptions` field.
+_OPTION_INT_FLOORS = {
+    "max_depth": 0,
+    "max_nodes": 1,
+    "extension_workers": 1,
+    "plan_cache_size": 1,
+}
+
+
+def _check_option(name: str, value: object) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` suits field ``name``."""
+    if value is None and name in ("plan_cache_size", "layer_backend"):
+        return
+    if name == "layer_backend":
+        if not isinstance(value, str) or value not in LAYER_BACKENDS:
+            raise AnalysisError(
+                f"CheckOptions.layer_backend must be None or one of "
+                f"{LAYER_BACKENDS}, got {value!r}"
+            )
+    elif name in _OPTION_INT_FLOORS:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise AnalysisError(f"CheckOptions.{name} must be an int, got {value!r}")
+        if value < _OPTION_INT_FLOORS[name]:
+            raise AnalysisError(
+                f"CheckOptions.{name} must be >= {_OPTION_INT_FLOORS[name]}, "
+                f"got {value}"
+            )
+    elif not isinstance(value, bool):
+        raise AnalysisError(f"CheckOptions.{name} must be a bool, got {value!r}")
 
 
 class SolvabilityStatus(Enum):

@@ -26,7 +26,8 @@ duplicated.  Requests:
     ``unknown``.  Jobs finish into the store, so ``done`` survives
     server restarts — any key whose object exists reports done.
 ``{"op": "stats", "id": ...}``
-    Store counters plus live queue/inflight depths.
+    Store counters plus live queue/inflight depths and the count of
+    cold jobs that failed.
 ``{"op": "ping", "id": ...}``
     Liveness probe.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -55,6 +57,8 @@ from repro.store.cache import ResultStore
 from repro.store.keys import cache_key
 
 __all__ = ["QueryService", "execute_query"]
+
+_log = logging.getLogger(__name__)
 
 #: Longest request line the server will read before dropping the client
 #: (a spec dict is a few hundred bytes; a megabyte is already hostile).
@@ -127,6 +131,8 @@ class QueryService:
         self.coalesced = 0
         self.rejected = 0
         self.queries = 0
+        #: Cold jobs that raised instead of producing a record.
+        self.failed = 0
         self._jobs: dict[str, _Job] = {}
         self._queue: asyncio.Queue[_Job] = asyncio.Queue()
         self._executor: ThreadPoolExecutor | None = None
@@ -257,6 +263,7 @@ class QueryService:
                 "queries": self.queries,
                 "coalesced": self.coalesced,
                 "rejected": self.rejected,
+                "failed": self.failed,
                 "queued": self._queue.qsize(),
                 "inflight": len(self._jobs),
                 "workers": self.workers,
@@ -405,9 +412,6 @@ class QueryService:
                 record_dict = await loop.run_in_executor(
                     self._executor, execute_query, job.spec_dict, job.options_dict
                 )
-            except ReproError:
-                record_dict = None
-            if record_dict is not None:
                 # Store writes stay on the event loop: counters and the
                 # journal are only ever touched from here.
                 self.store.put(
@@ -415,6 +419,15 @@ class QueryService:
                     CheckOptions.from_dict(job.options_dict),
                     RunRecord.from_dict(record_dict),
                 )
-            del self._jobs[job.key]
-            job.done.set()
-            self._queue.task_done()
+            except Exception:
+                # Whatever a cold job raises (a ReproError, or a KeyError
+                # from malformed family params deep in a spec build) fails
+                # that job alone: the worker stays in the pool, and the
+                # job's waiters find no record and answer "query execution
+                # failed".
+                self.failed += 1
+                _log.exception("cold query %s failed", job.key)
+            finally:
+                del self._jobs[job.key]
+                job.done.set()
+                self._queue.task_done()

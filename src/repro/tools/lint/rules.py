@@ -834,7 +834,14 @@ class ColumnarHotPathRule(Rule):
             "repro.core.parallel::_map_shard",
             "repro.topology.components::_analyze_python",
             "repro.topology.components::_analyze_numpy",
+            "repro.topology.components::_view_nodes",
+            "repro.topology.components::_scipy_labels",
             "repro.topology.components::_sv_labels",
+            "repro.topology.components::_first_member_ids",
+            "repro.topology.prefixspace::_extend_grouped",
+            "repro.topology.prefixspace::_merge_groups_numpy",
+            "repro.topology.prefixspace::_merge_groups_python",
+            "repro.topology.prefixspace::_group_rows",
             "repro.consensus.decision::_validate_python",
             "repro.consensus.decision::_validate_numpy",
             "repro.consensus.decision::_decision_maps_python",

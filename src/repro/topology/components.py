@@ -26,15 +26,21 @@ The analysis consumes the layer's flat columns directly — the
 :class:`~repro.core.views.LayerTable` view-id column, the input-index
 column, and the interner's origin-mask column — and produces columns: a
 per-prefix component-id column (``comp_ids``) plus per-component member
-index arrays.  Two equivalent paths sit behind the interner's
-``layer_backend`` switch:
+index arrays.  Column ``p`` of a level always holds a view owned by ``p``,
+so a view id alone keys its cell: two prefixes are indistinguishable
+exactly when they share a view id.  Two equivalent paths sit behind the
+interner's ``layer_backend`` switch:
 
-* ``"numpy"`` — cells key as ``view_id * n + p`` in one vectorized pass;
-  connectivity is solved by pointer-jumping min-label propagation over the
-  sorted key groups (a few ``reduceat`` sweeps, no per-cell Python), and
-  the per-component masks/valences fold with ``reduceat`` as well;
+* ``"numpy"`` — connectivity is that of the layer's *view graph*, whose
+  nodes are the layer's views and where each prefix joins its ``n`` views
+  by ``n - 1`` edges (column 0 to column ``p``).  scipy's
+  ``connected_components`` labels it when importable, a Shiloach–Vishkin
+  loop in numpy otherwise; every temporary is sized by the prefix count,
+  canonical ids come from a first-member pass, and the per-component
+  masks/valences fold with ``reduceat``;
 * ``"python"`` — the batched union-find pass over the flat column (one
-  dict probe per cell, inlined union by size with path halving).
+  dict probe per cell on its view id, inlined union by size with path
+  halving).
 
 Both paths order components canonically by smallest member index, so
 component ids, member order, and every downstream decision table are
@@ -70,15 +76,118 @@ def _scipy_csgraph():
     """scipy's sparse connected-components, when installed (else None).
 
     scipy is strictly optional (``dependencies = []`` holds): with it, the
-    bipartite (prefix, view-key) incidence solves in one C-level pass;
-    without it the vectorized Shiloach–Vishkin fallback below runs.
+    view graph solves in one C-level pass; without it the vectorized
+    Shiloach–Vishkin fallback (:func:`_sv_labels`) runs.
     """
     try:
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
     except ImportError:  # pragma: no cover - exercised where scipy is absent
         return None
-    return coo_matrix, connected_components
+    return csr_matrix, connected_components
+
+
+def _view_nodes(np, mat):
+    """Dense view-graph node ids for a layer's ``(count, n)`` view matrix.
+
+    Returns ``(nodes, offset, node_count)``: cell ``(i, p)`` is node
+    ``nodes[i, p] - offset``, and there are never more nodes than cells.
+    A fresh interner allocates a layer's views consecutively, so shifting
+    by the smallest view id is free and already dense.  An interner shared
+    across a sweep shard interleaves many spaces' views, so the id range
+    can run far past the layer; then the ids compact through one
+    ``np.unique``.
+    """
+    lo = int(mat.min())
+    span = int(mat.max()) - lo + 1
+    if span <= mat.size:
+        return mat, lo, span
+    uniq, inverse = np.unique(mat, return_inverse=True)
+    return inverse.reshape(mat.shape), 0, len(uniq)
+
+
+def _scipy_labels(np, csgraph, nodes, offset: int, node_count: int):
+    """Per-prefix component labels from scipy's ``connected_components``.
+
+    The view graph goes in as a sparse matrix with one edge per (prefix,
+    column ``p >= 1``) pair, from the prefix's column-0 view to its
+    column-``p`` view; node ids narrow to int32 on the way in (scipy's
+    own index width).  Returns ``(labels, bound)`` with every label in
+    ``range(bound)``.
+    """
+    csr_matrix, connected_components = csgraph
+    n = nodes.shape[1]
+    heads = _node_column(np, nodes[:, 0], offset, node_count)
+    if n == 1:
+        return heads, node_count
+    tails = _node_column(np, nodes[:, 1:], offset, node_count).reshape(-1)
+    # float64 weights: the dtype csgraph converts to, so no second copy.
+    graph = csr_matrix(
+        (np.ones(len(tails)), (np.repeat(heads, n - 1), tails)),
+        shape=(node_count, node_count),
+    )
+    del tails
+    bound, node_labels = connected_components(graph, directed=False)
+    del graph
+    return node_labels[heads], bound
+
+
+def _sv_labels(np, nodes, offset: int, node_count: int):
+    """Shiloach–Vishkin connectivity over the view graph, in pure numpy.
+
+    Per round, every column ``p >= 1`` hooks the larger of the two roots
+    of each (column 0, column ``p``) edge onto the smaller
+    (``np.minimum.at``), then parent pointers fully compress.  Hooking
+    roots lets a whole tree adopt a better label at once, so rounds are
+    logarithmic in component diameter; per round the temporaries are a
+    few prefix-count columns.  Returns ``(labels, bound)``: the root of
+    each prefix's column-0 view, all in ``range(bound)``.
+    """
+    heads = _node_column(np, nodes[:, 0], offset, node_count)
+    parent = np.arange(node_count, dtype=heads.dtype)
+    while True:
+        before = parent.copy()
+        for p in range(1, nodes.shape[1]):
+            head_roots = parent[heads]
+            tail_roots = parent[_node_column(np, nodes[:, p], offset, node_count)]
+            low = np.minimum(head_roots, tail_roots)
+            np.maximum(head_roots, tail_roots, out=head_roots)
+            np.minimum.at(parent, head_roots, low)
+        while True:
+            compressed = parent[parent]
+            if np.array_equal(compressed, parent):
+                break
+            parent = compressed
+        if np.array_equal(parent, before):
+            return parent[heads], node_count
+
+
+def _node_column(np, cells, offset: int, node_count: int):
+    """View-graph node ids of some cells, int32 whenever they fit."""
+    width = np.int32 if node_count <= np.iinfo(np.int32).max else np.int64
+    out = np.empty(cells.shape, dtype=width)
+    np.subtract(cells, offset, out=out, casting="unsafe")
+    return out
+
+
+def _first_member_ids(np, labels, bound: int):
+    """Renumber solver labels by each component's smallest member index.
+
+    One ``np.minimum.at`` pass finds every label's first member; the
+    prefixes that are their label's first member, in index order, then
+    number the components.  Returns ``(comp_ids, component_count)`` —
+    the Python pass's canonical order, whatever the solver's numbering.
+    """
+    count = len(labels)
+    width = labels.dtype if count <= np.iinfo(labels.dtype).max else np.int64
+    index = np.arange(count, dtype=width)
+    first = np.full(bound, count, dtype=width)
+    np.minimum.at(first, labels, index)
+    leaders = labels[first[labels] == index]
+    del first, index
+    remap = np.empty(bound, dtype=np.int64)
+    remap[leaders] = np.arange(len(leaders), dtype=np.int64)
+    return remap[labels], len(leaders)
 
 
 class UnionFind:
@@ -272,7 +381,7 @@ class ComponentAnalysis:
         size = union_find.size
         origin_masks = interner._origin_mask
         everyone = full_mask(n)
-        # One pass: bucket cells by the packed key ``view_id * n + p`` (two
+        # One pass: bucket cells by view id (a view has one owner, so two
         # prefixes sharing a bucket are indistinguishable) and fold the
         # per-node broadcast mask while the views are at hand.
         buckets: dict[int, int] = {}
@@ -285,10 +394,9 @@ class ComponentAnalysis:
             for p in range(n):
                 vid = ids[base + p]
                 common &= origin_masks[vid]
-                key = vid * n + p
-                first = bucket_get(key)
+                first = bucket_get(vid)
                 if first is None:
-                    buckets[key] = index
+                    buckets[vid] = index
                     continue
                 # Inline union by size with path halving.
                 a, b = first, index
@@ -364,88 +472,53 @@ class ComponentAnalysis:
         self._buckets = buckets
 
     def _analyze_numpy(self, np, store, table, interner, n: int, count: int) -> None:
-        """Vectorized component pass over the flat layer column.
+        """Vectorized component pass over the layer's view graph.
 
-        Cells key as ``view_id * n + p``; two prefixes are adjacent iff
-        they share a key, i.e. connectivity is that of the bipartite
-        (prefix, key) incidence.  With scipy installed the incidence
-        solves in one C-level ``connected_components`` pass; otherwise a
-        Shiloach–Vishkin-style loop runs in numpy (per round: key groups
-        take the minimum root of their cells via ``reduceat``, the
-        candidate hooks onto each prefix's *root*, and paths fully
-        compress — hooking onto roots is what lets a whole plateau adopt
-        a better label in one round, so convergence is logarithmic).
-        Labels are then canonicalized by smallest member index, matching
-        the Python pass ordering exactly.
+        A prefix's component is that of its column-0 view in the view
+        graph (see the module docstring); scipy labels the graph when
+        importable, :func:`_sv_labels` otherwise.  Node masks fold column
+        by column, so no ``(count, n)`` temporary is built, and labels are
+        canonicalized by smallest member index (:func:`_first_member_ids`),
+        matching the Python pass ordering exactly.
         """
         mat = table.array()
-        origin_masks = np.frombuffer(interner._origin_mask, dtype=np.int64)
-        node_masks = np.bitwise_and.reduce(origin_masks[mat], axis=1)
-        del origin_masks
-        keys = (mat * n + np.arange(n, dtype=np.int64)).reshape(-1)
+        nodes, offset, node_count = _view_nodes(np, mat)
         csgraph = _scipy_csgraph()
         if csgraph is not None:
-            coo_matrix, connected_components = csgraph
-            # A layer's view ids sit at the top of the interner's id
-            # space, so shifting by the minimum key keeps the node range
-            # dense without paying for a full np.unique remap.
-            min_key = int(keys.min())
-            max_key = int(keys.max())
-            cell_nodes = np.repeat(np.arange(count, dtype=np.int64), n)
-            dim = count + (max_key - min_key) + 1
-            incidence = coo_matrix(
-                (
-                    np.ones(len(keys), dtype=np.int8),
-                    (cell_nodes, count + (keys - min_key)),
-                ),
-                shape=(dim, dim),
-            )
-            _, labels = connected_components(incidence, directed=False)
-            labels = labels[:count]
+            labels, bound = _scipy_labels(np, csgraph, nodes, offset, node_count)
         else:
-            labels = self._sv_labels(np, keys, n, count)
-        del keys
-
-        # Canonical component order = order of smallest member index,
-        # identical to the Python pass (and independent of the solver's
-        # internal label numbering).
-        roots, first, comp_ids = np.unique(
-            labels, return_index=True, return_inverse=True
-        )
-        remap = np.empty(len(roots), dtype=np.int64)
-        remap[np.argsort(first, kind="stable")] = np.arange(
-            len(roots), dtype=np.int64
-        )
-        comp_ids = remap[comp_ids.reshape(-1)].astype(np.int64, copy=False)
+            labels, bound = _sv_labels(np, nodes, offset, node_count)
+        del nodes
+        comp_ids, ncomp = _first_member_ids(np, labels, bound)
+        del labels
+        origin_masks = np.frombuffer(interner._origin_mask, dtype=np.int64)
+        node_masks = origin_masks[mat[:, 0]]
+        for p in range(1, n):
+            node_masks &= origin_masks[mat[:, p]]
+        del origin_masks
         member_order = np.argsort(comp_ids, kind="stable")
-        comp_sizes = np.bincount(comp_ids, minlength=len(roots))
-        comp_starts = np.zeros(len(roots), dtype=np.int64)
+        comp_sizes = np.bincount(comp_ids, minlength=ncomp)
+        comp_starts = np.zeros(ncomp, dtype=np.int64)
         np.cumsum(comp_sizes[:-1], out=comp_starts[1:])
         comp_masks = np.bitwise_and.reduceat(node_masks[member_order], comp_starts)
+        del node_masks
 
-        # Valence bitmaps: unanimity values code into small ints once per
-        # space, then fold per component with one reduceat.
+        # Valence bitmaps: unanimity values code into one bit per distinct
+        # value once per space, then fold per component with one reduceat.
         space = self.space
-        unanimity = space.unanimity_by_index
         value_list: list = []
         value_index: dict = {}
-        codes = []
-        for value in unanimity:
+        input_bits = []
+        for value in space.unanimity_by_index:
             if value is None:
-                codes.append(-1)
+                input_bits.append(0)
                 continue
             code = value_index.get(value)
             if code is None:
                 code = value_index[value] = len(value_list)
                 value_list.append(value)
-            codes.append(code)
-        unan_codes = np.array(codes, dtype=np.int64)
-        node_codes = unan_codes[store.input_array()]
-        node_bits = np.where(
-            node_codes >= 0,
-            np.left_shift(1, np.maximum(node_codes, 0)),
-            0,
-        )
+            input_bits.append(1 << code)
+        node_bits = np.array(input_bits, dtype=np.int64)[store.input_array()]
         comp_bits = np.bitwise_or.reduceat(node_bits[member_order], comp_starts)
 
         members_split = np.split(member_order, comp_starts[1:].tolist())
@@ -453,7 +526,7 @@ class ComponentAnalysis:
         depth = self.depth
         self.components = []
         components_append = self.components.append
-        for cid in range(len(roots)):
+        for cid in range(ncomp):
             bits = int(comp_bits[cid])
             if bits:
                 valences = frozenset(
@@ -472,46 +545,9 @@ class ComponentAnalysis:
                 )
             )
         self.comp_ids = comp_ids
-        # The (p, view) -> component lookup recomputes its key index
+        # The (p, view) -> component lookup recomputes its view index
         # lazily from the store (cold path; the checker never calls it).
         self._buckets = None
-
-    @staticmethod
-    def _sv_labels(np, keys, n: int, count: int):
-        """Shiloach–Vishkin-style connectivity in pure numpy (no scipy).
-
-        Per round: every key group takes the minimum *root* among its
-        cells (one ``reduceat`` over the key-sorted cells), every prefix
-        takes the minimum over its keys, the candidate hooks onto the
-        prefix's root (``np.minimum.at``), and parent pointers fully
-        compress.  Hooking onto roots lets whole plateaus adopt a better
-        label at once, so rounds are logarithmic in component diameter.
-        """
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundary = np.empty(len(sorted_keys), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-        group_starts = np.flatnonzero(boundary)
-        group_sizes = np.diff(np.append(group_starts, len(sorted_keys)))
-        cell_node_sorted = order // n
-        parent = np.arange(count, dtype=np.int64)
-        while True:
-            group_min = np.minimum.reduceat(
-                parent[cell_node_sorted], group_starts
-            )
-            cell_min = np.empty(count * n, dtype=np.int64)
-            cell_min[order] = np.repeat(group_min, group_sizes)
-            cand = cell_min.reshape(count, n).min(axis=1)
-            before = parent.copy()
-            np.minimum.at(parent, before, cand)
-            while True:
-                compressed = parent[parent]
-                if np.array_equal(compressed, parent):
-                    break
-                parent = compressed
-            if np.array_equal(parent, before):
-                return parent
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -530,22 +566,21 @@ class ComponentAnalysis:
         """
         view_map = self._view_map
         if view_map is None:
-            n = self.space.adversary.n
             comp_ids = self.comp_ids
             if self._buckets is not None:
+                pid = self.space.interner.pid
                 view_map = {
-                    (key % n, key // n): int(comp_ids[first])
-                    for key, first in self._buckets.items()
+                    (pid(vid), vid): int(comp_ids[first])
+                    for vid, first in self._buckets.items()
                 }
             else:
                 np = numpy_module()
+                n = self.space.adversary.n
                 mat = self.space.layer_store(self.depth).levels.array()
-                keys = (mat * n + np.arange(n, dtype=np.int64)).reshape(-1)
-                uniq_keys, first_cells = np.unique(keys, return_index=True)
-                reps = (first_cells // n).tolist()
+                views, first_cells = np.unique(mat.reshape(-1), return_index=True)
                 view_map = {
-                    (key % n, key // n): int(comp_ids[rep])
-                    for key, rep in zip(uniq_keys.tolist(), reps)
+                    (cell % n, vid): int(comp_ids[cell // n])
+                    for vid, cell in zip(views.tolist(), first_cells.tolist())
                 }
             self._view_map = view_map
         cid = view_map.get((p, view_id))

@@ -20,8 +20,9 @@ Layers are stored *columnar* (:class:`LayerStore`) and stay arrays end to
 end: the view levels of a layer are one flat
 :class:`~repro.core.views.LayerTable` column (``count * n`` interned view
 ids), parent and input indices are machine-integer columns, and the
-round-graph/state columns of single-alphabet layers are constant-width
-tiles that never materialize per-child Python objects.  This is the
+round-graph/state columns are coded — a small palette plus one int code
+per prefix, implicit (a constant-width tile) on single-alphabet layers —
+so they never hold per-child Python references.  This is the
 representation the hot analyses (components, decision tables,
 ε-approximations) consume directly — the whole-layer extension kernel
 produces it, the component analysis unions over it, and the decision-table
@@ -58,6 +59,7 @@ view tables and nothing else.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.adversaries.base import MessageAdversary
@@ -73,6 +75,7 @@ from repro.core.views import (
     ViewInterner,
     int64_column,
     numpy_module,
+    plain_ids,
 )
 from repro.errors import AnalysisError
 
@@ -120,24 +123,32 @@ class PrefixNode:
         )
 
 
-class _TiledColumn(Sequence):
-    """A constant-tile column: ``pattern`` repeated ``repeats`` times.
+class _CodedColumn(Sequence):
+    """A column of few distinct objects: a palette plus one int code per row.
 
-    Single-alphabet layers repeat the same per-parent graph/state tile for
-    every parent, so the column stores the tile once instead of one Python
-    reference per child (at depth 14 that is the difference between a few
-    dozen bytes and a 150 MB pointer list).  Reads behave exactly like the
-    materialized list: ``column[i] == pattern[i % len(pattern)]``.
+    Round-graph and state columns repeat a handful of objects across
+    millions of prefixes, so a layer stores each object once in ``items``
+    and one machine-int code per row in ``codes`` (an ``array`` or numpy
+    column of the narrowest width the palette allows; see
+    :func:`_code_typecode`) instead of one Python reference per child.
+    Single-alphabet layers repeat the same per-parent tile for every
+    parent, so their codes stay implicit: with ``codes=None`` the column
+    is ``items`` repeated ``repeats`` times (at depth 14 that is a few
+    dozen bytes against a 150 MB pointer list).  Reads behave exactly like
+    the materialized list: ``column[i] == items[codes[i]]``.
     """
 
-    __slots__ = ("items", "repeats")
+    __slots__ = ("items", "codes", "repeats")
 
-    def __init__(self, items: list, repeats: int) -> None:
+    def __init__(self, items: list, codes=None, repeats: int = 1) -> None:
         self.items = list(items)
+        self.codes = codes
         self.repeats = repeats
 
     def __len__(self) -> int:
-        return len(self.items) * self.repeats
+        if self.codes is None:
+            return len(self.items) * self.repeats
+        return len(self.codes)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -147,15 +158,54 @@ class _TiledColumn(Sequence):
             item += size
         if not 0 <= item < size:
             raise IndexError(item)
-        return self.items[item % len(self.items)]
+        if self.codes is None:
+            return self.items[item % len(self.items)]
+        return self.items[self.codes[item]]
 
     def __iter__(self):
         items = self.items
-        for _ in range(self.repeats):
-            yield from items
+        if self.codes is None:
+            for _ in range(self.repeats):
+                yield from items
+        else:
+            yield from map(items.__getitem__, plain_ids(self.codes))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_CodedColumn, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def code_column(self, np=None):
+        """The per-row codes, materializing implicit tile codes.
+
+        An int numpy array when ``np`` is given, else an ``array``.
+        """
+        codes = self.codes
+        if codes is None:
+            typecode = _code_typecode(len(self.items))
+            if np is not None:
+                tile = np.arange(len(self.items), dtype=np.dtype(typecode))
+                return np.tile(tile, self.repeats)
+            return array(typecode, range(len(self.items))) * self.repeats
+        if np is not None:
+            return np.asarray(codes)
+        return codes
 
     def __repr__(self) -> str:
-        return f"_TiledColumn({self.items!r} x {self.repeats})"
+        if self.codes is None:
+            return f"_CodedColumn({self.items!r} x {self.repeats})"
+        return f"_CodedColumn({self.items!r}, {len(self)} codes)"
+
+
+def _code_typecode(palette_size: int) -> str:
+    """The narrowest ``array`` typecode (also a numpy dtype) for the codes."""
+    if palette_size <= 1 << 7:
+        return "b"
+    if palette_size <= 1 << 15:
+        return "h"
+    return "q"
 
 
 class LayerStore:
@@ -175,9 +225,11 @@ class LayerStore:
         kinds as ``parents``).
     graphs:
         Per prefix, the communication graph of the last round (``None`` on
-        the root layer); a tiled column on single-alphabet layers.
+        the root layer); a coded column (palette plus int codes, a tile on
+        single-alphabet layers).
     states:
-        Per prefix, the adversary's reachable state set (tiled likewise).
+        Per prefix, the adversary's reachable state set (coded likewise;
+        :meth:`PrefixSpace.extend` groups parents from its codes).
     """
 
     __slots__ = ("levels", "parents", "input_idx", "graphs", "states", "nodes", "count")
@@ -364,8 +416,8 @@ class PrefixSpace:
                 levels=LayerTable(adversary.n, flat),
                 parents=array("q", [-1]) * count,
                 input_idx=array("q", range(count)),
-                graphs=_TiledColumn([None], count),
-                states=_TiledColumn([initial_states], count),
+                graphs=_CodedColumn([None], repeats=count),
+                states=_CodedColumn([initial_states], repeats=count),
             )
         ]
 
@@ -381,15 +433,16 @@ class PrefixSpace:
     def extend(self) -> None:
         """Construct the next layer (depth + 1).
 
-        Parents are grouped by the adversary's reachable state set —
-        oblivious adversaries collapse the whole layer into one group,
-        stabilizing/eventually-forever adversaries into a few state-keyed
-        groups — and each group's successor levels are interned by one
-        whole-layer kernel call
+        Parents are grouped by the adversary's reachable state set, read
+        off the layer's coded state column — oblivious adversaries
+        collapse the whole layer into one group, stabilizing and
+        eventually-forever adversaries into a few state-keyed groups — and
+        each group's successor levels are interned by one whole-layer
+        kernel call
         (:meth:`~repro.core.views.ViewInterner.extend_layer_table`), whose
-        column output is interleaved straight into the child layer's flat
-        columns.  Children are emitted in the same parent-major,
-        alphabet-minor order as always, so layer indexing is unchanged.
+        column output lands straight in the child layer's flat columns.
+        Children are emitted in the same parent-major, alphabet-minor
+        order as always, so layer indexing is unchanged.
         """
         current = self._stores[-1]
         if current.condensed:
@@ -397,24 +450,9 @@ class PrefixSpace:
         adversary = self.adversary
         extensions = adversary.admissible_extensions
         cur_table = current.levels
-        cur_states = current.states
         count = len(current)
-        # Group parent indices by state set (insertion order for
-        # deterministic kernel-call order; state sets are cached frozensets
-        # so grouping is dict probes on shared objects).  Tiled state
-        # columns with one distinct tile — every oblivious layer — skip the
-        # per-parent pass entirely.
-        groups: dict[frozenset, list[int] | None]
-        if isinstance(cur_states, _TiledColumn) and len(set(cur_states.items)) == 1:
-            groups = {cur_states.items[0]: None}  # None = the whole layer
-        else:
-            groups = {}
-            for i, node_states in enumerate(cur_states):
-                members = groups.get(node_states)
-                if members is None:
-                    groups[node_states] = [i]
-                else:
-                    members.append(i)
+        np = numpy_module() if self.interner.layer_backend == "numpy" else None
+        groups = _group_rows(current.states, np)
         # The node budget is checkable before any interning happens: every
         # parent of a group contributes exactly one child per admissible
         # extension of its state set.
@@ -437,7 +475,7 @@ class PrefixSpace:
                 cur_table, current, next(iter(groups))
             )
         else:
-            store = self._extend_grouped(cur_table, current, groups)
+            store = self._extend_grouped(cur_table, current, groups, np)
         self._stores.append(store)
         if self.retain == "frontier":
             self._stores[-2].condense()
@@ -472,70 +510,157 @@ class PrefixSpace:
             levels=child_table,
             parents=parents,
             input_idx=input_idx,
-            graphs=_TiledColumn([graph for graph, _ in exts], count),
-            states=_TiledColumn([nxt for _, nxt in exts], count),
+            graphs=_CodedColumn([graph for graph, _ in exts], repeats=count),
+            states=_CodedColumn([nxt for _, nxt in exts], repeats=count),
         )
 
     def _extend_grouped(
-        self, cur_table: LayerTable, current: LayerStore, groups: dict
+        self, cur_table: LayerTable, current: LayerStore, groups: dict, np
     ) -> LayerStore:
-        """One whole-layer kernel call per state group, merged parent-major."""
+        """One whole-layer kernel call per state group, scattered parent-major.
+
+        A parent whose group has ``w`` admissible extensions owns the ``w``
+        consecutive children from its offset on, so child offsets are a
+        running sum of per-parent extension counts.  Round graphs and next
+        state sets code into per-layer palettes, and each group's kernel
+        columns scatter straight into preallocated child columns —
+        vectorized on the numpy backend (:meth:`_merge_groups_numpy`),
+        slice-assigned per parent on the Python one
+        (:meth:`_merge_groups_python`).  Kernel calls run in group order
+        (first occurrence), which fixes view-id allocation.
+        """
         adversary = self.adversary
-        extensions = adversary.admissible_extensions
-        alphabet_of = adversary.extension_alphabet
-        interner = self.interner
-        n = adversary.n
-        count = len(cur_table)
-        exts_of: list = [None] * count
-        cols_of: list = [None] * count
-        pos_of: list = [0] * count
+        graph_slots: dict = {}
+        state_slots: dict = {}
+        plan = []
         for node_states, members in groups.items():
-            if members is None:
-                members = range(count)
-            exts = extensions(node_states)
+            exts = adversary.admissible_extensions(node_states)
             if not exts:
                 continue
-            sub = _gather_subtable(cur_table, members)
-            group_cols = [
-                t.ids
-                for t in interner.extend_layer_table(sub, alphabet_of(node_states))
-            ]
-            for mi, i in enumerate(members):
-                exts_of[i] = exts
-                cols_of[i] = group_cols
-                pos_of[i] = mi
-        flat = array("q")
-        parents = array("q")
-        input_idx = array("q")
-        graphs: list = []
-        states_col: list = []
-        parents_append = parents.append
-        input_append = input_idx.append
-        graphs_append = graphs.append
-        states_append = states_col.append
-        cur_inputs = current.input_idx
-        for i, exts in enumerate(exts_of):
-            if exts is None:
-                continue
-            inp = cur_inputs[i]
-            group_cols = cols_of[i]
-            base = pos_of[i] * n
-            for (graph, nxt_states), column in zip(exts, group_cols):
-                chunk = column[base : base + n]
-                flat.extend(
-                    chunk.tolist() if not isinstance(chunk, (array, list)) else chunk
+            plan.append(
+                (
+                    adversary.extension_alphabet(node_states),
+                    members,
+                    tuple(
+                        graph_slots.setdefault(graph, len(graph_slots))
+                        for graph, _ in exts
+                    ),
+                    tuple(
+                        state_slots.setdefault(nxt, len(state_slots))
+                        for _, nxt in exts
+                    ),
                 )
-                parents_append(i)
-                input_append(inp)
-                graphs_append(graph)
-                states_append(nxt_states)
+            )
+        typecodes = (
+            _code_typecode(len(graph_slots)),
+            _code_typecode(len(state_slots)),
+        )
+        if np is not None:
+            columns = self._merge_groups_numpy(
+                np, cur_table, current, plan, typecodes
+            )
+        else:
+            columns = self._merge_groups_python(cur_table, current, plan, typecodes)
+        levels, parents, input_idx, graph_codes, state_codes = columns
         return LayerStore(
-            levels=LayerTable(n, flat),
+            levels=LayerTable(adversary.n, levels),
             parents=parents,
             input_idx=input_idx,
-            graphs=graphs,
-            states=states_col,
+            graphs=_CodedColumn(list(graph_slots), graph_codes),
+            states=_CodedColumn(list(state_slots), state_codes),
         )
+
+    def _merge_groups_numpy(
+        self, np, cur_table: LayerTable, current: LayerStore, plan: list, typecodes
+    ) -> tuple:
+        """Scatter each group's kernel columns into int64 child columns.
+
+        ``plan`` holds ``(alphabet, members, graph codes, state codes)``
+        per group; returns the flat levels, parents, input-index, and
+        graph/state code columns.
+        """
+        n = self.adversary.n
+        count = len(cur_table)
+        cur_levels = cur_table.array()
+        # Every kernel call runs before the child columns are allocated,
+        # so the interner's growth never overlaps them.
+        outputs = [
+            self.interner.extend_layer_table(
+                LayerTable(n, cur_levels[members].reshape(-1)), alphabet
+            )
+            for alphabet, members, _, _ in plan
+        ]
+        widths = np.zeros(count, dtype=np.int64)
+        for _, members, graph_codes, _ in plan:
+            widths[members] = len(graph_codes)
+        offsets = np.zeros(count, dtype=np.int64)
+        np.cumsum(widths[:-1], out=offsets[1:])
+        total = int(offsets[-1] + widths[-1])
+        del widths
+        levels = np.empty((total, n), dtype=np.int64)
+        parents = np.empty(total, dtype=np.int64)
+        input_idx = np.empty(total, dtype=np.int64)
+        graphs = np.empty(total, dtype=np.dtype(typecodes[0]))
+        states = np.empty(total, dtype=np.dtype(typecodes[1]))
+        cur_inputs = current.input_array()
+        for (_, members, graph_codes, state_codes), tables in zip(plan, outputs):
+            first = offsets[members]
+            member_inputs = cur_inputs[members]
+            for j, table in enumerate(tables):
+                rows = first + j
+                levels[rows] = table.array()
+                parents[rows] = members
+                input_idx[rows] = member_inputs
+                graphs[rows] = graph_codes[j]
+                states[rows] = state_codes[j]
+        return levels.reshape(-1), parents, input_idx, graphs, states
+
+    def _merge_groups_python(
+        self, cur_table: LayerTable, current: LayerStore, plan: list, typecodes
+    ) -> tuple:
+        """:meth:`_merge_groups_numpy` on ``array`` columns, in plain Python.
+
+        Each group's kernel columns interleave parent-major first, so every
+        member's children are one contiguous block that lands with a
+        single slice assignment; the parent, input, and code columns
+        expand per parent at C speed (``repeat``/``chain``).
+        """
+        n = self.adversary.n
+        count = len(cur_table)
+        outputs = [
+            self.interner.extend_layer_table(
+                _gather_subtable(cur_table, members), alphabet
+            )
+            for alphabet, members, _, _ in plan
+        ]
+        widths = [0] * count
+        graphs_of: list = [()] * count
+        states_of: list = [()] * count
+        for _, members, graph_codes, state_codes in plan:
+            width = len(graph_codes)
+            for i in members:
+                widths[i] = width
+                graphs_of[i] = graph_codes
+                states_of[i] = state_codes
+        offsets = list(accumulate(widths, initial=0))
+        levels = array("q", bytes(8 * offsets[-1] * n))
+        for (_, members, graph_codes, _), tables in zip(plan, outputs):
+            column = _interleave_tables(n, len(members), tables).ids
+            if not isinstance(column, array):
+                column = array("q", plain_ids(column))
+            block = len(graph_codes) * n
+            for mi, i in enumerate(members):
+                levels[offsets[i] * n : offsets[i + 1] * n] = column[
+                    mi * block : (mi + 1) * block
+                ]
+        parents = array("q", chain.from_iterable(map(repeat, range(count), widths)))
+        input_idx = array(
+            "q",
+            chain.from_iterable(map(repeat, plain_ids(current.input_idx), widths)),
+        )
+        graphs = array(typecodes[0], chain.from_iterable(graphs_of))
+        states = array(typecodes[1], chain.from_iterable(states_of))
+        return levels, parents, input_idx, graphs, states
 
     def ensure_depth(self, t: int) -> None:
         """Construct layers up to depth ``t``."""
@@ -705,14 +830,41 @@ def _interleave_tables(n: int, count: int, tables: list[LayerTable]) -> LayerTab
 def _gather_subtable(table: LayerTable, members) -> LayerTable:
     """The sub-table of the given parent indices (order-preserving)."""
     n = table.n
-    if isinstance(members, range) and members == range(len(table)):
-        return table
     ids = table.ids
-    np = numpy_module()
-    if np is not None and isinstance(ids, np.ndarray):
-        return LayerTable(n, ids.reshape(-1, n)[list(members)].reshape(-1))
     flat = array("q")
     for i in members:
-        chunk = ids[i * n : (i + 1) * n]
-        flat.extend(chunk)
+        flat.extend(ids[i * n : (i + 1) * n])
     return LayerTable(n, flat)
+
+
+def _group_rows(column: _CodedColumn, np) -> dict:
+    """Row indices per distinct object of a coded column.
+
+    Returns ``{object: rows}`` in order of each object's first row (the
+    kernel-call order).  ``rows`` is ``None`` when one object covers the
+    whole column; otherwise an int64 numpy array (one stable radix
+    argsort of the codes) when ``np`` is given, else a list.  Palette
+    entries that compare equal share one group.
+    """
+    slot_of: dict = {}
+    slots = [slot_of.setdefault(item, len(slot_of)) for item in column.items]
+    values = list(slot_of)
+    if len(values) == 1:
+        return {values[0]: None}
+    codes = column.code_column(np)
+    if np is not None:
+        if slots != list(range(len(slots))):
+            codes = np.asarray(slots, dtype=codes.dtype)[codes]
+        order = np.argsort(codes, kind="stable")
+        bounds = np.cumsum(np.bincount(codes, minlength=len(values)))
+        rows = np.split(order, bounds[:-1].tolist())
+    else:
+        rows = [[] for _ in values]
+        appends = [rows[slot].append for slot in slots]
+        for i, code in enumerate(codes):
+            appends[code](i)
+    used = sorted(
+        (slot for slot in range(len(values)) if len(rows[slot])),
+        key=lambda slot: rows[slot][0],
+    )
+    return {values[slot]: rows[slot] for slot in used}

@@ -302,3 +302,69 @@ def test_service_rejects_bad_configuration(tmp_path):
         QueryService(store, workers=0)
     with pytest.raises(AnalysisError):
         QueryService(store, queue_limit=0)
+
+
+def test_cold_job_exceptions_fail_the_job_not_the_worker(tmp_path, monkeypatch):
+    """A cold job that raises anything must answer its waiters (and every
+    coalesced twin) with one terminal error and leave the pool full.
+
+    Malformed family params (``n="x"``) pass spec decoding and raise a
+    ``KeyError`` inside the worker's spec build; a malformed option value
+    is refused by the options decoder before it is queued; and an
+    arbitrary exception from the executor stands in for any other bug.
+    """
+    import repro.service.server as server_module
+
+    bad_spec = {"family": "oblivious", "params": {"n": "x"}}
+    real_execute = server_module.execute_query
+
+    def flaky_execute(spec_dict, options_dict):
+        if spec_dict.get("seed") == 999:
+            raise TypeError("boom")
+        return real_execute(spec_dict, options_dict)
+
+    monkeypatch.setattr(server_module, "execute_query", flaky_execute)
+
+    async def scenario(service, host, port):
+        clients = [await _Client.connect(host, port) for _ in range(5)]
+        bad_options = query_payload(9, "opt")
+        bad_options["options"] = {"extension_workers": "x"}
+        boom = query_payload(999, "boom")
+        twins = [
+            {"op": "query", "id": f"twin{i}", "spec": bad_spec, "wait": True}
+            for i in range(2)
+        ]
+        responses = await asyncio.gather(
+            clients[0].request(twins[0]),
+            clients[1].request(twins[1]),
+            clients[2].request(bad_options),
+            clients[3].request(boom),
+        )
+        alive = sum(not task.done() for task in service._worker_tasks)
+        after = await clients[4].request(query_payload(10, "next"))
+        # Exactly one terminal line per id: the next line on every
+        # connection answers a fresh ping, not a stray duplicate.
+        pongs = [
+            await client.request({"op": "ping", "id": f"p{i}"})
+            for i, client in enumerate(clients)
+        ]
+        for client in clients:
+            await client.close()
+        return responses, alive, after, pongs, service.failed, service.coalesced
+
+    responses, alive, after, pongs, failed, coalesced = run(
+        with_service(ResultStore(tmp_path), scenario, workers=2)
+    )
+    assert [p["id"] for p in pongs] == [f"p{i}" for i in range(5)]
+    assert all(p["pong"] for p in pongs)
+    assert sorted(r["id"] for r in responses) == ["boom", "opt", "twin0", "twin1"]
+    assert all(r["ok"] is False for r in responses)
+    by_id = {r["id"]: r for r in responses}
+    for request_id in ("twin0", "twin1", "boom"):
+        assert by_id[request_id]["error"] == "query execution failed"
+    assert "extension_workers" in by_id["opt"]["error"]
+    assert alive == 2
+    # "boom" plus the bad spec, once per job it was run as (the twins
+    # coalesce when the second arrives while the first is in flight).
+    assert failed + coalesced == 3
+    assert after["ok"] and after["id"] == "next" and after["hot"] is False

@@ -220,6 +220,53 @@ class TestCheckOptions:
         with pytest.raises(AnalysisError, match="unknown CheckOptions"):
             CheckOptions.from_dict({"max_depth": 3, "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_depth": "abc"},
+            {"max_depth": "3"},
+            {"max_depth": -5},
+            {"max_depth": True},
+            {"max_depth": 3.0},
+            {"max_depth": None},
+            {"max_nodes": 0},
+            {"max_nodes": False},
+            {"extension_workers": "x"},
+            {"extension_workers": 0},
+            {"plan_cache_size": 0},
+            {"plan_cache_size": "7"},
+            {"use_impossibility_provers": 1},
+            {"use_broadcaster_certificate": "yes"},
+            {"layer_backend": "gpu"},
+            {"layer_backend": ["numpy"]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_values_rejected(self, bad):
+        # Each of these used to decode into options that ran (and cached
+        # a verdict under a junk key) instead of failing the request.
+        with pytest.raises(AnalysisError, match="CheckOptions"):
+            CheckOptions.from_dict(bad)
+
+    def test_boundary_values_accepted(self):
+        options = CheckOptions.from_dict(
+            {
+                "max_depth": 0,
+                "max_nodes": 1,
+                "extension_workers": 1,
+                "plan_cache_size": None,
+                "layer_backend": None,
+                "use_impossibility_provers": False,
+            }
+        )
+        assert options == CheckOptions(
+            max_depth=0, max_nodes=1, use_impossibility_provers=False
+        )
+        assert CheckOptions.from_dict({"plan_cache_size": 1}).plan_cache_size == 1
+        assert CheckOptions.from_dict({"layer_backend": "python"}).layer_backend == (
+            "python"
+        )
+
     def test_wrapper_matches_options_core(self):
         adversary = lossy_link_no_hub()
         via_kwargs = check_consensus(adversary, max_depth=4)

@@ -1,12 +1,13 @@
 """Equivalence: columnar components/decision tables vs the PR-4 reference.
 
-The columnar pipeline (``ComponentAnalysis`` unioning over flat layer
-columns, ``build_decision_table`` folding over component-id columns)
+The columnar pipeline (``ComponentAnalysis`` labelling the layer's view
+graph, ``build_decision_table`` folding over component-id columns)
 replaced the object-based construction.  These tests pin it — on both
-kernel backends, and on the no-scipy Shiloach–Vishkin fallback — to a
-self-contained reimplementation of the PR-4 algorithm: per-node bucket
-union-find over materialized level tuples, eager member lists, and the
-tuple-driven decision-map construction.  The contract is exact: identical
+kernel backends, and on both view-graph solvers (scipy and the no-scipy
+Shiloach–Vishkin loop) — to a self-contained reimplementation of the
+PR-4 algorithm: per-node bucket union-find over materialized level
+tuples, eager member lists, and the tuple-driven decision-map
+construction.  The contract is exact: identical
 component partitions (member lists in canonical first-member order),
 valences, broadcast masks, and identical decision tables (assignment,
 final map, early map) under both validity conditions.
@@ -29,12 +30,13 @@ from repro.adversaries import (
     random_oblivious_adversary,
     santoro_widmayer_family,
 )
+from repro.adversaries.generators import random_rooted_family
 from repro.adversaries.stabilizing import StabilizingAdversary
 from repro.consensus.decision import build_decision_table
 from repro.consensus.spec import STRONG, WEAK, ConsensusSpec
 from repro.core.digraph import arrow
 from repro.core.graphword import full_mask
-from repro.core.views import numpy_available
+from repro.core.views import ViewInterner, numpy_available
 from repro.errors import AnalysisError
 from repro.topology.components import ComponentAnalysis, UnionFind
 from repro.topology.prefixspace import PrefixSpace
@@ -279,17 +281,67 @@ def test_columnar_pipeline_matches_on_random_oblivious(
     assert_tables_match(analysis, reference, ConsensusSpec())
 
 
+def use_solver(monkeypatch, solver):
+    """Pin the numpy pass to one view-graph solver (skip absent scipy)."""
+    if solver == "scipy":
+        if components_module._scipy_csgraph() is None:
+            pytest.skip("scipy is not installed")
+    else:
+        monkeypatch.setattr(components_module, "_scipy_csgraph", lambda: None)
+
+
+def assert_solver_matches_reference(monkeypatch, solver):
+    use_solver(monkeypatch, solver)
+    for _, factory, depth in FAMILIES:
+        space = PrefixSpace(factory(), layer_backend="numpy")
+        for t in range(depth + 1):
+            analysis, reference = assert_components_match(space, t)
+            assert_tables_match(analysis, reference, ConsensusSpec())
+
+
 @pytest.mark.skipif(not numpy_available(), reason="numpy-only fallback")
 def test_sv_fallback_matches_reference(monkeypatch):
     """Without scipy, the Shiloach–Vishkin loop must produce the same
     partitions (it is the numpy path CI exercises on scipy-less boxes)."""
-    monkeypatch.setattr(components_module, "_scipy_csgraph", lambda: None)
-    for factory in (lossy_link_full, lossy_link_no_hub,
-                    lambda: santoro_widmayer_family(3, 1)):
-        space = PrefixSpace(factory(), layer_backend="numpy")
-        for t in range(3):
-            analysis, reference = assert_components_match(space, t)
-            assert_tables_match(analysis, reference, ConsensusSpec())
+    assert_solver_matches_reference(monkeypatch, "sv")
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only solver")
+def test_scipy_solver_matches_reference(monkeypatch):
+    assert_solver_matches_reference(monkeypatch, "scipy")
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only solvers")
+@pytest.mark.parametrize("solver", ["scipy", "sv"])
+def test_view_graph_node_range_stays_bounded_under_shared_interner(
+    solver, monkeypatch
+):
+    """A sweep shard shares one interner per ``n`` across its jobs, so a
+    later job's layers hold view ids scattered across every earlier job's
+    allocations.  The view graph must still have at most one node per
+    cell (ids compact instead of spanning the interner), and its
+    partitions must stay exact."""
+    use_solver(monkeypatch, solver)
+    family = random_rooted_family(random.Random(3), 4, 12)
+    interner = ViewInterner(4, layer_backend="numpy")
+    for adversary in family[:-1]:
+        PrefixSpace(adversary, interner=interner).ensure_depth(3)
+    space = PrefixSpace(family[-1], interner=interner)
+    seen = []
+    view_nodes = components_module._view_nodes
+
+    def spy(np, mat):
+        nodes, offset, node_count = view_nodes(np, mat)
+        seen.append((mat.size, int(mat.max()) - int(mat.min()) + 1, node_count))
+        return nodes, offset, node_count
+
+    monkeypatch.setattr(components_module, "_view_nodes", spy)
+    for t in range(4):
+        analysis, reference = assert_components_match(space, t)
+        assert_tables_match(analysis, reference, ConsensusSpec())
+    assert len(seen) == 4
+    assert any(span > cells for cells, span, _ in seen)  # ids really spread
+    assert all(node_count <= cells for cells, _, node_count in seen)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy-only guard")

@@ -1,0 +1,177 @@
+"""The columnar grouped merge against the per-child merge loop it replaced.
+
+Stateful adversaries (eventually-forever, stabilizing: the non-compact
+families of §6.3) split every layer into state-keyed groups, and
+``PrefixSpace`` extends each group with one kernel call.  The child
+columns used to be assembled by a per-child Python loop; they are now
+scattered from per-parent offsets into preallocated columns, with the
+round graphs and state sets held as a palette plus int codes.  The old
+loop is kept below, verbatim in semantics, as the reference.  Both run
+the same kernel calls in the same group order, so the five columns of
+every layer — levels, parents, input indices, graphs, states — and the
+interner behind them must coincide exactly, on both kernel backends.
+"""
+
+from __future__ import annotations
+
+import random
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.adversaries.generators import all_digraphs, all_rooted_digraphs
+from repro.adversaries.lossylink import eventually_one_direction
+from repro.adversaries.stabilizing import (
+    EventuallyForeverAdversary,
+    StabilizingAdversary,
+)
+from repro.core.digraph import arrow
+from repro.core.inputs import all_assignments, binary_domain
+from repro.core.views import LayerTable, ViewInterner, numpy_available, plain_ids
+from repro.specs import NAMED_ADVERSARIES
+from repro.topology.prefixspace import PrefixSpace
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+
+# --------------------------------------------------------------------- #
+# Reference: the per-child merge loop (state groups found by a per-parent
+# dict pass, one kernel call per group, children appended one by one).
+# --------------------------------------------------------------------- #
+
+
+def reference_layers(adversary, depth: int, backend: str):
+    """Every layer's five columns as plain lists, built by the old loop."""
+    n = adversary.n
+    interner = ViewInterner(n, layer_backend=backend)
+    vectors = all_assignments(n, binary_domain)
+    flat = array("q")
+    for vec in vectors:
+        flat.extend(interner.leaf_level(vec))
+    initial = frozenset(adversary.initial_states() & adversary.live_states())
+    layer = (
+        flat,
+        [-1] * len(vectors),
+        list(range(len(vectors))),
+        [None] * len(vectors),
+        [initial] * len(vectors),
+    )
+    layers = [layer]
+    for _ in range(depth):
+        cur_flat, _, cur_inputs, _, cur_states = layer
+        count = len(cur_states)
+        groups: dict = {}
+        for i, node_states in enumerate(cur_states):
+            groups.setdefault(node_states, []).append(i)
+        exts_of: list = [None] * count
+        cols_of: list = [None] * count
+        pos_of: list = [0] * count
+        for node_states, members in groups.items():
+            exts = adversary.admissible_extensions(node_states)
+            if not exts:
+                continue
+            sub = array("q")
+            for i in members:
+                sub.extend(cur_flat[i * n : (i + 1) * n])
+            group_cols = [
+                plain_ids(table.ids)
+                for table in interner.extend_layer_table(
+                    LayerTable(n, sub), adversary.extension_alphabet(node_states)
+                )
+            ]
+            for mi, i in enumerate(members):
+                exts_of[i] = exts
+                cols_of[i] = group_cols
+                pos_of[i] = mi
+        flat = array("q")
+        parents: list = []
+        input_idx: list = []
+        graphs: list = []
+        states: list = []
+        for i, exts in enumerate(exts_of):
+            if exts is None:
+                continue
+            base = pos_of[i] * n
+            for (graph, nxt_states), column in zip(exts, cols_of[i]):
+                flat.extend(column[base : base + n])
+                parents.append(i)
+                input_idx.append(cur_inputs[i])
+                graphs.append(graph)
+                states.append(nxt_states)
+        layer = (flat, parents, input_idx, graphs, states)
+        layers.append(layer)
+    return layers, interner
+
+
+def assert_layers_match(adversary, depth: int, backend: str) -> None:
+    space = PrefixSpace(adversary, layer_backend=backend)
+    space.ensure_depth(depth)
+    layers, reference = reference_layers(adversary, depth, backend)
+    for t, (flat, parents, input_idx, graphs, states) in enumerate(layers):
+        store = space.layer_store(t)
+        assert plain_ids(store.levels.ids) == list(flat), t
+        assert plain_ids(store.parents) == parents, t
+        assert plain_ids(store.input_idx) == input_idx, t
+        assert list(store.graphs) == graphs, t
+        assert list(store.states) == states, t
+    assert len(space.interner) == len(reference)
+    assert space.interner.stats().rows == reference.stats().rows
+
+
+NAMED_STATEFUL = ["eventually-to", "eventually-to-full-base", "stabilizing-w2"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", NAMED_STATEFUL)
+def test_named_stateful_layers_match_reference(name, backend):
+    assert_layers_match(NAMED_ADVERSARIES[name](), 7, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_three_process_stabilizing_layers_match_reference(backend):
+    graphs = list(all_rooted_digraphs(3))[:4]
+    assert_layers_match(StabilizingAdversary(3, graphs, window=2), 4, backend)
+
+
+def _random_stateful(kind: str, n: int, seed: int, window: int):
+    rng = random.Random(seed)
+    if kind == "stabilizing":
+        pool = list(all_rooted_digraphs(n))
+        return StabilizingAdversary(
+            n, rng.sample(pool, min(len(pool), rng.randint(1, 4))), window=window
+        )
+    pool = list(all_digraphs(n))
+    base = rng.sample(pool, rng.randint(0, min(len(pool), 4)))
+    eventual = rng.sample(pool, rng.randint(1, min(len(pool), 3)))
+    return EventuallyForeverAdversary(n, base, eventual)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    kind=st.sampled_from(["eventually-forever", "stabilizing"]),
+    n=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+    window=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=25, deadline=None)
+def test_random_stateful_layers_match_reference(backend, kind, n, seed, window, depth):
+    adversary = _random_stateful(kind, n, seed, window)
+    assert_layers_match(adversary, min(depth, 3) if n == 3 else depth, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_grouped_layers_store_coded_columns(backend):
+    """Grouped layers keep a small palette plus narrow int codes."""
+    space = PrefixSpace(eventually_one_direction("->"), layer_backend=backend)
+    space.ensure_depth(5)
+    store = space.layer_store(5)
+    assert sorted(map(repr, store.graphs.items)) == sorted(
+        map(repr, {arrow("->"), arrow("<-")})
+    )
+    assert len(store.states.items) == len(set(store.states.items))
+    for column in (store.graphs, store.states):
+        assert len(column.codes) == len(store)
+        assert column.codes.itemsize == 1
