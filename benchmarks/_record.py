@@ -131,11 +131,6 @@ def run_suite(
             "mean_s": bench["stats"]["mean"],
             "min_s": bench["stats"]["min"],
             "rounds": bench["stats"]["rounds"],
-            # Worker count of the sharded extension kernel (1 = serial);
-            # scenarios declare it via ``benchmark.extra_info``.
-            "extension_workers": bench.get("extra_info", {}).get(
-                "extension_workers", 1
-            ),
         }
         for bench in raw["benchmarks"]
     }
@@ -152,7 +147,7 @@ def run_suite(
 
 #: Per-entry keys produced by the run itself; everything else in a baseline
 #: entry is an annotation eligible for carry-forward.
-_MEASURED_KEYS = {"mean_s", "min_s", "rounds", "extension_workers"}
+_MEASURED_KEYS = {"mean_s", "min_s", "rounds"}
 
 
 def carry_annotations(record: dict, baseline: dict) -> int:

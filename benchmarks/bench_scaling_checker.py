@@ -557,128 +557,6 @@ def test_scaling_full_check_n5_rooted(benchmark):
     )
 
 
-# --------------------------------------------------------------------- #
-# Sharded-extension scenarios (PR 6)
-# --------------------------------------------------------------------- #
-
-NUMPY_ONLY = pytest.mark.skipif(
-    not numpy_available(), reason="sharded extension requires numpy"
-)
-
-
-@NUMPY_ONLY
-def test_scaling_sharded_smoke_depth10(benchmark):
-    """Smoke-gate sharded scenario: depth-10 streaming with two workers.
-
-    The deepest layers of the run clear ``_MP_MIN_CELLS``, so the
-    shared-memory shard path really dispatches (asserted below) while the
-    shallow layers exercise the serial fallback — the entry that keeps the
-    worker pool honest in the CI quick run.  The scenario id avoids the
-    substring "python" on purpose: the without-numpy CI leg filters on it.
-    """
-    benchmark.extra_info["extension_workers"] = 2
-
-    def kernel():
-        space = PrefixSpace(
-            lossy_link_full(),
-            retain="frontier",
-            layer_backend="numpy",
-            extension_workers=2,
-        )
-        for depth, store in space.iter_layers(max_depth=10):
-            pass
-        return len(store), space.interner._mp_dispatches
-
-    # The warmup round absorbs the one-time worker-pool spawn (the pool
-    # persists process-wide), so the gated rounds time only the steady
-    # per-layer shm dispatch — without it the min is scheduler noise on
-    # small hosts.
-    size, dispatches = benchmark.pedantic(
-        kernel, rounds=5, iterations=1, warmup_rounds=1
-    )
-    emit(
-        benchmark,
-        "scaling: sharded extension smoke, depth=10, workers=2",
-        [
-            f"|layer 10| = {size} prefixes (4 * 3^10)",
-            f"{dispatches} sharded layer dispatches",
-        ],
-    )
-    assert size == 4 * 3**10
-    assert dispatches > 0
-
-
-@pytest.mark.bench_deep
-@NUMPY_ONLY
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_scaling_sharded_checker_depth12(benchmark, workers):
-    """Full depth-12 check at 1/2/4 extension workers.
-
-    The worker-scaling acceptance scenario of the sharded kernel: same
-    workload as the depth-12 checker pipeline above, swept over the
-    ``extension_workers`` knob.  The bit-identical merge means all three
-    rows certify the same result; only the wall-clock moves.
-    """
-    benchmark.extra_info["extension_workers"] = workers
-    options = CheckOptions(
-        max_depth=12,
-        max_nodes=8_000_000,
-        use_impossibility_provers=False,
-        use_broadcaster_certificate=False,
-        layer_backend="numpy",
-        extension_workers=workers,
-    )
-    result = benchmark.pedantic(
-        lambda: check_consensus_with_options(lossy_link_full(), options),
-        rounds=2,
-        iterations=1,
-    )
-    emit(
-        benchmark,
-        f"scaling: sharded checker, depth=12, workers={workers}",
-        [f"{result.status.name} after exploring depth {result.history[-1].depth}"],
-    )
-    assert result.history[-1].prefixes == 4 * 3**12
-
-
-@pytest.mark.bench_deep
-@NUMPY_ONLY
-def test_scaling_sharded_depth16_streaming(benchmark):
-    """Depth-16 lossy link streamed: 4 * 3^16 = 172186884 prefixes.
-
-    The headline scenario of the sharded kernel — two layers beyond the
-    PR-5 ceiling.  The final frontier's id column alone is a 1.4 GB int64
-    array; the sharded extension runs the dedup of each 57M-parent step
-    across worker processes over shared memory.  One round: the run is
-    minutes of work even on the numpy kernel.
-    """
-    benchmark.extra_info["extension_workers"] = 2
-
-    def kernel():
-        space = PrefixSpace(
-            lossy_link_full(),
-            retain="frontier",
-            max_nodes=200_000_000,
-            layer_backend="numpy",
-            extension_workers=2,
-        )
-        for depth, store in space.iter_layers(max_depth=16):
-            pass
-        return len(store), space.interner.stats()
-
-    size, stats = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    emit(
-        benchmark,
-        "scaling: streaming layer construction, depth=16, workers=2",
-        [
-            f"|layer 16| = {size} prefixes (4 * 3^16)",
-            f"interner: {stats.total} views, {stats.rows} child rows, "
-            f"~{stats.approx_bytes / 1e6:.0f} MB resident",
-        ],
-    )
-    assert size == 4 * 3**16
-
-
 @pytest.mark.bench_deep
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_scaling_n9_rooted_space(benchmark, backend):

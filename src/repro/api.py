@@ -197,18 +197,13 @@ class Session:
     def interner(self, n: int) -> ViewInterner:
         """The session's shared view interner for ``n`` processes.
 
-        Created with the session options' ``layer_backend`` and
-        ``extension_workers``, so one switch configures the whole-layer
-        kernel — and its sharded multiprocess path — for every check the
-        session runs.
+        Created with the session options' ``layer_backend``, so one switch
+        selects the whole-layer kernel for every check the session runs.
         """
         interner = self._interners.get(n)
         if interner is None:
             interner = self._interners[n] = ViewInterner(
-                n,
-                layer_backend=self.options.layer_backend,
-                plan_cache_size=self.options.plan_cache_size,
-                extension_workers=self.options.extension_workers,
+                n, layer_backend=self.options.layer_backend
             )
         return interner
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,7 +35,7 @@ from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkabl
 
 from repro.adversaries.base import MessageAdversary
 from repro.consensus.solvability import CheckOptions
-from repro.core.views import ViewInterner, _WORKER_CAP_ENV
+from repro.core.views import ViewInterner
 from repro.errors import AnalysisError
 from repro.io.atomic import atomic_write_text
 from repro.records import RunRecord, certificate_summary
@@ -242,10 +241,7 @@ def iter_job_records(
         interner = interners.get(adversary.n)
         if interner is None:
             interner = interners[adversary.n] = ViewInterner(
-                adversary.n,
-                layer_backend=base.layer_backend,
-                plan_cache_size=base.plan_cache_size,
-                extension_workers=base.extension_workers,
+                adversary.n, layer_backend=base.layer_backend
             )
         before = len(interner)
         start = time.perf_counter()
@@ -335,15 +331,10 @@ def _run_shard(
 ) -> list[RunRecord]:
     """Top-level worker entry point (must be picklable for spawn contexts).
 
-    Clamps per-check extension workers to 1 before running: the sweep
-    already owns the machine's parallelism at job granularity, so a check
-    forking its own layer-extension workers inside a pool worker would
-    silently oversubscribe to ``workers x extension_workers`` processes.
-    The env guard reaches every interner the shard creates (the cap is
-    read at dispatch time) without mutating the options it records.
+    Runs one strided shard inline in the pool worker; every check in it
+    is serial, so the pool size is the sweep's whole process count.
     """
     shard, jobs, options, record_timing = payload
-    os.environ[_WORKER_CAP_ENV] = "1"
     return _run_jobs(shard, jobs, options, record_timing)
 
 

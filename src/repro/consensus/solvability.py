@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.adversaries.base import MessageAdversary
 from repro.consensus.decision import DecisionTable, build_decision_table
@@ -83,24 +83,9 @@ class CheckOptions:
         Serializes with the options, so sweep manifests carry the backend
         choice to shard runners.  Ignored when the caller shares an
         interner — the interner's own backend wins.
-    plan_cache_size:
-        LRU capacity of the created interner's per-alphabet extension-plan
-        cache (``None`` = library default,
-        :data:`repro.core.views.DEFAULT_PLAN_CACHE_SIZE`).  Plans are pure
-        functions of the alphabet, so the cap trades recomputation for
-        memory and never changes results.  Ignored when the caller shares
-        an interner.
-    extension_workers:
-        Process count for the created interner's sharded whole-layer
-        extension (``1`` = serial, the default).  Orthogonal to
-        ``layer_backend``: only the numpy kernel shards, the sharded path
-        is bit-identical to the serial numpy kernel for any worker count,
-        and small layers fall back to serial automatically.  Serializes
-        with the options like ``layer_backend``; manifests written before
-        this field existed simply omit it and load with the serial
-        default.  Process-pool sweeps clamp it to ``1`` inside their
-        workers via :data:`repro.core.views._WORKER_CAP_ENV`.  Ignored
-        when the caller shares an interner.
+
+    The checker runs serially in the calling process; sweeps get their
+    parallelism at job granularity from the sweep backends.
     """
 
     max_depth: int = 10
@@ -108,8 +93,6 @@ class CheckOptions:
     use_impossibility_provers: bool = True
     use_broadcaster_certificate: bool = True
     layer_backend: str | None = None
-    plan_cache_size: int | None = None
-    extension_workers: int = 1
 
     def replace(self, **changes) -> "CheckOptions":
         """A copy with the given fields changed."""
@@ -120,29 +103,38 @@ class CheckOptions:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CheckOptions":
+    def from_dict(cls, data: Mapping[str, Any]) -> "CheckOptions":
         """Inverse of :meth:`to_dict`, checking names, types, and ranges.
 
-        Unknown keys are rejected by name, and every value must have its
-        field's type (a bool is not an int) and lie in its range:
-        ``max_depth >= 0``, ``max_nodes >= 1``, ``extension_workers >= 1``,
-        ``plan_cache_size`` ``None`` or ``>= 1``, bool toggles, and
-        ``layer_backend`` ``None`` or one of
+        ``data`` must be a mapping.  Unknown keys are rejected by name, and
+        every value must have its field's type (a bool is not an int) and
+        lie in its range: ``max_depth >= 0``, ``max_nodes >= 1``, bool
+        toggles, and ``layer_backend`` ``None`` or one of
         :data:`~repro.core.views.LAYER_BACKENDS`.  A malformed value raises
         :class:`~repro.errors.AnalysisError` instead of running (and
-        caching) a check under a junk key.  The removed
-        ``memo_extensions`` knob is accepted and dropped, so manifests,
-        fleet directories, and client requests written before its removal
-        still load.
+        caching) a check under a junk key.  The keys of removed knobs
+        (:data:`_LEGACY_OPTIONS`) are validated as before and dropped, so
+        manifests, fleet directories, and client requests written before
+        their removal still load.
         """
-        known = {field: data[field] for field in cls.__dataclass_fields__ if field in data}
-        unknown = set(data) - set(known) - {"memo_extensions"}
+        if not isinstance(data, Mapping):
+            raise AnalysisError(
+                f"CheckOptions must be a mapping, got {type(data).__name__}"
+            )
+        unknown = set(data) - set(cls.__dataclass_fields__) - _LEGACY_OPTIONS
         if unknown:
             raise AnalysisError(f"unknown CheckOptions fields: {sorted(unknown)}")
-        for name, value in known.items():
+        for name, value in data.items():
             _check_option(name, value)
-        return cls(**known)
+        return cls(
+            **{name: value for name, value in data.items() if name not in _LEGACY_OPTIONS}
+        )
 
+
+#: Keys of removed knobs that old manifests, fleet directories and client
+#: requests may still carry: :meth:`CheckOptions.from_dict` validates them
+#: as it did before their removal and then drops them.
+_LEGACY_OPTIONS = frozenset({"memo_extensions", "extension_workers", "plan_cache_size"})
 
 #: Smallest allowed value of each integer :class:`CheckOptions` field.
 _OPTION_INT_FLOORS = {
@@ -155,6 +147,8 @@ _OPTION_INT_FLOORS = {
 
 def _check_option(name: str, value: object) -> None:
     """Raise :class:`AnalysisError` unless ``value`` suits field ``name``."""
+    if name == "memo_extensions":
+        return  # dropped before options were type-checked: any value loads
     if value is None and name in ("plan_cache_size", "layer_backend"):
         return
     if name == "layer_backend":
@@ -470,8 +464,6 @@ def check_consensus_with_options(
         interner=interner,
         max_nodes=max_nodes,
         layer_backend=options.layer_backend,
-        plan_cache_size=options.plan_cache_size,
-        extension_workers=options.extension_workers,
     )
     table: DecisionTable | None = None
     certified_depth = None

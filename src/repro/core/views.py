@@ -65,6 +65,8 @@ batch:
 * ``"python"`` — the same batched structure in pure Python, so
   ``dependencies = []`` stays true and the kernel is always available.
 
+Both backends run serially in the calling process; sweeps parallelize
+across jobs (process-pool and fleet backends), never inside one layer.
 This is the only layer-extension path.  Two thin entry points sit on top
 of the same row arena: :meth:`ViewInterner.extend_level` extends one
 level by one graph through the per-parent loop (what
@@ -79,7 +81,6 @@ from __future__ import annotations
 
 import os
 import sys
-import warnings
 from array import array
 from typing import Iterable, Sequence
 
@@ -116,10 +117,11 @@ LAYER_BACKENDS = ("numpy", "python")
 #: choice: ``"numpy"`` when numpy imported at module load, else ``"python"``.
 DEFAULT_LAYER_BACKEND = "python" if _np is None else "numpy"
 
-#: Default LRU capacity of the per-alphabet extension-plan cache.  Real
-#: adversary families use a handful of alphabets, so the cap only matters
-#: for long-lived sessions sweeping many distinct alphabets — exactly the
-#: case that used to grow the cache without bound.
+#: LRU capacity of every interner's per-alphabet extension-plan cache.
+#: Real adversary families use a handful of alphabets, so the cap only
+#: matters for long-lived sessions sweeping many distinct alphabets —
+#: exactly the case that used to grow the cache without bound.  Read at
+#: eviction time, so tests can monkeypatch it.
 DEFAULT_PLAN_CACHE_SIZE = 128
 
 #: Below this many (parent, pattern) cells the numpy batch is not worth its
@@ -129,20 +131,6 @@ _NUMPY_MIN_CELLS = 192
 #: Below this many cells even the batched Python kernel loses to the plain
 #: per-parent loop (batch bookkeeping dominates microscopic layers).
 _BATCH_MIN_CELLS = 48
-
-#: Below this many (parent, pattern) cells the sharded multiprocess map
-#: phase cannot amortize its fixed dispatch cost (shared-memory setup, one
-#: pool round trip); smaller layers stay on the serial numpy kernel even
-#: when ``extension_workers > 1``.  Tests monkeypatch this to force the
-#: sharded path onto small layers.
-_MP_MIN_CELLS = 65536
-
-#: Environment cap on per-interner extension workers.  Process-pool sweep
-#: workers set this to ``"1"`` so a ``workers x extension_workers``
-#: oversubscription cannot happen by accident; users can set it to bound
-#: fan-out globally.  Read at dispatch time, so it also applies to
-#: interners constructed before the variable was set.
-_WORKER_CAP_ENV = "REPRO_MAX_EXTENSION_WORKERS"
 
 #: Multiplier/seed of the fallback 64-bit row mix (FNV offset basis
 #: seeded, golden-ratio multiplier).  The same fold runs scalar in Python
@@ -279,10 +267,9 @@ def _unique_rows(np, cand):
     Rows dedup through a packed int64 key column when the ids fit one
     word, and through ``np.unique(..., axis=0)`` otherwise.  Both paths
     return the distinct rows in *lexicographic* order — an order that
-    depends only on the row set, never on the packing bit width or on how
-    the input rows were partitioned.  That invariance is what lets the
-    sharded map phase (:mod:`repro.core.parallel`) re-unique the union of
-    per-shard dedups and recover exactly the serial kernel's output.
+    depends only on the row set, never on the packing bit width.  The
+    numpy kernel interns distinct rows in this order, so it fixes the
+    view-id numbering of every layer.
     """
     k = cand.shape[1]
     if k == 1:
@@ -303,27 +290,6 @@ def _unique_rows(np, cand):
         )
         return cand[first_idx], inv
     return np.unique(cand, axis=0, return_inverse=True)
-
-
-def _candidate_uniq_inv(np, level_matrix, in_list):
-    """One in-neighborhood's candidate-row dedup over a layer matrix.
-
-    Gathers the in-list columns of every parent level, sorts each row
-    (child rows are *sets* of view ids), and dedups.  This is the
-    embarrassingly parallel map phase of the layer kernel: it reads only
-    the parent matrix, so shards of the row range can run it in worker
-    processes and merge afterwards.
-    """
-    k = len(in_list)
-    cand = level_matrix[:, in_list]
-    if k > 1:
-        cand = np.ascontiguousarray(cand)
-        cand.sort(axis=1)
-        return _unique_rows(np, cand)
-    _, first_idx, inv = np.unique(
-        cand[:, 0], return_index=True, return_inverse=True
-    )
-    return cand[first_idx], inv
 
 
 class LayerTable(Sequence):
@@ -416,13 +382,9 @@ class ViewStats:
     benchmarks and the CLI use to watch interner pressure: ``rows`` is the
     number of distinct interned child sets, ``cached_plans`` the number of
     per-alphabet extension plans currently held (an LRU with
-    ``plan_cache_size`` capacity), and ``approx_bytes`` an estimate of the
-    resident size of all tables (columns, side tables and plan keys;
-    Python object headers of shared children are not counted).
-    ``mp_fallbacks`` counts sharded extension dispatches that fell back to
-    the serial kernel because the worker pool failed — nonzero means the
-    run silently lost its parallelism (each fallback also raises a
-    ``RuntimeWarning`` at the dispatch site).
+    :data:`DEFAULT_PLAN_CACHE_SIZE` capacity), and ``approx_bytes`` an
+    estimate of the resident size of all tables (columns, side tables and
+    plan keys; Python object headers of shared children are not counted).
     """
 
     __slots__ = (
@@ -432,7 +394,6 @@ class ViewStats:
         "rows",
         "cached_plans",
         "approx_bytes",
-        "mp_fallbacks",
     )
 
     def __init__(
@@ -443,7 +404,6 @@ class ViewStats:
         rows: int = 0,
         approx_bytes: int = 0,
         cached_plans: int = 0,
-        mp_fallbacks: int = 0,
     ) -> None:
         self.total = total
         self.leaves = leaves
@@ -451,15 +411,13 @@ class ViewStats:
         self.rows = rows
         self.cached_plans = cached_plans
         self.approx_bytes = approx_bytes
-        self.mp_fallbacks = mp_fallbacks
 
     def __repr__(self) -> str:
         return (
             f"ViewStats(total={self.total}, leaves={self.leaves}, "
             f"max_depth={self.max_depth}, rows={self.rows}, "
             f"cached_plans={self.cached_plans}, "
-            f"approx_bytes={self.approx_bytes}, "
-            f"mp_fallbacks={self.mp_fallbacks})"
+            f"approx_bytes={self.approx_bytes})"
         )
 
 
@@ -477,10 +435,10 @@ class ViewInterner:
     ``"numpy"`` (vectorized; requires numpy), ``"python"`` (the batched
     pure-Python fallback), or ``None`` for the import-time default
     (:data:`DEFAULT_LAYER_BACKEND`).  The choice affects speed and view-id
-    numbering only, never the interned structure.  ``plan_cache_size``
-    bounds the per-alphabet extension-plan LRU (``None`` =
-    :data:`DEFAULT_PLAN_CACHE_SIZE`; plans are pure functions of the
-    alphabet, so eviction never changes results).
+    numbering only, never the interned structure.  The per-alphabet
+    extension-plan LRU holds at most :data:`DEFAULT_PLAN_CACHE_SIZE`
+    plans (plans are pure functions of the alphabet, so eviction never
+    changes results).
 
     Examples
     --------
@@ -494,10 +452,6 @@ class ViewInterner:
     __slots__ = (
         "n",
         "layer_backend",
-        "plan_cache_size",
-        "extension_workers",
-        "_mp_dispatches",
-        "_mp_fallbacks",
         "_pid",
         "_depth",
         "_row",
@@ -517,13 +471,7 @@ class ViewInterner:
         "_plan_cache",
     )
 
-    def __init__(
-        self,
-        n: int,
-        layer_backend: str | None = None,
-        plan_cache_size: int | None = None,
-        extension_workers: int | None = None,
-    ) -> None:
+    def __init__(self, n: int, layer_backend: str | None = None) -> None:
         if n <= 0:
             raise AnalysisError("a view interner needs n >= 1 processes")
         if layer_backend is None:
@@ -538,19 +486,7 @@ class ViewInterner:
                 "layer backend 'numpy' requested but numpy is not importable "
                 "(install numpy or pick the 'python' backend)"
             )
-        if plan_cache_size is None:
-            plan_cache_size = DEFAULT_PLAN_CACHE_SIZE
-        if plan_cache_size < 1:
-            raise AnalysisError("plan_cache_size must be >= 1")
-        if extension_workers is None:
-            extension_workers = 1
-        if extension_workers < 1:
-            raise AnalysisError("extension_workers must be >= 1")
         self.layer_backend = layer_backend
-        self.plan_cache_size = plan_cache_size
-        self.extension_workers = extension_workers
-        self._mp_dispatches = 0
-        self._mp_fallbacks = 0
         self.n = n
         # Parallel per-view columns.  Owners and depths are plain lists of
         # (interpreter-shared) small ints — same 8 bytes per slot as an
@@ -915,8 +851,8 @@ class ViewInterner:
         serves — the layer kernels share candidate-row work across owners
         through the last two.
 
-        The cache is an LRU holding at most ``plan_cache_size`` entries,
-        keyed by graphs-tuple — the adversary alphabets plus the
+        The cache is an LRU holding at most :data:`DEFAULT_PLAN_CACHE_SIZE`
+        entries, keyed by graphs-tuple — the adversary alphabets plus the
         single-graph tuples of :meth:`extend_level`.  Real families use a
         handful of alphabets, so the working set fits the cap; eviction merely
         recomputes (plans are pure functions of the alphabet) and
@@ -964,7 +900,7 @@ class ViewInterner:
             tuple(inlists),
             tuple(tuple(pis) for pis in pats_of_inlist),
         )
-        while len(cache) >= self.plan_cache_size:
+        while len(cache) >= DEFAULT_PLAN_CACHE_SIZE:
             del cache[next(iter(cache))]
         cache[key] = plan
         return plan
@@ -1137,39 +1073,8 @@ class ViewInterner:
             and self.n <= _MASK_ARRAY_MAX_N
             and cells >= _NUMPY_MIN_CELLS
         ):
-            workers = self._effective_workers(cells)
-            if workers > 1:
-                columns = self._extend_layer_numpy_mp(table, plan, workers)
-                if columns is not None:
-                    return columns
             return self._extend_layer_numpy(table, plan)
         return self._extend_layer_python(table, plan)
-
-    def _effective_workers(self, cells: int) -> int:
-        """Worker count actually usable for one layer dispatch.
-
-        Resolves the interner's ``extension_workers`` knob against every
-        graceful-fallback condition: layers below :data:`_MP_MIN_CELLS`,
-        the :data:`_WORKER_CAP_ENV` environment cap (set to ``1`` inside
-        process-pool sweep workers), and shared-memory availability.  A
-        result of ``1`` means the serial kernel runs.
-        """
-        workers = self.extension_workers
-        if workers <= 1 or cells < _MP_MIN_CELLS:
-            return 1
-        cap = os.environ.get(_WORKER_CAP_ENV)
-        if cap is not None:
-            try:
-                workers = min(workers, int(cap))
-            except ValueError:
-                pass
-        if workers <= 1:
-            return 1
-        from repro.core import parallel
-
-        if not parallel.shared_memory_available():
-            return 1
-        return workers
 
     def _extend_layer_python(self, table: LayerTable, plan: tuple) -> list:
         """The batched pure-Python layer kernel.
@@ -1324,70 +1229,6 @@ class ViewInterner:
         np = _np
         level_matrix = table.array()
         depth = self._depth[int(level_matrix[0, 0])] + 1
-        uniq_inv = [
-            _candidate_uniq_inv(np, level_matrix, in_list)
-            for in_list in plan[2]
-        ]
-        return self._finish_layer_numpy(np, plan, depth, uniq_inv)
-
-    def _extend_layer_numpy_mp(
-        self, table: LayerTable, plan: tuple, workers: int
-    ):
-        """The sharded front end of the vectorized kernel.
-
-        Runs the per-in-neighborhood candidate dedup (the map phase of
-        :meth:`_extend_layer_numpy`) across ``workers`` processes over
-        shared-memory shards of the parent layer column, merges the
-        per-shard dedups back into exactly the serial kernel's
-        ``(uniq, inv)`` pairs, and hands them to the shared back half.
-        The merge is canonical — distinct rows come back in the same
-        lexicographic order regardless of shard count — so the interner
-        mutations and output columns are bit-identical to the serial
-        numpy kernel (see :mod:`repro.core.parallel`).
-
-        Returns ``None`` when the map phase cannot run (shared-memory or
-        pool failure); the dispatcher then falls back to the serial
-        kernel, which recomputes from the untouched interner state.  The
-        fallback is correct but silently serial, so it is counted
-        (``stats().mp_fallbacks``) and surfaced as a ``RuntimeWarning``
-        carrying the original cause — a sweep that lost its workers
-        should look degraded, not healthy.
-        """
-        np = _np
-        from repro.core import parallel
-
-        level_matrix = np.ascontiguousarray(table.array())
-        try:
-            uniq_inv = parallel.map_layer_shards(
-                level_matrix, plan[2], workers
-            )
-        except Exception as exc:
-            self._mp_fallbacks += 1
-            warnings.warn(
-                f"sharded layer extension fell back to the serial kernel "
-                f"(fallback #{self._mp_fallbacks}): "
-                f"{type(exc).__name__}: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        self._mp_dispatches += 1
-        depth = self._depth[int(level_matrix[0, 0])] + 1
-        return self._finish_layer_numpy(np, plan, depth, uniq_inv)
-
-    def _finish_layer_numpy(
-        self, np, plan: tuple, depth: int, uniq_inv: list
-    ) -> list:
-        """The reduce half of the vectorized kernel: intern and allocate.
-
-        Consumes one ``(uniq, inv)`` candidate dedup per in-neighborhood
-        — produced serially by :meth:`_extend_layer_numpy` or sharded by
-        :meth:`_extend_layer_numpy_mp` — and performs every interner
-        mutation: bulk row hashing, vectorized probe/insert into the row
-        arena, bulk view allocation, and the final per-graph interleave.
-        Identical inputs yield bit-identical interner state, which is the
-        sharded path's correctness contract.
-        """
         patterns, layouts, inlists, pats_of_inlist = plan
         n = self.n
         row_masks = self._row_masks
@@ -1395,9 +1236,16 @@ class ViewInterner:
         pids = self._pid
         depth_col = self._depth
         vid_cols: list = [None] * len(patterns)
-        for si in range(len(inlists)):
-            uniq, inv = uniq_inv[si]
-            k = uniq.shape[1]
+        for si, in_list in enumerate(inlists):
+            # Gather each parent's in-list columns, sort every row (child
+            # rows are *sets* of view ids), and dedup across the layer.
+            k = len(in_list)
+            cand = level_matrix[:, in_list]
+            if k > 1:
+                cand = np.ascontiguousarray(cand)
+                cand.sort(axis=1)
+            uniq, inv = _unique_rows(np, cand)
+            del cand  # layer-sized; only the distinct rows are interned
             # Bulk-hash the distinct rows (same fold as _row_hash), then
             # probe and insert entirely vectorized: the open-addressing
             # table is gathered through transient buffer windows, fresh
@@ -1575,7 +1423,7 @@ class ViewInterner:
                 approx += tuple_header + len(entry) * (tuple_header + 16)
         # The per-alphabet extension plans: graphs-tuple keys plus the
         # pattern/layout/in-list structures (an LRU capped at
-        # ``plan_cache_size``; the stats report the live entries).
+        # DEFAULT_PLAN_CACHE_SIZE; the stats report the live entries).
         approx += getsizeof(self._plan_cache)
         for key, (patterns, layouts, inlists, pats) in self._plan_cache.items():
             approx += tuple_header + 8 * len(key)
@@ -1594,7 +1442,6 @@ class ViewInterner:
             rows=len(self._row_hashes),
             cached_plans=len(self._plan_cache),
             approx_bytes=approx,
-            mp_fallbacks=self._mp_fallbacks,
         )
 
     def __len__(self) -> int:

@@ -40,7 +40,6 @@ from typing import Any, Sequence
 
 from repro.backends import SweepJob, _validate_jobs
 from repro.consensus.solvability import CheckOptions
-from repro.core.views import _WORKER_CAP_ENV
 from repro.errors import AnalysisError
 from repro.fleet import state
 from repro.fleet.chaos import ChaosSpec
@@ -52,7 +51,7 @@ from repro.records import RunRecord
 __all__ = ["FleetRunner", "FleetBackend"]
 
 
-def _worker_env(workers: int) -> dict[str, str]:
+def _worker_env() -> dict[str, str]:
     """Environment for ``fleet work`` subprocesses.
 
     Workers import repro via ``-m repro.cli``, so the package that spawned
@@ -66,10 +65,6 @@ def _worker_env(workers: int) -> dict[str, str]:
     env["PYTHONPATH"] = (
         package_root if not existing else package_root + os.pathsep + existing
     )
-    if workers > 1:
-        # Concurrent workers own the machine's parallelism; per-check
-        # extension workers inside them would oversubscribe.
-        env[_WORKER_CAP_ENV] = "1"
     return env
 
 
@@ -251,7 +246,7 @@ class FleetRunner:
         if workers < 1:
             raise AnalysisError("a fleet drive needs workers >= 1")
         config = self.config
-        env = _worker_env(workers)
+        env = _worker_env()
         procs: dict[str, subprocess.Popen] = {}
         spawned = 0
         respawn_budget = config.shards * config.max_attempts + 2 * workers

@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -63,6 +64,11 @@ _log = logging.getLogger(__name__)
 #: Longest request line the server will read before dropping the client
 #: (a spec dict is a few hundred bytes; a megabyte is already hostile).
 _LINE_LIMIT = 1 << 20
+
+#: A job key is a :func:`~repro.store.keys.cache_key` digest: 64 lowercase
+#: hex characters.  ``status`` refuses anything else before touching the
+#: store, which joins the key into a file path.
+_JOB_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def execute_query(
@@ -274,7 +280,7 @@ class QueryService:
 
     def _status(self, request_id: Any, request: dict[str, Any]) -> dict[str, Any]:
         key = request.get("job")
-        if not isinstance(key, str) or not key:
+        if not isinstance(key, str) or _JOB_KEY.fullmatch(key) is None:
             return {"ok": False, "id": request_id, "error": "status needs a job key"}
         job = self._jobs.get(key)
         if job is not None:

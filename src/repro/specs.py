@@ -182,6 +182,8 @@ class AdversarySpec:
         params: Mapping[str, Any] | None = None,
         seed: int | None = None,
     ) -> None:
+        if not isinstance(family, str):
+            raise AdversaryError(f"spec family must be a string, got {family!r}")
         if family not in _REGISTRY:
             raise AdversaryError(
                 f"unknown adversary family {family!r}; registered: "
@@ -191,6 +193,11 @@ class AdversarySpec:
             raise AdversaryError("spec seed must be an int (or None)")
         if _REGISTRY[family].requires_seed and seed is None:
             raise AdversaryError(f"family {family!r} requires a seed")
+        if params is not None and not isinstance(params, Mapping):
+            raise AdversaryError(
+                f"spec params must be a mapping (or None), "
+                f"got {type(params).__name__}"
+            )
         self.family = family
         self.params = {} if params is None else dict(params)
         self.seed = seed
@@ -215,6 +222,12 @@ class AdversarySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdversarySpec":
+        """Inverse of :meth:`to_dict`; malformed input raises
+        :class:`~repro.errors.AdversaryError`."""
+        if not isinstance(data, Mapping):
+            raise AdversaryError(f"a spec must be a mapping, got {type(data).__name__}")
+        if "family" not in data:
+            raise AdversaryError("a spec needs a 'family'")
         return cls(data["family"], data.get("params"), data.get("seed"))
 
     @classmethod

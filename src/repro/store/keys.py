@@ -9,9 +9,8 @@ ingredients:
    seed — the complete description of the adversary);
 2. the *semantic* subset of :class:`~repro.consensus.solvability.
    CheckOptions` (:data:`SEMANTIC_OPTION_FIELDS`): the fields that can
-   change a verdict or certificate.  Accelerator knobs
-   (``layer_backend``, ``extension_workers``, ``plan_cache_size``) are
-   deliberately excluded — backend parity is a
+   change a verdict or certificate.  The accelerator knob
+   ``layer_backend`` is deliberately excluded — backend parity is a
    tested invariant of the library, so a record computed by the numpy
    kernel is byte-identical (timing zeroed) to the pure-python one and
    may be served to either;

@@ -827,11 +827,7 @@ class ColumnarHotPathRule(Rule):
             "repro.core.views::extend_layer_table",
             "repro.core.views::_extend_layer_python",
             "repro.core.views::_extend_layer_numpy",
-            "repro.core.views::_extend_layer_numpy_mp",
-            "repro.core.views::_finish_layer_numpy",
             "repro.core.views::_intern_rows_numpy",
-            "repro.core.parallel::map_layer_shards",
-            "repro.core.parallel::_map_shard",
             "repro.topology.components::_analyze_python",
             "repro.topology.components::_analyze_numpy",
             "repro.topology.components::_view_nodes",
@@ -936,11 +932,10 @@ class BackendParityRule(Rule):
     repro_only = True
     defaults: dict[str, Any] = {
         "exempt": [
-            # numpy-only sub-steps of the vectorized extension kernel: the
+            # numpy-only sub-step of the vectorized extension kernel: the
             # python backend interns rows through a different (scalar)
             # code path that the layer-kernel equivalence suite pins.
             "repro.core.views::_intern_rows_numpy",
-            "repro.core.views::_finish_layer_numpy",
         ]
     }
 

@@ -336,15 +336,6 @@ class PrefixSpace:
         backend wins — when ``interner`` is given.  The same switch also
         selects the vectorized vs pure-Python paths of the component
         analysis and decision-table construction over this space's layers.
-    plan_cache_size:
-        Capacity of the created interner's per-alphabet extension-plan LRU
-        (``None`` = library default; ignored when ``interner`` is given).
-    extension_workers:
-        Process count for the created interner's sharded whole-layer
-        extension (``None``/``1`` = serial; ignored when ``interner`` is
-        given — the shared interner's own knob wins).  Orthogonal to
-        ``layer_backend``: only the numpy kernel shards, and results are
-        bit-identical to the serial numpy kernel for any worker count.
 
     Examples
     --------
@@ -363,8 +354,6 @@ class PrefixSpace:
         max_nodes: int = 2_000_000,
         retain: str = "all",
         layer_backend: str | None = None,
-        plan_cache_size: int | None = None,
-        extension_workers: int | None = None,
     ) -> None:
         self.adversary = adversary
         if retain not in ("all", "frontier"):
@@ -373,12 +362,7 @@ class PrefixSpace:
         # Not ``interner or ...``: an empty interner is falsy via __len__
         # and must still be adopted (the sweep engine shares fresh ones).
         if interner is None:
-            interner = ViewInterner(
-                adversary.n,
-                layer_backend=layer_backend,
-                plan_cache_size=plan_cache_size,
-                extension_workers=extension_workers,
-            )
+            interner = ViewInterner(adversary.n, layer_backend=layer_backend)
         self.interner = interner
         if self.interner.n != adversary.n:
             raise AnalysisError("interner and adversary disagree on n")

@@ -175,16 +175,20 @@ def test_layer_kernel_matches_on_random_oblivious(
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 def test_backends_agree_structurally():
-    for factory in (lossy_link_full, lambda: santoro_widmayer_family(3, 1)):
+    for factory, depth in (
+        (lossy_link_full, 3),
+        (lambda: santoro_widmayer_family(3, 1), 3),
+        (lossy_link_no_hub, 5),
+    ):
         spaces = {}
         for backend in ("python", "numpy"):
             space = PrefixSpace(factory(), layer_backend=backend)
-            space.ensure_depth(3)
+            space.ensure_depth(depth)
             spaces[backend] = space
         py, np_ = spaces["python"], spaces["numpy"]
         assert len(py.interner) == len(np_.interner)
         assert py.interner.stats().rows == np_.interner.stats().rows
-        for t in range(4):
+        for t in range(depth + 1):
             assert canonical_levels(
                 py.interner, py.layer_store(t).levels
             ) == canonical_levels(np_.interner, np_.layer_store(t).levels)

@@ -1,24 +1,27 @@
-"""Shared-memory segment lifecycle of the sharded map phase.
+"""The layer kernel allocates no shared memory and forks no process.
 
-The R2 lint rule machine-checks the *shape* of the cleanup code; these
-tests check the *behavior*: whatever goes wrong mid-map — a worker dying
-on its shard, the second segment failing to allocate — no ``/dev/shm``
-segment may outlive the call.  Before the nested-try restructure, both
-scenarios leaked: an allocation failure of the output segment skipped the
-input segment's cleanup entirely, and an early ``close()`` failure in the
-shared ``finally`` suite skipped every release after it.
+The sharded map phase that shipped layers to a worker pool through
+``/dev/shm`` segments is gone; the R2 lint rule still guards the shape of
+any code that would allocate one.  These tests check the behavior: a
+numpy layer build — successful, or dying mid-layer — leaves no segment
+behind and no child process running, and it succeeds even when every
+segment allocation would fail.
 """
 
+import multiprocessing
+import multiprocessing.shared_memory
 import os
+from unittest import mock
 
 import pytest
 
-import repro.core.parallel as parallel
 import repro.core.views as views_module
-from repro.core.views import numpy_available
+from repro.adversaries import lossy_link_full
+from repro.core.views import ViewInterner, numpy_available
+from repro.topology.prefixspace import PrefixSpace
 
 pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the sharded map phase requires numpy"
+    not numpy_available(), reason="the numpy layer kernel requires numpy"
 )
 
 SHM_DIR = "/dev/shm"
@@ -30,74 +33,68 @@ def _segments():
     return {name for name in os.listdir(SHM_DIR) if name.startswith("psm_")}
 
 
-@pytest.fixture
-def fresh_pool():
-    # Monkeypatched module state reaches fork-pool workers only if the
-    # pool is created after the patch; tear down around each test so one
-    # test's patched workers can never serve another test's dispatch.
-    parallel.shutdown_pool()
-    yield
-    parallel.shutdown_pool()
+@pytest.fixture(autouse=True)
+def numpy_even_tiny_layers(monkeypatch):
+    """Drop the batching floors so test-sized layers take the numpy kernel."""
+    monkeypatch.setattr(views_module, "_BATCH_MIN_CELLS", 0)
+    monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
 
 
-def _matrix(np, count=64, n=3):
-    return np.arange(count * n, dtype=np.int64).reshape(count, n) % 5
+def _build(depth=5):
+    space = PrefixSpace(lossy_link_full(), layer_backend="numpy")
+    space.ensure_depth(depth)
+    return space
 
 
-def test_worker_death_mid_map_leaks_no_segments(monkeypatch, fresh_pool):
-    np = views_module.numpy_module()
+def test_worker_death_mid_map_leaks_no_segments(monkeypatch):
     before = _segments()
+    real = views_module._unique_rows
+    calls = []
 
-    def dying_worker(np_mod, chunk, in_list):
-        raise RuntimeError("worker killed mid-map")
+    def dying_dedup(np, cand):
+        calls.append(len(cand))
+        if len(calls) == 3:
+            raise RuntimeError("killed mid-layer")
+        return real(np, cand)
 
-    monkeypatch.setattr(views_module, "_candidate_uniq_inv", dying_worker)
-    with pytest.raises(Exception):
-        parallel.map_layer_shards(_matrix(np), [(0, 1), (1, 2)], workers=2)
+    monkeypatch.setattr(views_module, "_unique_rows", dying_dedup)
+    with pytest.raises(RuntimeError, match="killed mid-layer"):
+        _build()
+    assert len(calls) == 3
+    assert _segments() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_second_segment_allocation_failure_releases_first():
+    # Every segment allocation fails; the kernel never asks for one, so
+    # the build completes and matches an unrestricted one.
+    before = _segments()
+    expected = _build()
+
+    def no_segments(*args, **kwargs):
+        raise OSError("no space for a segment (injected)")
+
+    with mock.patch.object(
+        multiprocessing.shared_memory, "SharedMemory", no_segments
+    ):
+        space = _build()
+    assert list(space.layer_store(5).levels.ids) == list(
+        expected.layer_store(5).levels.ids
+    )
+    assert len(space.interner) == len(expected.interner)
     assert _segments() == before
 
 
-def test_second_segment_allocation_failure_releases_first(
-    monkeypatch, fresh_pool
-):
-    np = views_module.numpy_module()
+def test_successful_map_leaves_no_segments():
     before = _segments()
-    real_shm = parallel._shm
-    created = []
-
-    class FailingSecondCreate:
-        def SharedMemory(self, *args, **kwargs):
-            if kwargs.get("create") and created:
-                raise OSError("no space for the output segment")
-            segment = real_shm.SharedMemory(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(segment)
-            return segment
-
-    monkeypatch.setattr(parallel, "_shm", FailingSecondCreate())
-    with pytest.raises(OSError):
-        parallel.map_layer_shards(_matrix(np), [(0, 1)], workers=2)
-    assert len(created) == 1, "the input segment must have been created"
-    assert _segments() == before, "the input segment leaked"
-
-
-def test_successful_map_leaves_no_segments(fresh_pool):
-    np = views_module.numpy_module()
-    before = _segments()
-    matrix = _matrix(np)
-    results = parallel.map_layer_shards(matrix, [(0, 1), (0, 2)], workers=2)
-    assert len(results) == 2
-    for uniq, inv in results:
-        assert inv.shape == (matrix.shape[0],)
-        assert uniq.ndim == 2
+    space = _build(6)
+    assert len(space.layer_store(6).levels) > 0
     assert _segments() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_availability_probe_leaves_no_segments():
     before = _segments()
-    parallel._SHM_OK = None
-    try:
-        assert parallel.shared_memory_available() in (True, False)
-    finally:
-        parallel._SHM_OK = None
+    assert numpy_available()
+    assert ViewInterner(2, layer_backend="numpy").layer_backend == "numpy"
     assert _segments() == before

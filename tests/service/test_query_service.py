@@ -238,6 +238,117 @@ def test_invalid_requests_answer_errors_not_disconnects(tmp_path):
     assert responses[-1]["pong"] is True  # connection survived every error
 
 
+async def pipelined(host, port, requests):
+    """Send every request in one write, then read until the last one's
+    terminal line; returns every terminal line read on the way."""
+    reader, writer = await asyncio.open_connection(host, port)
+    await reader.readline()  # hello
+    writer.write(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+    await writer.drain()
+    last = requests[-1]["id"]
+    responses = []
+    while True:
+        line = await reader.readline()
+        if not line:
+            break  # the server dropped the connection
+        response = json.loads(line.decode())
+        if "ok" in response:
+            responses.append(response)
+            if response["id"] == last:
+                break
+    writer.close()
+    await writer.wait_closed()
+    return responses
+
+
+def test_malformed_specs_answer_errors_not_disconnects(tmp_path):
+    bad_specs = {
+        "empty": {},
+        "family-list": {"family": ["oblivious"]},
+        "params-str": {"family": "oblivious", "params": "abc"},
+        "params-list": {"family": "oblivious", "params": [1, 2]},
+    }
+    requests = [
+        {"op": "query", "id": request_id, "spec": spec}
+        for request_id, spec in bad_specs.items()
+    ] + [{"op": "ping", "id": "ping"}]
+
+    async def scenario(service, host, port):
+        return await pipelined(host, port, requests)
+
+    responses = run(with_service(ResultStore(tmp_path), scenario))
+    assert [r["id"] for r in responses] == [*bad_specs, "ping"]
+    assert all(r["ok"] is False and r["error"] for r in responses[:-1])
+    assert responses[-1]["ok"] and responses[-1]["pong"] is True
+
+
+def test_status_refuses_malformed_job_keys(tmp_path):
+    # The store joins a job key into a file path, so only the cache-key
+    # digest form may reach it.
+    keys = {
+        "nul": "\x00" + "f" * 63,
+        "long": "f" * 4096,
+        "escape": "../" + "f" * 61,
+        "upper": "F" * 64,
+    }
+    requests = [
+        {"op": "status", "id": request_id, "job": key}
+        for request_id, key in keys.items()
+    ] + [{"op": "ping", "id": "ping"}]
+
+    async def scenario(service, host, port):
+        return await pipelined(host, port, requests)
+
+    store = ResultStore(tmp_path / "store")
+    responses = run(with_service(store, scenario))
+    assert [r["id"] for r in responses] == [*keys, "ping"]
+    for response in responses[:-1]:
+        assert response == {
+            "ok": False,
+            "id": response["id"],
+            "error": "status needs a job key",
+        }
+    assert responses[-1]["pong"] is True
+    assert store.hits == store.misses == 0  # the store was never asked
+
+
+def test_legacy_extension_workers_option_cannot_fork(tmp_path):
+    import multiprocessing
+
+    spec = {"family": "named", "params": {"name": "lossy-full"}}
+    options = {
+        "max_depth": 9,
+        "use_impossibility_provers": False,
+        "use_broadcaster_certificate": False,
+    }
+
+    async def scenario(service, host, port):
+        client = await _Client.connect(host, port)
+        legacy = await client.request(
+            {
+                "op": "query",
+                "id": "legacy",
+                "spec": spec,
+                "options": dict(options, extension_workers=24),
+                "wait": True,
+            }
+        )
+        children = multiprocessing.active_children()
+        plain = await client.request(
+            {"op": "query", "id": "plain", "spec": spec, "options": options}
+        )
+        await client.close()
+        return legacy, plain, children
+
+    legacy, plain, children = run(with_service(ResultStore(tmp_path), scenario))
+    assert children == []
+    assert legacy["ok"] and legacy["hot"] is False
+    assert plain["ok"] and plain["hot"] is True
+    assert legacy["job"] == plain["job"]
+    assert legacy["record"] == plain["record"]
+    assert legacy["record"]["status"] == "undecided"
+
+
 def test_legacy_memo_extensions_option_is_accepted_and_dropped(tmp_path):
     # Clients written against the removed extension-memo switch still send
     # it; every spelling decodes to the same options and the same key.

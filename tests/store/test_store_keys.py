@@ -98,10 +98,10 @@ def test_every_semantic_option_field_changes_the_key():
 
 def test_observability_options_do_not_change_the_key():
     base = cache_key(SPEC, OPTIONS)
+    legacy = dict(OPTIONS.to_dict(), extension_workers=4, plan_cache_size=7)
     for variant in (
         OPTIONS.replace(layer_backend="python"),
-        OPTIONS.replace(extension_workers=4),
-        OPTIONS.replace(plan_cache_size=7),
+        CheckOptions.from_dict(legacy),
     ):
         assert cache_key(SPEC, variant) == base
 

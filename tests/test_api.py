@@ -171,6 +171,26 @@ class TestAdversarySpecRoundTrip:
         with pytest.raises(AdversaryError, match="not JSON-serializable"):
             AdversarySpec("oblivious", {"n": 2, "graphs": [arrow("->")]})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            None,
+            ["oblivious"],
+            {},
+            {"params": {"n": 2}},
+            {"family": ["oblivious"]},
+            {"family": 7},
+            {"family": "oblivious", "params": "abc"},
+            {"family": "oblivious", "params": [1, 2]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_dicts_rejected(self, bad):
+        # Each of these used to escape as KeyError/TypeError/ValueError,
+        # which the query service does not answer.
+        with pytest.raises(AdversaryError):
+            AdversarySpec.from_dict(bad)
+
 
 class TestSpecDerivation:
     def test_oblivious_derives_and_rebuilds(self):
@@ -215,6 +235,25 @@ class TestCheckOptions:
         # the extension memo was removed still carry the key.
         data = dict(CheckOptions(max_depth=4).to_dict(), memo_extensions=legacy)
         assert CheckOptions.from_dict(data) == CheckOptions(max_depth=4)
+
+    def test_removed_knob_keys_are_dropped_under_the_same_key(self):
+        # Old manifests, fleet directories, and client requests carry the
+        # sharded-extension and plan-cache knobs; both load and key alike.
+        from repro.specs import AdversarySpec
+        from repro.store import cache_key
+
+        data = CheckOptions(max_depth=4).to_dict()
+        legacy = dict(data, extension_workers=4, plan_cache_size=7)
+        assert CheckOptions.from_dict(legacy) == CheckOptions.from_dict(data)
+        spec = AdversarySpec("named", {"name": "lossy-full"})
+        assert cache_key(spec, CheckOptions.from_dict(legacy)) == cache_key(
+            spec, CheckOptions.from_dict(data)
+        )
+
+    @pytest.mark.parametrize("bad", [None, [], "max_depth=3", 7])
+    def test_non_mapping_rejected(self, bad):
+        with pytest.raises(AnalysisError, match="mapping"):
+            CheckOptions.from_dict(bad)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(AnalysisError, match="unknown CheckOptions"):
@@ -262,7 +301,7 @@ class TestCheckOptions:
         assert options == CheckOptions(
             max_depth=0, max_nodes=1, use_impossibility_provers=False
         )
-        assert CheckOptions.from_dict({"plan_cache_size": 1}).plan_cache_size == 1
+        assert CheckOptions.from_dict({"plan_cache_size": 1}) == CheckOptions()
         assert CheckOptions.from_dict({"layer_backend": "python"}).layer_backend == (
             "python"
         )

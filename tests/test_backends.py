@@ -24,6 +24,10 @@ from repro.records import read_jsonl
 from repro.specs import AdversarySpec, random_rooted_specs
 
 
+#: The removed cap on extension workers inside pool and fleet workers.
+_WORKER_CAP_ENV = "REPRO_MAX_EXTENSION_WORKERS"
+
+
 def _fingerprint(records):
     return [
         (r.index, r.adversary, r.status, r.certificate, r.certified_depth, r.shard)
@@ -146,6 +150,19 @@ class TestManifestRoundTrip:
             path.write_text(json.dumps(payload))
             assert load_manifest(path)["options"] == CheckOptions(max_depth=3)
 
+    def test_manifest_with_removed_knobs_loads(self, tmp_path):
+        # Releases with the sharded extension and the plan-cache knob wrote
+        # both keys into the options of every manifest.
+        path = write_manifest(
+            jobs_for(_two_process_specs()[:1], max_depth=3),
+            tmp_path / "old.json",
+            options=CheckOptions(max_depth=3),
+        )
+        payload = json.loads(path.read_text())
+        payload["options"].update(extension_workers=1, plan_cache_size=None)
+        path.write_text(json.dumps(payload))
+        assert load_manifest(path)["options"] == CheckOptions(max_depth=3)
+
     def test_write_manifest_is_atomic(self, tmp_path, monkeypatch):
         import os
 
@@ -267,53 +284,70 @@ class TestCensusOnBackends:
 
 
 class TestExtensionWorkerClamp:
-    """Process-pool sweeps must not oversubscribe via extension workers."""
+    """Process-pool sweeps cannot oversubscribe via extension workers.
+
+    The ``extension_workers`` knob and the ``REPRO_MAX_EXTENSION_WORKERS``
+    cap that clamped it inside pool and fleet workers are removed: every
+    check is serial, so a pool's size is the sweep's whole process count.
+    Requests that still carry the knob load, fork nothing, and run the
+    same checks.
+    """
 
     def test_run_shard_sets_the_env_cap(self, monkeypatch):
-        from repro.backends import _run_shard
-        from repro.core.views import _WORKER_CAP_ENV
+        import multiprocessing
         import os
 
-        # Register the key with monkeypatch so the value _run_shard writes
-        # directly into os.environ is rolled back at teardown.
-        monkeypatch.setenv(_WORKER_CAP_ENV, "999")
+        from repro.backends import _run_shard
+
+        monkeypatch.delenv(_WORKER_CAP_ENV, raising=False)
         jobs = jobs_for(_two_process_specs()[:2], max_depth=3)
-        options = CheckOptions(extension_workers=4)
+        options = CheckOptions.from_dict({"max_depth": 3, "extension_workers": 4})
         records = _run_shard((0, jobs, options, False))
-        assert os.environ.get(_WORKER_CAP_ENV) == "1"
+        # No cap is needed, so the shard leaves the environment alone.
+        assert _WORKER_CAP_ENV not in os.environ
+        assert multiprocessing.active_children() == []
         assert len(records) == 2
 
     def test_env_cap_defeats_the_knob_at_dispatch_time(self, monkeypatch):
-        from repro.core.views import ViewInterner, _WORKER_CAP_ENV
+        import multiprocessing
 
-        interner = ViewInterner(2, extension_workers=8)
-        monkeypatch.setenv(_WORKER_CAP_ENV, "1")
-        assert interner._effective_workers(10**9) == 1
-        monkeypatch.delenv(_WORKER_CAP_ENV)
-        # Without the cap the knob is honored again (same interner).
-        if interner.layer_backend == "numpy":
-            assert interner._effective_workers(10**9) == 8
+        jobs = jobs_for(_two_process_specs()[:4], max_depth=4)
+        legacy = CheckOptions.from_dict({"max_depth": 4, "extension_workers": 8})
+        plain = SerialBackend(record_timing=False).run(jobs, CheckOptions(max_depth=4))
+        for cap in ("1", None):
+            if cap is None:
+                monkeypatch.delenv(_WORKER_CAP_ENV, raising=False)
+            else:
+                monkeypatch.setenv(_WORKER_CAP_ENV, cap)
+            records = SerialBackend(record_timing=False).run(jobs, legacy)
+            assert multiprocessing.active_children() == []
+            assert _fingerprint(records) == _fingerprint(plain)
 
     def test_process_backend_matches_serial_with_workers_requested(self):
         jobs = jobs_for(_two_process_specs(), max_depth=4)
-        options = CheckOptions(extension_workers=4)
-        serial = SerialBackend(record_timing=False).run(jobs, CheckOptions())
+        options = CheckOptions.from_dict({"max_depth": 4, "extension_workers": 4})
+        serial = SerialBackend(record_timing=False).run(jobs, CheckOptions(max_depth=4))
         pooled = ProcessBackend(2, record_timing=False).run(jobs, options)
         assert _no_shard(_fingerprint(serial)) == _no_shard(_fingerprint(pooled))
 
     def test_manifest_subprocess_env_carries_the_cap(self, monkeypatch):
-        """Concurrent fleet workers — the subprocesses that execute shard
-        manifests — run with extension workers clamped to 1."""
+        """Fleet workers, the subprocesses that execute shard manifests,
+        get the package on ``PYTHONPATH`` (they run ``-m repro.cli`` from
+        an uninstalled tree too) and no extension-worker cap."""
+        import os
         from pathlib import Path
 
         import repro
-        from repro.core.views import _WORKER_CAP_ENV
         from repro.fleet.runner import _worker_env
 
-        monkeypatch.delenv(_WORKER_CAP_ENV, raising=False)
-        assert _worker_env(2)[_WORKER_CAP_ENV] == "1"
-        single = _worker_env(1)
-        assert _WORKER_CAP_ENV not in single
-        # Workers run `-m repro.cli` from an uninstalled tree too.
         package_root = str(Path(repro.__file__).resolve().parents[1])
-        assert single["PYTHONPATH"].split(":")[0] == package_root
+        monkeypatch.delenv(_WORKER_CAP_ENV, raising=False)
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        single = _worker_env()
+        assert _WORKER_CAP_ENV not in single
+        assert single["PYTHONPATH"] == package_root
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        assert _worker_env()["PYTHONPATH"].split(os.pathsep) == [
+            package_root,
+            "elsewhere",
+        ]

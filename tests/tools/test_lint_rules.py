@@ -110,7 +110,8 @@ def leak():
     return shm.name
 """
 
-# The exact pre-fix shape of map_layer_shards: the second creation sits
+# The exact pre-fix shape of a real leak the rule caught (the map phase of
+# a since-deleted sharded layer extension): the second creation sits
 # before the first segment's protecting try, and one finally suite chains
 # both cleanups so the first close() raising skips the second segment.
 R2_BAD_ORDERING = """\
@@ -168,7 +169,7 @@ def test_r2_flags_segment_without_cleanup():
 
 def test_r2_flags_the_prefix_ordering_leak():
     found = findings(R2_BAD_ORDERING, select={"R2"})
-    assert found, "the pre-fix map_layer_shards shape must be flagged"
+    assert found, "the pre-fix ordering leak must be flagged"
     messages = " ".join(f.message for f in found)
     assert "leak" in messages or "skipped" in messages
 
@@ -416,6 +417,50 @@ def test_r7_flags_numpy_kernel_without_counterpart():
 def test_r7_accepts_python_and_bare_stem_counterparts():
     assert findings(R7_GOOD, select={"R7"}) == []
     assert findings(R7_GOOD_BARE_STEM, select={"R7"}) == []
+
+
+def _defined_functions(module):
+    """Names of every function and method defined in a ``repro`` module,
+    or ``None`` when the module has no source file under ``src``."""
+    import ast
+    from pathlib import Path
+
+    base = Path(__file__).resolve().parents[2] / "src" / Path(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            return {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+    return None
+
+
+def test_r6_and_r7_designations_name_real_functions():
+    # R6 and R7 silently skip a designation whose module or function does
+    # not exist, so a renamed or deleted kernel would leave a dead entry
+    # that nothing reports.
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("source tree not available")
+    pytest.importorskip("tomllib")
+    config = LintConfig.from_pyproject(pyproject)
+    rules = {rule.id: rule for rule in iter_rules()}
+    designations = []
+    for rule_id, option in (("R6", "hot_functions"), ("R7", "exempt")):
+        designations += rules[rule_id].defaults[option]
+        designations += config.rule_options(rule_id).get(option, [])
+    assert designations
+    dead = []
+    for designation in designations:
+        module, _, function = designation.partition("::")
+        defined = _defined_functions(module)
+        if defined is None or (function != "*" and function not in defined):
+            dead.append(designation)
+    assert dead == []
 
 
 def test_r7_exempt_list():
