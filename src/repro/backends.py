@@ -58,6 +58,12 @@ __all__ = [
 #: Schema tag of shard manifest files (defined in :mod:`repro.schemas`).
 MANIFEST_SCHEMA = SWEEP_MANIFEST
 
+#: View count past which a shard stops sharing its interner for a process
+#: count: the next job of that count starts a fresh one, so a long shard
+#: holds at most this many views plus one job's.  A census shard (about
+#: 500 random rooted n=4 jobs at depth 6) interns 136k-291k views.
+_SHARD_VIEW_BUDGET = 1_000_000
+
 
 class SweepJob:
     """One unit of sweep work: classify an adversary up to ``max_depth``.
@@ -222,15 +228,17 @@ def iter_job_records(
 ) -> Iterator[RunRecord]:
     """Run one shard's jobs inline, yielding each record as it finishes.
 
-    Interners are shared per process count across the shard's jobs, as
-    always.  The streaming shape is what the fleet worker consumes — it
-    appends each record to its shard output (and checks its lease)
-    between checks, so a killed worker leaves a readable record prefix
-    rather than nothing.  With ``record_timing=False`` the two
-    run-dependent observability fields (``elapsed_s`` and
-    ``views_interned`` — the latter depends on how jobs were sharded
-    across interners) are zeroed, so equal-spec runs are byte-identical
-    across backends and shard counts.
+    Interners are shared per process count across the shard's jobs until
+    one holds :data:`_SHARD_VIEW_BUDGET` views; the next job of that
+    count then starts a fresh interner, which bounds the shard's memory
+    without changing any verdict.  The streaming shape is what the fleet
+    worker consumes — it appends each record to its shard output (and
+    checks its lease) between checks, so a killed worker leaves a
+    readable record prefix rather than nothing.  With
+    ``record_timing=False`` the two run-dependent observability fields
+    (``elapsed_s`` and ``views_interned`` — the latter depends on how
+    jobs were sharded across interners) are zeroed, so equal-spec runs
+    are byte-identical across backends and shard counts.
     """
     from repro.consensus.solvability import check_consensus_with_options
 
@@ -239,7 +247,7 @@ def iter_job_records(
     for job in jobs:
         adversary = job.adversary
         interner = interners.get(adversary.n)
-        if interner is None:
+        if interner is None or len(interner) >= _SHARD_VIEW_BUDGET:
             interner = interners[adversary.n] = ViewInterner(
                 adversary.n, layer_backend=base.layer_backend
             )

@@ -21,15 +21,16 @@ comparisons.
 Array-backed view tables
 ------------------------
 The interner is columnar: per view id, parallel ``array`` columns hold the
-owner (``_pid``), the depth (``_depth``), the origin bitmask
-(``_origin_mask``), and a *row id* (``_row``) that indexes one of two side
-tables — the leaf payload list for time-0 views, or the interned *child-row
-arena* for later views.  Child rows (sorted view-id sets) live flat in the
-arena (``_row_data`` + ``_row_starts`` offsets): no per-row Python tuple is
-ever stored.  Row interning goes through a packed-key open-addressing table
-(``_row_slots``): a 64-bit mix of the child ids is the probe key, collisions
-resolve by comparing against the arena, and the per-row hash is kept
-(``_row_hashes``) so table growth rehashes without touching row contents.
+owner (``_pid``, int8 up to 128 processes), the depth (``_depth``, int32),
+the origin bitmask (``_origin_mask``), and a *row id* (``_row``) that
+indexes one of two side tables — the leaf payload list for time-0 views,
+or the interned *child-row arena* for later views.  Child rows (sorted
+view-id sets) live flat in the arena (``_row_data`` + ``_row_starts``
+offsets): no per-row Python tuple is ever stored.  Row interning goes
+through a packed-key open-addressing table (``_row_slots``): a 64-bit mix
+of the child ids is the probe key, collisions resolve by comparing against
+the arena, and the per-row hash is kept (``_row_hashes``) so table growth
+rehashes without touching row contents.
 Because row ids are allocated consecutively, the node lookup key
 ``row_id * n + p`` stays dense and the node "table" remains a flat slot
 array indexed directly.
@@ -132,6 +133,11 @@ _NUMPY_MIN_CELLS = 192
 #: per-parent loop (batch bookkeeping dominates microscopic layers).
 _BATCH_MIN_CELLS = 48
 
+#: Rows the vectorized row-table rehash places per chunk.  Its index and
+#: row-id temporaries are sized by the chunk, not by every row, so growing
+#: a million-row table allocates a few MB instead of a few dozen.
+_REHASH_CHUNK = 1 << 16
+
 #: Multiplier/seed of the fallback 64-bit row mix (FNV offset basis
 #: seeded, golden-ratio multiplier).  The same fold runs scalar in Python
 #: and vectorized in numpy, so both kernels probe identical slots.
@@ -166,19 +172,36 @@ def numpy_module():
     return _np
 
 
-def int64_column(column):
-    """A flat column as a 1-D int64 numpy array (zero-copy where possible).
+def _code_typecode(palette_size: int) -> str:
+    """The narrowest ``array`` typecode (also a numpy dtype) for codes.
 
-    ndarray passes through, ``array('q')`` becomes a buffer view, anything
-    else copies.  The single normalizer behind :meth:`LayerTable.array`
-    and the layer stores' parent/input column accessors.
+    Codes ``0 .. palette_size - 1`` fit int8 up to 128 entries and int16
+    up to 32768; larger palettes take int64.  Shared by the interner's
+    owner column and the prefix space's coded and input-index columns.
+    """
+    if palette_size <= 1 << 7:
+        return "b"
+    if palette_size <= 1 << 15:
+        return "h"
+    return "q"
+
+
+def int64_column(column):
+    """A flat integer column as a 1-D numpy array (zero-copy where possible).
+
+    ndarray passes through and an ``array`` becomes a buffer view at its
+    own width — int64 for view-id columns, narrower for the layer stores'
+    parent (int32) and input-index (palette-width) columns; anything else
+    copies into int64.  The single normalizer behind
+    :meth:`LayerTable.array` and the layer stores' parent/input column
+    accessors.
     """
     if _np is None:
         raise AnalysisError("int64_column() requires numpy")
     if isinstance(column, _np.ndarray):
         return column
     if isinstance(column, array):
-        return _np.frombuffer(column, dtype=_np.int64)
+        return _np.frombuffer(column, dtype=column.typecode)
     return _np.array(column, dtype=_np.int64)
 
 
@@ -488,15 +511,17 @@ class ViewInterner:
             )
         self.layer_backend = layer_backend
         self.n = n
-        # Parallel per-view columns.  Owners and depths are plain lists of
-        # (interpreter-shared) small ints — same 8 bytes per slot as an
-        # array, faster appends; row ids grow unbounded, so that column is
-        # a machine-integer array, as are the origin masks while they fit.
-        self._pid: list[int] = []
-        self._depth: list[int] = []
+        # Parallel per-view columns, each at the width its values need:
+        # owners at the code width for n (int8 up to 128 processes), depths
+        # int32, row ids int64 (they grow unbounded), origin masks int64
+        # while they fit.  Origin *values* are sparse: only leaves, node()
+        # views and forced views hold an entry; the extension kernels defer
+        # them (see :meth:`origins`).
+        self._pid: array[int] = array(_code_typecode(n))
+        self._depth = array("i")
         self._row = array("q")
         self._origin_mask = array("q") if n <= _MASK_ARRAY_MAX_N else []
-        self._origin_values: list = []
+        self._origin_values: dict[int, tuple] = {}
         # Leaf side table: (p, value) -> vid, plus payload storage.
         self._leaf_table: dict = {}
         self._leaf_values: list = []
@@ -581,10 +606,13 @@ class ViewInterner:
     def _row_rehash(self, size: int | None = None) -> None:
         """Grow the probe table (4x by default) and re-place every row.
 
-        Placement goes by the stored per-row hash — row contents are never
-        re-read.  With numpy available and enough rows, placement runs as
-        iterated last-write-wins scatter with collision retry instead of a
-        per-row Python loop.
+        Placement goes by the stored per-row hash — row contents (and the
+        old table) are never re-read.  With numpy available and enough
+        rows, placement runs in fixed chunks of :data:`_REHASH_CHUNK` rows,
+        so its temporaries are sized by the chunk: each chunk first steps
+        its probe cursors past the slots earlier chunks hold, then resolves
+        its own collisions by iterated last-write-wins scatter.  Without
+        numpy, or below 4096 rows, placement is a per-row Python loop.
         """
         if size is None:
             size = len(self._row_slots) * 4
@@ -595,23 +623,23 @@ class ViewInterner:
             np = _np
             slots_np = np.frombuffer(slots, dtype=np.int64)
             hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint64)
-            idx = (hashes_np & np.uint64(mask)).astype(np.int64)
-            pending = np.arange(nrows, dtype=np.int64)
-            while len(pending):
-                pi = idx[pending]
-                slots_np[pi] = pending
-                lost = slots_np[pi] != pending
-                pending = pending[lost]
-                if not len(pending):
-                    break
-                nxt = (idx[pending] + 1) & mask
-                while True:
-                    occupied = slots_np[nxt] >= 0
-                    if not occupied.any():
-                        break
-                    nxt[occupied] = (nxt[occupied] + 1) & mask
-                idx[pending] = nxt
-            del slots_np
+            umask = np.uint64(mask)
+            for lo in range(0, nrows, _REHASH_CHUNK):
+                hi = min(lo + _REHASH_CHUNK, nrows)
+                idx = (hashes_np[lo:hi] & umask).astype(np.int64)
+                rids = np.arange(lo, hi, dtype=np.int64)
+                while len(rids):
+                    # Step past held slots (earlier chunks' rows, earlier
+                    # winners) first, so no scatter lands on a placed row.
+                    held = np.flatnonzero(slots_np[idx] >= 0)
+                    while len(held):
+                        idx[held] = (idx[held] + 1) & mask
+                        held = held[slots_np[idx[held]] >= 0]
+                    slots_np[idx] = rids
+                    lost = slots_np[idx] != rids
+                    idx = idx[lost]
+                    rids = rids[lost]
+            del slots_np, hashes_np
         else:
             hashes = self._row_hashes
             for rid in range(nrows):
@@ -747,7 +775,7 @@ class ViewInterner:
             self._row.append(len(self._leaf_values))
             self._leaf_values.append(value)
             self._origin_mask.append(1 << p)
-            self._origin_values.append(((p, value),))
+            self._origin_values[vid] = ((p, value),)
             self._leaf_count += 1
         return vid
 
@@ -791,8 +819,8 @@ class ViewInterner:
         self._depth.append(depths.pop() + 1)
         self._row.append(rid)
         self._origin_mask.append(mask)
-        self._origin_values.append(
-            tuple(sorted(values.items(), key=lambda kv: kv[0]))
+        self._origin_values[vid] = tuple(
+            sorted(values.items(), key=lambda kv: kv[0])
         )
         return vid
 
@@ -818,7 +846,7 @@ class ViewInterner:
                 self._row.append(len(leaf_values))
                 leaf_values.append(value)
                 self._origin_mask.append(1 << p)
-                self._origin_values.append(((p, value),))
+                self._origin_values[vid] = ((p, value),)
                 self._leaf_count += 1
             level.append(vid)
         return tuple(level)
@@ -925,7 +953,6 @@ class ViewInterner:
         row_col_append = self._row.append
         masks = self._origin_mask
         masks_append = masks.append
-        values_append = self._origin_values.append
         row_find = self._row_find
         row_add = self._row_add
         depth = self._depth[level[0]] + 1
@@ -965,7 +992,6 @@ class ViewInterner:
                 depths_append(depth)
                 row_col_append(rid)
                 masks_append(mask)
-                values_append(None)
             else:
                 slot_index = rid * n + p
                 vid = node_slots[slot_index]
@@ -979,7 +1005,6 @@ class ViewInterner:
                     depths_append(depth)
                     row_col_append(rid)
                     masks_append(mask)
-                    values_append(None)
             vids_append(vid)
         return [tuple([vids[i] for i in layout]) for layout in layouts]
 
@@ -1098,7 +1123,6 @@ class ViewInterner:
         pids = self._pid
         depth_col = self._depth
         row_col = self._row
-        values = self._origin_values
         vid_arrs: list = [None] * len(patterns)
         for si, in_list in enumerate(inlists):
             k = len(in_list)
@@ -1200,7 +1224,6 @@ class ViewInterner:
                         depth_col.append(depth)
                         row_col.append(rid)
                         masks.append(row_masks[rid])
-                        values.append(None)
                     vid_u_append(vid)
                 vid_arrs[pi] = array("q", [vid_u[u] for u in inv])
         # Interleave the per-pattern columns into one flat column per
@@ -1277,15 +1300,14 @@ class ViewInterner:
                         base, base + count_missing, dtype=np.int64
                     )
                     missing_rids = urid_arr[missing]
-                    pids.extend([p] * count_missing)
-                    depth_col.extend([depth] * count_missing)
+                    pids.extend(array(pids.typecode, [p]) * count_missing)
+                    depth_col.extend(array("i", [depth]) * count_missing)
                     self._row.frombytes(missing_rids.tobytes())
                     row_mask_view = np.frombuffer(row_masks, dtype=np.int64)
                     self._origin_mask.frombytes(
                         row_mask_view[missing_rids].tobytes()
                     )
                     del row_mask_view
-                    self._origin_values.extend([None] * count_missing)
                     slot_view = np.frombuffer(node_slots, dtype=np.int64)
                     slot_view[cand_slots[missing]] = new_vids
                     del slot_view
@@ -1344,7 +1366,7 @@ class ViewInterner:
 
     def origins(self, vid: int) -> tuple:
         """Sorted tuple of ``(q, x_q)`` pairs visible in the causal past."""
-        cached = self._origin_values[vid]
+        cached = self._origin_values.get(vid)
         if cached is None:
             cached = self._force_origins(vid)
         return cached
@@ -1366,7 +1388,8 @@ class ViewInterner:
         pending: list[int] = []
         while stack:
             current = stack.pop()
-            if values[current] is None:
+            known = values.get(current)
+            if known is None:
                 pending.append(current)
                 rid = row_col[current]
                 for child in row_data[row_starts[rid] : row_starts[rid + 1]]:
@@ -1374,7 +1397,7 @@ class ViewInterner:
                         seen.add(child)
                         stack.append(child)
             else:
-                merged.update(values[current])
+                merged.update(known)
         # Fill in post-order so deeper views are cached too.
         for current in reversed(pending):
             mask = self._origin_mask[current]
@@ -1415,12 +1438,12 @@ class ViewInterner:
             + getsizeof(self._row_slots)
             + getsizeof(self._row_masks)
         )
-        # The forced origin-value tuples; child ids live flat in the arena
-        # (already counted above) and shared small ints are not charged.
+        # The origin-value tuples held (leaves, node() views, forced
+        # views); child ids live flat in the arena (already counted above)
+        # and shared small ints are not charged.
         tuple_header = getsizeof(())
-        for entry in self._origin_values:
-            if entry is not None:
-                approx += tuple_header + len(entry) * (tuple_header + 16)
+        for entry in self._origin_values.values():
+            approx += tuple_header + len(entry) * (tuple_header + 16)
         # The per-alphabet extension plans: graphs-tuple keys plus the
         # pattern/layout/in-list structures (an LRU capped at
         # DEFAULT_PLAN_CACHE_SIZE; the stats report the live entries).

@@ -19,10 +19,11 @@ Storage layout
 Layers are stored *columnar* (:class:`LayerStore`) and stay arrays end to
 end: the view levels of a layer are one flat
 :class:`~repro.core.views.LayerTable` column (``count * n`` interned view
-ids), parent and input indices are machine-integer columns, and the
-round-graph/state columns are coded — a small palette plus one int code
-per prefix, implicit (a constant-width tile) on single-alphabet layers —
-so they never hold per-child Python references.  This is the
+ids), parent indices are int32 columns, input indices are as narrow as
+the input palette allows, and the round-graph/state columns are coded —
+a small palette plus one int code per prefix, implicit (a constant-width
+tile) on single-alphabet layers — so they never hold per-child Python
+references.  This is the
 representation the hot analyses (components, decision tables,
 ε-approximations) consume directly — the whole-layer extension kernel
 produces it, the component analysis unions over it, and the decision-table
@@ -73,6 +74,7 @@ from repro.core.ptg import PTGPrefix
 from repro.core.views import (
     LayerTable,
     ViewInterner,
+    _code_typecode,
     int64_column,
     numpy_module,
     plain_ids,
@@ -199,13 +201,13 @@ class _CodedColumn(Sequence):
         return f"_CodedColumn({self.items!r}, {len(self)} codes)"
 
 
-def _code_typecode(palette_size: int) -> str:
-    """The narrowest ``array`` typecode (also a numpy dtype) for the codes."""
-    if palette_size <= 1 << 7:
-        return "b"
-    if palette_size <= 1 << 15:
-        return "h"
-    return "q"
+def _parent_typecode(count: int) -> str:
+    """The ``array`` typecode (also a numpy dtype) of a parents column.
+
+    ``count`` is the size of the parent layer: int32 holds every index
+    below 2**31, wider layers take int64.
+    """
+    return "i" if count <= 1 << 31 else "q"
 
 
 class LayerStore:
@@ -219,10 +221,13 @@ class LayerStore:
         prefix ``i`` on demand.
     parents:
         Per prefix, the index of its depth ``t - 1`` truncation (``-1`` on
-        the root layer); an ``array('q')`` or int64 numpy column.
+        the root layer); an int32 ``array('i')`` or numpy column (int64
+        only past 2**31 parents, see :func:`_parent_typecode`).
     input_idx:
-        Per prefix, the index into ``space.input_vectors`` (same column
-        kinds as ``parents``).
+        Per prefix, the index into ``space.input_vectors``, an ``array``
+        or numpy column at the palette width of the input vectors
+        (:func:`~repro.core.views._code_typecode`: int8 up to 128
+        assignments, int16 up to 32768).
     graphs:
         Per prefix, the communication graph of the last round (``None`` on
         the root layer); a coded column (palette plus int codes, a tile on
@@ -266,11 +271,11 @@ class LayerStore:
         self.nodes = None
 
     def parent_array(self):
-        """The parents column as an int64 numpy array (vectorized paths)."""
+        """The parents column as a numpy array at its own (int32) width."""
         return int64_column(self.parents)
 
     def input_array(self):
-        """The input-index column as an int64 numpy array."""
+        """The input-index column as a numpy array at its own width."""
         return int64_column(self.input_idx)
 
 
@@ -379,6 +384,8 @@ class PrefixSpace:
         if len(set(vectors)) != len(vectors):
             raise AnalysisError("duplicate input assignments")
         self.input_vectors = vectors
+        #: Typecode of every layer's input-index column.
+        self._input_typecode = _code_typecode(len(vectors))
         #: Unanimity value per input index (None for mixed assignments),
         #: precomputed so per-node valence queries are a tuple lookup.
         self.unanimity_by_index = tuple(unanimity_value(vec) for vec in vectors)
@@ -398,8 +405,8 @@ class PrefixSpace:
         self._stores: list[LayerStore] = [
             LayerStore(
                 levels=LayerTable(adversary.n, flat),
-                parents=array("q", [-1]) * count,
-                input_idx=array("q", range(count)),
+                parents=array(_parent_typecode(0), [-1]) * count,
+                input_idx=array(self._input_typecode, range(count)),
                 graphs=_CodedColumn([None], repeats=count),
                 states=_CodedColumn([initial_states], repeats=count),
             )
@@ -476,17 +483,19 @@ class PrefixSpace:
         width = len(exts)
         tables = self.interner.extend_layer_table(cur_table, alphabet)
         child_table = _interleave_tables(n, count, tables)
+        parent_code = _parent_typecode(count)
+        input_code = self._input_typecode
         np = numpy_module()
         if np is not None and isinstance(child_table.ids, np.ndarray):
-            parents = np.repeat(np.arange(count, dtype=np.int64), width)
+            parents = np.repeat(np.arange(count, dtype=parent_code), width)
             input_idx = np.repeat(current.input_array(), width)
         else:
-            parents = array("q", bytes(8 * count * width))
-            input_idx = array("q", bytes(8 * count * width))
-            base = array("q", range(count))
+            parents = array(parent_code, [0]) * (count * width)
+            input_idx = array(input_code, [0]) * (count * width)
+            base = array(parent_code, range(count))
             cur_inputs = current.input_idx
             if not isinstance(cur_inputs, array):
-                cur_inputs = array("q", cur_inputs)
+                cur_inputs = array(input_code, plain_ids(cur_inputs))
             for j in range(width):
                 parents[j::width] = base
                 input_idx[j::width] = cur_inputs
@@ -557,7 +566,7 @@ class PrefixSpace:
     def _merge_groups_numpy(
         self, np, cur_table: LayerTable, current: LayerStore, plan: list, typecodes
     ) -> tuple:
-        """Scatter each group's kernel columns into int64 child columns.
+        """Scatter each group's kernel columns into preallocated child columns.
 
         ``plan`` holds ``(alphabet, members, graph codes, state codes)``
         per group; returns the flat levels, parents, input-index, and
@@ -582,8 +591,8 @@ class PrefixSpace:
         total = int(offsets[-1] + widths[-1])
         del widths
         levels = np.empty((total, n), dtype=np.int64)
-        parents = np.empty(total, dtype=np.int64)
-        input_idx = np.empty(total, dtype=np.int64)
+        parents = np.empty(total, dtype=_parent_typecode(count))
+        input_idx = np.empty(total, dtype=self._input_typecode)
         graphs = np.empty(total, dtype=np.dtype(typecodes[0]))
         states = np.empty(total, dtype=np.dtype(typecodes[1]))
         cur_inputs = current.input_array()
@@ -637,9 +646,12 @@ class PrefixSpace:
                 levels[offsets[i] * n : offsets[i + 1] * n] = column[
                     mi * block : (mi + 1) * block
                 ]
-        parents = array("q", chain.from_iterable(map(repeat, range(count), widths)))
+        parents = array(
+            _parent_typecode(count),
+            chain.from_iterable(map(repeat, range(count), widths)),
+        )
         input_idx = array(
-            "q",
+            self._input_typecode,
             chain.from_iterable(map(repeat, plain_ids(current.input_idx), widths)),
         )
         graphs = array(typecodes[0], chain.from_iterable(graphs_of))

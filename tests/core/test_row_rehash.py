@@ -1,0 +1,82 @@
+"""The row table survives growth: every row stays findable after rehashes.
+
+``ViewInterner`` interns child rows through an open-addressing table
+(``_row_slots``) that grows by rehashing from the stored per-row hashes.
+With numpy and at least 4096 rows, placement runs in chunks of
+``_REHASH_CHUNK`` rows, each chunk stepping past the slots earlier chunks
+hold before it scatters.  A rehash that loses a row breaks no verdict
+directly — the row is simply interned again under a new id later — so
+these tests check the table itself: after several rehashes, with the
+chunk shrunk so that placement crosses many chunk boundaries, every row
+id sits in exactly one slot, a probe for each stored row finds that row,
+and re-extending an already-interned layer interns nothing new.
+"""
+
+import pytest
+
+import repro.core.views as views_module
+from repro.adversaries import lossy_link_full
+from repro.core.views import ViewInterner, numpy_available
+from repro.topology.prefixspace import PrefixSpace, _interleave_tables
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+#: A chunk small enough that every vectorized rehash below spans several.
+SMALL_CHUNK = 1000
+
+
+@pytest.fixture
+def rehashes(monkeypatch):
+    """Shrink the rehash chunk and log the row count of every rehash."""
+    monkeypatch.setattr(views_module, "_REHASH_CHUNK", SMALL_CHUNK)
+    log = []
+    rehash = ViewInterner._row_rehash
+
+    def logged(self, size=None):
+        log.append(len(self._row_hashes))
+        rehash(self, size)
+
+    monkeypatch.setattr(ViewInterner, "_row_rehash", logged)
+    return log
+
+
+def assert_row_table_intact(interner):
+    rows = interner.stats().rows
+    placed = sorted(rid for rid in interner._row_slots if rid >= 0)
+    assert placed == list(range(rows))
+    for rid in range(rows):
+        kids = interner._row_tuple(rid)
+        found, _ = interner._row_find(kids, interner._row_hashes[rid])
+        assert found == rid
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rows_survive_chunked_rehashes(backend, rehashes):
+    depth = 8
+    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space.ensure_depth(depth)
+    interner = space.interner
+    # Re-place everything once more into the tightest table the load bound
+    # allows, so probe runs are long and cross chunk boundaries.
+    rows = interner.stats().rows
+    size = 64
+    while (rows + 2) * 3 >= size * 2:
+        size *= 2
+    interner._row_rehash(size=size)
+    assert len(rehashes) >= 4
+    if numpy_available():
+        assert max(rehashes) >= max(4096, 4 * SMALL_CHUNK)
+    assert_row_table_intact(interner)
+
+    # The deepest layer again, from its parents: every row and view exists.
+    adversary = space.adversary
+    states = next(iter(space.layer_store(depth - 1).states.items))
+    alphabet = adversary.extension_alphabet(states)
+    parent = space.layer_store(depth - 1)
+    views, rows = len(interner), interner.stats().rows
+    tables = interner.extend_layer_table(parent.levels, alphabet)
+    assert len(interner) == views
+    assert interner.stats().rows == rows
+    again = _interleave_tables(adversary.n, len(parent), tables)
+    assert list(again.ids) == list(space.layer_store(depth).levels.ids)
+    assert_row_table_intact(interner)

@@ -52,24 +52,28 @@ pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="the numpy layer kernel requires numpy"
 )
 
-#: The interner columns that define its complete extension state.
-STATE_COLUMNS = (
-    "_pid",
-    "_depth",
-    "_row",
-    "_origin_mask",
-    "_row_data",
-    "_row_starts",
-    "_row_hashes",
-    "_row_masks",
-    "_node_slots",
-)
+#: The interner columns that define its complete extension state, with
+#: the bytes per element each is stored at: owners int8, depths int32,
+#: everything else 64-bit.
+STATE_COLUMNS = {
+    "_pid": 1,
+    "_depth": 4,
+    "_row": 8,
+    "_origin_mask": 8,
+    "_row_data": 8,
+    "_row_starts": 8,
+    "_row_hashes": 8,
+    "_row_masks": 8,
+    "_node_slots": 8,
+}
 
 #: The environment cap that bounded the removed extension workers.
 WORKER_CAP_ENV = "REPRO_MAX_EXTENSION_WORKERS"
 
 #: The kernel's own dedup, captured before any test patches it.
 SERIAL_UNIQUE_ROWS = views_module._unique_rows
+
+np = numpy_module()
 
 
 @pytest.fixture(autouse=True)
@@ -110,7 +114,17 @@ class ShardedDedup:
 
 
 def interner_state(interner):
-    return {name: list(getattr(interner, name)) for name in STATE_COLUMNS}
+    """Every state column by value, widths checked on the way.
+
+    Plain ints compare equal whatever width held them, so two states match
+    exactly when an int64 copy of every column would.
+    """
+    state = {}
+    for name, width in STATE_COLUMNS.items():
+        column = getattr(interner, name)
+        assert column.itemsize == width, name
+        state[name] = list(column)
+    return state
 
 
 def layer_ids(space, depth):
@@ -187,6 +201,20 @@ def test_sharded_frontier_retention():
     assert list(sharded.layer_store(6).levels.ids) == list(
         serial.layer_store(6).levels.ids
     )
+    # Condensed layers keep int32 parents and int8 input indices (n=2 has
+    # four assignments), equal by value to an int64 reference.
+    full = build_serial(lossy_link_full(), 6)
+    for t in range(7):
+        kept = sharded._stores[t]
+        assert kept.condensed == (t < 6)
+        reference = full.layer_store(t)
+        for name, width in (("parents", 4), ("input_idx", 1)):
+            column = getattr(kept, name)
+            assert column.itemsize == width, (t, name)
+            expected = np.asarray(getattr(reference, name), dtype=np.int64)
+            assert np.array_equal(np.asarray(column, dtype=np.int64), expected)
+        assert kept.parent_array().dtype == np.int32
+        assert kept.input_array().dtype == np.int8
 
 
 @settings(max_examples=8, deadline=None)
@@ -277,7 +305,6 @@ def test_decision_tables_identical_under_sharding(workers):
 
 
 def test_map_layer_shards_matches_serial_dedup():
-    np = numpy_module()
     rng = np.random.default_rng(7)
     # (rows, width, id bound): one-column keys, packed int64 keys, and
     # rows too wide to pack, which dedup through np.unique(axis=0).

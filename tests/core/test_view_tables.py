@@ -10,14 +10,17 @@ stats.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries import lossy_link_full
 from repro.core.digraph import Digraph
-from repro.core.views import ViewInterner
+from repro.core.views import ViewInterner, numpy_available, plain_ids
 from repro.errors import AnalysisError
+from repro.topology.prefixspace import PrefixSpace
 
 # --------------------------------------------------------------------- #
 # Reference implementation: the dict-keyed interner of PR 1, verbatim
@@ -232,6 +235,32 @@ def test_stats_report_table_geometry():
     assert grown.leaves == 2
     assert grown.rows == 2
     assert grown.approx_bytes > stats.approx_bytes
+
+
+#: Ceiling on ``approx_bytes / total`` for a lossy-full depth-9 space, per
+#: kernel backend (narrow owner/depth columns, sparse origin values).
+BYTES_PER_VIEW = {"numpy": 80, "python": 85}
+
+
+@pytest.mark.parametrize(
+    "backend", ["python"] + (["numpy"] if numpy_available() else [])
+)
+def test_views_cost_few_bytes_each(backend):
+    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space.ensure_depth(9)
+    interner = space.interner
+    stats = interner.stats()
+    assert stats.approx_bytes / stats.total < BYTES_PER_VIEW[backend]
+    # Kernel-created views hold no origin values until something asks;
+    # forced values are held, and the estimate counts them.
+    held = len(interner._origin_values)
+    assert held == stats.leaves
+    for vid in plain_ids(space.layer_store(9).levels.ids)[:64]:
+        interner.origins(vid)
+    forced = len(interner._origin_values) - held
+    assert forced > 64
+    grown = interner.stats().approx_bytes - stats.approx_bytes
+    assert grown >= forced * sys.getsizeof(())
 
 
 def test_rejected_node_leaves_no_phantom_row():

@@ -351,3 +351,59 @@ class TestExtensionWorkerClamp:
             package_root,
             "elsewhere",
         ]
+
+
+class TestBoundedShardInterners:
+    """A long shard recycles a process count's interner past the view budget."""
+
+    BUDGET = 300
+
+    @staticmethod
+    def _jobs():
+        specs = random_rooted_specs(5, 3, 24) + _two_process_specs()
+        return jobs_for(specs, max_depth=4)
+
+    def test_interners_stay_under_budget_plus_one_job(self, monkeypatch):
+        import repro.backends as backends
+        import repro.consensus.solvability as solvability
+
+        monkeypatch.setattr(backends, "_SHARD_VIEW_BUDGET", self.BUDGET)
+        check = solvability.check_consensus_with_options
+        calls = []
+
+        def spy(adversary, options, **kwargs):
+            interner = kwargs["interner"]
+            before = len(interner)
+            result = check(adversary, options, **kwargs)
+            calls.append((interner, before, len(interner)))
+            return result
+
+        monkeypatch.setattr(solvability, "check_consensus_with_options", spy)
+        records = list(iter_job_records(0, self._jobs(), record_timing=False))
+        assert len(calls) == len(records)
+        last_job_views = {}
+        for interner, before, after in calls:
+            assert before < self.BUDGET
+            last_job_views[id(interner)] = (interner, after - before)
+        for interner, views in last_job_views.values():
+            assert len(interner) < self.BUDGET + views
+        # The budget really recycled: some process count used several.
+        by_n: dict = {}
+        for interner, _ in last_job_views.values():
+            by_n[interner.n] = by_n.get(interner.n, 0) + 1
+        assert max(by_n.values()) > 1
+
+    def test_recycled_records_are_byte_identical(self, tmp_path, monkeypatch):
+        import repro.backends as backends
+        from repro.records import write_jsonl
+
+        jobs = self._jobs()
+        write_jsonl(
+            iter_job_records(0, jobs, record_timing=False), tmp_path / "shared.jsonl"
+        )
+        monkeypatch.setattr(backends, "_SHARD_VIEW_BUDGET", self.BUDGET)
+        write_jsonl(
+            iter_job_records(0, jobs, record_timing=False), tmp_path / "bounded.jsonl"
+        )
+        shared = (tmp_path / "shared.jsonl").read_bytes()
+        assert shared and (tmp_path / "bounded.jsonl").read_bytes() == shared

@@ -10,6 +10,12 @@ loop is kept below, verbatim in semantics, as the reference.  Both run
 the same kernel calls in the same group order, so the five columns of
 every layer — levels, parents, input indices, graphs, states — and the
 interner behind them must coincide exactly, on both kernel backends.
+
+The reference keeps every integer column at int64, while the space and
+its interner store narrow ones (owners int8, depths int32, parents int32,
+input indices at the width of the input palette), so the comparison is by
+value and the widths are pinned separately: a column that wrapped or
+widened fails one check or the other.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from repro.adversaries.stabilizing import (
     EventuallyForeverAdversary,
     StabilizingAdversary,
 )
-from repro.core.digraph import arrow
+from repro.adversaries.oblivious import ObliviousAdversary
+from repro.core.digraph import Digraph, arrow
 from repro.core.inputs import all_assignments, binary_domain
 from repro.core.views import LayerTable, ViewInterner, numpy_available, plain_ids
 from repro.specs import NAMED_ADVERSARIES
@@ -43,7 +50,11 @@ BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def reference_layers(adversary, depth: int, backend: str):
-    """Every layer's five columns as plain lists, built by the old loop."""
+    """Every layer's five columns, built by the old loop.
+
+    Levels, parents and input indices are int64 ``array('q')`` columns;
+    graphs and states are plain lists.
+    """
     n = adversary.n
     interner = ViewInterner(n, layer_backend=backend)
     vectors = all_assignments(n, binary_domain)
@@ -53,8 +64,8 @@ def reference_layers(adversary, depth: int, backend: str):
     initial = frozenset(adversary.initial_states() & adversary.live_states())
     layer = (
         flat,
-        [-1] * len(vectors),
-        list(range(len(vectors))),
+        array("q", [-1] * len(vectors)),
+        array("q", range(len(vectors))),
         [None] * len(vectors),
         [initial] * len(vectors),
     )
@@ -86,8 +97,8 @@ def reference_layers(adversary, depth: int, backend: str):
                 cols_of[i] = group_cols
                 pos_of[i] = mi
         flat = array("q")
-        parents: list = []
-        input_idx: list = []
+        parents = array("q")
+        input_idx = array("q")
         graphs: list = []
         states: list = []
         for i, exts in enumerate(exts_of):
@@ -105,19 +116,74 @@ def reference_layers(adversary, depth: int, backend: str):
     return layers, interner
 
 
+#: Bytes per element of the interner's owner and depth columns, and of a
+#: layer's parents column.
+PID_WIDTH, DEPTH_WIDTH, PARENT_WIDTH = 1, 4, 4
+
+#: The interner columns that define its extension state.
+INTERNER_COLUMNS = (
+    "_pid",
+    "_depth",
+    "_row",
+    "_origin_mask",
+    "_row_data",
+    "_row_starts",
+    "_row_hashes",
+    "_row_masks",
+    "_node_slots",
+)
+
+
+def input_width(space) -> int:
+    """Bytes per input index: int8 up to 128 assignments, int16 beyond."""
+    return 1 if len(space.input_vectors) <= 128 else 2
+
+
+def assert_column(column, reference, width: int, label) -> None:
+    """``column`` equals the int64 ``reference`` by value, at ``width`` bytes."""
+    assert column.itemsize == width, label
+    assert plain_ids(column) == list(reference), label
+
+
+def assert_interners_match(interner, reference) -> None:
+    assert interner._pid.itemsize == PID_WIDTH
+    assert interner._depth.itemsize == DEPTH_WIDTH
+    for name in INTERNER_COLUMNS:
+        assert list(getattr(interner, name)) == list(getattr(reference, name)), name
+
+
 def assert_layers_match(adversary, depth: int, backend: str) -> None:
     space = PrefixSpace(adversary, layer_backend=backend)
     space.ensure_depth(depth)
+    frontier = PrefixSpace(adversary, layer_backend=backend, retain="frontier")
+    frontier.ensure_depth(depth)
     layers, reference = reference_layers(adversary, depth, backend)
+    width = input_width(space)
     for t, (flat, parents, input_idx, graphs, states) in enumerate(layers):
         store = space.layer_store(t)
         assert plain_ids(store.levels.ids) == list(flat), t
-        assert plain_ids(store.parents) == parents, t
-        assert plain_ids(store.input_idx) == input_idx, t
+        assert_column(store.parents, parents, PARENT_WIDTH, t)
+        assert_column(store.input_idx, input_idx, width, t)
         assert list(store.graphs) == graphs, t
         assert list(store.states) == states, t
+        # Frontier retention condenses every layer but the deepest to the
+        # same parents and input indices, at the same widths.
+        kept = frontier._stores[t]
+        assert kept.condensed == (t < depth), t
+        assert_column(kept.parents, parents, PARENT_WIDTH, t)
+        assert_column(kept.input_idx, input_idx, width, t)
     assert len(space.interner) == len(reference)
     assert space.interner.stats().rows == reference.stats().rows
+    assert_interners_match(space.interner, reference)
+    assert_interners_match(frontier.interner, reference)
+    # Materialized nodes read plain ints off the narrow columns.
+    _, parents, input_idx, _, _ = layers[depth]
+    for index in sorted({0, len(parents) // 2, len(parents) - 1}):
+        node = space.node(depth, index)
+        assert type(node.parent) is int and node.parent == parents[index]
+        assert type(node.input_index) is int
+        assert node.input_index == input_idx[index]
+        assert node.inputs == space.input_vectors[input_idx[index]]
 
 
 NAMED_STATEFUL = ["eventually-to", "eventually-to-full-base", "stabilizing-w2"]
@@ -175,3 +241,25 @@ def test_grouped_layers_store_coded_columns(backend):
     for column in (store.graphs, store.states):
         assert len(column.codes) == len(store)
         assert column.codes.itemsize == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_eight_process_input_indices_are_int16(backend):
+    """n=8 has 256 binary assignments: input indices widen to int16."""
+    adversary = ObliviousAdversary(8, [Digraph.complete(8), Digraph(8, [])])
+    space = PrefixSpace(adversary, layer_backend=backend)
+    space.ensure_depth(2)
+    assert len(space.input_vectors) == 256
+    assert space.interner._pid.itemsize == PID_WIDTH
+    for t in range(3):
+        store = space.layer_store(t)
+        assert store.input_idx.itemsize == 2
+        assert store.parents.itemsize == PARENT_WIDTH
+        if t:
+            parent_inputs = plain_ids(space.layer_store(t - 1).input_idx)
+            expected = array("q", [parent_inputs[i] for i in plain_ids(store.parents)])
+            assert_column(store.input_idx, expected, 2, t)
+        else:
+            assert_column(store.input_idx, array("q", range(256)), 2, t)
+    node = space.node(2, 4 * 255 + 1)  # two graphs: four children per input
+    assert node.input_index == 255 and node.inputs == space.input_vectors[255]
