@@ -13,7 +13,10 @@ the depth-``t`` components are fixed, that rule becomes a pure lookup:
   this is exactly the paper's decision rule, evaluated eagerly.
 
 :class:`DecisionTable` materializes both maps and validates itself against
-the prefix space (agreement, validity, termination by round ``t``).
+the prefix space (agreement, validity, termination by round ``t``).  Both
+maps are :class:`DecisionMap` columns — a sorted int32 view-id column, one
+narrow value code per view and the value palette — on both backends, so a
+table costs about five bytes per decided view instead of a dict entry.
 
 Columnar construction
 ---------------------
@@ -23,25 +26,32 @@ per-prefix component-id column of the
 value-bit column, the final map reads the depth-``t``
 :class:`~repro.core.views.LayerTable` flat column, and the early map pushes
 value bitmaps bottom-up through the parent-index columns — per layer one
-``np.unique`` + ``reduceat`` fold on the numpy backend, one flat loop on
-pure Python.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
+sort + ``reduceat`` fold on the numpy backend, one flat loop on pure
+Python.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
 materialized except to format a validation error.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
+from itertools import islice
+
 from repro.consensus.spec import STRONG, ConsensusSpec
-from repro.core.views import numpy_module, plain_ids
+from repro.core.views import _code_typecode, numpy_module, plain_ids
 from repro.errors import AnalysisError, CertificateError
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
 
-__all__ = ["DecisionTable", "build_decision_table"]
+__all__ = ["DecisionMap", "DecisionTable", "build_decision_table"]
 
 
 #: Below this many (prefix, process) cells at the certification depth the
-#: per-layer unique/reduceat folds lose to the plain dict loops.
-_DECISION_NUMPY_MIN_CELLS = 2048
+#: per-layer sort/reduceat folds (and the gather in ``validate``) lose to
+#: the plain Python loops; both cross over between 128 and 256 cells on
+#: random rooted n=4 spaces.
+_DECISION_NUMPY_MIN_CELLS = 256
 
 #: The vectorized folds encode value sets as int64 bitmaps; instances with
 #: more distinct decision values than this fall back to the Python maps
@@ -60,8 +70,67 @@ def _use_numpy_maps(space, store, value_count: int) -> bool:
     )
 
 
+class DecisionMap(Mapping):
+    """A read-only view id -> decision value map held as three columns.
+
+    ``ids`` is the ascending ``array('i')`` of decided view ids, ``codes``
+    the value code of each (an ``array`` at the palette's code width: int8
+    up to 128 values) and ``palette`` the tuple of values, so view
+    ``ids[i]`` decides ``palette[codes[i]]``.  Lookups bisect the id
+    column; iteration runs in id order.  Both backends build this one
+    type, and :meth:`DecisionTable.validate` reads its columns directly.
+    """
+
+    __slots__ = ("ids", "codes", "palette")
+
+    def __init__(self, ids: array, codes: array, palette) -> None:
+        self.ids = ids
+        self.codes = codes
+        self.palette = tuple(palette)
+
+    @classmethod
+    def from_columns(cls, np, ids, codes, palette) -> "DecisionMap":
+        """The map of ascending id and code numpy columns."""
+        typecode = _code_typecode(len(palette))
+        return cls(
+            array("i", ids.astype(np.int32, copy=False).tobytes()),
+            array(typecode, codes.astype(np.dtype(typecode), copy=False).tobytes()),
+            palette,
+        )
+
+    def _index(self, view) -> int:
+        """Position of ``view`` in the id column, or -1 when absent."""
+        ids = self.ids
+        i = bisect_left(ids, view)
+        if i < len(ids) and ids[i] == view:
+            return i
+        return -1
+
+    def __getitem__(self, view):
+        i = self._index(view)
+        if i < 0:
+            raise KeyError(view)
+        return self.palette[self.codes[i]]
+
+    def get(self, view, default=None):
+        i = self._index(view)
+        return default if i < 0 else self.palette[self.codes[i]]
+
+    def __contains__(self, view) -> bool:
+        return self._index(view) >= 0
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __repr__(self) -> str:
+        return f"DecisionMap({len(self)} views, palette={self.palette!r})"
+
+
 class DecisionTable:
-    """View-to-value decision map certified at a given depth.
+    """View-to-value decision maps certified at a given depth.
 
     Attributes
     ----------
@@ -71,10 +140,12 @@ class DecisionTable:
     assignment:
         Component id -> decision value at depth ``t``.
     final:
-        View id (at depth ``t``) -> decision value.
+        View id (at depth ``t``) -> decision value, a read-only
+        :class:`DecisionMap`.
     early:
         View id (any depth ``<= t``) -> decision value, present only when
-        the value is already determined (the ε-ball rule).
+        the value is already determined (the ε-ball rule); a read-only
+        :class:`DecisionMap` over the same palette as ``final``.
     """
 
     __slots__ = ("space", "depth", "spec", "assignment", "final", "early")
@@ -85,8 +156,8 @@ class DecisionTable:
         depth: int,
         spec: ConsensusSpec,
         assignment: dict[int, object],
-        final: dict[int, object],
-        early: dict[int, object],
+        final: DecisionMap,
+        early: DecisionMap,
     ) -> None:
         self.space = space
         self.depth = depth
@@ -120,49 +191,87 @@ class DecisionTable:
 
         Raises :class:`CertificateError` on any violation; passing is an
         end-to-end check of the universal construction at this depth.
-        Runs columnar on the numpy backend (one gather over the layer's
-        flat view column) with the flat Python loop as the fallback; nodes
-        are only materialized to format a failure.
+        The early map's entries within the layer's view-id range first
+        scatter into a dense code column (one byte per id, -1 =
+        undecided); the checks then run columnar on the numpy backend
+        (one gather over the layer's flat view column) with the flat
+        Python loop as the fallback; nodes are only materialized to
+        format a failure.
         """
         space = self.space
         store = space.layer_store(self.depth)
         table = store.levels
+        early = self.early
+        final = self.final
         value_count = len(self.decided_values())
-        if _use_numpy_maps(space, store, value_count) and len(self.early) > 0:
-            self._validate_numpy(numpy_module(), store, table)
+        code_of = {value: i for i, value in enumerate(early.palette)}
+        # Final codes translated into the early palette (-2 never matches).
+        expected = [code_of.get(value, -2) for value in final.palette]
+        numpy_path = _use_numpy_maps(space, store, value_count) and len(early) > 0
+        if numpy_path:
+            np = numpy_module()
+            mat = table.array()
+            lo, hi = int(mat.min()), int(mat.max())
         else:
-            self._validate_python(store, table)
+            ids = plain_ids(table.ids)
+            lo, hi = min(ids), max(ids)
+        # Only the layer's views are looked up: scatter that slice of the
+        # sorted early column, not the whole map.
+        first = bisect_left(early.ids, lo)
+        last = bisect_right(early.ids, hi)
+        in_range = not len(final) or (lo <= final.ids[0] and final.ids[-1] <= hi)
+        typecode = early.codes.typecode
+        if numpy_path:
+            vid_codes = np.full(hi + 1, -1, dtype=typecode)
+            vid_codes[np.frombuffer(early.ids, dtype=np.int32)[first:last]] = (
+                np.frombuffer(early.codes, dtype=typecode)[first:last]
+            )
+            self._validate_numpy(np, store, mat, vid_codes, code_of)
+            mismatch = not in_range or bool(
+                (
+                    vid_codes[np.frombuffer(final.ids, dtype=np.int32)]
+                    != np.array(expected, dtype=np.int64)[
+                        np.frombuffer(final.codes, dtype=final.codes.typecode)
+                    ]
+                ).any()
+            )
+        else:
+            vid_codes = array(typecode, [-1]) * (hi + 1)
+            for vid, code in zip(early.ids[first:last], early.codes[first:last]):
+                vid_codes[vid] = code
+            self._validate_python(store, ids, table.n, vid_codes)
+            mismatch = not in_range or any(
+                vid_codes[vid] != expected[code]
+                for vid, code in zip(final.ids, final.codes)
+            )
         # Early decisions must be consistent with final ones.
-        for view, value in self.final.items():
-            if self.early.get(view) != value:
-                raise CertificateError("early/final decision mismatch")
+        if mismatch:
+            raise CertificateError("early/final decision mismatch")
 
-    def _validate_python(self, store, table) -> None:
+    def _validate_python(self, store, ids, n: int, vid_codes) -> None:
         space = self.space
         unanimity = space.unanimity_by_index
         input_vectors = space.input_vectors
         strong = self.spec.validity == "strong"
-        early_get = self.early.get
-        missing = object()
+        palette = self.early.palette
         input_idx = store.input_idx
-        n = table.n
-        ids = plain_ids(table.ids)
-        for index in range(len(table)):
+        for index in range(len(store)):
             base = index * n
-            value = early_get(ids[base], missing)
+            code = vid_codes[ids[base]]
             for p in range(n):
-                decided = early_get(ids[base + p], missing)
-                if decided is missing:
+                decided = vid_codes[ids[base + p]]
+                if decided < 0:
                     raise CertificateError(
                         f"termination violation: no decision for process {p} "
                         f"in {space.node(self.depth, index)!r}"
                     )
-                if decided != value:
+                if decided != code:
                     raise CertificateError(
                         f"agreement violation in "
                         f"{space.node(self.depth, index)!r}: "
-                        f"{{{value!r}, {decided!r}}}"
+                        f"{{{palette[code]!r}, {palette[decided]!r}}}"
                     )
+            value = palette[code]
             input_index = input_idx[index]
             unanimous = unanimity[input_index]
             if unanimous is not None and value != unanimous:
@@ -176,21 +285,9 @@ class DecisionTable:
                     f"{space.node(self.depth, index)!r}: decided {value!r}"
                 )
 
-    def _validate_numpy(self, np, store, table) -> None:
+    def _validate_numpy(self, np, store, mat, vid_codes, code_of) -> None:
         space = self.space
-        value_list = sorted(set(self.early.values()), key=repr)
-        code_of = {value: i for i, value in enumerate(value_list)}
-        # Dense view-id -> value-code column over the decided views.
-        interner_size = len(space.interner)
-        vid_codes = np.full(interner_size, -1, dtype=np.int64)
-        early_vids = np.fromiter(self.early.keys(), dtype=np.int64, count=len(self.early))
-        early_codes = np.fromiter(
-            (code_of[value] for value in self.early.values()),
-            dtype=np.int64,
-            count=len(self.early),
-        )
-        vid_codes[early_vids] = early_codes
-        mat = table.array()
+        value_list = self.early.palette
         codes = vid_codes[mat]
         undecided = codes < 0
         if undecided.any():
@@ -210,7 +307,9 @@ class DecisionTable:
                 f"{{{value_list[int(row[0])]!r}, "
                 f"{value_list[int(row[row != row[0]][0])]!r}}}"
             )
-        node_codes = first.reshape(-1)
+        # int64 before the shift below: numpy wraps narrow shifts silently.
+        node_codes = first.reshape(-1).astype(np.int64)
+        del codes, first
         # Validity: unanimity forces the value; strong validity requires
         # membership in the member's input assignment.
         unanimity = space.unanimity_by_index
@@ -453,30 +552,20 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
 
 def _decision_maps_python(
     space, depth, analysis, assignment, value_list, bit_of
-) -> tuple[dict, dict]:
+) -> tuple[DecisionMap, DecisionMap]:
     """Bottom-up decision maps over the flat layer columns (pure Python).
 
     The value set of a node is the union over its depth-``t`` descendants,
     pushed through the parent-index columns layer by layer, so the whole
-    map costs O(total views) instead of O(nodes * depth).
+    map costs O(total views) instead of O(nodes * depth).  A single-bit
+    value set's bit index is the view's code into ``value_list``.
     """
-    store = space.layer_store(depth)
-    table = store.levels
-    n = table.n
-    # Final map: every view occurring at the certification depth.
-    comp_values = [assignment[c.id] for c in analysis.components]
-    comp_bits = [bit_of[value] for value in comp_values]
+    n = space.layer_store(depth).levels.n
+    comp_bits = [bit_of[assignment[c.id]] for c in analysis.components]
     value_bits = [comp_bits[cid] for cid in analysis.comp_ids]
-    final: dict[int, object] = {}
-    ids = plain_ids(table.ids)
-    for index, bits in enumerate(value_bits):
-        value = value_list[bits.bit_length() - 1]
-        base = index * n
-        for vid in ids[base : base + n]:
-            final[vid] = value
-    # Early map, bottom-up through the parent columns.
     possible: dict[int, int] = {}
     possible_get = possible.get
+    final_count = 0
     for s in range(depth, -1, -1):
         level_store = space.layer_store(s)
         ids = plain_ids(level_store.levels.ids)
@@ -485,6 +574,10 @@ def _decision_maps_python(
             for vid in ids[base : base + n]:
                 possible[vid] = possible_get(vid, 0) | bits
             base += n
+        if s == depth:
+            # Views of different depths are distinct, so the keys so far
+            # are the depth-t views: single-valued, and the final map.
+            final_count = len(possible)
         if s:
             parents = level_store.parents
             parent_bits = [0] * len(space.layer_store(s - 1))
@@ -492,22 +585,34 @@ def _decision_maps_python(
                 parent_bits[parents[index]] |= bits
             value_bits = parent_bits
     early = {
-        view: value_list[bits.bit_length() - 1]
+        view: bits.bit_length() - 1
         for view, bits in possible.items()
         if bits and bits & (bits - 1) == 0
     }
-    return final, early
+    typecode = _code_typecode(len(value_list))
+    final_ids = sorted(islice(possible, final_count))
+    final_codes = [possible[view].bit_length() - 1 for view in final_ids]
+    early_ids = sorted(early)
+    return (
+        DecisionMap(array("i", final_ids), array(typecode, final_codes), value_list),
+        DecisionMap(
+            array("i", early_ids),
+            array(typecode, map(early.__getitem__, early_ids)),
+            value_list,
+        ),
+    )
 
 
 def _decision_maps_numpy(
     np, space, depth, analysis, assignment, value_list, bit_of
-) -> tuple[dict, dict]:
+) -> tuple[DecisionMap, DecisionMap]:
     """Vectorized decision maps: per layer one sort/``reduceat`` fold.
 
     Views of different depths have distinct ids, so the per-layer
     ``(unique view, OR of value bits)`` pairs concatenate into the early
-    map without cross-layer merging; the parent push is a segment OR over
-    the (already parent-major-sorted) parent column.
+    map without cross-layer merging (one final argsort orders the ids);
+    the parent push is a segment OR over the (already parent-major-sorted)
+    parent column.
     """
     store = space.layer_store(depth)
     comp_bits = np.array(
@@ -518,9 +623,9 @@ def _decision_maps_numpy(
         comp_ids = np.array(comp_ids, dtype=np.int64)
     value_bits = comp_bits[comp_ids]
     n = store.levels.n
-    final: dict[int, object] = {}
+    final = None
     all_vids: list = []
-    all_bits: list = []
+    all_codes: list = []
     for s in range(depth, -1, -1):
         level_store = space.layer_store(s)
         flat = level_store.levels.array().reshape(-1)
@@ -533,16 +638,21 @@ def _decision_maps_numpy(
         starts = np.flatnonzero(boundary)
         uniq_vids = sorted_vids[starts]
         uniq_bits = np.bitwise_or.reduceat(cell_bits[order], starts)
-        all_vids.append(uniq_vids)
-        all_bits.append(uniq_bits)
+        del cell_bits, order, sorted_vids, boundary, starts
+        # Single-bit AND nonzero: a view reachable only through dead-end
+        # prefixes (a state group with no admissible extensions)
+        # accumulates bits 0 and must stay undecided, exactly as on the
+        # Python path.
+        decided = (uniq_bits != 0) & ((uniq_bits & (uniq_bits - 1)) == 0)
+        decided_vids = uniq_vids[decided]
+        codes = _bit_codes(np, uniq_bits[decided])
         if s == depth:
             # The depth-t views are single-valued by construction; they
             # are exactly the final map.
-            final_codes = _bit_codes(np, uniq_bits)
-            final = {
-                vid: value_list[code]
-                for vid, code in zip(uniq_vids.tolist(), final_codes.tolist())
-            }
+            final = DecisionMap.from_columns(np, decided_vids, codes, value_list)
+        all_vids.append(decided_vids)
+        all_codes.append(codes)
+        del uniq_vids, uniq_bits, decided
         if s:
             parents = level_store.parent_array()
             prev_count = len(space.layer_store(s - 1))
@@ -556,24 +666,19 @@ def _decision_maps_numpy(
                 value_bits, seg_starts
             )
             value_bits = parent_bits
-    vids = np.concatenate(all_vids)
-    bits = np.concatenate(all_bits)
-    # Single-bit AND nonzero: a view reachable only through dead-end
-    # prefixes (a state group with no admissible extensions) accumulates
-    # bits 0 and must stay undecided, exactly as on the Python path.
-    decided = (bits != 0) & ((bits & (bits - 1)) == 0)
-    decided_vids = vids[decided]
-    decided_codes = _bit_codes(np, bits[decided])
-    early = {
-        vid: value_list[code]
-        for vid, code in zip(decided_vids.tolist(), decided_codes.tolist())
-    }
+    # Shallow layers first: a fresh interner numbers views depth by
+    # depth, so the sort below mostly merges ascending runs.
+    vids = np.concatenate(all_vids[::-1])
+    codes = np.concatenate(all_codes[::-1])
+    del all_vids, all_codes
+    order = np.argsort(vids, kind="stable")
+    early = DecisionMap.from_columns(np, vids[order], codes[order], value_list)
     return final, early
 
 
 def _bit_codes(np, bits):
-    """Index of the highest set bit per entry (entries are single-bit)."""
-    codes = np.zeros(len(bits), dtype=np.int64)
+    """Index of the highest set bit per entry, int8 (entries are single-bit)."""
+    codes = np.zeros(len(bits), dtype=np.int8)
     shifted = bits >> 1
     while shifted.any():
         nonzero = shifted > 0

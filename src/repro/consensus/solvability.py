@@ -477,6 +477,9 @@ def check_consensus_with_options(
             table = build_decision_table(analysis, spec)
             certified_depth = depth
             break
+        # Release this depth's component columns before the next depth's
+        # extension and labelling allocate theirs.
+        del analysis
 
     if table is not None:
         return SolvabilityResult(

@@ -22,18 +22,25 @@ Array-backed view tables
 ------------------------
 The interner is columnar: per view id, parallel ``array`` columns hold the
 owner (``_pid``, int8 up to 128 processes), the depth (``_depth``, int32),
-the origin bitmask (``_origin_mask``), and a *row id* (``_row``) that
+the origin bitmask (``_origin_mask``, the narrowest signed width holding
+``n`` bits: int8 up to 7 processes), and a *row id* (``_row``, int32) that
 indexes one of two side tables — the leaf payload list for time-0 views,
 or the interned *child-row arena* for later views.  Child rows (sorted
 view-id sets) live flat in the arena (``_row_data`` + ``_row_starts``
-offsets): no per-row Python tuple is ever stored.  Row interning goes
-through a packed-key open-addressing table (``_row_slots``): a 64-bit mix
-of the child ids is the probe key, collisions resolve by comparing against
-the arena, and the per-row hash is kept (``_row_hashes``) so table growth
-rehashes without touching row contents.
-Because row ids are allocated consecutively, the node lookup key
-``row_id * n + p`` stays dense and the node "table" remains a flat slot
-array indexed directly.
+offsets, both int32): no per-row Python tuple is ever stored.  Row
+interning goes through a packed-key open-addressing table (``_row_slots``,
+int32 row ids): a 64-bit mix of the child ids is the probe key, collisions
+resolve by comparing against the arena, and the per-row hash is kept
+(``_row_hashes``, 64-bit) so table growth rehashes without touching row
+contents.  Because row ids are allocated consecutively, the node lookup
+key ``row_id * n + p`` stays dense and the node "table" remains a flat
+int32 slot array indexed directly; the key itself is always computed in
+64-bit arithmetic.
+
+Every view id, row id and arena offset is stored in four bytes, with no
+wider fallback: an interner raises :class:`~repro.errors.CapacityError`
+before its views, rows or arena cells would number more than
+:data:`_ID_LIMIT` (``2**31 - 1``), leaving every column consistent.
 
 The interner also maintains, per view, the bitmask of processes whose
 *initial* node ``(q, 0, x_q)`` occurs in the causal past, together with the
@@ -56,8 +63,8 @@ distinct row a single time through the open-addressing row table, and
 allocates new views at unique-row granularity.  Two backends implement the
 batch:
 
-* ``"numpy"`` — the layer column becomes one int64 matrix; candidate rows
-  are gathered/sorted/uniqued as packed key columns (``np.unique``-based
+* ``"numpy"`` — the layer column becomes one int32 matrix; candidate rows
+  are gathered/sorted/uniqued as packed int64 key columns (``np.unique``-based
   bulk interning: row hashes for the open-addressing probe are computed
   vectorized over the distinct rows), and view slots resolve through
   vectorized gathers over the interner's buffer-backed columns.  Selected
@@ -86,7 +93,7 @@ from array import array
 from typing import Iterable, Sequence
 
 from repro.core.digraph import Digraph
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CapacityError
 
 try:  # Optional acceleration; REPRO_PURE_PYTHON=1 forces the fallback.
     if os.environ.get("REPRO_PURE_PYTHON"):
@@ -107,9 +114,17 @@ __all__ = [
     "numpy_module",
 ]
 
-#: Origin masks are stored in a signed-64-bit array column when they fit;
-#: interners on more processes fall back to a plain list column.
+#: Origin masks are stored in a signed machine-int array column when they
+#: fit (see :func:`_mask_typecode`); interners on more processes fall back
+#: to a plain list column.
 _MASK_ARRAY_MAX_N = 62
+
+#: The most views, rows or arena cells an interner holds.  Ids and arena
+#: offsets are stored as int32, so the interner raises
+#: :class:`~repro.errors.CapacityError` before it would write one past
+#: this (the largest space ever checked held about 0.26G views).  Read at
+#: call time, so tests can monkeypatch it.
+_ID_LIMIT = (1 << 31) - 1
 
 #: The layer-kernel backends an interner can run on.
 LAYER_BACKENDS = ("numpy", "python")
@@ -186,23 +201,33 @@ def _code_typecode(palette_size: int) -> str:
     return "q"
 
 
-def int64_column(column):
+def _mask_typecode(n: int) -> str | None:
+    """The narrowest signed ``array`` typecode holding ``n``-bit masks.
+
+    int8 up to 7 processes, int16 up to 15, int32 up to 31, int64 up to
+    :data:`_MASK_ARRAY_MAX_N`; ``None`` beyond (a plain list column).
+    """
+    if n > _MASK_ARRAY_MAX_N:
+        return None
+    return "b" if n < 8 else "h" if n < 16 else "i" if n < 32 else "q"
+
+
+def numpy_column(column):
     """A flat integer column as a 1-D numpy array (zero-copy where possible).
 
     ndarray passes through and an ``array`` becomes a buffer view at its
-    own width — int64 for view-id columns, narrower for the layer stores'
-    parent (int32) and input-index (palette-width) columns; anything else
-    copies into int64.  The single normalizer behind
-    :meth:`LayerTable.array` and the layer stores' parent/input column
-    accessors.
+    own width — int32 for view-id and parent columns, the palette width for
+    input indices; any other sequence copies into int32, the view-id
+    width.  The single normalizer behind :meth:`LayerTable.array` and the
+    layer stores' parent/input column accessors.
     """
     if _np is None:
-        raise AnalysisError("int64_column() requires numpy")
+        raise AnalysisError("numpy_column() requires numpy")
     if isinstance(column, _np.ndarray):
         return column
     if isinstance(column, array):
         return _np.frombuffer(column, dtype=column.typecode)
-    return _np.array(column, dtype=_np.int64)
+    return _np.array(column, dtype=_np.int32)
 
 
 def plain_ids(ids) -> list:
@@ -258,7 +283,7 @@ _row_hash = _builtin_row_hash if _TUPLE_HASH_OK else _fnv_row_hash
 
 
 def _bulk_row_hashes(np, uniq, k: int):
-    """Vectorized probe keys for a ``(count, k)`` int64 row matrix.
+    """Vectorized probe keys for a ``(count, k)`` row matrix of view ids.
 
     Bit-identical to :func:`_row_hash` on every row (the xxHash emulation
     when the builtin tuple hash is in play, the fold otherwise), so rows
@@ -285,14 +310,15 @@ def _bulk_row_hashes(np, uniq, k: int):
 
 
 def _unique_rows(np, cand):
-    """Distinct rows of a row-sorted int64 matrix, plus the inverse map.
+    """Distinct rows of a row-sorted id matrix, plus the inverse map.
 
     Rows dedup through a packed int64 key column when the ids fit one
-    word, and through ``np.unique(..., axis=0)`` otherwise.  Both paths
-    return the distinct rows in *lexicographic* order — an order that
-    depends only on the row set, never on the packing bit width.  The
-    numpy kernel interns distinct rows in this order, so it fixes the
-    view-id numbering of every layer.
+    word, and through ``np.unique(..., axis=0)`` otherwise.  Keys pack in
+    int64 whatever the matrix width: numpy wraps int32 shifts silently.
+    Both paths return the distinct rows in *lexicographic* order — an
+    order that depends only on the row set, never on the packing bit
+    width.  The numpy kernel interns distinct rows in this order, so it
+    fixes the view-id numbering of every layer.
     """
     k = cand.shape[1]
     if k == 1:
@@ -305,9 +331,10 @@ def _unique_rows(np, cand):
     if k * bits <= 63:
         # Pack each sorted row into one int64 key: unique on 1-D ints is
         # far cheaper than row-wise unique.
-        keys = cand[:, 0]
+        keys = cand[:, 0].astype(np.int64)
         for c in range(1, k):
-            keys = (keys << bits) | cand[:, c]
+            keys <<= bits
+            keys |= cand[:, c]
         _, first_idx, inv = np.unique(
             keys, return_index=True, return_inverse=True
         )
@@ -320,11 +347,12 @@ class LayerTable(Sequence):
 
     A layer table is ``count`` levels of ``n`` view ids stored as one flat
     column (``ids``; row-major, so level ``i`` occupies
-    ``ids[i*n : (i+1)*n]``).  The column is an ``array('q')``, a plain
-    list, or an int64 numpy array — producers pick whatever they built,
-    consumers normalize through :meth:`array` (numpy matrix) or plain
-    indexing.  Tuple materialization is strictly on demand: indexing or
-    iterating yields per-level tuples for the object-level APIs
+    ``ids[i*n : (i+1)*n]``).  Both kernels return an int32 column — an
+    ``array('i')`` from the Python kernel, an int32 numpy array from the
+    vectorized one; a plain list also works.  Consumers normalize through
+    :meth:`array` (numpy matrix) or plain indexing.  Tuple
+    materialization is strictly on demand: indexing or iterating yields
+    per-level tuples for the object-level APIs
     (:class:`~repro.topology.prefixspace.PrefixNode` wrappers, tests), but
     the hot analyses read the flat column and never build them.
     """
@@ -337,8 +365,8 @@ class LayerTable(Sequence):
 
     @classmethod
     def from_levels(cls, n: int, levels: Iterable[Sequence[int]]) -> "LayerTable":
-        """Pack an iterable of length-``n`` levels into one flat column."""
-        flat = array("q")
+        """Pack an iterable of length-``n`` levels into one flat int32 column."""
+        flat = array("i")
         for level in levels:
             flat.extend(level)
         return cls(n, flat)
@@ -382,12 +410,13 @@ class LayerTable(Sequence):
         raise TypeError("LayerTable is unhashable; use tolist() levels")
 
     def array(self):
-        """The ``(count, n)`` int64 numpy matrix over the flat column.
+        """The ``(count, n)`` numpy matrix over the flat column.
 
-        Zero-copy for numpy-backed and ``array('q')``-backed columns
-        (buffer view); requires numpy.
+        int32 for the kernels' columns, zero-copy for numpy-backed and
+        ``array``-backed columns (buffer view, at the array's own width);
+        requires numpy.
         """
-        return int64_column(self.ids).reshape(-1, self.n)
+        return numpy_column(self.ids).reshape(-1, self.n)
 
     def tolist(self) -> list[tuple[int, ...]]:
         """Materialize the per-level tuples (compat/diagnostic path)."""
@@ -513,14 +542,16 @@ class ViewInterner:
         self.n = n
         # Parallel per-view columns, each at the width its values need:
         # owners at the code width for n (int8 up to 128 processes), depths
-        # int32, row ids int64 (they grow unbounded), origin masks int64
-        # while they fit.  Origin *values* are sparse: only leaves, node()
-        # views and forced views hold an entry; the extension kernels defer
-        # them (see :meth:`origins`).
+        # and row ids int32 (capped at _ID_LIMIT), origin masks at the
+        # narrowest signed width holding n bits while they fit a machine
+        # int.  Origin *values* are sparse: only leaves, node() views and
+        # forced views hold an entry; the extension kernels defer them
+        # (see :meth:`origins`).
+        mask_typecode = _mask_typecode(n)
         self._pid: array[int] = array(_code_typecode(n))
         self._depth = array("i")
-        self._row = array("q")
-        self._origin_mask = array("q") if n <= _MASK_ARRAY_MAX_N else []
+        self._row = array("i")
+        self._origin_mask = array(mask_typecode) if mask_typecode else []
         self._origin_values: dict[int, tuple] = {}
         # Leaf side table: (p, value) -> vid, plus payload storage.
         self._leaf_table: dict = {}
@@ -531,19 +562,20 @@ class ViewInterner:
         # probed at ``hash & mask`` with linear probing, ``_row_hashes``
         # keeps each row's 64-bit key so growth rehashes by gather.  The
         # dense slot column ``row_id * n + p -> vid`` (-1 = not yet
-        # interned) stays a flat array indexed directly.
-        self._node_slots = array("q")
-        self._empty_row = array("q", [-1]) * n
-        self._row_data = array("q")
-        self._row_starts = array("q", [0])
+        # interned) stays a flat array indexed directly.  Ids, offsets and
+        # slots are int32; only the hashes are 64-bit.
+        self._node_slots = array("i")
+        self._empty_row = array("i", [-1]) * n
+        self._row_data = array("i")
+        self._row_starts = array("i", [0])
         self._row_hashes = array("Q")
-        self._row_slots = array("q", [-1]) * 64
+        self._row_slots = array("i", [-1]) * 64
         self._row_slot_mask = 63
         # Per-row origin-mask cache: a view's mask is the union of its
         # children's masks, which depends on the row only — never on the
-        # owner — so views sharing a row skip the fold.  Machine-int array
-        # while masks fit so the numpy kernel can gather it by buffer.
-        self._row_masks = array("q") if n <= _MASK_ARRAY_MAX_N else []
+        # owner — so views sharing a row skip the fold.  Same typecode as
+        # ``_origin_mask`` so the numpy kernel can gather it by buffer.
+        self._row_masks = array(mask_typecode) if mask_typecode else []
         self._leaf_count = 0
         # Per-alphabet extension plan LRU: distinct (p, in-neighborhood)
         # patterns in first-occurrence order + per-graph assembly layouts.
@@ -585,7 +617,8 @@ class ViewInterner:
         """Append a fresh row to the arena + probe table only.
 
         The caller is responsible for extending ``_node_slots`` and
-        ``_row_masks`` (the numpy kernel does both in bulk).
+        ``_row_masks`` (the numpy kernel does both in bulk), and for
+        reserving the id room first (:meth:`_reserve`).
         """
         rid = len(self._row_hashes)
         self._row_data.extend(kids)
@@ -613,21 +646,22 @@ class ViewInterner:
         its probe cursors past the slots earlier chunks hold, then resolves
         its own collisions by iterated last-write-wins scatter.  Without
         numpy, or below 4096 rows, placement is a per-row Python loop.
+        Probe cursors are int64; the slots hold int32 row ids.
         """
         if size is None:
             size = len(self._row_slots) * 4
         mask = size - 1
         nrows = len(self._row_hashes)
-        slots = array("q", [-1]) * size
+        slots = array("i", [-1]) * size
         if _np is not None and nrows >= 4096:
             np = _np
-            slots_np = np.frombuffer(slots, dtype=np.int64)
+            slots_np = np.frombuffer(slots, dtype=np.int32)
             hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint64)
             umask = np.uint64(mask)
             for lo in range(0, nrows, _REHASH_CHUNK):
                 hi = min(lo + _REHASH_CHUNK, nrows)
                 idx = (hashes_np[lo:hi] & umask).astype(np.int64)
-                rids = np.arange(lo, hi, dtype=np.int64)
+                rids = np.arange(lo, hi, dtype=np.int32)
                 while len(rids):
                     # Step past held slots (earlier chunks' rows, earlier
                     # winners) first, so no scatter lands on a placed row.
@@ -653,16 +687,18 @@ class ViewInterner:
     def _intern_rows_numpy(self, np, uniq, hashes, k: int):
         """Bulk-intern distinct candidate rows, fully vectorized.
 
-        ``uniq`` is the ``(count, k)`` int64 matrix of distinct sorted
-        rows, ``hashes`` their 64-bit fold keys.  Probing gathers the
+        ``uniq`` is the ``(count, k)`` matrix of distinct sorted rows,
+        ``hashes`` their 64-bit fold keys.  Probing gathers the
         open-addressing table through transient buffer windows (hash hits
         verify against the arena, mismatches advance their probe cursor),
         fresh rows append to the arena in one contiguous copy, and their
         slot placement resolves contention by iterated last-write-wins
-        scatter.  Returns ``(rids, fresh_rows)``: the row id per input
-        row, and the input positions that were freshly interned (their
-        node slots/row masks are extended by the caller, as in the scalar
-        path).
+        scatter.  Returns ``(rids, fresh_rows)``: the int64 row id per
+        input row (ready for ``rid * n + p``), and the input positions
+        that were freshly interned (their node slots/row masks are
+        extended by the caller, as in the scalar path).  Raises
+        :class:`~repro.errors.CapacityError` before appending rows or
+        arena cells past :data:`_ID_LIMIT`.
         """
         count = len(uniq)
         nrows = len(self._row_hashes)
@@ -674,10 +710,10 @@ class ViewInterner:
         if size != len(self._row_slots):
             self._row_rehash(size=size)
         slot_mask = self._row_slot_mask
-        slots_np = np.frombuffer(self._row_slots, dtype=np.int64)
+        slots_np = np.frombuffer(self._row_slots, dtype=np.int32)
         row_hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint64)
-        starts_np = np.frombuffer(self._row_starts, dtype=np.int64)
-        data_np = np.frombuffer(self._row_data, dtype=np.int64)
+        starts_np = np.frombuffer(self._row_starts, dtype=np.int32)
+        data_np = np.frombuffer(self._row_data, dtype=np.int32)
         idx = (hashes & np.uint64(slot_mask)).astype(np.int64)
         rids = np.full(count, -1, dtype=np.int64)
         found_slot = np.full(count, -1, dtype=np.int64)
@@ -717,14 +753,15 @@ class ViewInterner:
         fresh_rows = np.flatnonzero(rids < 0)
         total_fresh = len(fresh_rows)
         if total_fresh:
-            new_rids = np.arange(nrows, nrows + total_fresh, dtype=np.int64)
-            rids[fresh_rows] = new_rids
-            payload = np.ascontiguousarray(uniq[fresh_rows], dtype=np.int64)
+            self._reserve(0, total_fresh, k * total_fresh)
             old_len = len(self._row_data)
+            new_rids = np.arange(nrows, nrows + total_fresh, dtype=np.int32)
+            rids[fresh_rows] = new_rids
+            payload = np.ascontiguousarray(uniq[fresh_rows], dtype=np.int32)
             self._row_data.frombytes(payload.tobytes())
             self._row_starts.frombytes(
                 np.arange(
-                    old_len + k, old_len + k * total_fresh + 1, k, dtype=np.int64
+                    old_len + k, old_len + k * total_fresh + 1, k, dtype=np.int32
                 ).tobytes()
             )
             self._row_hashes.frombytes(hashes[fresh_rows].tobytes())
@@ -759,6 +796,53 @@ class ViewInterner:
         return len(self._row_hashes)
 
     # ------------------------------------------------------------------ #
+    # The int32 id limit
+    # ------------------------------------------------------------------ #
+
+    def _has_room(self, views: int, rows: int = 0, cells: int = 0) -> bool:
+        """Whether that many more views, rows and arena cells fit the limit."""
+        return (
+            len(self._pid) + views <= _ID_LIMIT
+            and len(self._row_hashes) + rows <= _ID_LIMIT
+            and len(self._row_data) + cells <= _ID_LIMIT
+        )
+
+    def _reserve(self, views: int, rows: int = 0, cells: int = 0) -> None:
+        """Raise :class:`~repro.errors.CapacityError` unless the ids fit.
+
+        Every path checks a whole batch this way before it writes any of
+        it — a call for :meth:`leaf_level`, :meth:`node` and
+        :meth:`extend_level`, one in-neighborhood's rows or one owner's
+        views for the layer kernels — so a refused batch leaves every
+        column as it was.
+        """
+        if not self._has_room(views, rows, cells):
+            raise CapacityError(
+                f"view interner full: {len(self._pid)} views, "
+                f"{len(self._row_hashes)} rows and {len(self._row_data)} "
+                f"arena cells cannot take {views}, {rows} and {cells} more "
+                f"under the int32 limit of {_ID_LIMIT} each"
+            )
+
+    def _batch_need(self, level: Sequence[int], patterns) -> tuple[int, int, int]:
+        """The exact (views, rows, cells) extending ``level`` would add.
+
+        A dry run of :meth:`_extend_batch`'s probe, taken only when the
+        cheap upper bound does not fit the limit.
+        """
+        fresh_rows: set = set()
+        views: set = set()
+        for p, in_list in patterns:
+            kids = tuple(sorted({level[q] for q in in_list}))
+            rid, _ = self._row_find(kids, _row_hash(kids))
+            if rid < 0:
+                fresh_rows.add(kids)
+                views.add((kids, p))
+            elif self._node_slots[rid * self.n + p] < 0:
+                views.add((kids, p))
+        return len(views), len(fresh_rows), sum(map(len, fresh_rows))
+
+    # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
@@ -768,6 +852,7 @@ class ViewInterner:
         key = (p, value)
         vid = self._leaf_table.get(key)
         if vid is None:
+            self._reserve(1)
             vid = len(self._pid)
             self._leaf_table[key] = vid
             self._pid.append(p)
@@ -812,7 +897,10 @@ class ViewInterner:
                         f"inconsistent input values for process {q}: {previous!r} vs {value!r}"
                     )
         if rid < 0:
+            self._reserve(1, 1, len(kids))
             rid = self._row_add(kids, h, slot, mask)
+        else:
+            self._reserve(1)
         vid = len(self._pid)
         self._node_slots[rid * self.n + p] = vid
         self._pid.append(p)
@@ -834,6 +922,8 @@ class ViewInterner:
         leaf_table_get = leaf_table.get
         pids = self._pid
         leaf_values = self._leaf_values
+        if not self._has_room(len(inputs)):
+            self._reserve(sum(key not in leaf_table for key in enumerate(inputs)))
         level = []
         for p, value in enumerate(inputs):
             key = (p, value)
@@ -957,6 +1047,9 @@ class ViewInterner:
         row_add = self._row_add
         depth = self._depth[level[0]] + 1
         n = self.n
+        count = len(patterns)
+        if not self._has_room(count, count, n * count):
+            self._reserve(*self._batch_need(level, patterns))
         sorted_level: tuple[int, ...] | None = None
         vids = []
         vids_append = vids.append
@@ -1047,7 +1140,7 @@ class ViewInterner:
         if not graphs:
             return []
         if not len(table):
-            return [LayerTable(self.n, array("q")) for _ in graphs]
+            return [LayerTable(self.n, array("i")) for _ in graphs]
         return [
             LayerTable(self.n, column)
             for column in self._extend_layer_columns(table, graphs)
@@ -1074,8 +1167,8 @@ class ViewInterner:
     ) -> list:
         """Dispatch one layer batch to the backend that wins at its size.
 
-        Returns one flat view-id column per graph (``array('q')`` from the
-        Python kernel, int64 numpy arrays from the vectorized one).
+        Returns one flat int32 view-id column per graph (``array('i')``
+        from the Python kernel, int32 numpy arrays from the vectorized one).
         """
         plan = self._alphabet_plan(graphs)
         count = len(table)
@@ -1088,7 +1181,7 @@ class ViewInterner:
             ]
             columns = []
             for j in range(len(graphs)):
-                flat = array("q")
+                flat = array("i")
                 for result in results:
                     flat.extend(result[j])
                 columns.append(flat)
@@ -1178,6 +1271,12 @@ class ViewInterner:
             starts = self._row_starts
             data = self._row_data
             row_hash = _row_hash
+            if not self._has_room(0, len(uniq_rows), k * len(uniq_rows)):
+                fresh = sum(
+                    self._row_find(kids, row_hash(kids))[0] < 0
+                    for kids in uniq_rows
+                )
+                self._reserve(0, fresh, k * fresh)
             for kids in uniq_rows:
                 h = row_hash(kids)
                 idx = h & slot_mask
@@ -1212,6 +1311,10 @@ class ViewInterner:
             # Resolve (allocate) views per owner at unique-row scale.
             for pi in pats_of_inlist[si]:
                 p = patterns[pi][0]
+                if not self._has_room(len(urids)):
+                    self._reserve(
+                        sum(node_slots[rid * n + p] < 0 for rid in urids)
+                    )
                 vid_u: list[int] = []
                 vid_u_append = vid_u.append
                 for rid in urids:
@@ -1225,11 +1328,11 @@ class ViewInterner:
                         row_col.append(rid)
                         masks.append(row_masks[rid])
                     vid_u_append(vid)
-                vid_arrs[pi] = array("q", [vid_u[u] for u in inv])
+                vid_arrs[pi] = array("i", [vid_u[u] for u in inv])
         # Interleave the per-pattern columns into one flat column per
         # graph: strided array-slice assignment, no per-child tuples.
         columns = []
-        zeros = array("q", bytes(8 * total))
+        zeros = array("i", bytes(4 * total))
         for layout in layouts:
             out = zeros[:]
             for p, pi in enumerate(layout):
@@ -1240,12 +1343,12 @@ class ViewInterner:
     def _extend_layer_numpy(self, table: LayerTable, plan: tuple) -> list:
         """The vectorized layer kernel (numpy backend).
 
-        Candidate rows of each in-neighborhood gather/sort as one int64
-        matrix and dedup via ``np.unique`` on packed key columns; row
-        hashes for the open-addressing probe are computed vectorized over
-        the distinct rows, only the distinct rows touch the Python probe
-        loop, fresh arena rows append in bulk, and view allocation happens
-        in bulk on the interner's buffer-backed columns.  Views over those
+        Candidate rows of each in-neighborhood gather/sort as one int32
+        matrix and dedup via ``np.unique`` on packed int64 key columns;
+        row hashes for the open-addressing probe are computed vectorized
+        over the distinct rows, fresh arena rows append in bulk, and view
+        allocation happens in bulk on the interner's buffer-backed int32
+        columns (slot keys ``rid * n + p`` in int64).  Views over those
         columns are strictly transient: every ``frombuffer`` window is
         dropped before the underlying array can resize.
         """
@@ -1258,6 +1361,7 @@ class ViewInterner:
         node_slots = self._node_slots
         pids = self._pid
         depth_col = self._depth
+        mask_dtype = row_masks.typecode
         vid_cols: list = [None] * len(patterns)
         for si, in_list in enumerate(inlists):
             # Gather each parent's in-list columns, sort every row (child
@@ -1278,7 +1382,7 @@ class ViewInterner:
             hashes = _bulk_row_hashes(np, uniq, k)
             urid_arr, fresh_rows = self._intern_rows_numpy(np, uniq, hashes, k)
             if len(fresh_rows):
-                mask_view = np.frombuffer(self._origin_mask, dtype=np.int64)
+                mask_view = np.frombuffer(self._origin_mask, dtype=mask_dtype)
                 fresh_masks = np.bitwise_or.reduce(
                     mask_view[uniq[fresh_rows]].reshape(len(fresh_rows), k),
                     axis=1,
@@ -1289,31 +1393,32 @@ class ViewInterner:
             for pi in pats_of_inlist[si]:
                 p = patterns[pi][0]
                 cand_slots = urid_arr * n + p
-                slot_view = np.frombuffer(node_slots, dtype=np.int64)
+                slot_view = np.frombuffer(node_slots, dtype=np.int32)
                 vid_u = slot_view[cand_slots]
                 del slot_view
                 missing = np.flatnonzero(vid_u < 0)
                 if len(missing):
                     count_missing = len(missing)
+                    self._reserve(count_missing)
                     base = len(pids)
                     new_vids = np.arange(
-                        base, base + count_missing, dtype=np.int64
+                        base, base + count_missing, dtype=np.int32
                     )
                     missing_rids = urid_arr[missing]
                     pids.extend(array(pids.typecode, [p]) * count_missing)
                     depth_col.extend(array("i", [depth]) * count_missing)
-                    self._row.frombytes(missing_rids.tobytes())
-                    row_mask_view = np.frombuffer(row_masks, dtype=np.int64)
+                    self._row.frombytes(missing_rids.astype(np.int32).tobytes())
+                    row_mask_view = np.frombuffer(row_masks, dtype=mask_dtype)
                     self._origin_mask.frombytes(
                         row_mask_view[missing_rids].tobytes()
                     )
                     del row_mask_view
-                    slot_view = np.frombuffer(node_slots, dtype=np.int64)
+                    slot_view = np.frombuffer(node_slots, dtype=np.int32)
                     slot_view[cand_slots[missing]] = new_vids
                     del slot_view
                     vid_u[missing] = new_vids
                 vid_cols[pi] = vid_u[inv]
-        # Interleave per-pattern columns into one flat int64 column per
+        # Interleave per-pattern columns into one flat int32 column per
         # graph — a stack/ravel, no per-child tuples and no tolist().
         return [
             np.stack([vid_cols[pi] for pi in layout], axis=1).reshape(-1)

@@ -33,6 +33,15 @@ class AnalysisError(ReproError):
     """A topological analysis was invoked with inconsistent arguments."""
 
 
+class CapacityError(ReproError):
+    """A view interner would pass the ids its int32 columns can hold.
+
+    Deliberately not an :class:`AnalysisError`: the checker's depth loop
+    turns those into an UNDECIDED verdict, which a result store would
+    cache as if more depth had been tried.
+    """
+
+
 class CertificateError(ReproError):
     """A solvability certificate failed validation."""
 

@@ -491,7 +491,9 @@ class ComponentAnalysis:
         del nodes
         comp_ids, ncomp = _first_member_ids(np, labels, bound)
         del labels
-        origin_masks = np.frombuffer(interner._origin_mask, dtype=np.int64)
+        origin_masks = np.frombuffer(
+            interner._origin_mask, dtype=interner._origin_mask.typecode
+        )
         node_masks = origin_masks[mat[:, 0]]
         for p in range(1, n):
             node_masks &= origin_masks[mat[:, p]]

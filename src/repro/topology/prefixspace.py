@@ -18,8 +18,8 @@ Storage layout
 --------------
 Layers are stored *columnar* (:class:`LayerStore`) and stay arrays end to
 end: the view levels of a layer are one flat
-:class:`~repro.core.views.LayerTable` column (``count * n`` interned view
-ids), parent indices are int32 columns, input indices are as narrow as
+:class:`~repro.core.views.LayerTable` column (``count * n`` interned int32
+view ids), parent indices are int32 columns, input indices are as narrow as
 the input palette allows, and the round-graph/state columns are coded —
 a small palette plus one int code per prefix, implicit (a constant-width
 tile) on single-alphabet layers — so they never hold per-child Python
@@ -75,7 +75,7 @@ from repro.core.views import (
     LayerTable,
     ViewInterner,
     _code_typecode,
-    int64_column,
+    numpy_column,
     numpy_module,
     plain_ids,
 )
@@ -217,7 +217,7 @@ class LayerStore:
     ----------
     levels:
         The :class:`~repro.core.views.LayerTable` of this depth — one flat
-        view-id column; ``levels[i]`` materializes the level tuple of
+        int32 view-id column; ``levels[i]`` materializes the level tuple of
         prefix ``i`` on demand.
     parents:
         Per prefix, the index of its depth ``t - 1`` truncation (``-1`` on
@@ -272,11 +272,11 @@ class LayerStore:
 
     def parent_array(self):
         """The parents column as a numpy array at its own (int32) width."""
-        return int64_column(self.parents)
+        return numpy_column(self.parents)
 
     def input_array(self):
         """The input-index column as a numpy array at its own width."""
-        return int64_column(self.input_idx)
+        return numpy_column(self.input_idx)
 
 
 class LayerView(Sequence):
@@ -399,7 +399,7 @@ class PrefixSpace:
             )
         leaf_level = self.interner.leaf_level
         count = len(vectors)
-        flat = array("q")
+        flat = array("i")
         for vec in vectors:
             flat.extend(leaf_level(vec))
         self._stores: list[LayerStore] = [
@@ -590,7 +590,7 @@ class PrefixSpace:
         np.cumsum(widths[:-1], out=offsets[1:])
         total = int(offsets[-1] + widths[-1])
         del widths
-        levels = np.empty((total, n), dtype=np.int64)
+        levels = np.empty((total, n), dtype=np.int32)
         parents = np.empty(total, dtype=_parent_typecode(count))
         input_idx = np.empty(total, dtype=self._input_typecode)
         graphs = np.empty(total, dtype=np.dtype(typecodes[0]))
@@ -636,11 +636,11 @@ class PrefixSpace:
                 graphs_of[i] = graph_codes
                 states_of[i] = state_codes
         offsets = list(accumulate(widths, initial=0))
-        levels = array("q", bytes(8 * offsets[-1] * n))
+        levels = array("i", bytes(4 * offsets[-1] * n))
         for (_, members, graph_codes, _), tables in zip(plan, outputs):
             column = _interleave_tables(n, len(members), tables).ids
             if not isinstance(column, array):
-                column = array("q", plain_ids(column))
+                column = array("i", plain_ids(column))
             block = len(graph_codes) * n
             for mi, i in enumerate(members):
                 levels[offsets[i] * n : offsets[i + 1] * n] = column[
@@ -799,7 +799,7 @@ class PrefixSpace:
 
 
 def _interleave_tables(n: int, count: int, tables: list[LayerTable]) -> LayerTable:
-    """Merge per-graph layer tables parent-major into one flat column.
+    """Merge per-graph layer tables parent-major into one flat int32 column.
 
     ``tables[j][i]`` becomes child ``i * width + j`` — a stack/ravel on the
     numpy backend, strided array-slice assignment on pure Python; no
@@ -812,22 +812,22 @@ def _interleave_tables(n: int, count: int, tables: list[LayerTable]) -> LayerTab
     if np is not None and isinstance(tables[0].ids, np.ndarray):
         stacked = np.stack([t.array() for t in tables], axis=1)
         return LayerTable(n, stacked.reshape(-1))
-    flat = array("q", bytes(8 * count * width * n))
+    flat = array("i", bytes(4 * count * width * n))
     stride = width * n
     for j, t in enumerate(tables):
         col = t.ids
         if not isinstance(col, array):
-            col = array("q", col)
+            col = array("i", col)
         for p in range(n):
             flat[j * n + p :: stride] = col[p::n]
     return LayerTable(n, flat)
 
 
 def _gather_subtable(table: LayerTable, members) -> LayerTable:
-    """The sub-table of the given parent indices (order-preserving)."""
+    """The sub-table of the given parent indices (order-preserving, int32)."""
     n = table.n
     ids = table.ids
-    flat = array("q")
+    flat = array("i")
     for i in members:
         flat.extend(ids[i * n : (i + 1) * n])
     return LayerTable(n, flat)

@@ -1,0 +1,216 @@
+"""Columnar decision maps against the per-view dict loop they replaced.
+
+``DecisionTable.final`` and ``.early`` used to be dicts filled view by view;
+both backends now build one read-only ``DecisionMap`` (a sorted int32 id
+column, narrow value codes and the value palette).  The old loop is kept
+below as the reference.  For every named family on both backends, at
+every depth up to a size cap, the maps must hold exactly the reference's
+entries — under the checker's own assignment where a table certifies,
+and under a synthetic two-valued assignment everywhere else, so families
+without a decision table still exercise the bottom-up fold.  Absent ids
+(negative, past the interner, and interned but undecided views) must miss
+through ``get``, ``in``, ``[]`` and ``decision_for_view``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.adversaries import random_oblivious_adversary
+from repro.consensus.decision import (
+    DecisionMap,
+    DecisionTable,
+    _decision_maps_numpy,
+    _decision_maps_python,
+    build_decision_table,
+)
+from repro.consensus.spec import ConsensusSpec
+from repro.core.views import numpy_available, numpy_module, plain_ids
+from repro.errors import AnalysisError, CertificateError
+from repro.specs import NAMED_ADVERSARIES
+from repro.topology.components import ComponentAnalysis
+from repro.topology.prefixspace import PrefixSpace
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+#: Depths stop once a layer holds this many (prefix, process) cells.
+MAX_CELLS = 20_000
+
+
+def reference_maps(space, depth, analysis, assignment):
+    """The old per-view loop: ``final`` and ``early`` as plain dicts."""
+    value_list = sorted(set(assignment.values()), key=repr)
+    bit_of = {value: 1 << i for i, value in enumerate(value_list)}
+    store = space.layer_store(depth)
+    n = store.levels.n
+    comp_bits = [bit_of[assignment[c.id]] for c in analysis.components]
+    value_bits = [comp_bits[cid] for cid in plain_ids(analysis.comp_ids)]
+    final = {}
+    ids = plain_ids(store.levels.ids)
+    for index, bits in enumerate(value_bits):
+        for vid in ids[index * n : (index + 1) * n]:
+            final[vid] = value_list[bits.bit_length() - 1]
+    possible: dict[int, int] = {}
+    for s in range(depth, -1, -1):
+        level_store = space.layer_store(s)
+        ids = plain_ids(level_store.levels.ids)
+        for index, bits in enumerate(value_bits):
+            for vid in ids[index * n : (index + 1) * n]:
+                possible[vid] = possible.get(vid, 0) | bits
+        if s:
+            parents = plain_ids(level_store.parents)
+            parent_bits = [0] * len(space.layer_store(s - 1))
+            for index, bits in enumerate(value_bits):
+                parent_bits[parents[index]] |= bits
+            value_bits = parent_bits
+    early = {
+        view: value_list[bits.bit_length() - 1]
+        for view, bits in possible.items()
+        if bits and bits & (bits - 1) == 0
+    }
+    return final, early, value_list, bit_of
+
+
+def build_maps(backend, space, depth, analysis, assignment):
+    """Both maps from the given backend's builder, plus the reference."""
+    final, early, value_list, bit_of = reference_maps(
+        space, depth, analysis, assignment
+    )
+    args = (space, depth, analysis, assignment, value_list, bit_of)
+    if backend == "numpy":
+        maps = _decision_maps_numpy(numpy_module(), *args)
+    else:
+        maps = _decision_maps_python(*args)
+    return maps, (final, early)
+
+
+def assert_map_matches(got, expected) -> None:
+    assert isinstance(got, DecisionMap)
+    assert got.ids.typecode == "i" and got.codes.typecode == "b"
+    assert list(got.ids) == sorted(expected)
+    assert dict(got.items()) == expected
+    assert list(got) == sorted(expected)
+    assert list(got.values()) == [expected[v] for v in sorted(expected)]
+    assert got == expected and len(got) == len(expected)
+    for vid, value in list(expected.items())[:200]:
+        assert vid in got and got[vid] == value and got.get(vid) == value
+    with pytest.raises(TypeError):
+        got[next(iter(expected), 0)] = None  # read-only
+
+
+def assert_misses(table, space) -> None:
+    size = len(space.interner)
+    undecided = [v for v in range(size) if v not in table.early][:50]
+    for vid in [-1, size, size + 1000, 2**40] + undecided:
+        for mapping in (table.final, table.early):
+            assert vid not in mapping
+            assert mapping.get(vid) is None
+            assert mapping.get(vid, "default") == "default"
+            with pytest.raises(KeyError):
+                mapping[vid]
+        assert table.decision_for_view(vid) is None
+
+
+def check_space(space, backend, depths, spec) -> int:
+    """Compare every depth's maps with the reference; count real tables."""
+    certified = 0
+    for depth in depths:
+        try:
+            analysis = ComponentAnalysis(space, depth)
+        except AnalysisError:
+            break
+        # Synthetic two-valued assignment: any assignment has well-defined
+        # maps, certified or not.
+        synthetic = {c.id: c.id % 2 for c in analysis.components}
+        (final, early), (ref_final, ref_early) = build_maps(
+            backend, space, depth, analysis, synthetic
+        )
+        assert_map_matches(final, ref_final)
+        assert_map_matches(early, ref_early)
+        table = DecisionTable(space, depth, spec, synthetic, final, early)
+        assert_misses(table, space)
+        if all(spec.allowed_values(c) for c in analysis.components):
+            table = build_decision_table(analysis, spec)
+            ref_final, ref_early, _, _ = reference_maps(
+                space, depth, analysis, table.assignment
+            )
+            assert_map_matches(table.final, ref_final)
+            assert_map_matches(table.early, ref_early)
+            for vid, value in list(ref_early.items())[:200]:
+                assert table.decision_for_view(vid) == value
+            assert_misses(table, space)
+            certified += 1
+        if len(space.layer_store(depth)) * space.adversary.n > MAX_CELLS:
+            break
+    return certified
+
+
+@pytest.fixture(autouse=True)
+def vectorized_small_layers(monkeypatch):
+    """Let the numpy maps run (and validate) on test-sized layers."""
+    import repro.consensus.decision as decision_module
+
+    monkeypatch.setattr(decision_module, "_DECISION_NUMPY_MIN_CELLS", 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(NAMED_ADVERSARIES))
+def test_named_family_maps_match_reference(name, backend):
+    space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend)
+    check_space(space, backend, range(8), ConsensusSpec())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_certified_families_build_tables(backend):
+    """The solvable named families certify and match through the builder."""
+    certified = {
+        name: check_space(
+            PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend),
+            backend,
+            range(6),
+            ConsensusSpec(),
+        )
+        for name in ("no-hub", "to-and-both", "only-to", "eventually-to")
+    }
+    assert all(certified.values()), certified
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=3),
+    size=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_random_oblivious_maps_match_reference(backend, seed, n, size):
+    adversary = random_oblivious_adversary(random.Random(seed), n, size)
+    space = PrefixSpace(adversary, layer_backend=backend)
+    check_space(space, backend, range(4 if n == 2 else 3), ConsensusSpec())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_validate_reads_the_map_columns(backend):
+    """A tampered column fails validation on the backend's own path."""
+    space = PrefixSpace(NAMED_ADVERSARIES["no-hub"](), layer_backend=backend)
+    table = build_decision_table(ComponentAnalysis(space, 3), ConsensusSpec())
+    final, early = table.final, table.early
+
+    def tampered(final=final, early=early):
+        return DecisionTable(
+            space, table.depth, table.spec, table.assignment, final, early
+        )
+
+    flipped = DecisionMap(final.ids, final.codes[:], final.palette)
+    flipped.codes[0] = 1 - flipped.codes[0]
+    with pytest.raises(CertificateError, match="early/final"):
+        tampered(final=flipped).validate()
+    dropped = DecisionMap(early.ids[:], early.codes[:], early.palette)
+    index = early.ids.index(final.ids[0])
+    del dropped.ids[index], dropped.codes[index]
+    with pytest.raises(CertificateError, match="termination"):
+        tampered(early=dropped).validate()
+    tampered().validate()

@@ -218,3 +218,28 @@ class TestResultObject:
 
         with pytest.raises(AnalysisError):
             check_consensus(lossy_link_full()).algorithm()
+
+
+def test_deepening_releases_each_depth_before_the_next(monkeypatch):
+    """Depth t - 1's component analysis is gone when depth t's starts.
+
+    Its columns are as large as the layer, so holding them through the
+    next extension and labelling would raise the check's peak memory.
+    """
+    import weakref
+
+    from repro.topology.components import ComponentAnalysis
+
+    analyses = []
+    analyze = ComponentAnalysis.__init__
+
+    def tracked(self, space, depth):
+        assert [ref() for ref in analyses] == [None] * len(analyses), depth
+        analyses.append(weakref.ref(self))
+        analyze(self, space, depth)
+
+    monkeypatch.setattr(ComponentAnalysis, "__init__", tracked)
+    result = check_consensus(
+        lossy_link_full(), max_depth=5, use_impossibility_provers=False
+    )
+    assert len(analyses) == 6 and len(result.history) == 6
