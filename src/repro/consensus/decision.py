@@ -406,7 +406,7 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     ``allowed_values`` keep the per-component calls (their overrides must
     observe every component).  The columnar pass also needs the
     vectorized component analysis to have run (``comp_ids`` is then an
-    int64 column) and the domain to fit the int64 value bitmaps.
+    int32 column) and the domain to fit the int64 value bitmaps.
     """
     np = numpy_module()
     if (

@@ -33,11 +33,13 @@ interner's ``layer_backend`` switch:
 
 * ``"numpy"`` — connectivity is that of the layer's *view graph*, whose
   nodes are the layer's views and where each prefix joins its ``n`` views
-  by ``n - 1`` edges (column 0 to column ``p``).  scipy's
-  ``connected_components`` labels it when importable, a Shiloach–Vishkin
-  loop in numpy otherwise; every temporary is sized by the prefix count,
-  canonical ids come from a first-member pass, and the per-component
-  masks/valences fold with ``reduceat``;
+  by ``n - 1`` edges (column 0 to column ``p``).  One int32
+  Shiloach–Vishkin loop labels it (:func:`_sv_labels`): the first round
+  hooks one view column at a time, parent pointers compress in place,
+  and edges drop out once both ends share a root.  Every temporary is
+  sized by the prefix count, canonical ids come from a first-member
+  pass, ``comp_ids`` and the member order are int32 columns, and the
+  per-component masks/valences fold with ``reduceat``;
 * ``"python"`` — the batched union-find pass over the flat column (one
   dict probe per cell on its view id, inlined union by size with path
   halving).
@@ -62,29 +64,17 @@ from repro.topology.prefixspace import PrefixNode, PrefixSpace
 __all__ = ["Component", "ComponentAnalysis", "UnionFind"]
 
 #: Below this many (prefix, process) cells the vectorized component pass
-#: is not worth its fixed overhead (sparse-matrix construction, unique
-#: passes); small layers run the Python pass.  Crossover measured around
-#: ~1.5-2.5k cells on the lossy-link spaces.
-_COMPONENT_NUMPY_MIN_CELLS = 2048
+#: is not worth its fixed overhead (a dozen numpy calls per hooking round,
+#: the first-member and ``reduceat`` folds); small layers run the Python
+#: pass.  Measured against the union-find on lossy-link, Santoro–Widmayer
+#: and random rooted n=4 layers (2-vCPU x86_64, numpy 2.4): the vectorized
+#: pass wins 1.2-1.5x at 512-576 cells and 1.5-3.3x at 648-1,176, ties
+#: around 256 (0.8-1.06x) and loses at 128-216 (0.6-0.75x).
+_COMPONENT_NUMPY_MIN_CELLS = 512
 
 #: The vectorized pass encodes valence sets as int64 bitmaps; spaces with
 #: more distinct unanimity values run the Python pass instead.
 _NUMPY_MAX_VALENCES = 62
-
-
-def _scipy_csgraph():
-    """scipy's sparse connected-components, when installed (else None).
-
-    scipy is strictly optional (``dependencies = []`` holds): with it, the
-    view graph solves in one C-level pass; without it the vectorized
-    Shiloach–Vishkin fallback (:func:`_sv_labels`) runs.
-    """
-    try:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - exercised where scipy is absent
-        return None
-    return csr_matrix, connected_components
 
 
 def _view_nodes(np, mat):
@@ -106,87 +96,100 @@ def _view_nodes(np, mat):
     return inverse.reshape(mat.shape), 0, len(uniq)
 
 
-def _scipy_labels(np, csgraph, nodes, offset: int, node_count: int):
-    """Per-prefix component labels from scipy's ``connected_components``.
-
-    The view graph goes in as a sparse matrix with one edge per (prefix,
-    column ``p >= 1``) pair, from the prefix's column-0 view to its
-    column-``p`` view; node ids narrow to int32 on the way in (scipy's
-    own index width).  Returns ``(labels, bound)`` with every label in
-    ``range(bound)``.
-    """
-    csr_matrix, connected_components = csgraph
-    n = nodes.shape[1]
-    heads = _node_column(np, nodes[:, 0], offset, node_count)
-    if n == 1:
-        return heads, node_count
-    tails = _node_column(np, nodes[:, 1:], offset, node_count).reshape(-1)
-    # float64 weights: the dtype csgraph converts to, so no second copy.
-    graph = csr_matrix(
-        (np.ones(len(tails)), (np.repeat(heads, n - 1), tails)),
-        shape=(node_count, node_count),
-    )
-    del tails
-    bound, node_labels = connected_components(graph, directed=False)
-    del graph
-    return node_labels[heads], bound
-
-
-def _sv_labels(np, nodes, offset: int, node_count: int):
-    """Shiloach–Vishkin connectivity over the view graph, in pure numpy.
-
-    Per round, every column ``p >= 1`` hooks the larger of the two roots
-    of each (column 0, column ``p``) edge onto the smaller
-    (``np.minimum.at``), then parent pointers fully compress.  Hooking
-    roots lets a whole tree adopt a better label at once, so rounds are
-    logarithmic in component diameter; per round the temporaries are a
-    few prefix-count columns.  Returns ``(labels, bound)``: the root of
-    each prefix's column-0 view, all in ``range(bound)``.
-    """
-    heads = _node_column(np, nodes[:, 0], offset, node_count)
-    parent = np.arange(node_count, dtype=heads.dtype)
-    while True:
-        before = parent.copy()
-        for p in range(1, nodes.shape[1]):
-            head_roots = parent[heads]
-            tail_roots = parent[_node_column(np, nodes[:, p], offset, node_count)]
-            low = np.minimum(head_roots, tail_roots)
-            np.maximum(head_roots, tail_roots, out=head_roots)
-            np.minimum.at(parent, head_roots, low)
-        while True:
-            compressed = parent[parent]
-            if np.array_equal(compressed, parent):
-                break
-            parent = compressed
-        if np.array_equal(parent, before):
-            return parent[heads], node_count
-
-
-def _node_column(np, cells, offset: int, node_count: int):
-    """View-graph node ids of some cells, int32 whenever they fit."""
-    width = np.int32 if node_count <= np.iinfo(np.int32).max else np.int64
-    out = np.empty(cells.shape, dtype=width)
+def _node_column(np, cells, offset: int, out=None):
+    """View-graph node ids (int32) of some cells: view id minus ``offset``."""
+    if out is None:
+        out = np.empty(cells.shape, dtype=np.int32)
     np.subtract(cells, offset, out=out, casting="unsafe")
     return out
 
 
-def _first_member_ids(np, labels, bound: int):
-    """Renumber solver labels by each component's smallest member index.
+def _sv_labels(np, nodes, offset: int, node_count: int):
+    """Shiloach–Vishkin connectivity over the view graph, in int32 numpy.
 
-    One ``np.minimum.at`` pass finds every label's first member; the
-    prefixes that are their label's first member, in index order, then
-    number the components.  Returns ``(comp_ids, component_count)`` —
-    the Python pass's canonical order, whatever the solver's numbering.
+    The first round hooks every edge one view column at a time: each
+    (column 0, column ``p``) edge points the larger of its two nodes at
+    the smaller with ``np.minimum.at``.  Parent pointers then compress in
+    place, and each edge is checked once: an edge whose ends share a root
+    is dropped, the rest become pairs of roots.  From then on only roots
+    are re-pointed, so trees only merge and a dropped edge never matters
+    again.  Each later round hooks the surviving root pairs, pointer-jumps
+    just the roots it moved and drops the edges it settled, so its cost
+    shrinks with the edge list.  Returns each prefix's label: the root of
+    its column-0 view, in ``range(node_count)``.
+    """
+    n = nodes.shape[1]
+    heads = _node_column(np, nodes[:, 0], offset)
+    if n == 1:
+        return heads
+    parent = np.arange(node_count, dtype=np.int32)
+    tails = np.empty_like(heads)
+    low = np.empty_like(heads)
+    for p in range(1, n):
+        _node_column(np, nodes[:, p], offset, tails)
+        np.minimum(heads, tails, out=low)
+        np.maximum(heads, tails, out=tails)
+        np.minimum.at(parent, tails, low)
+    del low
+    _compress_parents(np, parent)
+    head_roots = parent[heads]
+    del heads
+    lows = []
+    highs = []
+    for p in range(1, n):
+        tail_roots = parent[_node_column(np, nodes[:, p], offset, tails)]
+        unsettled = head_roots != tail_roots
+        lows.append(head_roots[unsettled])
+        highs.append(tail_roots[unsettled])
+    del tails, tail_roots, unsettled
+    a = np.concatenate(lows)
+    b = np.concatenate(highs)
+    del lows, highs
+    while len(a):
+        low = np.minimum(a, b)
+        np.maximum(a, b, out=b)
+        np.minimum.at(parent, b, low)
+        # Only the hooked roots moved; jump their pointers to the new roots.
+        up = parent[b]
+        while True:
+            jumped = parent[up]
+            if np.array_equal(jumped, up):
+                break
+            parent[b] = jumped
+            up = jumped
+        a = parent[low]
+        unsettled = a != up
+        a = a[unsettled]
+        b = up[unsettled]
+    _compress_parents(np, parent)
+    return parent[head_roots]
+
+
+def _compress_parents(np, parent) -> None:
+    """Point every node straight at its root: pointer jumping, in place."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return
+        parent[...] = jumped
+
+
+def _first_member_ids(np, labels, bound: int):
+    """Renumber component labels by each component's smallest member index.
+
+    One ``np.minimum.at`` pass finds every label's first member; sorted,
+    those first members number the components.  Returns ``(comp_ids,
+    component_count)`` with int32 ids — the Python pass's canonical
+    order, whatever the labels were.
     """
     count = len(labels)
-    width = labels.dtype if count <= np.iinfo(labels.dtype).max else np.int64
-    index = np.arange(count, dtype=width)
-    first = np.full(bound, count, dtype=width)
-    np.minimum.at(first, labels, index)
-    leaders = labels[first[labels] == index]
-    del first, index
-    remap = np.empty(bound, dtype=np.int64)
-    remap[leaders] = np.arange(len(leaders), dtype=np.int64)
+    first = np.full(bound, count, dtype=np.int32)
+    np.minimum.at(first, labels, np.arange(count, dtype=np.int32))
+    leaders = first[first < count]
+    del first
+    leaders.sort()
+    remap = np.empty(bound, dtype=np.int32)
+    remap[labels[leaders]] = np.arange(len(leaders), dtype=np.int32)
     return remap[labels], len(leaders)
 
 
@@ -220,7 +223,7 @@ class Component:
     """One connected component of a depth-``t`` layer.
 
     Member indices are held as whatever column the analysis produced (an
-    int64 numpy array on the vectorized path, a list on the Python path);
+    int32 numpy array on the vectorized path, a list on the Python path);
     :attr:`member_indices` materializes — and caches — the plain-int list
     on first access, so columnar consumers never pay for it.
     """
@@ -330,7 +333,7 @@ class ComponentAnalysis:
     components:
         The :class:`Component` partition, ordered by smallest member index.
     comp_ids:
-        Per-prefix component-id column (int64 numpy array on the
+        Per-prefix component-id column (int32 numpy array on the
         vectorized path, list on the Python path) — the columnar handoff
         the decision-table builder consumes.
 
@@ -475,21 +478,17 @@ class ComponentAnalysis:
         """Vectorized component pass over the layer's view graph.
 
         A prefix's component is that of its column-0 view in the view
-        graph (see the module docstring); scipy labels the graph when
-        importable, :func:`_sv_labels` otherwise.  Node masks fold column
-        by column, so no ``(count, n)`` temporary is built, and labels are
-        canonicalized by smallest member index (:func:`_first_member_ids`),
-        matching the Python pass ordering exactly.
+        graph (see the module docstring), labelled by :func:`_sv_labels`.
+        Node masks fold column by column, so no ``(count, n)`` temporary
+        is built, and labels are canonicalized by smallest member index
+        (:func:`_first_member_ids`), matching the Python pass ordering
+        exactly.
         """
         mat = table.array()
         nodes, offset, node_count = _view_nodes(np, mat)
-        csgraph = _scipy_csgraph()
-        if csgraph is not None:
-            labels, bound = _scipy_labels(np, csgraph, nodes, offset, node_count)
-        else:
-            labels, bound = _sv_labels(np, nodes, offset, node_count)
+        labels = _sv_labels(np, nodes, offset, node_count)
         del nodes
-        comp_ids, ncomp = _first_member_ids(np, labels, bound)
+        comp_ids, ncomp = _first_member_ids(np, labels, node_count)
         del labels
         origin_masks = np.frombuffer(
             interner._origin_mask, dtype=interner._origin_mask.typecode
@@ -498,7 +497,7 @@ class ComponentAnalysis:
         for p in range(1, n):
             node_masks &= origin_masks[mat[:, p]]
         del origin_masks
-        member_order = np.argsort(comp_ids, kind="stable")
+        member_order = np.argsort(comp_ids, kind="stable").astype(np.int32)
         comp_sizes = np.bincount(comp_ids, minlength=ncomp)
         comp_starts = np.zeros(ncomp, dtype=np.int64)
         np.cumsum(comp_sizes[:-1], out=comp_starts[1:])
@@ -523,26 +522,30 @@ class ComponentAnalysis:
         node_bits = np.array(input_bits, dtype=np.int64)[store.input_array()]
         comp_bits = np.bitwise_or.reduceat(node_bits[member_order], comp_starts)
 
-        members_split = np.split(member_order, comp_starts[1:].tolist())
-        empty: frozenset = frozenset()
+        # Per-component values leave numpy once, as lists, and members are
+        # slices of one int32 column: a layer with thousands of components
+        # must not pay a numpy scalar or a split piece per component.
+        bounds = comp_starts.tolist()
+        bounds.append(count)
+        valences_of: dict[int, frozenset] = {0: frozenset()}
         depth = self.depth
         self.components = []
         components_append = self.components.append
-        for cid in range(ncomp):
-            bits = int(comp_bits[cid])
-            if bits:
-                valences = frozenset(
+        for cid, (bits, mask) in enumerate(
+            zip(comp_bits.tolist(), comp_masks.tolist())
+        ):
+            valences = valences_of.get(bits)
+            if valences is None:
+                valences = valences_of[bits] = frozenset(
                     value_list[v] for v in range(len(value_list)) if bits >> v & 1
                 )
-            else:
-                valences = empty
             components_append(
                 Component(
                     component_id=cid,
                     depth=depth,
-                    member_indices=members_split[cid],
+                    member_indices=member_order[bounds[cid] : bounds[cid + 1]],
                     valences=valences,
-                    broadcast_mask=int(comp_masks[cid]),
+                    broadcast_mask=mask,
                     space=space,
                 )
             )

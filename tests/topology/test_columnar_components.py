@@ -3,17 +3,22 @@
 The columnar pipeline (``ComponentAnalysis`` labelling the layer's view
 graph, ``build_decision_table`` folding over component-id columns)
 replaced the object-based construction.  These tests pin it — on both
-kernel backends, and on both view-graph solvers (scipy and the no-scipy
-Shiloach–Vishkin loop) — to a self-contained reimplementation of the
-PR-4 algorithm: per-node bucket union-find over materialized level
-tuples, eager member lists, and the tuple-driven decision-map
-construction.  The contract is exact: identical
-component partitions (member lists in canonical first-member order),
-valences, broadcast masks, and identical decision tables (assignment,
-final map, early map) under both validity conditions.
+kernel backends — to a self-contained reimplementation of the PR-4
+algorithm: per-node bucket union-find over materialized level tuples,
+eager member lists, and the tuple-driven decision-map construction.  The
+contract is exact: identical component partitions (member lists in
+canonical first-member order), valences, broadcast masks, and identical
+decision tables (assignment, final map, early map) under both validity
+conditions.  The numpy pass's Shiloach–Vishkin labeler is also checked
+directly on synthetic view matrices against :class:`UnionFind`, and —
+where scipy is installed — against scipy's ``connected_components`` as a
+test-only oracle.  The package itself never imports scipy.
 """
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +41,7 @@ from repro.consensus.decision import build_decision_table
 from repro.consensus.spec import STRONG, WEAK, ConsensusSpec
 from repro.core.digraph import arrow
 from repro.core.graphword import full_mask
-from repro.core.views import ViewInterner, numpy_available
+from repro.core.views import ViewInterner, numpy_available, numpy_module
 from repro.errors import AnalysisError
 from repro.topology.components import ComponentAnalysis, UnionFind
 from repro.topology.prefixspace import PrefixSpace
@@ -190,6 +195,10 @@ class ReferenceComponents:
 
 def assert_components_match(space, depth):
     analysis = ComponentAnalysis(space, depth)
+    if not isinstance(analysis.comp_ids, list):
+        # The vectorized pass emits int32 id and member-order columns.
+        assert analysis.comp_ids.dtype.name == "int32"
+        assert all(c._members.dtype.name == "int32" for c in analysis.components)
     reference = ReferenceComponents(space, depth)
     got = [
         (c.member_indices, c.valences, c.broadcast_mask)
@@ -281,47 +290,82 @@ def test_columnar_pipeline_matches_on_random_oblivious(
     assert_tables_match(analysis, reference, ConsensusSpec())
 
 
-def use_solver(monkeypatch, solver):
-    """Pin the numpy pass to one view-graph solver (skip absent scipy)."""
-    if solver == "scipy":
-        if components_module._scipy_csgraph() is None:
-            pytest.skip("scipy is not installed")
-    else:
-        monkeypatch.setattr(components_module, "_scipy_csgraph", lambda: None)
+def scipy_comp_ids(space, depth):
+    """Canonical component ids of one layer, labelled by scipy (test oracle).
+
+    Builds the same view graph as the numpy pass — one node per distinct
+    view, one edge from each prefix's column-0 view to each of its other
+    views — and numbers scipy's components by smallest member index.
+    """
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    np = numpy_module()
+    mat = space.layer_store(depth).levels.array()
+    views, nodes = np.unique(mat, return_inverse=True)
+    nodes = nodes.reshape(mat.shape)
+    n = mat.shape[1]
+    graph = sparse.coo_matrix(
+        (
+            np.ones(len(mat) * (n - 1)),
+            (np.repeat(nodes[:, 0], n - 1), nodes[:, 1:].reshape(-1)),
+        ),
+        shape=(len(views), len(views)),
+    )
+    _, labels = csgraph.connected_components(graph, directed=False)
+    canonical: dict[int, int] = {}
+    return [
+        canonical.setdefault(label, len(canonical))
+        for label in labels[nodes[:, 0]].tolist()
+    ]
 
 
-def assert_solver_matches_reference(monkeypatch, solver):
-    use_solver(monkeypatch, solver)
-    for _, factory, depth in FAMILIES:
+#: Layers deeper than FAMILIES': a lossy-full chain the labeler needs 9
+#: hooking rounds for (5 at depth 4), 4,092 no-hub components, and an
+#: n=3 layer with 56.
+DEEP_LAYERS = [
+    ("lossy-full", lossy_link_full, 8),
+    ("no-hub", lossy_link_no_hub, 10),
+    ("sw-n3-1", lambda: santoro_widmayer_family(3, 1), 3),
+]
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only labeler")
+def test_sv_fallback_matches_reference():
+    """The Shiloach–Vishkin loop is the numpy pass's only labeler: on
+    layers deep enough to take it many hooking rounds it must reproduce
+    the reference partitions and decision tables exactly."""
+    for _, factory, depth in DEEP_LAYERS:
+        space = PrefixSpace(factory(), layer_backend="numpy")
+        space.ensure_depth(depth)
+        analysis, reference = assert_components_match(space, depth)
+        assert_tables_match(analysis, reference, ConsensusSpec())
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only labeler")
+def test_scipy_solver_matches_reference():
+    """scipy, as a test-only oracle, labels every family's view graph
+    into the same partitions as the numpy pass."""
+    pytest.importorskip("scipy")
+    for _, factory, depth in FAMILIES + DEEP_LAYERS:
         space = PrefixSpace(factory(), layer_backend="numpy")
         for t in range(depth + 1):
-            analysis, reference = assert_components_match(space, t)
-            assert_tables_match(analysis, reference, ConsensusSpec())
+            analysis = ComponentAnalysis(space, t)
+            assert analysis.comp_ids.tolist() == scipy_comp_ids(space, t)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy-only fallback")
-def test_sv_fallback_matches_reference(monkeypatch):
-    """Without scipy, the Shiloach–Vishkin loop must produce the same
-    partitions (it is the numpy path CI exercises on scipy-less boxes)."""
-    assert_solver_matches_reference(monkeypatch, "sv")
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy-only solver")
-def test_scipy_solver_matches_reference(monkeypatch):
-    assert_solver_matches_reference(monkeypatch, "scipy")
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy-only solvers")
-@pytest.mark.parametrize("solver", ["scipy", "sv"])
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only labeler")
+@pytest.mark.parametrize("oracle", ["scipy", "sv"])
 def test_view_graph_node_range_stays_bounded_under_shared_interner(
-    solver, monkeypatch
+    oracle, monkeypatch
 ):
     """A sweep shard shares one interner per ``n`` across its jobs, so a
     later job's layers hold view ids scattered across every earlier job's
     allocations.  The view graph must still have at most one node per
     cell (ids compact instead of spanning the interner), and its
-    partitions must stay exact."""
-    use_solver(monkeypatch, solver)
+    partitions must stay exact: against the reference, and with
+    ``oracle="scipy"`` also against scipy's labeling of the same graph."""
+    if oracle == "scipy":
+        pytest.importorskip("scipy")
     family = random_rooted_family(random.Random(3), 4, 12)
     interner = ViewInterner(4, layer_backend="numpy")
     for adversary in family[:-1]:
@@ -339,9 +383,123 @@ def test_view_graph_node_range_stays_bounded_under_shared_interner(
     for t in range(4):
         analysis, reference = assert_components_match(space, t)
         assert_tables_match(analysis, reference, ConsensusSpec())
+        if oracle == "scipy":
+            assert analysis.comp_ids.tolist() == scipy_comp_ids(space, t)
     assert len(seen) == 4
     assert any(span > cells for cells, span, _ in seen)  # ids really spread
     assert all(node_count <= cells for cells, _, node_count in seen)
+
+
+# --------------------------------------------------------------------- #
+# The labeler on synthetic view matrices
+# --------------------------------------------------------------------- #
+
+
+def union_find_ids(rows):
+    """Canonical component ids of prefixes that merge on any shared id."""
+    union_find = UnionFind(len(rows))
+    first: dict[int, int] = {}
+    for index, row in enumerate(rows):
+        for view in row:
+            other = first.setdefault(view, index)
+            if other != index:
+                union_find.union(other, index)
+    canonical: dict[int, int] = {}
+    return [
+        canonical.setdefault(union_find.find(i), len(canonical))
+        for i in range(len(rows))
+    ]
+
+
+@st.composite
+def view_matrices(draw):
+    """``(rows, spread)``: a synthetic layer and the gap between its ids.
+
+    Shapes: random rows over a small id pool (many merges), long chains
+    whose consecutive prefixes share one view — ids ascending, descending
+    or shuffled along the chain — and layers of private views, where the
+    first hooking pass settles every edge.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    shape = draw(
+        st.sampled_from(["random", "ascending", "descending", "shuffled", "private"])
+    )
+    if shape == "random":
+        count = draw(st.integers(min_value=1, max_value=40))
+        pool = draw(st.integers(min_value=1, max_value=3 * count * n))
+        raw = [
+            [draw(st.integers(min_value=0, max_value=pool - 1)) for _ in range(n)]
+            for _ in range(count)
+        ]
+    elif shape == "private":
+        count = draw(st.integers(min_value=1, max_value=40))
+        order = draw(st.permutations(range(count * n)))
+        raw = [list(order[i * n : (i + 1) * n]) for i in range(count)]
+    else:
+        count = draw(st.integers(min_value=1, max_value=300))
+        links = list(range(count + 1))
+        if shape == "descending":
+            links.reverse()
+        elif shape == "shuffled":
+            links = draw(st.permutations(links))
+        fresh = iter(range(count + 1, count + 1 + count * n))
+        raw = [
+            [links[i], links[i + 1]][:n] + [next(fresh) for _ in range(n - 2)]
+            for i in range(count)
+        ]
+    spread = draw(st.sampled_from([1, 3, 4096]))
+    base = draw(st.sampled_from([0, 7, 2**30]))
+    return [[base + spread * v for v in row] for row in raw], spread
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only labeler")
+@given(case=view_matrices())
+@settings(max_examples=150, deadline=None)
+def test_sv_labels_match_union_find(case):
+    rows, spread = case
+    np = numpy_module()
+    mat = np.array(rows, dtype=np.int32)
+    nodes, offset, node_count = components_module._view_nodes(np, mat)
+    if spread == 4096 and mat.min() != mat.max():
+        assert offset == 0 and node_count < mat.max() - mat.min()  # compacted
+    labels = components_module._sv_labels(np, nodes, offset, node_count)
+    comp_ids, count = components_module._first_member_ids(np, labels, node_count)
+    expected = union_find_ids(rows)
+    assert comp_ids.dtype == np.int32
+    assert comp_ids.tolist() == expected
+    assert count == max(expected) + 1
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only labeler")
+def test_check_never_imports_scipy():
+    """A numpy-backend check whose layers cross the vectorized threshold
+    labels them without scipy: the package never imports it.  Only bites
+    where scipy is installed."""
+    pytest.importorskip("scipy")
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import repro.topology.components as components\n"
+        "from repro.adversaries import lossy_link_full\n"
+        "from repro.consensus.solvability import check_consensus\n"
+        "labeled = []\n"
+        "label = components._sv_labels\n"
+        "def spy(np, nodes, offset, node_count):\n"
+        "    labeled.append(nodes.size)\n"
+        "    return label(np, nodes, offset, node_count)\n"
+        "components._sv_labels = spy\n"
+        "check_consensus(lossy_link_full(), max_depth=7,\n"
+        "                use_impossibility_provers=False)\n"
+        "assert max(labeled) >= components._COMPONENT_NUMPY_MIN_CELLS, labeled\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy-only guard")
