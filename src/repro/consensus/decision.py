@@ -26,8 +26,8 @@ per-prefix component-id column of the
 value-bit column, the final map reads the depth-``t``
 :class:`~repro.core.views.LayerTable` flat column, and the early map pushes
 value bitmaps bottom-up through the parent-index columns — per layer one
-sort + ``reduceat`` fold on the numpy backend, one flat loop on pure
-Python.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
+scatter-OR into a per-view column on the numpy backend, one flat loop on
+pure Python.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
 materialized except to format a validation error.
 """
 
@@ -41,7 +41,12 @@ from itertools import islice
 from repro.consensus.spec import STRONG, ConsensusSpec
 from repro.core.views import _code_typecode, numpy_module, plain_ids
 from repro.errors import AnalysisError, CertificateError
-from repro.topology.components import ComponentAnalysis
+from repro.topology.components import (
+    ComponentAnalysis,
+    _bits_dtype,
+    _node_column,
+    _view_nodes,
+)
 from repro.topology.prefixspace import PrefixSpace
 
 __all__ = ["DecisionMap", "DecisionTable", "build_decision_table"]
@@ -53,9 +58,10 @@ __all__ = ["DecisionMap", "DecisionTable", "build_decision_table"]
 #: random rooted n=4 spaces.
 _DECISION_NUMPY_MIN_CELLS = 256
 
-#: The vectorized folds encode value sets as int64 bitmaps; instances with
-#: more distinct decision values than this fall back to the Python maps
-#: (whose bitmaps are arbitrary-precision ints).
+#: The vectorized folds encode value sets as bitmaps (uint8 up to 8
+#: values, int64 beyond); instances with more distinct decision values
+#: than this fall back to the Python maps (whose bitmaps are
+#: arbitrary-precision ints).
 _NUMPY_MAX_VALUES = 62
 
 
@@ -191,9 +197,11 @@ class DecisionTable:
 
         Raises :class:`CertificateError` on any violation; passing is an
         end-to-end check of the universal construction at this depth.
-        The early map's entries within the layer's view-id range first
-        scatter into a dense code column (one byte per id, -1 =
-        undecided); the checks then run columnar on the numpy backend
+        The early map's entries within the layer's view-id span ``lo ..
+        hi`` first scatter into a code column over that span (one byte per
+        id, offset by ``lo``, -1 = undecided), so its size follows the
+        layer, not the largest id of a shared interner; the checks then
+        run columnar on the numpy backend
         (one gather over the layer's flat view column) with the flat
         Python loop as the fallback; nodes are only materialized to
         format a failure.
@@ -222,33 +230,33 @@ class DecisionTable:
         in_range = not len(final) or (lo <= final.ids[0] and final.ids[-1] <= hi)
         typecode = early.codes.typecode
         if numpy_path:
-            vid_codes = np.full(hi + 1, -1, dtype=typecode)
-            vid_codes[np.frombuffer(early.ids, dtype=np.int32)[first:last]] = (
+            vid_codes = np.full(hi - lo + 1, -1, dtype=typecode)
+            vid_codes[np.frombuffer(early.ids, dtype=np.int32)[first:last] - lo] = (
                 np.frombuffer(early.codes, dtype=typecode)[first:last]
             )
-            self._validate_numpy(np, store, mat, vid_codes, code_of)
+            self._validate_numpy(np, store, mat - lo, vid_codes, code_of)
             mismatch = not in_range or bool(
                 (
-                    vid_codes[np.frombuffer(final.ids, dtype=np.int32)]
+                    vid_codes[np.frombuffer(final.ids, dtype=np.int32) - lo]
                     != np.array(expected, dtype=np.int64)[
                         np.frombuffer(final.codes, dtype=final.codes.typecode)
                     ]
                 ).any()
             )
         else:
-            vid_codes = array(typecode, [-1]) * (hi + 1)
+            vid_codes = array(typecode, [-1]) * (hi - lo + 1)
             for vid, code in zip(early.ids[first:last], early.codes[first:last]):
-                vid_codes[vid] = code
-            self._validate_python(store, ids, table.n, vid_codes)
+                vid_codes[vid - lo] = code
+            self._validate_python(store, ids, table.n, lo, vid_codes)
             mismatch = not in_range or any(
-                vid_codes[vid] != expected[code]
+                vid_codes[vid - lo] != expected[code]
                 for vid, code in zip(final.ids, final.codes)
             )
         # Early decisions must be consistent with final ones.
         if mismatch:
             raise CertificateError("early/final decision mismatch")
 
-    def _validate_python(self, store, ids, n: int, vid_codes) -> None:
+    def _validate_python(self, store, ids, n: int, lo: int, vid_codes) -> None:
         space = self.space
         unanimity = space.unanimity_by_index
         input_vectors = space.input_vectors
@@ -257,9 +265,9 @@ class DecisionTable:
         input_idx = store.input_idx
         for index in range(len(store)):
             base = index * n
-            code = vid_codes[ids[base]]
+            code = vid_codes[ids[base] - lo]
             for p in range(n):
-                decided = vid_codes[ids[base + p]]
+                decided = vid_codes[ids[base + p] - lo]
                 if decided < 0:
                     raise CertificateError(
                         f"termination violation: no decision for process {p} "
@@ -285,10 +293,11 @@ class DecisionTable:
                     f"{space.node(self.depth, index)!r}: decided {value!r}"
                 )
 
-    def _validate_numpy(self, np, store, mat, vid_codes, code_of) -> None:
+    def _validate_numpy(self, np, store, cells, vid_codes, code_of) -> None:
+        """Columnar checks; ``cells`` is the layer matrix offset by ``lo``."""
         space = self.space
         value_list = self.early.palette
-        codes = vid_codes[mat]
+        codes = vid_codes[cells]
         undecided = codes < 0
         if undecided.any():
             index, p = np.argwhere(undecided)[0]
@@ -606,17 +615,24 @@ def _decision_maps_python(
 def _decision_maps_numpy(
     np, space, depth, analysis, assignment, value_list, bit_of
 ) -> tuple[DecisionMap, DecisionMap]:
-    """Vectorized decision maps: per layer one sort/``reduceat`` fold.
+    """Vectorized decision maps: per layer one scatter-OR over its view ids.
 
-    Views of different depths have distinct ids, so the per-layer
-    ``(unique view, OR of value bits)`` pairs concatenate into the early
-    map without cross-layer merging (one final argsort orders the ids);
-    the parent push is a segment OR over the (already parent-major-sorted)
-    parent column.
+    Each layer's cells OR their prefix's value bits straight into a
+    per-view bitmap column over the layer's view-id span, one view column
+    at a time (the id minus the smallest lands in one reused int32
+    buffer), so no per-cell sort and no cell-sized bit column is built.
+    When the span exceeds the layer's cell count — an interner shared
+    across spaces — the ids compact through ``np.unique`` first, the rule
+    of :func:`~repro.topology.components._view_nodes`.  A layer's decided
+    views come out ascending, and views of different depths have distinct
+    ids, so the layers concatenate into the early map, sorted once only
+    when the runs interleave.  The parent push is a segment OR over the
+    (parent-major) parent column.  Bitmaps are uint8 up to 8 values.
     """
     store = space.layer_store(depth)
+    bits_dtype = _bits_dtype(np, len(value_list))
     comp_bits = np.array(
-        [bit_of[assignment[c.id]] for c in analysis.components], dtype=np.int64
+        [bit_of[assignment[c.id]] for c in analysis.components], dtype=bits_dtype
     )
     comp_ids = analysis.comp_ids
     if not isinstance(comp_ids, np.ndarray):
@@ -628,31 +644,35 @@ def _decision_maps_numpy(
     all_codes: list = []
     for s in range(depth, -1, -1):
         level_store = space.layer_store(s)
-        flat = level_store.levels.array().reshape(-1)
-        cell_bits = np.repeat(value_bits, n)
-        order = np.argsort(flat, kind="stable")
-        sorted_vids = flat[order]
-        boundary = np.empty(len(sorted_vids), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_vids[1:], sorted_vids[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        uniq_vids = sorted_vids[starts]
-        uniq_bits = np.bitwise_or.reduceat(cell_bits[order], starts)
-        del cell_bits, order, sorted_vids, boundary, starts
+        mat = level_store.levels.array()
+        nodes, offset, node_count, node_views = _view_nodes(np, mat)
+        view_bits = np.zeros(node_count, dtype=bits_dtype)
+        column = np.empty(len(mat), dtype=np.int32)
+        for p in range(n):
+            np.bitwise_or.at(
+                view_bits, _node_column(np, nodes[:, p], offset, column), value_bits
+            )
+        del nodes, column
         # Single-bit AND nonzero: a view reachable only through dead-end
         # prefixes (a state group with no admissible extensions)
         # accumulates bits 0 and must stay undecided, exactly as on the
         # Python path.
-        decided = (uniq_bits != 0) & ((uniq_bits & (uniq_bits - 1)) == 0)
-        decided_vids = uniq_vids[decided]
-        codes = _bit_codes(np, uniq_bits[decided])
+        decided = np.flatnonzero(
+            (view_bits != 0) & ((view_bits & (view_bits - 1)) == 0)
+        )
+        codes = _bit_codes(np, view_bits[decided])
+        del view_bits
+        if node_views is None:
+            decided_vids = (decided + offset).astype(np.int32)
+        else:
+            decided_vids = node_views[decided].astype(np.int32, copy=False)
+        del decided, node_views
         if s == depth:
             # The depth-t views are single-valued by construction; they
             # are exactly the final map.
             final = DecisionMap.from_columns(np, decided_vids, codes, value_list)
         all_vids.append(decided_vids)
         all_codes.append(codes)
-        del uniq_vids, uniq_bits, decided
         if s:
             parents = level_store.parent_array()
             prev_count = len(space.layer_store(s - 1))
@@ -661,18 +681,22 @@ def _decision_maps_numpy(
             np.not_equal(parents[1:], parents[:-1], out=seg_boundary[1:])
             seg_starts = np.flatnonzero(seg_boundary)
             seg_parents = parents[seg_starts]
-            parent_bits = np.zeros(prev_count, dtype=np.int64)
+            parent_bits = np.zeros(prev_count, dtype=bits_dtype)
             parent_bits[seg_parents] = np.bitwise_or.reduceat(
                 value_bits, seg_starts
             )
             value_bits = parent_bits
-    # Shallow layers first: a fresh interner numbers views depth by
-    # depth, so the sort below mostly merges ascending runs.
+    # Shallow layers first: a fresh interner allocates rows depth by
+    # depth, so the runs are usually ascending already.
     vids = np.concatenate(all_vids[::-1])
     codes = np.concatenate(all_codes[::-1])
     del all_vids, all_codes
-    order = np.argsort(vids, kind="stable")
-    early = DecisionMap.from_columns(np, vids[order], codes[order], value_list)
+    if len(vids) > 1 and not bool((vids[1:] > vids[:-1]).all()):
+        order = np.argsort(vids, kind="stable")
+        vids = vids[order]
+        codes = codes[order]
+        del order
+    early = DecisionMap.from_columns(np, vids, codes, value_list)
     return final, early
 
 

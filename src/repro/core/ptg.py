@@ -188,10 +188,11 @@ class PTGPrefix:
         the sense of Definition 5.8.
         """
         views = self.views(t)
-        masks = self.interner._origin_mask
-        mask = (1 << self.interner.n) - 1
+        n = self.interner.n
+        masks = self.interner._row_masks
+        mask = (1 << n) - 1
         for vid in views:
-            mask &= masks[vid]
+            mask &= masks[vid // n]
         return mask
 
     def broadcasters(self, t: int | None = None) -> frozenset[int]:

@@ -20,33 +20,44 @@ comparisons.
 
 Array-backed view tables
 ------------------------
-The interner is columnar: per view id, parallel ``array`` columns hold the
-owner (``_pid``, int8 up to 128 processes), the depth (``_depth``, int32),
-the origin bitmask (``_origin_mask``, the narrowest signed width holding
-``n`` bits: int8 up to 7 processes), and a *row id* (``_row``, int32) that
-indexes one of two side tables — the leaf payload list for time-0 views,
-or the interned *child-row arena* for later views.  Child rows (sorted
-view-id sets) live flat in the arena (``_row_data`` + ``_row_starts``
-offsets, both int32): no per-row Python tuple is ever stored.  Row
-interning goes through a packed-key open-addressing table (``_row_slots``,
-int32 row ids): a 64-bit mix of the child ids is the probe key, collisions
-resolve by comparing against the arena, and the per-row hash is kept
-(``_row_hashes``, 64-bit) so table growth rehashes without touching row
-contents.  Because row ids are allocated consecutively, the node lookup
-key ``row_id * n + p`` stays dense and the node "table" remains a flat
-int32 slot array indexed directly; the key itself is always computed in
-64-bit arithmetic.
+The interner is columnar, and a view's id is its *slot* ``rid * n + p``
+in the child-row table: ``rid`` the interned row, ``p`` the owner.  A
+depth-``t`` view is fixed by its owner and the set of depth-``t - 1``
+views it heard, so every view of one row shares that row's depth and
+origin mask, and a view exists exactly when its owner's bit is set on
+the row.  Per row, parallel ``array`` columns hold the owner bitmask
+(``_row_owners``) and the origin bitmask (``_row_masks``), both at the
+narrowest signed width holding ``n`` bits (int8 up to 7 processes), and
+the depth (``_row_depth``, int32); nothing is stored per view, and the
+owner, row, depth and origin mask of a view all come from ``vid // n``
+and ``vid % n``.  A leaf ``(p, x_p)`` is an owner-only row with no
+children.  Child rows (sorted view-id sets) live flat in an arena
+(``_row_data`` + ``_row_starts`` offsets, both int32): no per-row Python
+tuple is ever stored.  Row interning goes through a packed-key
+open-addressing table (``_row_slots``, int32 row ids): the low 32 bits
+of a 64-bit mix of the child ids are the probe key, kept per row
+(``_row_hashes``, uint32) so table growth rehashes without touching row
+contents, and collisions resolve by comparing against the arena.  The
+probe and the rehash read only ``key & mask``, and with int32 row ids the
+table never holds more than ``2**32`` slots, so 32 key bits lose nothing.
+A leaf row is keyed by its own row id; being empty, it never matches a
+child-row probe, and leaves are found through the ``(p, value)`` leaf
+table.
 
-Every view id, row id and arena offset is stored in four bytes, with no
-wider fallback: an interner raises :class:`~repro.errors.CapacityError`
-before its views, rows or arena cells would number more than
-:data:`_ID_LIMIT` (``2**31 - 1``), leaving every column consistent.
+Slot ids leave gaps — the slots of owners a row has no view for — so ids
+are not ``0 .. len - 1``: ``len()`` counts views (set owner bits), an
+accessor given a gap id raises :class:`~repro.errors.AnalysisError`, and
+consumers that index by id use the layer's id span.  Every id, row id and
+arena offset is stored in four bytes, with no wider fallback: an interner
+raises :class:`~repro.errors.CapacityError` before ``rows * n`` or its
+arena cells would pass :data:`_ID_LIMIT` (``2**31 - 1``), leaving every
+column consistent.
 
-The interner also maintains, per view, the bitmask of processes whose
-*initial* node ``(q, 0, x_q)`` occurs in the causal past, together with the
-observed input values.  This is precisely the information needed to decide
-broadcastability (Definition 5.8): ``p`` has broadcast in a prefix iff the
-bit of ``p`` is set in every process's view mask.
+The interner also maintains, per row, the bitmask of processes whose
+*initial* node ``(q, 0, x_q)`` occurs in the causal past, and per view (on
+demand) the observed input values.  This is precisely the information
+needed to decide broadcastability (Definition 5.8): ``p`` has broadcast in
+a prefix iff the bit of ``p`` is set in every process's view mask.
 
 The whole-layer extension kernel
 --------------------------------
@@ -60,14 +71,14 @@ per distinct *in-neighborhood* of the alphabet (child rows depend on the
 in-list only, never on the owner): it builds every candidate child row of
 the layer, deduplicates rows across all parents at once, interns each
 distinct row a single time through the open-addressing row table, and
-allocates new views at unique-row granularity.  Two backends implement the
-batch:
+creates views at unique-row granularity: a child column is ``urid * n +
+p``, plus one owner bit set per row.  Two backends implement the batch:
 
 * ``"numpy"`` — the layer column becomes one int32 matrix; candidate rows
   are gathered/sorted/uniqued as packed int64 key columns (``np.unique``-based
   bulk interning: row hashes for the open-addressing probe are computed
-  vectorized over the distinct rows), and view slots resolve through
-  vectorized gathers over the interner's buffer-backed columns.  Selected
+  vectorized over the distinct rows), and owner bits are set through
+  vectorized gathers over the interner's buffer-backed row columns.  Selected
   by default when numpy imports (set ``REPRO_PURE_PYTHON=1`` to veto at
   import time).
 * ``"python"`` — the same batched structure in pure Python, so
@@ -119,8 +130,8 @@ __all__ = [
 #: to a plain list column.
 _MASK_ARRAY_MAX_N = 62
 
-#: The most views, rows or arena cells an interner holds.  Ids and arena
-#: offsets are stored as int32, so the interner raises
+#: The most view slots (``rows * n``) or arena cells an interner holds.
+#: Ids and arena offsets are stored as int32, so the interner raises
 #: :class:`~repro.errors.CapacityError` before it would write one past
 #: this (the largest space ever checked held about 0.26G views).  Read at
 #: call time, so tests can monkeypatch it.
@@ -159,6 +170,11 @@ _REHASH_CHUNK = 1 << 16
 _ROW_HASH_SEED = 0xCBF29CE484222325
 _ROW_HASH_MULT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+#: Row keys keep the low 32 bits of the 64-bit mix: probes and rehashes
+#: read only ``key & mask``, and the probe table never has more than
+#: ``2**32`` slots.
+_MASK32 = (1 << 32) - 1
 
 #: CPython's tuple-hash constants (xxHash-style, CPython >= 3.8).  When
 #: the running interpreter's ``hash(tuple_of_ints)`` matches this scheme
@@ -267,27 +283,28 @@ _TUPLE_HASH_OK = all(
 
 
 def _fnv_row_hash(kids: Sequence[int]) -> int:
-    """Fallback 64-bit packed probe key (order-sensitive multiply-fold)."""
+    """Fallback 32-bit probe key (low half of a 64-bit multiply-fold)."""
     h = _ROW_HASH_SEED
     for c in kids:
         h = ((h ^ c) * _ROW_HASH_MULT) & _MASK64
-    return h
+    return h & _MASK32
 
 
 def _builtin_row_hash(kids) -> int:
     """Probe key via the interpreter's C tuple hash (verified above)."""
-    return hash(kids if type(kids) is tuple else tuple(kids)) & _MASK64
+    return hash(kids if type(kids) is tuple else tuple(kids)) & _MASK32
 
 
 _row_hash = _builtin_row_hash if _TUPLE_HASH_OK else _fnv_row_hash
 
 
 def _bulk_row_hashes(np, uniq, k: int):
-    """Vectorized probe keys for a ``(count, k)`` row matrix of view ids.
+    """Vectorized probe keys (uint32) for a ``(count, k)`` row matrix.
 
     Bit-identical to :func:`_row_hash` on every row (the xxHash emulation
-    when the builtin tuple hash is in play, the fold otherwise), so rows
-    interned by either kernel resolve through the same slots.
+    when the builtin tuple hash is in play, the fold otherwise, both
+    folded in uint64 and cut to their low 32 bits), so rows interned by
+    either kernel resolve through the same slots.
     """
     count = len(uniq)
     if _TUPLE_HASH_OK:
@@ -301,12 +318,12 @@ def _bulk_row_hashes(np, uniq, k: int):
             acc = ((acc << s31) | (acc >> s33)) * p1
         acc = acc + np.uint64(k ^ _XX_SUFFIX)
         acc[acc == np.uint64(_MASK64)] = np.uint64(1546275796)
-        return acc
+        return acc.astype(np.uint32)
     acc = np.full(count, _ROW_HASH_SEED, dtype=np.uint64)
     mult = np.uint64(_ROW_HASH_MULT)
     for c in range(k):
         acc = (acc ^ uniq[:, c].astype(np.uint64)) * mult
-    return acc
+    return acc.astype(np.uint32)
 
 
 def _unique_rows(np, cand):
@@ -504,21 +521,17 @@ class ViewInterner:
     __slots__ = (
         "n",
         "layer_backend",
-        "_pid",
-        "_depth",
-        "_row",
-        "_origin_mask",
         "_origin_values",
         "_leaf_table",
-        "_leaf_values",
-        "_node_slots",
-        "_empty_row",
         "_row_data",
         "_row_starts",
         "_row_hashes",
         "_row_slots",
         "_row_slot_mask",
         "_row_masks",
+        "_row_owners",
+        "_row_depth",
+        "_view_count",
         "_leaf_count",
         "_plan_cache",
     )
@@ -540,42 +553,34 @@ class ViewInterner:
             )
         self.layer_backend = layer_backend
         self.n = n
-        # Parallel per-view columns, each at the width its values need:
-        # owners at the code width for n (int8 up to 128 processes), depths
-        # and row ids int32 (capped at _ID_LIMIT), origin masks at the
-        # narrowest signed width holding n bits while they fit a machine
-        # int.  Origin *values* are sparse: only leaves, node() views and
-        # forced views hold an entry; the extension kernels defer them
-        # (see :meth:`origins`).
-        mask_typecode = _mask_typecode(n)
-        self._pid: array[int] = array(_code_typecode(n))
-        self._depth = array("i")
-        self._row = array("i")
-        self._origin_mask = array(mask_typecode) if mask_typecode else []
+        # Origin *values* are sparse, per view id: only leaves, node()
+        # views and forced views hold an entry; the extension kernels
+        # defer them (see :meth:`origins`).
         self._origin_values: dict[int, tuple] = {}
-        # Leaf side table: (p, value) -> vid, plus payload storage.
+        # Leaf table: (p, value) -> vid.
         self._leaf_table: dict = {}
-        self._leaf_values: list = []
-        # Node side tables.  Child rows live flat in an arena
-        # (``_row_data`` + ``_row_starts`` offsets) and are interned through
-        # a packed-key open-addressing table: ``_row_slots`` holds row ids,
-        # probed at ``hash & mask`` with linear probing, ``_row_hashes``
-        # keeps each row's 64-bit key so growth rehashes by gather.  The
-        # dense slot column ``row_id * n + p -> vid`` (-1 = not yet
-        # interned) stays a flat array indexed directly.  Ids, offsets and
-        # slots are int32; only the hashes are 64-bit.
-        self._node_slots = array("i")
-        self._empty_row = array("i", [-1]) * n
+        # Child rows live flat in an arena (``_row_data`` + ``_row_starts``
+        # offsets) and are interned through a packed-key open-addressing
+        # table: ``_row_slots`` holds row ids, probed at ``key & mask``
+        # with linear probing, and ``_row_hashes`` keeps each row's 32-bit
+        # key so growth rehashes by gather.  Ids, offsets and slots are
+        # int32.
         self._row_data = array("i")
         self._row_starts = array("i", [0])
-        self._row_hashes = array("Q")
+        self._row_hashes = array("I")
         self._row_slots = array("i", [-1]) * 64
         self._row_slot_mask = 63
-        # Per-row origin-mask cache: a view's mask is the union of its
-        # children's masks, which depends on the row only — never on the
-        # owner — so views sharing a row skip the fold.  Same typecode as
-        # ``_origin_mask`` so the numpy kernel can gather it by buffer.
+        # Per-row columns; view ``rid * n + p`` exists iff bit ``p`` of
+        # ``_row_owners[rid]`` is set.  A view's origin mask is the union
+        # of its children's masks, which depends on the row only, so it
+        # is kept per row.  Owner and origin masks share the narrowest
+        # signed width holding n bits (int8 up to 7 processes), so the
+        # numpy kernel gathers both by buffer.
+        mask_typecode = _mask_typecode(n)
         self._row_masks = array(mask_typecode) if mask_typecode else []
+        self._row_owners = array(mask_typecode) if mask_typecode else []
+        self._row_depth = array("i")
+        self._view_count = 0
         self._leaf_count = 0
         # Per-alphabet extension plan LRU: distinct (p, in-neighborhood)
         # patterns in first-occurrence order + per-graph assembly layouts.
@@ -586,7 +591,7 @@ class ViewInterner:
     # ------------------------------------------------------------------ #
 
     def _row_find(self, kids: Sequence[int], h: int) -> tuple[int, int]:
-        """Probe the open-addressing table for a row.
+        """Probe the open-addressing table for a row under its 32-bit key.
 
         Returns ``(rid, slot)``: ``rid >= 0`` when the row is interned;
         otherwise ``rid == -1`` and ``slot`` is the insertion point (valid
@@ -613,33 +618,29 @@ class ViewInterner:
                         return rid, idx
             idx = (idx + 1) & mask
 
-    def _row_add_bare(self, kids: Sequence[int], h: int, slot: int) -> int:
-        """Append a fresh row to the arena + probe table only.
+    def _row_add(
+        self, kids: Sequence[int], h: int, slot: int, mask_value: int, depth: int
+    ) -> int:
+        """Append a fresh row, owning no view yet, at ``slot``.
 
-        The caller is responsible for extending ``_node_slots`` and
-        ``_row_masks`` (the numpy kernel does both in bulk), and for
-        reserving the id room first (:meth:`_reserve`).
+        The caller reserves the id room first (:meth:`_reserve`).
         """
         rid = len(self._row_hashes)
         self._row_data.extend(kids)
         self._row_starts.append(len(self._row_data))
         self._row_hashes.append(h)
+        self._row_masks.append(mask_value)
+        self._row_owners.append(0)
+        self._row_depth.append(depth)
         self._row_slots[slot] = rid
         if (rid + 2) * 3 >= len(self._row_slots) * 2:
             self._row_rehash()
         return rid
 
-    def _row_add(self, kids: Sequence[int], h: int, slot: int, mask_value: int) -> int:
-        """Append a fresh row including its node slots and origin mask."""
-        rid = self._row_add_bare(kids, h, slot)
-        self._node_slots.extend(self._empty_row)
-        self._row_masks.append(mask_value)
-        return rid
-
     def _row_rehash(self, size: int | None = None) -> None:
         """Grow the probe table (4x by default) and re-place every row.
 
-        Placement goes by the stored per-row hash — row contents (and the
+        Placement goes by the stored per-row key — row contents (and the
         old table) are never re-read.  With numpy available and enough
         rows, placement runs in fixed chunks of :data:`_REHASH_CHUNK` rows,
         so its temporaries are sized by the chunk: each chunk first steps
@@ -656,8 +657,8 @@ class ViewInterner:
         if _np is not None and nrows >= 4096:
             np = _np
             slots_np = np.frombuffer(slots, dtype=np.int32)
-            hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint64)
-            umask = np.uint64(mask)
+            hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
+            umask = np.uint32(mask)
             for lo in range(0, nrows, _REHASH_CHUNK):
                 hi = min(lo + _REHASH_CHUNK, nrows)
                 idx = (hashes_np[lo:hi] & umask).astype(np.int64)
@@ -684,19 +685,18 @@ class ViewInterner:
         self._row_slots = slots
         self._row_slot_mask = mask
 
-    def _intern_rows_numpy(self, np, uniq, hashes, k: int):
-        """Bulk-intern distinct candidate rows, fully vectorized.
+    def _intern_rows_numpy(self, np, uniq, hashes, k: int, depth: int):
+        """Bulk-intern distinct candidate rows of depth ``depth``, vectorized.
 
         ``uniq`` is the ``(count, k)`` matrix of distinct sorted rows,
-        ``hashes`` their 64-bit fold keys.  Probing gathers the
-        open-addressing table through transient buffer windows (hash hits
+        ``hashes`` their uint32 keys.  Probing gathers the
+        open-addressing table through transient buffer windows (key hits
         verify against the arena, mismatches advance their probe cursor),
-        fresh rows append to the arena in one contiguous copy, and their
-        slot placement resolves contention by iterated last-write-wins
-        scatter.  Returns ``(rids, fresh_rows)``: the int64 row id per
-        input row (ready for ``rid * n + p``), and the input positions
-        that were freshly interned (their node slots/row masks are
-        extended by the caller, as in the scalar path).  Raises
+        fresh rows append to the arena and the per-row columns in one
+        contiguous copy each (origin masks fold from the children's rows;
+        owner masks start empty), and their slot placement resolves
+        contention by iterated last-write-wins scatter.  Returns the
+        int64 row id per input row, ready for ``rid * n + p``.  Raises
         :class:`~repro.errors.CapacityError` before appending rows or
         arena cells past :data:`_ID_LIMIT`.
         """
@@ -711,10 +711,10 @@ class ViewInterner:
             self._row_rehash(size=size)
         slot_mask = self._row_slot_mask
         slots_np = np.frombuffer(self._row_slots, dtype=np.int32)
-        row_hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint64)
+        row_hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
         starts_np = np.frombuffer(self._row_starts, dtype=np.int32)
         data_np = np.frombuffer(self._row_data, dtype=np.int32)
-        idx = (hashes & np.uint64(slot_mask)).astype(np.int64)
+        idx = (hashes & np.uint32(slot_mask)).astype(np.int64)
         rids = np.full(count, -1, dtype=np.int64)
         found_slot = np.full(count, -1, dtype=np.int64)
         unresolved = np.arange(count, dtype=np.int64)
@@ -753,18 +753,33 @@ class ViewInterner:
         fresh_rows = np.flatnonzero(rids < 0)
         total_fresh = len(fresh_rows)
         if total_fresh:
-            self._reserve(0, total_fresh, k * total_fresh)
+            self._reserve(total_fresh, k * total_fresh)
             old_len = len(self._row_data)
             new_rids = np.arange(nrows, nrows + total_fresh, dtype=np.int32)
             rids[fresh_rows] = new_rids
             payload = np.ascontiguousarray(uniq[fresh_rows], dtype=np.int32)
+            # A row's origin mask is the OR of its children's row masks,
+            # folded column by column (a reduce along a k-wide axis is
+            # several times slower).
+            child_rows = payload // self.n
+            mask_view = np.frombuffer(self._row_masks, dtype=self._row_masks.typecode)
+            fresh_masks = mask_view[child_rows[:, 0]]
+            for j in range(1, k):
+                fresh_masks |= mask_view[child_rows[:, j]]
+            del mask_view, child_rows
             self._row_data.frombytes(payload.tobytes())
+            del payload
             self._row_starts.frombytes(
                 np.arange(
                     old_len + k, old_len + k * total_fresh + 1, k, dtype=np.int32
                 ).tobytes()
             )
             self._row_hashes.frombytes(hashes[fresh_rows].tobytes())
+            self._row_masks.frombytes(fresh_masks.tobytes())
+            self._row_owners.frombytes(bytes(fresh_masks.nbytes))
+            self._row_depth.frombytes(
+                np.full(total_fresh, depth, dtype=np.int32).tobytes()
+            )
             # Slot placement: last-write-wins scatter with collision retry
             # (the table was pre-grown, so the load factor bound holds).
             place_idx = found_slot[fresh_rows]
@@ -784,7 +799,7 @@ class ViewInterner:
                     nxt[occupied] = (nxt[occupied] + 1) & slot_mask
                 place_idx[pending] = nxt
         del slots_np
-        return rids, fresh_rows
+        return rids
 
     def _row_tuple(self, rid: int) -> tuple[int, ...]:
         """Materialize one interned row as a tuple (accessor path only)."""
@@ -795,73 +810,88 @@ class ViewInterner:
     def _row_count(self) -> int:
         return len(self._row_hashes)
 
+    def _view_row(self, vid: int) -> int:
+        """The row of view ``vid``; a clean error for an id naming no view.
+
+        Slot ids leave gaps (owners a row holds no view for), so an id
+        below ``rows * n`` may still name nothing.
+        """
+        rid, p = divmod(vid, self.n)
+        if vid < 0 or rid >= len(self._row_owners) or not self._row_owners[rid] >> p & 1:
+            raise AnalysisError(f"no view with id {vid} in this interner")
+        return rid
+
     # ------------------------------------------------------------------ #
     # The int32 id limit
     # ------------------------------------------------------------------ #
 
-    def _has_room(self, views: int, rows: int = 0, cells: int = 0) -> bool:
-        """Whether that many more views, rows and arena cells fit the limit."""
+    def _has_room(self, rows: int, cells: int = 0) -> bool:
+        """Whether that many more rows and arena cells fit the limit.
+
+        A row brings ``n`` view slots, so rows are bounded by
+        ``rows * n <= _ID_LIMIT``; a view on an existing row needs no room.
+        """
         return (
-            len(self._pid) + views <= _ID_LIMIT
-            and len(self._row_hashes) + rows <= _ID_LIMIT
+            (len(self._row_hashes) + rows) * self.n <= _ID_LIMIT
             and len(self._row_data) + cells <= _ID_LIMIT
         )
 
-    def _reserve(self, views: int, rows: int = 0, cells: int = 0) -> None:
+    def _reserve(self, rows: int, cells: int = 0) -> None:
         """Raise :class:`~repro.errors.CapacityError` unless the ids fit.
 
         Every path checks a whole batch this way before it writes any of
         it — a call for :meth:`leaf_level`, :meth:`node` and
-        :meth:`extend_level`, one in-neighborhood's rows or one owner's
-        views for the layer kernels — so a refused batch leaves every
-        column as it was.
+        :meth:`extend_level`, one in-neighborhood's rows for the layer
+        kernels — so a refused batch leaves every column as it was.
         """
-        if not self._has_room(views, rows, cells):
+        if not self._has_room(rows, cells):
             raise CapacityError(
-                f"view interner full: {len(self._pid)} views, "
-                f"{len(self._row_hashes)} rows and {len(self._row_data)} "
-                f"arena cells cannot take {views}, {rows} and {cells} more "
-                f"under the int32 limit of {_ID_LIMIT} each"
+                f"view interner full: {len(self._row_hashes)} rows of "
+                f"{self.n} slots and {len(self._row_data)} arena cells "
+                f"cannot take {rows} and {cells} more under the int32 "
+                f"limit of {_ID_LIMIT} slots and cells"
             )
 
-    def _batch_need(self, level: Sequence[int], patterns) -> tuple[int, int, int]:
-        """The exact (views, rows, cells) extending ``level`` would add.
+    def _batch_need(self, level: Sequence[int], patterns) -> tuple[int, int]:
+        """The exact (rows, cells) extending ``level`` would add.
 
         A dry run of :meth:`_extend_batch`'s probe, taken only when the
         cheap upper bound does not fit the limit.
         """
         fresh_rows: set = set()
-        views: set = set()
-        for p, in_list in patterns:
+        for _, in_list in patterns:
             kids = tuple(sorted({level[q] for q in in_list}))
-            rid, _ = self._row_find(kids, _row_hash(kids))
-            if rid < 0:
+            if self._row_find(kids, _row_hash(kids))[0] < 0:
                 fresh_rows.add(kids)
-                views.add((kids, p))
-            elif self._node_slots[rid * self.n + p] < 0:
-                views.add((kids, p))
-        return len(views), len(fresh_rows), sum(map(len, fresh_rows))
+        return len(fresh_rows), sum(map(len, fresh_rows))
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
+    def _add_leaf(self, p: int, value) -> int:
+        """Append the owner-only row of a fresh leaf and return its view id.
+
+        The empty row is keyed by its own row id, so it takes a free slot
+        and no child-row probe (``k >= 1``) ever matches it.
+        """
+        key = len(self._row_hashes) & _MASK32
+        rid = self._row_add((), key, self._row_find((), key)[1], 1 << p, 0)
+        self._row_owners[rid] = 1 << p
+        vid = rid * self.n + p
+        self._leaf_table[(p, value)] = vid
+        self._origin_values[vid] = ((p, value),)
+        self._leaf_count += 1
+        self._view_count += 1
+        return vid
+
     def leaf(self, p: int, value) -> int:
         """Intern the time-0 view ``(p, value)`` and return its id."""
         self._check_pid(p)
-        key = (p, value)
-        vid = self._leaf_table.get(key)
+        vid = self._leaf_table.get((p, value))
         if vid is None:
             self._reserve(1)
-            vid = len(self._pid)
-            self._leaf_table[key] = vid
-            self._pid.append(p)
-            self._depth.append(0)
-            self._row.append(len(self._leaf_values))
-            self._leaf_values.append(value)
-            self._origin_mask.append(1 << p)
-            self._origin_values[vid] = ((p, value),)
-            self._leaf_count += 1
+            vid = self._add_leaf(p, value)
         return vid
 
     def node(self, p: int, children: Iterable[int]) -> int:
@@ -875,21 +905,20 @@ class ViewInterner:
         kids = tuple(sorted(set(children)))
         if not kids:
             raise AnalysisError("a non-leaf view needs at least its own previous view")
+        n = self.n
         h = _row_hash(kids)
         rid, slot = self._row_find(kids, h)
-        if rid >= 0:
-            vid = self._node_slots[rid * self.n + p]
-            if vid >= 0:
-                return vid
+        if rid >= 0 and self._row_owners[rid] >> p & 1:
+            return rid * n + p
         # Validate *before* interning the row, so a rejected call leaves no
         # phantom row behind in the tables (or the stats).
-        depths = {self._depth[c] for c in kids}
+        depths = {self._row_depth[self._view_row(c)] for c in kids}
         if len(depths) != 1:
             raise AnalysisError(f"children of a view must share a depth, got {sorted(depths)}")
         mask = 0
         values: dict[int, object] = {}
         for c in kids:
-            mask |= self._origin_mask[c]
+            mask |= self._row_masks[c // n]
             for q, value in self.origins(c):
                 previous = values.setdefault(q, value)
                 if previous != value:
@@ -897,16 +926,11 @@ class ViewInterner:
                         f"inconsistent input values for process {q}: {previous!r} vs {value!r}"
                     )
         if rid < 0:
-            self._reserve(1, 1, len(kids))
-            rid = self._row_add(kids, h, slot, mask)
-        else:
-            self._reserve(1)
-        vid = len(self._pid)
-        self._node_slots[rid * self.n + p] = vid
-        self._pid.append(p)
-        self._depth.append(depths.pop() + 1)
-        self._row.append(rid)
-        self._origin_mask.append(mask)
+            self._reserve(1, len(kids))
+            rid = self._row_add(kids, h, slot, mask, depths.pop() + 1)
+        self._row_owners[rid] |= 1 << p
+        self._view_count += 1
+        vid = rid * n + p
         self._origin_values[vid] = tuple(
             sorted(values.items(), key=lambda kv: kv[0])
         )
@@ -920,24 +944,13 @@ class ViewInterner:
             )
         leaf_table = self._leaf_table
         leaf_table_get = leaf_table.get
-        pids = self._pid
-        leaf_values = self._leaf_values
         if not self._has_room(len(inputs)):
             self._reserve(sum(key not in leaf_table for key in enumerate(inputs)))
         level = []
         for p, value in enumerate(inputs):
-            key = (p, value)
-            vid = leaf_table_get(key)
+            vid = leaf_table_get((p, value))
             if vid is None:
-                vid = len(pids)
-                leaf_table[key] = vid
-                pids.append(p)
-                self._depth.append(0)
-                self._row.append(len(leaf_values))
-                leaf_values.append(value)
-                self._origin_mask.append(1 << p)
-                self._origin_values[vid] = ((p, value),)
-                self._leaf_count += 1
+                vid = self._add_leaf(p, value)
             level.append(vid)
         return tuple(level)
 
@@ -1031,28 +1044,22 @@ class ViewInterner:
         Shares the per-``(p, in-neighborhood)`` work across graphs:
         alphabets repeat in-rows (e.g. every graph in which ``p`` hears
         everyone produces the same view of ``p``), so each distinct row is
-        interned once.  Views are allocated in first-occurrence pattern
-        order, graph by graph.
+        interned once, in first-occurrence pattern order, graph by graph.
         """
         patterns, layouts, _, _ = self._alphabet_plan(graphs)
-        node_slots = self._node_slots
+        n = self.n
         row_masks = self._row_masks
-        pids = self._pid
-        pids_append = pids.append
-        depths_append = self._depth.append
-        row_col_append = self._row.append
-        masks = self._origin_mask
-        masks_append = masks.append
+        owners = self._row_owners
         row_find = self._row_find
         row_add = self._row_add
-        depth = self._depth[level[0]] + 1
-        n = self.n
+        depth = self._row_depth[level[0] // n] + 1
         count = len(patterns)
-        if not self._has_room(count, count, n * count):
+        if not self._has_room(count, n * count):
             self._reserve(*self._batch_need(level, patterns))
         sorted_level: tuple[int, ...] | None = None
         vids = []
         vids_append = vids.append
+        added = 0
         for p, in_list in patterns:
             size = len(in_list)
             if size == 2:
@@ -1072,33 +1079,17 @@ class ViewInterner:
             h = _row_hash(kids)
             rid, slot = row_find(kids, h)
             if rid < 0:
-                # Fresh row: the view cannot exist yet — allocate row and
-                # view without re-reading the slot, folding the row mask
-                # once for every future owner.
+                # Fresh row: fold its origin mask once for every owner.
                 mask = 0
                 for c in kids:
-                    mask |= masks[c]
-                rid = row_add(kids, h, slot, mask)
-                vid = len(pids)
-                node_slots[rid * n + p] = vid
-                pids_append(p)
-                depths_append(depth)
-                row_col_append(rid)
-                masks_append(mask)
-            else:
-                slot_index = rid * n + p
-                vid = node_slots[slot_index]
-                if vid < 0:
-                    # Every row-creation path stores the row mask, so a
-                    # known row always has its mask on hand.
-                    mask = row_masks[rid]
-                    vid = len(pids)
-                    node_slots[slot_index] = vid
-                    pids_append(p)
-                    depths_append(depth)
-                    row_col_append(rid)
-                    masks_append(mask)
-            vids_append(vid)
+                    mask |= row_masks[c // n]
+                rid = row_add(kids, h, slot, mask, depth)
+            held = owners[rid]
+            if not held >> p & 1:
+                owners[rid] = held | 1 << p
+                added += 1
+            vids_append(rid * n + p)
+        self._view_count += added
         return [tuple([vids[i] for i in layout]) for layout in layouts]
 
     # ------------------------------------------------------------------ #
@@ -1208,14 +1199,10 @@ class ViewInterner:
         n = self.n
         ids = plain_ids(table.ids)
         total = len(ids)
-        depth = self._depth[ids[0]] + 1
+        depth = self._row_depth[ids[0] // n] + 1
         row_masks = self._row_masks
-        node_slots = self._node_slots
-        empty_row = self._empty_row
-        masks = self._origin_mask
-        pids = self._pid
-        depth_col = self._depth
-        row_col = self._row
+        owners = self._row_owners
+        row_depth = self._row_depth
         vid_arrs: list = [None] * len(patterns)
         for si, in_list in enumerate(inlists):
             k = len(in_list)
@@ -1259,10 +1246,9 @@ class ViewInterner:
                         uniq_append(kids)
                     inv_append(u)
             # Intern the distinct rows of this column once.  The probe
-            # loop is inlined — one multiply-fold hash, linear probing,
-            # arena compare on hash hits — because at deep layers most
-            # distinct rows are globally fresh and per-row call overhead
-            # dominates.
+            # loop is inlined — one hash, linear probing, arena compare on
+            # key hits — because at deep layers most distinct rows are
+            # globally fresh and per-row call overhead dominates.
             urids: list[int] = []
             urids_append = urids.append
             slots = self._row_slots
@@ -1271,12 +1257,12 @@ class ViewInterner:
             starts = self._row_starts
             data = self._row_data
             row_hash = _row_hash
-            if not self._has_room(0, len(uniq_rows), k * len(uniq_rows)):
+            if not self._has_room(len(uniq_rows), k * len(uniq_rows)):
                 fresh = sum(
                     self._row_find(kids, row_hash(kids))[0] < 0
                     for kids in uniq_rows
                 )
-                self._reserve(0, fresh, k * fresh)
+                self._reserve(fresh, k * fresh)
             for kids in uniq_rows:
                 h = row_hash(kids)
                 idx = h & slot_mask
@@ -1288,11 +1274,12 @@ class ViewInterner:
                         starts.append(len(data))
                         hashes.append(h)
                         slots[idx] = rid
-                        node_slots.extend(empty_row)
                         mask = 0
                         for c in kids:
-                            mask |= masks[c]
+                            mask |= row_masks[c // n]
                         row_masks.append(mask)
+                        owners.append(0)
+                        row_depth.append(depth)
                         if (rid + 2) * 3 >= len(slots) * 2:
                             self._row_rehash()
                             slots = self._row_slots
@@ -1308,27 +1295,22 @@ class ViewInterner:
                                 break
                     idx = (idx + 1) & slot_mask
                 urids_append(rid)
-            # Resolve (allocate) views per owner at unique-row scale.
+            # One owner bit per row and owner: the child column is the
+            # slot ``rid * n + p``.
+            added = 0
             for pi in pats_of_inlist[si]:
                 p = patterns[pi][0]
-                if not self._has_room(len(urids)):
-                    self._reserve(
-                        sum(node_slots[rid * n + p] < 0 for rid in urids)
-                    )
+                bit = 1 << p
                 vid_u: list[int] = []
                 vid_u_append = vid_u.append
                 for rid in urids:
-                    slot = rid * n + p
-                    vid = node_slots[slot]
-                    if vid < 0:
-                        vid = len(pids)
-                        node_slots[slot] = vid
-                        pids.append(p)
-                        depth_col.append(depth)
-                        row_col.append(rid)
-                        masks.append(row_masks[rid])
-                    vid_u_append(vid)
+                    held = owners[rid]
+                    if not held & bit:
+                        owners[rid] = held | bit
+                        added += 1
+                    vid_u_append(rid * n + p)
                 vid_arrs[pi] = array("i", [vid_u[u] for u in inv])
+            self._view_count += added
         # Interleave the per-pattern columns into one flat column per
         # graph: strided array-slice assignment, no per-child tuples.
         columns = []
@@ -1345,23 +1327,21 @@ class ViewInterner:
 
         Candidate rows of each in-neighborhood gather/sort as one int32
         matrix and dedup via ``np.unique`` on packed int64 key columns;
-        row hashes for the open-addressing probe are computed vectorized
-        over the distinct rows, fresh arena rows append in bulk, and view
-        allocation happens in bulk on the interner's buffer-backed int32
-        columns (slot keys ``rid * n + p`` in int64).  Views over those
-        columns are strictly transient: every ``frombuffer`` window is
-        dropped before the underlying array can resize.
+        row keys for the open-addressing probe are computed vectorized
+        over the distinct rows, fresh rows append in bulk, and each owner
+        sets its bit on the distinct rows with one gather and one scatter
+        over the buffer-backed owner column.  The child column of owner
+        ``p`` is ``urid * n + p`` (products in int64, stored int32, which
+        the ``rows * n`` id limit keeps in range).  Views over the
+        interner's columns are strictly transient: every ``frombuffer``
+        window is dropped before the underlying array can resize.
         """
         np = _np
-        level_matrix = table.array()
-        depth = self._depth[int(level_matrix[0, 0])] + 1
-        patterns, layouts, inlists, pats_of_inlist = plan
         n = self.n
-        row_masks = self._row_masks
-        node_slots = self._node_slots
-        pids = self._pid
-        depth_col = self._depth
-        mask_dtype = row_masks.typecode
+        level_matrix = table.array()
+        depth = self._row_depth[int(level_matrix[0, 0]) // n] + 1
+        patterns, layouts, inlists, pats_of_inlist = plan
+        owner_dtype = self._row_owners.typecode
         vid_cols: list = [None] * len(patterns)
         for si, in_list in enumerate(inlists):
             # Gather each parent's in-list columns, sort every row (child
@@ -1373,51 +1353,24 @@ class ViewInterner:
                 cand.sort(axis=1)
             uniq, inv = _unique_rows(np, cand)
             del cand  # layer-sized; only the distinct rows are interned
-            # Bulk-hash the distinct rows (same fold as _row_hash), then
-            # probe and insert entirely vectorized: the open-addressing
-            # table is gathered through transient buffer windows, fresh
-            # rows append to the arena in one contiguous copy, and slot
-            # placement resolves collisions by iterated last-write-wins
-            # scatter.  No per-row Python at all.
+            # Bulk-hash the distinct rows (same key as _row_hash), then
+            # probe and insert entirely vectorized.  No per-row Python.
             hashes = _bulk_row_hashes(np, uniq, k)
-            urid_arr, fresh_rows = self._intern_rows_numpy(np, uniq, hashes, k)
-            if len(fresh_rows):
-                mask_view = np.frombuffer(self._origin_mask, dtype=mask_dtype)
-                fresh_masks = np.bitwise_or.reduce(
-                    mask_view[uniq[fresh_rows]].reshape(len(fresh_rows), k),
-                    axis=1,
-                )
-                del mask_view
-                node_slots.extend(self._empty_row * len(fresh_rows))
-                row_masks.frombytes(fresh_masks.tobytes())
+            urid_arr = self._intern_rows_numpy(np, uniq, hashes, k, depth)
+            del uniq, hashes
+            slot_base = (urid_arr * n).astype(np.int32)
+            owners_view = np.frombuffer(self._row_owners, dtype=owner_dtype)
+            held = owners_view[urid_arr]
+            added = 0
             for pi in pats_of_inlist[si]:
                 p = patterns[pi][0]
-                cand_slots = urid_arr * n + p
-                slot_view = np.frombuffer(node_slots, dtype=np.int32)
-                vid_u = slot_view[cand_slots]
-                del slot_view
-                missing = np.flatnonzero(vid_u < 0)
-                if len(missing):
-                    count_missing = len(missing)
-                    self._reserve(count_missing)
-                    base = len(pids)
-                    new_vids = np.arange(
-                        base, base + count_missing, dtype=np.int32
-                    )
-                    missing_rids = urid_arr[missing]
-                    pids.extend(array(pids.typecode, [p]) * count_missing)
-                    depth_col.extend(array("i", [depth]) * count_missing)
-                    self._row.frombytes(missing_rids.astype(np.int32).tobytes())
-                    row_mask_view = np.frombuffer(row_masks, dtype=mask_dtype)
-                    self._origin_mask.frombytes(
-                        row_mask_view[missing_rids].tobytes()
-                    )
-                    del row_mask_view
-                    slot_view = np.frombuffer(node_slots, dtype=np.int32)
-                    slot_view[cand_slots[missing]] = new_vids
-                    del slot_view
-                    vid_u[missing] = new_vids
-                vid_cols[pi] = vid_u[inv]
+                bit = 1 << p
+                added += len(held) - int(np.count_nonzero(held & bit))
+                held |= bit
+                vid_cols[pi] = (slot_base + p)[inv]
+            owners_view[urid_arr] = held
+            del owners_view, held, slot_base
+            self._view_count += added
         # Interleave per-pattern columns into one flat int32 column per
         # graph — a stack/ravel, no per-child tuples and no tolist().
         return [
@@ -1434,45 +1387,43 @@ class ViewInterner:
     # ------------------------------------------------------------------ #
 
     def pid(self, vid: int) -> int:
-        """The process that owns view ``vid``."""
-        return self._pid[vid]
+        """The process that owns view ``vid``: its slot, ``vid % n``."""
+        self._view_row(vid)
+        return vid % self.n
 
     def depth(self, vid: int) -> int:
         """The time (round number) at which view ``vid`` is taken."""
-        return self._depth[vid]
+        return self._row_depth[self._view_row(vid)]
 
     def is_leaf(self, vid: int) -> bool:
         """Whether ``vid`` is a time-0 view."""
-        return self._depth[vid] == 0
+        return self.depth(vid) == 0
 
     def leaf_value(self, vid: int):
         """The input value of a time-0 view."""
         if not self.is_leaf(vid):
             raise AnalysisError(f"view {vid} is not a leaf")
-        return self._leaf_values[self._row[vid]]
+        return self._origin_values[vid][0][1]
 
     def children(self, vid: int) -> frozenset[int]:
         """The previous-round views visible in ``vid`` (empty for leaves)."""
-        if self.is_leaf(vid):
-            return frozenset()
-        rid = self._row[vid]
-        starts = self._row_starts
-        return frozenset(self._row_data[starts[rid] : starts[rid + 1]])
+        return frozenset(self._row_tuple(self._view_row(vid)))
 
     def child_row(self, vid: int) -> tuple[int, ...]:
         """The sorted interned child tuple of a non-leaf view."""
         if self.is_leaf(vid):
             raise AnalysisError(f"view {vid} is a leaf and has no child row")
-        return self._row_tuple(self._row[vid])
+        return self._row_tuple(vid // self.n)
 
     def origin_mask(self, vid: int) -> int:
         """Bitmask of processes whose initial node lies in the causal past."""
-        return self._origin_mask[vid]
+        return self._row_masks[self._view_row(vid)]
 
     def origins(self, vid: int) -> tuple:
         """Sorted tuple of ``(q, x_q)`` pairs visible in the causal past."""
         cached = self._origin_values.get(vid)
         if cached is None:
+            self._view_row(vid)
             cached = self._force_origins(vid)
         return cached
 
@@ -1483,10 +1434,11 @@ class ViewInterner:
         their children are mutually consistent by construction, so a plain
         union suffices.
         """
+        n = self.n
         values = self._origin_values
         row_data = self._row_data
         row_starts = self._row_starts
-        row_col = self._row
+        row_masks = self._row_masks
         merged: dict[int, object] = {}
         stack = [vid]
         seen = {vid}
@@ -1496,7 +1448,7 @@ class ViewInterner:
             known = values.get(current)
             if known is None:
                 pending.append(current)
-                rid = row_col[current]
+                rid = current // n
                 for child in row_data[row_starts[rid] : row_starts[rid + 1]]:
                     if child not in seen:
                         seen.add(child)
@@ -1505,16 +1457,14 @@ class ViewInterner:
                 merged.update(known)
         # Fill in post-order so deeper views are cached too.
         for current in reversed(pending):
-            mask = self._origin_mask[current]
-            entry = tuple(
-                (q, merged[q]) for q in range(self.n) if mask >> q & 1
-            )
+            mask = row_masks[current // n]
+            entry = tuple((q, merged[q]) for q in range(n) if mask >> q & 1)
             values[current] = entry
         return values[vid]
 
     def knows_input_of(self, vid: int, q: int) -> bool:
         """Whether the causal past of ``vid`` contains ``(q, 0, x_q)``."""
-        return bool(self._origin_mask[vid] >> q & 1)
+        return bool(self.origin_mask(vid) >> q & 1)
 
     def input_of(self, vid: int, q: int):
         """The input value of ``q`` as recorded in the causal past of ``vid``."""
@@ -1524,24 +1474,24 @@ class ViewInterner:
         raise AnalysisError(f"view {vid} has not heard of process {q}")
 
     def stats(self) -> ViewStats:
-        """Summary statistics and table geometry of the interner's contents."""
-        total = len(self._pid)
-        max_depth = max(self._depth) if total else 0
+        """Summary statistics and table geometry of the interner's contents.
+
+        ``rows`` counts child rows; the owner-only rows of leaves count as
+        ``leaves``.
+        """
+        row_depth = self._row_depth
+        max_depth = max(row_depth) if len(row_depth) else 0
         getsizeof = sys.getsizeof
         approx = (
-            getsizeof(self._pid)
-            + getsizeof(self._depth)
-            + getsizeof(self._row)
-            + getsizeof(self._origin_mask)
-            + getsizeof(self._origin_values)
+            getsizeof(self._origin_values)
             + getsizeof(self._leaf_table)
-            + getsizeof(self._leaf_values)
-            + getsizeof(self._node_slots)
             + getsizeof(self._row_data)
             + getsizeof(self._row_starts)
             + getsizeof(self._row_hashes)
             + getsizeof(self._row_slots)
             + getsizeof(self._row_masks)
+            + getsizeof(self._row_owners)
+            + getsizeof(row_depth)
         )
         # The origin-value tuples held (leaves, node() views, forced
         # views); child ids live flat in the arena (already counted above)
@@ -1564,16 +1514,17 @@ class ViewInterner:
             for pis in pats:
                 approx += tuple_header + 8 * len(pis)
         return ViewStats(
-            total,
+            self._view_count,
             self._leaf_count,
             max_depth,
-            rows=len(self._row_hashes),
+            rows=len(self._row_hashes) - self._leaf_count,
             cached_plans=len(self._plan_cache),
             approx_bytes=approx,
         )
 
     def __len__(self) -> int:
-        return len(self._pid)
+        """The number of views (owner bits set), not the id range."""
+        return self._view_count
 
     # ------------------------------------------------------------------ #
     # Causal-cone reconstruction (used by viz and by the test suite)
@@ -1587,18 +1538,21 @@ class ViewInterner:
         and edges are ``((q, s), (r, s + 1))`` pairs.  The apex is
         ``(pid(vid), depth(vid))``.
         """
+        n = self.n
+        row_depth = self._row_depth
         nodes: set = set()
         edges: set = set()
         seen: set[int] = set()
         stack = [vid]
+        self._view_row(vid)
         while stack:
             current = stack.pop()
             if current in seen:
                 continue
             seen.add(current)
-            p, d = self._pid[current], self._depth[current]
+            p, d = current % n, row_depth[current // n]
             nodes.add((p, d))
-            for child in self.children(current):
-                edges.add(((self._pid[child], d - 1), (p, d)))
+            for child in self._row_tuple(current // n):
+                edges.add(((child % n, d - 1), (p, d)))
                 stack.append(child)
         return nodes, edges

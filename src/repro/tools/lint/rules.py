@@ -831,6 +831,8 @@ class ColumnarHotPathRule(Rule):
             "repro.topology.components::_analyze_python",
             "repro.topology.components::_analyze_numpy",
             "repro.topology.components::_view_nodes",
+            "repro.topology.components::_node_column",
+            "repro.topology.components::_bits_dtype",
             "repro.topology.components::_sv_labels",
             "repro.topology.components::_compress_parents",
             "repro.topology.components::_first_member_ids",

@@ -72,28 +72,37 @@ __all__ = ["Component", "ComponentAnalysis", "UnionFind"]
 #: around 256 (0.8-1.06x) and loses at 128-216 (0.6-0.75x).
 _COMPONENT_NUMPY_MIN_CELLS = 512
 
-#: The vectorized pass encodes valence sets as int64 bitmaps; spaces with
-#: more distinct unanimity values run the Python pass instead.
+#: The vectorized pass encodes valence sets as bitmaps (uint8 up to 8
+#: distinct values, int64 beyond); spaces with more distinct unanimity
+#: values run the Python pass instead.
 _NUMPY_MAX_VALENCES = 62
 
 
-def _view_nodes(np, mat):
-    """Dense view-graph node ids for a layer's ``(count, n)`` view matrix.
+def _bits_dtype(np, value_count: int):
+    """The narrowest bitmap dtype for ``value_count`` one-bit values."""
+    return np.uint8 if value_count <= 8 else np.int64
 
-    Returns ``(nodes, offset, node_count)``: cell ``(i, p)`` is node
-    ``nodes[i, p] - offset``, and there are never more nodes than cells.
-    A fresh interner allocates a layer's views consecutively, so shifting
-    by the smallest view id is free and already dense.  An interner shared
-    across a sweep shard interleaves many spaces' views, so the id range
-    can run far past the layer; then the ids compact through one
-    ``np.unique``.
+
+def _view_nodes(np, mat):
+    """Node ids over a layer's ``(count, n)`` view matrix, at most one per cell.
+
+    Returns ``(nodes, offset, node_count, node_views)``: cell ``(i, p)``
+    is node ``nodes[i, p] - offset``, there are never more nodes than
+    cells, and ``node_views`` is the view id of each node, or ``None``
+    when that is just ``node + offset``.  A fresh interner allocates a
+    layer's rows consecutively, so shifting by the smallest view id is
+    free; the range then also spans the layer's gap slots (owners a row
+    holds no view for), which is harmless while it stays within the cell
+    count.  An interner shared across a sweep shard interleaves many
+    spaces' rows, so the id range can run far past the layer; then the
+    ids compact through one ``np.unique``.
     """
     lo = int(mat.min())
     span = int(mat.max()) - lo + 1
     if span <= mat.size:
-        return mat, lo, span
+        return mat, lo, span, None
     uniq, inverse = np.unique(mat, return_inverse=True)
-    return inverse.reshape(mat.shape), 0, len(uniq)
+    return inverse.reshape(mat.shape), 0, len(uniq), uniq
 
 
 def _node_column(np, cells, offset: int, out=None):
@@ -363,7 +372,7 @@ class ComponentAnalysis:
         if (
             np is not None
             and interner.layer_backend == "numpy"
-            and isinstance(interner._origin_mask, array)
+            and isinstance(interner._row_masks, array)
             and distinct_values <= _NUMPY_MAX_VALENCES
             and count * n >= _COMPONENT_NUMPY_MIN_CELLS
         ):
@@ -382,7 +391,7 @@ class ComponentAnalysis:
         union_find = UnionFind(count)
         parent = union_find.parent
         size = union_find.size
-        origin_masks = interner._origin_mask
+        row_masks = interner._row_masks
         everyone = full_mask(n)
         # One pass: bucket cells by view id (a view has one owner, so two
         # prefixes sharing a bucket are indistinguishable) and fold the
@@ -396,7 +405,7 @@ class ComponentAnalysis:
             common = everyone
             for p in range(n):
                 vid = ids[base + p]
-                common &= origin_masks[vid]
+                common &= row_masks[vid // n]
                 first = bucket_get(vid)
                 if first is None:
                     buckets[vid] = index
@@ -479,24 +488,29 @@ class ComponentAnalysis:
 
         A prefix's component is that of its column-0 view in the view
         graph (see the module docstring), labelled by :func:`_sv_labels`.
-        Node masks fold column by column, so no ``(count, n)`` temporary
-        is built, and labels are canonicalized by smallest member index
-        (:func:`_first_member_ids`), matching the Python pass ordering
-        exactly.
+        Node masks fold column by column from the views' rows (each
+        column's ``// n`` lands in one reused int32 buffer), so no
+        ``(count, n)`` temporary is built, and labels are canonicalized by
+        smallest member index (:func:`_first_member_ids`), matching the
+        Python pass ordering exactly.
         """
         mat = table.array()
-        nodes, offset, node_count = _view_nodes(np, mat)
+        nodes, offset, node_count, _ = _view_nodes(np, mat)
         labels = _sv_labels(np, nodes, offset, node_count)
         del nodes
         comp_ids, ncomp = _first_member_ids(np, labels, node_count)
         del labels
-        origin_masks = np.frombuffer(
-            interner._origin_mask, dtype=interner._origin_mask.typecode
+        row_masks = np.frombuffer(
+            interner._row_masks, dtype=interner._row_masks.typecode
         )
-        node_masks = origin_masks[mat[:, 0]]
+        rows = np.empty(count, dtype=np.int32)
+        np.floor_divide(mat[:, 0], n, out=rows)
+        node_masks = row_masks[rows]
+        column_masks = np.empty_like(node_masks)
         for p in range(1, n):
-            node_masks &= origin_masks[mat[:, p]]
-        del origin_masks
+            np.floor_divide(mat[:, p], n, out=rows)
+            node_masks &= np.take(row_masks, rows, out=column_masks)
+        del row_masks, rows, column_masks
         member_order = np.argsort(comp_ids, kind="stable").astype(np.int32)
         comp_sizes = np.bincount(comp_ids, minlength=ncomp)
         comp_starts = np.zeros(ncomp, dtype=np.int64)
@@ -505,7 +519,8 @@ class ComponentAnalysis:
         del node_masks
 
         # Valence bitmaps: unanimity values code into one bit per distinct
-        # value once per space, then fold per component with one reduceat.
+        # value once per space (uint8 up to 8 values), then fold per
+        # component with one reduceat.
         space = self.space
         value_list: list = []
         value_index: dict = {}
@@ -519,8 +534,10 @@ class ComponentAnalysis:
                 code = value_index[value] = len(value_list)
                 value_list.append(value)
             input_bits.append(1 << code)
-        node_bits = np.array(input_bits, dtype=np.int64)[store.input_array()]
-        comp_bits = np.bitwise_or.reduceat(node_bits[member_order], comp_starts)
+        input_bits = np.array(input_bits, dtype=_bits_dtype(np, len(value_list)))
+        comp_bits = np.bitwise_or.reduceat(
+            input_bits[store.input_array()[member_order]], comp_starts
+        )
 
         # Per-component values leave numpy once, as lists, and members are
         # slices of one int32 column: a layer with thousands of components

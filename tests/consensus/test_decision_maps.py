@@ -8,19 +8,23 @@ every depth up to a size cap, the maps must hold exactly the reference's
 entries — under the checker's own assignment where a table certifies,
 and under a synthetic two-valued assignment everywhere else, so families
 without a decision table still exercise the bottom-up fold.  Absent ids
-(negative, past the interner, and interned but undecided views) must miss
-through ``get``, ``in``, ``[]`` and ``decision_for_view``.
+(negative, past the interner's slot range, gap slots and interned but
+undecided views) must miss through ``get``, ``in``, ``[]`` and
+``decision_for_view``.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversaries import random_oblivious_adversary
+import repro.consensus.decision as decision_module
+from repro.adversaries import random_oblivious_adversary, santoro_widmayer_family
+from repro.adversaries.generators import random_rooted_family
 from repro.consensus.decision import (
     DecisionMap,
     DecisionTable,
@@ -29,7 +33,8 @@ from repro.consensus.decision import (
     build_decision_table,
 )
 from repro.consensus.spec import ConsensusSpec
-from repro.core.views import numpy_available, numpy_module, plain_ids
+from repro.core.inputs import all_assignments
+from repro.core.views import ViewInterner, numpy_available, numpy_module, plain_ids
 from repro.errors import AnalysisError, CertificateError
 from repro.specs import NAMED_ADVERSARIES
 from repro.topology.components import ComponentAnalysis
@@ -103,9 +108,18 @@ def assert_map_matches(got, expected) -> None:
 
 
 def assert_misses(table, space) -> None:
-    size = len(space.interner)
-    undecided = [v for v in range(size) if v not in table.early][:50]
-    for vid in [-1, size, size + 1000, 2**40] + undecided:
+    """Ids past the slot range, gap slots and undecided views all miss.
+
+    View ids are ``(row, owner)`` slots, so the id range is ``rows * n``
+    and holds gaps (owners a row has no view for), not ``len(interner)``.
+    """
+    interner = space.interner
+    n = interner.n
+    bound = interner._row_count * n
+    undecided = [v for v in range(bound) if v not in table.early]
+    gaps = [v for v in undecided if not interner._row_owners[v // n] >> v % n & 1]
+    views = [v for v in undecided if interner._row_owners[v // n] >> v % n & 1]
+    for vid in [-1, bound, bound + 1000, 2**40] + gaps[:25] + views[:25]:
         for mapping in (table.final, table.early):
             assert vid not in mapping
             assert mapping.get(vid) is None
@@ -214,3 +228,58 @@ def test_validate_reads_the_map_columns(backend):
     with pytest.raises(CertificateError, match="termination"):
         tampered(early=dropped).validate()
     tampered().validate()
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the np.unique path is numpy's")
+def test_shared_interner_maps_compact_spread_ids(monkeypatch):
+    """A sweep shard's later spaces hold ids spread over every earlier
+    space's rows: layers whose id span passes their cell count compact
+    through ``np.unique`` before the scatter-OR, and still match the
+    reference."""
+    family = random_rooted_family(random.Random(3), 4, 12)
+    interner = ViewInterner(4, layer_backend="numpy")
+    for adversary in family[:-1]:
+        PrefixSpace(adversary, interner=interner).ensure_depth(3)
+    space = PrefixSpace(family[-1], interner=interner)
+    seen = []
+    view_nodes = decision_module._view_nodes
+
+    def spy(np, mat):
+        nodes, offset, node_count, node_views = view_nodes(np, mat)
+        span = int(mat.max()) - int(mat.min()) + 1
+        seen.append((mat.size, span, node_views is not None))
+        return nodes, offset, node_count, node_views
+
+    monkeypatch.setattr(decision_module, "_view_nodes", spy)
+    check_space(space, "numpy", range(4), ConsensusSpec())
+    assert any(compacted for _, _, compacted in seen)
+    assert all(compacted == (span > cells) for cells, span, compacted in seen)
+
+
+def test_validate_allocates_by_the_layer_not_the_largest_id():
+    """Validation scatters early decisions over the layer's id span only.
+
+    After a 547,614-view SW(3,2) space on a shared interner, a 216-cell
+    n=3 layer of fresh views sits at ids past 700,000; a code column
+    sized by the largest id would take about 0.7 MB.
+    """
+    interner = ViewInterner(3)
+    PrefixSpace(
+        santoro_widmayer_family(3, 2), interner=interner, retain="frontier"
+    ).ensure_depth(4)
+    assert len(interner) == 547_614
+    space = PrefixSpace(
+        NAMED_ADVERSARIES["stars-n3"](),
+        interner=interner,
+        input_vectors=all_assignments(3, (2, 3)),
+    )
+    table = build_decision_table(ComponentAnalysis(space, 2), ConsensusSpec())
+    ids = plain_ids(space.layer_store(2).levels.ids)
+    assert len(ids) == 216 and min(ids) > 500_000
+    tracemalloc.start()
+    try:
+        table.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 1024

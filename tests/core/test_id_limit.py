@@ -1,14 +1,16 @@
 """The interner's int32 id limit: refuse, never wrap, never cache.
 
-Every view id, row id and arena offset is stored in four bytes, so an
-interner must raise before it would hold more than ``_ID_LIMIT`` views,
-rows or arena cells.  The limit is patched small here, the way
-``test_row_rehash.py`` patches ``_REHASH_CHUNK``.  Each interning path —
-both layer kernels, ``extend_level``, ``node`` and ``leaf_level`` — must
-refuse a batch that would pass it before writing any of it, leave the
-columns consistent, and still take a smaller extension afterwards.  The
-error is a ``CapacityError``, not an ``AnalysisError``, so the checker's
-depth loop cannot turn it into an UNDECIDED verdict that a store caches.
+A view id is its ``(row, owner)`` slot ``rid * n + p`` and every arena
+offset is stored in four bytes, so an interner must raise before
+``rows * n`` or its arena cells would pass ``_ID_LIMIT``.  A view on a
+row that already exists needs no id room: its slot was counted with the
+row.  The limit is patched small here, the way ``test_row_rehash.py``
+patches ``_REHASH_CHUNK``.  Each interning path — both layer kernels,
+``extend_level``, ``node`` and ``leaf_level`` — must refuse a batch that
+would pass it before writing any of it, leave the columns consistent, and
+still take a smaller extension afterwards.  The error is a
+``CapacityError``, not an ``AnalysisError``, so the checker's depth loop
+cannot turn it into an UNDECIDED verdict that a store caches.
 """
 
 import pytest
@@ -17,7 +19,7 @@ import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
 from repro.api import Session
 from repro.consensus.solvability import CheckOptions, check_consensus_with_options
-from repro.core.digraph import arrow
+from repro.core.digraph import Digraph, arrow
 from repro.core.views import LayerTable, ViewInterner, numpy_available
 from repro.errors import AnalysisError, CapacityError, ReproError
 from repro.store import ResultStore
@@ -25,24 +27,45 @@ from repro.topology.prefixspace import PrefixSpace
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
+#: Every column of the interner's state.
+COLUMNS = (
+    "_row_owners",
+    "_row_depth",
+    "_row_masks",
+    "_row_data",
+    "_row_starts",
+    "_row_hashes",
+    "_row_slots",
+)
+
 
 def counts(interner):
-    """(views, rows, arena cells): the three quantities the limit bounds."""
-    return len(interner._pid), len(interner._row_hashes), len(interner._row_data)
+    """(views, rows, arena cells): the limit bounds rows * n and cells."""
+    return len(interner), len(interner._row_hashes), len(interner._row_data)
+
+
+def snapshot(interner):
+    """Every column by value, plus the view and leaf counts."""
+    state = {name: list(getattr(interner, name)) for name in COLUMNS}
+    state["len"] = len(interner)
+    state["leaves"] = interner.stats().leaves
+    return state
 
 
 def assert_consistent(interner, limit):
     views, rows, cells = counts(interner)
-    assert max(views, rows, cells) <= limit
-    for name in ("_depth", "_row", "_origin_mask"):
-        assert len(getattr(interner, name)) == views, name
-    assert len(interner._node_slots) == rows * interner.n
-    assert len(interner._row_masks) == rows
+    n = interner.n
+    assert rows * n <= limit and cells <= limit
+    for name in ("_row_owners", "_row_depth", "_row_masks"):
+        assert len(getattr(interner, name)) == rows, name
     assert len(interner._row_starts) == rows + 1
     assert interner._row_starts[-1] == cells
-    assert max(interner._node_slots, default=-1) < views
+    assert views == sum(bin(owners).count("1") for owners in interner._row_owners)
     assert max(interner._row_slots) < rows
-    assert max(interner._row_data, default=-1) < views
+    # Every child id names a view: a slot below rows * n with its bit set.
+    for vid in interner._row_data:
+        assert 0 <= vid < rows * n
+        assert interner._row_owners[vid // n] >> vid % n & 1
 
 
 @pytest.fixture
@@ -69,8 +92,9 @@ def test_layer_kernels_refuse_a_batch_past_the_limit(backend, limit_to):
     space.ensure_depth(3)
     interner = space.interner
     before = counts(interner)
-    # Room for a one-level extension, far too little for the next layer.
-    limit = limit_to(max(before) + 4)
+    # Room for a one-level extension (two fresh rows), far too little for
+    # the next layer.
+    limit = limit_to((before[1] + 2) * interner.n)
     with pytest.raises(CapacityError):
         space.extend()
     assert counts(interner) == before
@@ -89,15 +113,19 @@ def test_layer_kernels_refuse_a_batch_past_the_limit(backend, limit_to):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
-    """Every row interned, some views not: the views are refused whole."""
+    """Every row interned, some views not: the views need no room.
+
+    A full interner still takes the missing owners' views on its rows,
+    and refuses a batch with one fresh row whole.
+    """
 
     def prepared():
         space = PrefixSpace(lossy_link_full(), layer_backend=backend)
         space.ensure_depth(3)
         table = space.layer_store(3).levels
-        # "->" interns each parent's (v0, v1) row for owner 1 only, so
-        # "<->" then needs owner 0's views on those rows and nothing else.
-        space.interner.extend_layer_table(table, [arrow("->")])
+        # "<-" interns each parent's (v0, v1) row for owner 0 only, so
+        # "<->" then needs owner 1's views on those rows and nothing else.
+        space.interner.extend_layer_table(table, [arrow("<-")])
         return space.interner, table
 
     reference, table = prepared()
@@ -105,16 +133,20 @@ def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
     reference.extend_layer_table(table, [arrow("<->")])
     assert counts(reference)[1:] == (rows, cells)
     need = len(reference) - views
+    assert need > 0
     interner, table = prepared()
-    limit = limit_to(views + need - 1)
-    assert limit >= max(rows, cells)
+    limit = limit_to(rows * interner.n)
+    assert limit >= cells
+    # "->" needs a fresh (v0,) row per parent: refused whole.
+    state = snapshot(interner)
     with pytest.raises(CapacityError):
-        interner.extend_layer_table(table, [arrow("<->")])
-    assert counts(interner) == (views, rows, cells)
+        interner.extend_layer_table(table, [arrow("->")])
+    assert snapshot(interner) == state
     assert_consistent(interner, limit)
-    interner.extend_layer_table(LayerTable.from_levels(2, [table[0]]), [arrow("<->")])
-    assert counts(interner) == (views + 1, rows, cells)
+    [both] = interner.extend_layer_table(table, [arrow("<->")])
+    assert counts(interner) == (views + need, rows, cells)
     assert_consistent(interner, limit)
+    assert all(vid < limit for vid in both.ids)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -122,49 +154,76 @@ def test_extend_level_refuses_past_the_limit(backend, limit_to):
     interner = ViewInterner(2, layer_backend=backend)
     level = interner.leaf_level((0, 1))
     before = counts(interner)
-    # "->" needs two views, one more than a limit of 3 leaves room for;
-    # "<->" (one row of two cells, two views) fits a limit of 4.
-    limit = limit_to(3)
+    # "->" needs two fresh rows (eight slots with the two leaf rows), one
+    # row more than a limit of 7 leaves room for; "<->" (one row of two
+    # cells, two views) fits it.
+    limit = limit_to(7)
     with pytest.raises(CapacityError):
         interner.extend_level(level, arrow("->"))
     assert counts(interner) == before
     assert_consistent(interner, limit)
-    limit = limit_to(4)
     both = interner.extend_level(level, arrow("<->"))
-    assert counts(interner) == (4, 1, 2)
+    assert counts(interner) == (4, 3, 2)
     assert_consistent(interner, limit)
     with pytest.raises(CapacityError):
         interner.extend_level(level, arrow("->"))
-    assert counts(interner) == (4, 1, 2)
+    assert counts(interner) == (4, 3, 2)
     assert interner.extend_level(level, arrow("<->")) == both
 
 
 def test_node_refuses_past_the_limit(limit_to):
     interner = ViewInterner(2)
     a, b = interner.leaf_level((0, 1))
-    limit = limit_to(3)
-    assert interner.node(0, [a, b]) == 2
+    limit = limit_to(6)
+    assert interner.node(0, [a, b]) == 4
+    assert interner.node(1, [a, b]) == 5  # known row: its slot is counted
     with pytest.raises(CapacityError):
-        interner.node(1, [a, b])  # known row, but no room for the view
-    with pytest.raises(CapacityError):
-        interner.node(0, [a])  # fresh row and view
-    assert counts(interner) == (3, 1, 2)
+        interner.node(0, [a])  # fresh row
+    assert counts(interner) == (4, 3, 2)
     assert_consistent(interner, limit)
-    assert interner.node(0, [b, a]) == 2  # already interned: no new id
+    assert interner.node(0, [b, a]) == 4  # already interned: no new id
 
 
 def test_leaf_level_refuses_past_the_limit(limit_to):
     interner = ViewInterner(3)
     interner.leaf_level((0, 0, 0))
-    limit = limit_to(5)
+    limit = limit_to(15)  # five rows of three slots
     with pytest.raises(CapacityError):
-        interner.leaf_level((1, 1, 1))  # three new leaves, room for two
-    assert counts(interner) == (3, 0, 0)
-    assert interner.leaf_level((1, 1, 0)) == (3, 4, 2)
+        interner.leaf_level((1, 1, 1))  # three new leaf rows, room for two
+    assert counts(interner) == (3, 3, 0)
+    assert interner.leaf_level((1, 1, 0)) == (9, 13, 8)
     assert_consistent(interner, limit)
     with pytest.raises(CapacityError):
         interner.leaf(2, 1)
-    assert interner.leaf(0, 1) == 3
+    assert interner.leaf(0, 1) == 9
+
+
+@pytest.mark.parametrize("n", [2, 7])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_capacity_counts_rows_times_n(n, backend, limit_to):
+    """One more row fits exactly when ``(rows + 1) * n`` is within the limit."""
+    interner = ViewInterner(n, layer_backend=backend)
+    level = interner.leaf_level(tuple(range(n)))
+    rows = counts(interner)[1]
+    complete = Digraph.complete(n)  # one fresh row, every owner on it
+    limit = limit_to((rows + 1) * n - 1)
+    state = snapshot(interner)
+    for extend in (
+        lambda: interner.extend_level(level, complete),
+        lambda: interner.extend_layer_table([level], [complete]),
+        lambda: interner.node(0, level),
+        lambda: interner.leaf(0, "fresh"),
+    ):
+        with pytest.raises(CapacityError):
+            extend()
+        assert snapshot(interner) == state
+    assert_consistent(interner, limit)
+    limit = limit_to((rows + 1) * n)
+    child = interner.extend_level(level, complete)
+    assert counts(interner) == (2 * n, rows + 1, n)
+    assert sorted(child) == list(range(rows * n, (rows + 1) * n))
+    assert max(child) == limit - 1
+    assert_consistent(interner, limit)
 
 
 def test_check_propagates_and_is_never_cached(limit_to, tmp_path):

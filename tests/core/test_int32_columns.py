@@ -1,12 +1,13 @@
 """Four-byte view ids: the column widths and the arithmetic around them.
 
-View ids, row ids, arena offsets and probe slots are int32 on both kernel
-backends, and origin masks take the narrowest signed width holding ``n``
-bits.  numpy wraps int32 shifts and products silently, so everything that
-combines ids — ``_unique_rows``' packed keys, the ``rid * n + p`` node
-slot keys — must run in int64.  These tests pin the widths, feed the key
-packing ids whose packed keys need 63 bits, and pin the width the slot
-keys are computed in.
+View ids (``(row, owner)`` slots), row ids, arena offsets and probe slots
+are int32 on both kernel backends, row keys are the low 32 bits of the
+row hash, and the per-row owner and origin masks take the narrowest
+signed width holding ``n`` bits.  numpy wraps int32 shifts and products
+silently, so everything that combines ids — ``_unique_rows``' packed
+keys, the ``rid * n + p`` slot ids — must run in int64 before it is
+stored.  These tests pin the widths, feed the key packing ids whose
+packed keys need 63 bits, and pin the width the slot ids are computed in.
 """
 
 from array import array
@@ -36,12 +37,13 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 )
 def test_mask_width_holds_n_bits(n, typecode):
     assert _mask_typecode(n) == typecode
-    masks = ViewInterner(n, layer_backend="python")._origin_mask
-    if typecode is None:
-        assert masks == []
-    else:
-        assert masks.typecode == typecode
-        masks.append((1 << n) - 1)  # the full n-bit mask fits, signed
+    interner = ViewInterner(n, layer_backend="python")
+    for masks in (interner._row_masks, interner._row_owners):
+        if typecode is None:
+            assert masks == []
+        else:
+            assert masks.typecode == typecode
+            masks.append((1 << n) - 1)  # the full n-bit mask fits, signed
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -54,10 +56,10 @@ def test_layer_columns_are_int32(backend):
         if numpy_available():
             assert space.layer_store(t).levels.array().dtype == "int32", t
     interner = space.interner
-    for name in ("_row", "_row_data", "_row_starts", "_row_slots", "_node_slots"):
+    for name in ("_row_depth", "_row_data", "_row_starts", "_row_slots"):
         assert getattr(interner, name).itemsize == 4, name
-    assert interner._row_hashes.itemsize == 8
-    assert interner._origin_mask.itemsize == interner._row_masks.itemsize == 1
+    assert interner._row_hashes.itemsize == 4  # the low 32 key bits
+    assert interner._row_owners.itemsize == interner._row_masks.itemsize == 1
 
 
 @needs_numpy
@@ -93,16 +95,22 @@ def test_unique_rows_packs_int32_ids_in_int64(k):
 
 @needs_numpy
 def test_kernel_row_ids_reach_slot_keys_as_int64():
-    """``rid * n + p`` would wrap past 2**31 on int32 row ids.
+    """``rid * n + p`` is computed from int64 row ids, then stored int32.
 
-    The key passes 2**31 only beyond ~35M rows, far past test sizes, so
-    this pins the width the numpy kernel computes it in instead.
+    The ``rows * n`` id limit keeps every stored slot id below 2**31, but
+    the product is formed before that is known, so this pins the width
+    the numpy kernel computes it in, and the uint32 row keys it probes
+    with.
     """
     np = numpy_module()
     interner = ViewInterner(2, layer_backend="numpy")
     level = interner.leaf_level((0, 1))
     uniq = np.array([sorted(level)], dtype=np.int32)
     hashes = views_module._bulk_row_hashes(np, uniq, 2)
-    rids, fresh = interner._intern_rows_numpy(np, uniq, hashes, 2)
-    assert rids.dtype == np.int64 and fresh.tolist() == [0]
+    assert hashes.dtype == np.uint32
+    assert int(hashes[0]) == views_module._row_hash(tuple(sorted(level)))
+    rids = interner._intern_rows_numpy(np, uniq, hashes, 2, 1)
+    assert rids.dtype == np.int64 and rids.tolist() == [2]  # two leaf rows
     assert interner._row_slots.typecode == interner._row_data.typecode == "i"
+    assert list(interner._row_depth) == [0, 0, 1]
+    assert list(interner._row_owners) == [1, 2, 0]  # no view on it yet

@@ -4,12 +4,14 @@
 (``_row_slots``) that grows by rehashing from the stored per-row hashes.
 With numpy and at least 4096 rows, placement runs in chunks of
 ``_REHASH_CHUNK`` rows, each chunk stepping past the slots earlier chunks
-hold before it scatters.  A rehash that loses a row breaks no verdict
+hold before it scatters.  Leaf rows (owner-only, no children) sit in the
+table too, keyed by their own row id.  A rehash that loses a row breaks no verdict
 directly — the row is simply interned again under a new id later — so
 these tests check the table itself: after several rehashes, with the
 chunk shrunk so that placement crosses many chunk boundaries, every row
-id sits in exactly one slot, a probe for each stored row finds that row,
-and re-extending an already-interned layer interns nothing new.
+id sits in exactly one slot, a probe for each stored row under its 32-bit
+key finds that row, and re-extending an already-interned layer interns
+nothing new.
 """
 
 import pytest
@@ -41,12 +43,17 @@ def rehashes(monkeypatch):
 
 
 def assert_row_table_intact(interner):
-    rows = interner.stats().rows
+    stats = interner.stats()
+    rows = interner._row_count
+    assert rows == stats.rows + stats.leaves
     placed = sorted(rid for rid in interner._row_slots if rid >= 0)
     assert placed == list(range(rows))
     for rid in range(rows):
         kids = interner._row_tuple(rid)
-        found, _ = interner._row_find(kids, interner._row_hashes[rid])
+        key = interner._row_hashes[rid]
+        # A child row's key is its 32-bit hash; a leaf row's its own id.
+        assert key == (views_module._row_hash(kids) if kids else rid)
+        found, _ = interner._row_find(kids, key)
         assert found == rid
 
 
@@ -56,9 +63,11 @@ def test_rows_survive_chunked_rehashes(backend, rehashes):
     space = PrefixSpace(lossy_link_full(), layer_backend=backend)
     space.ensure_depth(depth)
     interner = space.interner
+    # A leaf interned late sits among the child rows of the last chunk.
+    interner.leaf(0, "late")
     # Re-place everything once more into the tightest table the load bound
     # allows, so probe runs are long and cross chunk boundaries.
-    rows = interner.stats().rows
+    rows = interner._row_count
     size = 64
     while (rows + 2) * 3 >= size * 2:
         size *= 2

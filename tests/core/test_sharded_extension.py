@@ -53,19 +53,16 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: The interner columns that define its complete extension state, with
-#: the bytes per element each is stored at: owners and (for the n <= 7
-#: spaces here) origin masks int8, ids, offsets and depths int32, row
-#: hashes 64-bit.
+#: the bytes per element each is stored at.  View ids are ``(row, owner)``
+#: slots, so every column is per row: owner and origin masks int8 (the
+#: n <= 7 spaces here), depths, ids and offsets int32, row keys 32-bit.
 STATE_COLUMNS = {
-    "_pid": 1,
-    "_depth": 4,
-    "_row": 4,
-    "_origin_mask": 1,
+    "_row_owners": 1,
+    "_row_depth": 4,
+    "_row_masks": 1,
     "_row_data": 4,
     "_row_starts": 4,
-    "_row_hashes": 8,
-    "_row_masks": 1,
-    "_node_slots": 4,
+    "_row_hashes": 4,
 }
 
 #: The environment cap that bounded the removed extension workers.

@@ -1,30 +1,38 @@
 """Randomized equivalence: array-backed view tables vs the dict interner.
 
-The array-backed :class:`~repro.core.views.ViewInterner` (parallel columns,
-interned child-row table, compact-integer node keys) replaced the PR-1
-dict-of-tuples storage.  These property tests pin the new tables to a
-self-contained reimplementation of the dict interner: identical id
-allocation, owners, depths, origin masks, origin values, children, and
-stats on randomized construction sequences — plus the table-geometry
-stats.
+The array-backed :class:`~repro.core.views.ViewInterner` (per-row columns,
+interned child-row table, ``(row, owner)`` slot ids) replaced the original
+dict-of-tuples storage.  These property tests pin the tables to a
+self-contained reimplementation of the dict interner that numbers views
+the same way — every leaf its own row, every distinct child set one row,
+in first-use order, and a view's id its slot ``rid * n + p`` — checking
+identical ids, owners, depths, origin masks, origin values, children, and
+stats on randomized construction sequences, plus the table-geometry
+stats.  A second property drives leaves, ``node()``, ``extend_level`` and
+both layer kernels in random interleavings on one interner against a
+structural dict reference, and checks that gap slots (owners a row holds
+no view for) are refused by every accessor.
 """
 
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
 from repro.core.digraph import Digraph
-from repro.core.views import ViewInterner, numpy_available, plain_ids
+from repro.core.views import LayerTable, ViewInterner, numpy_available, plain_ids
 from repro.errors import AnalysisError
 from repro.topology.prefixspace import PrefixSpace
 
 # --------------------------------------------------------------------- #
-# Reference implementation: the dict-keyed interner of PR 1, verbatim
-# semantics (tuple-keyed table, payload column, eager leaf storage).
+# Reference implementation: the original dict-keyed interner (tuple-keyed
+# table, payload column, eager leaf storage), numbering views by
+# (row, owner) slot.  Ids have gaps, so per-view data sits in dicts.
 # --------------------------------------------------------------------- #
 
 
@@ -32,18 +40,21 @@ class DictInterner:
     def __init__(self, n):
         self.n = n
         self._table = {}
-        self._pid = []
-        self._depth = []
-        self._payload = []
-        self._origin_mask = []
-        self._origin_values = []
+        self._rows = {}
+        self._row_count = 0
+        self._pid = {}
+        self._depth = {}
+        self._payload = {}
+        self._origin_mask = {}
+        self._origin_values = {}
         self._leaf_count = 0
 
     def leaf(self, p, value):
         key = (p, value)
         vid = self._table.get(key)
         if vid is None:
-            vid = self._store(key, p, 0, value, 1 << p, ((p, value),))
+            rid = self._new_row()
+            vid = self._store(key, rid, p, 0, value, 1 << p, ((p, value),))
             self._leaf_count += 1
         return vid
 
@@ -53,6 +64,9 @@ class DictInterner:
         vid = self._table.get(key)
         if vid is not None:
             return vid
+        rid = self._rows.get(kids)
+        if rid is None:
+            rid = self._rows[kids] = self._new_row()
         depth = self._depth[kids[0]] + 1
         mask = 0
         values = {}
@@ -61,7 +75,7 @@ class DictInterner:
             for q, value in self.origins(c):
                 values.setdefault(q, value)
         return self._store(
-            key, p, depth, kids, mask,
+            key, rid, p, depth, kids, mask,
             tuple(sorted(values.items(), key=lambda kv: kv[0])),
         )
 
@@ -80,14 +94,18 @@ class DictInterner:
     def origins(self, vid):
         return self._origin_values[vid]
 
-    def _store(self, key, pid, depth, payload, mask, values):
-        vid = len(self._pid)
+    def _new_row(self):
+        self._row_count += 1
+        return self._row_count - 1
+
+    def _store(self, key, rid, pid, depth, payload, mask, values):
+        vid = rid * self.n + pid
         self._table[key] = vid
-        self._pid.append(pid)
-        self._depth.append(depth)
-        self._payload.append(payload)
-        self._origin_mask.append(mask)
-        self._origin_values.append(values)
+        self._pid[vid] = pid
+        self._depth[vid] = depth
+        self._payload[vid] = payload
+        self._origin_mask[vid] = mask
+        self._origin_values[vid] = values
         return vid
 
     def children(self, vid):
@@ -160,8 +178,8 @@ def test_ids_and_columns_match_dict_reference(script):
     expected = _run_script(reference, script)
     assert got == expected
     assert len(table) == len(reference._pid)
-    for vid in range(len(table)):
-        assert table.pid(vid) == reference._pid[vid]
+    for vid in sorted(reference._pid):
+        assert table.pid(vid) == reference._pid[vid] == vid % n
         assert table.depth(vid) == reference._depth[vid]
         assert table.origin_mask(vid) == reference._origin_mask[vid]
         assert table.children(vid) == reference.children(vid)
@@ -169,7 +187,8 @@ def test_ids_and_columns_match_dict_reference(script):
     stats = table.stats()
     assert stats.total == len(reference._pid)
     assert stats.leaves == reference._leaf_count
-    assert stats.max_depth == (max(reference._depth) if reference._depth else 0)
+    assert stats.max_depth == max(reference._depth.values(), default=0)
+    assert stats.rows == reference._row_count - reference._leaf_count
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +203,7 @@ def test_node_api_matches_reference(script, subset_seed):
     rng = random.Random(subset_seed)
     # Group ids by depth so children share a depth (an interner invariant).
     by_depth = {}
-    for vid in range(len(table)):
+    for vid in sorted(reference._pid):
         by_depth.setdefault(table.depth(vid), []).append(vid)
     for depth, vids in sorted(by_depth.items()):
         # Build a value-consistent child sample (the interner rejects
@@ -238,10 +257,10 @@ def test_stats_report_table_geometry():
 
 
 #: Ceiling on ``approx_bytes / total`` for a lossy-full depth-9 space, per
-#: kernel backend (int32 ids, offsets and slots, int8 owner and mask
-#: columns, sparse origin values): measured 34.2 B on numpy, 37.7 B on
-#: python.
-BYTES_PER_VIEW = {"numpy": 42, "python": 46}
+#: kernel backend (per-row columns only: int32 offsets, depths and slots,
+#: 32-bit row keys, int8 owner and origin masks, sparse origin values):
+#: measured 18.6 B on numpy, 22.5 B on python.
+BYTES_PER_VIEW = {"numpy": 23, "python": 28}
 
 
 @pytest.mark.parametrize(
@@ -291,3 +310,161 @@ def test_empty_interner_is_falsy_but_adoptable():
     assert space.interner is interner
     space.ensure_depth(2)
     assert len(interner) > 0
+
+
+# --------------------------------------------------------------------- #
+# Slot ids under random interleavings of every interning path
+# --------------------------------------------------------------------- #
+
+#: The interning paths a script step can take.
+STEPS = ("leaf", "node", "level") + (
+    ("python", "numpy") if numpy_available() else ("python",)
+)
+
+
+@st.composite
+def interleavings(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    steps = draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=12))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    return n, steps, seed
+
+
+class StructuralReference:
+    """What each view id must denote, by construction: owner and children.
+
+    Every id any path returns is recorded as ``(owner, frozenset of
+    child ids)``, a leaf as ``(owner, ("leaf", value))``; one id per
+    structure, one structure per id.  Origins and cones follow
+    recursively.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.of_vid = {}
+        self.vid_of = {}
+
+    def record(self, vid, key):
+        assert self.of_vid.setdefault(vid, key) == key
+        assert self.vid_of.setdefault(key, vid) == vid
+
+    def depth(self, vid):
+        _, kids = self.of_vid[vid]
+        return 0 if _is_leaf(kids) else 1 + self.depth(next(iter(kids)))
+
+    def origins(self, vid):
+        p, kids = self.of_vid[vid]
+        if _is_leaf(kids):
+            return ((p, kids[1]),)
+        merged = {}
+        for child in kids:
+            merged.update(self.origins(child))
+        return tuple(sorted(merged.items()))
+
+    def cone(self, vid):
+        p, kids = self.of_vid[vid]
+        depth = self.depth(vid)
+        nodes, edges = {(p, depth)}, set()
+        if not _is_leaf(kids):
+            for child in kids:
+                edges.add(((self.of_vid[child][0], depth - 1), (p, depth)))
+                child_nodes, child_edges = self.cone(child)
+                nodes |= child_nodes
+                edges |= child_edges
+        return nodes, edges
+
+
+def _is_leaf(kids):
+    return isinstance(kids, tuple)
+
+
+def _consistent_sample(interner, rng, pool, size):
+    """Up to ``size`` same-depth views that agree on every input value."""
+    pool = pool[:]
+    rng.shuffle(pool)
+    sample, merged = [], {}
+    for vid in pool:
+        origins = dict(interner.origins(vid))
+        if all(merged.get(q, value) == value for q, value in origins.items()):
+            merged.update(origins)
+            sample.append(vid)
+        if len(sample) >= size:
+            break
+    return sample
+
+
+@settings(max_examples=80, deadline=None)
+@given(interleavings())
+def test_slot_ids_under_random_interleavings(script):
+    n, steps, seed = script
+    rng = random.Random(seed)
+    interner = ViewInterner(n, layer_backend="python")
+    reference = StructuralReference(n)
+    values = (0, 1, "x")
+    inputs = [rng.choice(values) for _ in range(n)]
+    levels = {0: [interner.leaf_level(inputs)]}
+    for p, vid in enumerate(levels[0][0]):
+        reference.record(vid, (p, ("leaf", inputs[p])))
+    with mock.patch.object(views_module, "_BATCH_MIN_CELLS", 0), \
+            mock.patch.object(views_module, "_NUMPY_MIN_CELLS", 0):
+        for step in steps:
+            depth = rng.choice(sorted(levels))
+            if step == "leaf":
+                p, value = rng.randrange(n), rng.choice(values)
+                reference.record(interner.leaf(p, value), (p, ("leaf", value)))
+            elif step == "node":
+                views = sorted({v for level in levels[depth] for v in level})
+                kids = _consistent_sample(interner, rng, views, rng.randint(1, n))
+                p = rng.randrange(n)
+                reference.record(interner.node(p, kids), (p, frozenset(kids)))
+            else:
+                parents = rng.sample(levels[depth], min(len(levels[depth]), 3))
+                graphs = _random_graphs(rng, n, rng.randint(1, 3))
+                if step == "level":
+                    children = [
+                        interner.extend_level(level, g)
+                        for g in graphs for level in parents
+                    ]
+                else:
+                    interner.layer_backend = step
+                    tables = interner.extend_layer_table(
+                        LayerTable.from_levels(n, parents), graphs
+                    )
+                    children = [level for table in tables for level in table]
+                it = iter(children)
+                for graph in graphs:
+                    for level in parents:
+                        child = next(it)
+                        for p, in_list in enumerate(graph.in_neighbor_lists):
+                            kids = frozenset(level[q] for q in in_list)
+                            reference.record(child[p], (p, kids))
+                levels.setdefault(depth + 1, []).extend(children)
+    slots = interner._row_count * n
+    owners = interner._row_owners
+    views = [v for v in range(slots) if owners[v // n] >> v % n & 1]
+    assert len(interner) == len(views) == sum(bin(o).count("1") for o in owners)
+    assert sorted(reference.of_vid) == [v for v in views if v in reference.of_vid]
+    for vid, (p, kids) in reference.of_vid.items():
+        assert interner.pid(vid) == vid % n == p
+        assert interner.depth(vid) == reference.depth(vid)
+        if _is_leaf(kids):
+            assert interner.children(vid) == frozenset()
+            assert interner.leaf_value(vid) == kids[1]
+        else:
+            assert interner.children(vid) == kids
+        assert interner.origins(vid) == reference.origins(vid)
+        assert interner.cone(vid) == reference.cone(vid)
+    # Gap slots and ids outside the slot range name no view: every
+    # accessor refuses them instead of answering for another owner.
+    gaps = [v for v in range(slots) if v not in set(views)]
+    for vid in gaps[:20] + [-1, slots, slots + n]:
+        for accessor in (
+            interner.pid,
+            interner.depth,
+            interner.children,
+            interner.origin_mask,
+            interner.origins,
+            interner.cone,
+        ):
+            with pytest.raises(AnalysisError, match="no view"):
+                accessor(vid)

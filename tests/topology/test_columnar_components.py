@@ -375,9 +375,9 @@ def test_view_graph_node_range_stays_bounded_under_shared_interner(
     view_nodes = components_module._view_nodes
 
     def spy(np, mat):
-        nodes, offset, node_count = view_nodes(np, mat)
+        nodes, offset, node_count, node_views = view_nodes(np, mat)
         seen.append((mat.size, int(mat.max()) - int(mat.min()) + 1, node_count))
-        return nodes, offset, node_count
+        return nodes, offset, node_count, node_views
 
     monkeypatch.setattr(components_module, "_view_nodes", spy)
     for t in range(4):
@@ -459,9 +459,13 @@ def test_sv_labels_match_union_find(case):
     rows, spread = case
     np = numpy_module()
     mat = np.array(rows, dtype=np.int32)
-    nodes, offset, node_count = components_module._view_nodes(np, mat)
+    nodes, offset, node_count, node_views = components_module._view_nodes(np, mat)
     if spread == 4096 and mat.min() != mat.max():
         assert offset == 0 and node_count < mat.max() - mat.min()  # compacted
+    if node_views is None:
+        assert nodes is mat
+    else:
+        assert (node_views[nodes] == mat).all()  # each node's view id
     labels = components_module._sv_labels(np, nodes, offset, node_count)
     comp_ids, count = components_module._first_member_ids(np, labels, node_count)
     expected = union_find_ids(rows)

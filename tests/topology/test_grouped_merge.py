@@ -12,8 +12,9 @@ every layer — levels, parents, input indices, graphs, states — and the
 interner behind them must coincide exactly, on both kernel backends.
 
 The reference keeps every integer column at int64, while the space and
-its interner store narrow ones (owners int8, depths int32, parents int32,
-input indices at the width of the input palette), so the comparison is by
+its interner store narrow ones (per-row owner masks at the mask width for
+``n``, row depths int32, parents int32, input indices at the width of the
+input palette), so the comparison is by
 value and the widths are pinned separately: a column that wrapped or
 widened fails one check or the other.
 """
@@ -116,21 +117,19 @@ def reference_layers(adversary, depth: int, backend: str):
     return layers, interner
 
 
-#: Bytes per element of the interner's owner and depth columns, and of a
-#: layer's parents column.
-PID_WIDTH, DEPTH_WIDTH, PARENT_WIDTH = 1, 4, 4
+#: Bytes per element of the interner's per-row owner-mask column (up to
+#: 7 processes) and depth column, and of a layer's parents column.
+OWNER_WIDTH, DEPTH_WIDTH, PARENT_WIDTH = 1, 4, 4
 
-#: The interner columns that define its extension state.
+#: The interner columns that define its extension state: view ids are
+#: ``(row, owner)`` slots, so every column is per row.
 INTERNER_COLUMNS = (
-    "_pid",
-    "_depth",
-    "_row",
-    "_origin_mask",
+    "_row_owners",
+    "_row_depth",
+    "_row_masks",
     "_row_data",
     "_row_starts",
     "_row_hashes",
-    "_row_masks",
-    "_node_slots",
 )
 
 
@@ -146,8 +145,8 @@ def assert_column(column, reference, width: int, label) -> None:
 
 
 def assert_interners_match(interner, reference) -> None:
-    assert interner._pid.itemsize == PID_WIDTH
-    assert interner._depth.itemsize == DEPTH_WIDTH
+    assert interner._row_owners.itemsize == OWNER_WIDTH
+    assert interner._row_depth.itemsize == DEPTH_WIDTH
     for name in INTERNER_COLUMNS:
         assert list(getattr(interner, name)) == list(getattr(reference, name)), name
 
@@ -250,7 +249,8 @@ def test_eight_process_input_indices_are_int16(backend):
     space = PrefixSpace(adversary, layer_backend=backend)
     space.ensure_depth(2)
     assert len(space.input_vectors) == 256
-    assert space.interner._pid.itemsize == PID_WIDTH
+    # Eight owner bits need the int16 mask width.
+    assert space.interner._row_owners.itemsize == 2
     for t in range(3):
         store = space.layer_store(t)
         assert store.input_idx.itemsize == 2
