@@ -109,7 +109,7 @@ def run_suite(
         cmd += ["-m", "not bench_deep"]
     if keyword:
         cmd += ["-k", keyword]
-    if extra_args:
+    if extra_args is not None:
         cmd += extra_args
     result = subprocess.run(cmd, cwd=REPO_ROOT)
     if result.returncode != 0:

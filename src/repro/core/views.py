@@ -164,24 +164,20 @@ _BATCH_MIN_CELLS = 48
 #: a million-row table allocates a few MB instead of a few dozen.
 _REHASH_CHUNK = 1 << 16
 
-#: Multiplier/seed of the fallback 64-bit row mix (FNV offset basis
-#: seeded, golden-ratio multiplier).  The same fold runs scalar in Python
-#: and vectorized in numpy, so both kernels probe identical slots.
-_ROW_HASH_SEED = 0xCBF29CE484222325
-_ROW_HASH_MULT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-#: Row keys keep the low 32 bits of the 64-bit mix: probes and rehashes
-#: read only ``key & mask``, and the probe table never has more than
-#: ``2**32`` slots.
+#: Row keys keep the low 32 bits of the 64-bit tuple hash: probes and
+#: rehashes read only ``key & mask``, and the probe table never has more
+#: than ``2**32`` slots.
 _MASK32 = (1 << 32) - 1
 
-#: CPython's tuple-hash constants (xxHash-style, CPython >= 3.8).  When
-#: the running interpreter's ``hash(tuple_of_ints)`` matches this scheme
-#: (verified at import below), the scalar side uses the C-speed builtin
-#: hash and the numpy kernel emulates it vectorized — ~7x cheaper per row
-#: than the Python-level fold.  Int lanes hash to themselves below
-#: ``2**61 - 1``, far above any reachable view id.
+#: CPython's tuple-hash constants (xxHash-style, CPython >= 3.8): the one
+#: row-hash scheme of both kernels.  The numpy kernel emulates it
+#: vectorized; the scalar side uses the C-speed builtin hash when the
+#: running interpreter's ``hash(tuple_of_ints)`` matches the scheme
+#: (verified at import below) and the Python-level emulation otherwise.
+#: Int lanes hash to themselves below ``2**61 - 1``, far above any
+#: reachable view id.
 _XXPRIME_1 = 11400714785074694791
 _XXPRIME_2 = 14029467366897019727
 _XXPRIME_5 = 2870177450012600261
@@ -272,22 +268,14 @@ def _emulated_tuple_hash(kids: Sequence[int]) -> int:
     return acc
 
 
-#: Whether the interpreter's builtin tuple hash matches the emulation —
-#: the scalar and vectorized kernels must probe identical slots, so a
-#: mismatching interpreter (PyPy, a future CPython) falls back to the
-#: shared Python-level fold on both sides.
+#: Whether the interpreter's builtin tuple hash matches the emulation.
+#: A mismatching interpreter (PyPy, a future CPython) hashes rows through
+#: the emulation on the scalar side too, so both kernels still probe
+#: identical slots.
 _TUPLE_HASH_OK = all(
     (hash(probe) & _MASK64) == _emulated_tuple_hash(probe)
     for probe in ((0,), (1, 2, 3), (5, 2**40, 17, 3), tuple(range(9)))
 )
-
-
-def _fnv_row_hash(kids: Sequence[int]) -> int:
-    """Fallback 32-bit probe key (low half of a 64-bit multiply-fold)."""
-    h = _ROW_HASH_SEED
-    for c in kids:
-        h = ((h ^ c) * _ROW_HASH_MULT) & _MASK64
-    return h & _MASK32
 
 
 def _builtin_row_hash(kids) -> int:
@@ -295,34 +283,31 @@ def _builtin_row_hash(kids) -> int:
     return hash(kids if type(kids) is tuple else tuple(kids)) & _MASK32
 
 
-_row_hash = _builtin_row_hash if _TUPLE_HASH_OK else _fnv_row_hash
+def _emulated_row_hash(kids: Sequence[int]) -> int:
+    """Probe key via the Python-level tuple-hash emulation."""
+    return _emulated_tuple_hash(kids) & _MASK32
+
+
+_row_hash = _builtin_row_hash if _TUPLE_HASH_OK else _emulated_row_hash
 
 
 def _bulk_row_hashes(np, uniq, k: int):
     """Vectorized probe keys (uint32) for a ``(count, k)`` row matrix.
 
-    Bit-identical to :func:`_row_hash` on every row (the xxHash emulation
-    when the builtin tuple hash is in play, the fold otherwise, both
-    folded in uint64 and cut to their low 32 bits), so rows interned by
-    either kernel resolve through the same slots.
+    Bit-identical to :func:`_row_hash` on every row (the tuple-hash
+    emulation folded in uint64 and cut to its low 32 bits), so rows
+    interned by either kernel resolve through the same slots.
     """
-    count = len(uniq)
-    if _TUPLE_HASH_OK:
-        acc = np.full(count, _XXPRIME_5, dtype=np.uint64)
-        p2 = np.uint64(_XXPRIME_2)
-        p1 = np.uint64(_XXPRIME_1)
-        s31 = np.uint64(31)
-        s33 = np.uint64(33)
-        for c in range(k):
-            acc = acc + uniq[:, c].astype(np.uint64) * p2
-            acc = ((acc << s31) | (acc >> s33)) * p1
-        acc = acc + np.uint64(k ^ _XX_SUFFIX)
-        acc[acc == np.uint64(_MASK64)] = np.uint64(1546275796)
-        return acc.astype(np.uint32)
-    acc = np.full(count, _ROW_HASH_SEED, dtype=np.uint64)
-    mult = np.uint64(_ROW_HASH_MULT)
+    acc = np.full(len(uniq), _XXPRIME_5, dtype=np.uint64)
+    p2 = np.uint64(_XXPRIME_2)
+    p1 = np.uint64(_XXPRIME_1)
+    s31 = np.uint64(31)
+    s33 = np.uint64(33)
     for c in range(k):
-        acc = (acc ^ uniq[:, c].astype(np.uint64)) * mult
+        acc = acc + uniq[:, c].astype(np.uint64) * p2
+        acc = ((acc << s31) | (acc >> s33)) * p1
+    acc = acc + np.uint64(k ^ _XX_SUFFIX)
+    acc[acc == np.uint64(_MASK64)] = np.uint64(1546275796)
     return acc.astype(np.uint32)
 
 

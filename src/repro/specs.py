@@ -105,17 +105,22 @@ NAMED_ADVERSARIES: dict[str, Callable[[], MessageAdversary]] = {
 class _Family:
     """One registered adversary family."""
 
-    __slots__ = ("name", "builder", "requires_seed")
+    __slots__ = ("name", "builder", "requires_seed", "required", "allowed")
 
     def __init__(
         self,
         name: str,
         builder: Callable[..., MessageAdversary],
         requires_seed: bool,
+        required: Iterable[str] | None,
+        optional: Iterable[str],
     ) -> None:
         self.name = name
         self.builder = builder
         self.requires_seed = requires_seed
+        # None: the family declared no param names, so none are checked.
+        self.required = None if required is None else frozenset(required)
+        self.allowed = frozenset(optional).union(self.required or ())
 
 
 _REGISTRY: dict[str, _Family] = {}
@@ -125,6 +130,8 @@ def register_family(
     name: str,
     builder: Callable[..., MessageAdversary],
     requires_seed: bool = False,
+    required: Iterable[str] | None = None,
+    optional: Iterable[str] = (),
 ) -> None:
     """Register an adversary family under ``name``.
 
@@ -132,10 +139,15 @@ def register_family(
     seeded families — a ``random.Random`` initialized from the spec's seed
     (``None`` otherwise).  Builders must be pure: the same params and seed
     must produce the same adversary on every worker.
+
+    ``required`` and ``optional`` name the params the builder reads.  A
+    spec of a family that declares them is refused when it names another
+    param, lacks a required one, or carries a seed the family does not
+    take; without them, any params pass and an unused seed is ignored.
     """
     if name in _REGISTRY:
         raise AdversaryError(f"adversary family {name!r} already registered")
-    _REGISTRY[name] = _Family(name, builder, requires_seed)
+    _REGISTRY[name] = _Family(name, builder, requires_seed, required, optional)
 
 
 def families() -> tuple[str, ...]:
@@ -163,7 +175,7 @@ class AdversarySpec:
         ``json.dumps`` rejects is rejected here).
     seed:
         Sampling seed for randomized families; those families require it,
-        deterministic families ignore it.
+        deterministic families reject it.
 
     Examples
     --------
@@ -189,9 +201,10 @@ class AdversarySpec:
                 f"unknown adversary family {family!r}; registered: "
                 f"{', '.join(families())}"
             )
+        entry = _REGISTRY[family]
         if seed is not None and not isinstance(seed, int):
             raise AdversaryError("spec seed must be an int (or None)")
-        if _REGISTRY[family].requires_seed and seed is None:
+        if entry.requires_seed and seed is None:
             raise AdversaryError(f"family {family!r} requires a seed")
         if params is not None and not isinstance(params, Mapping):
             raise AdversaryError(
@@ -201,6 +214,23 @@ class AdversarySpec:
         self.family = family
         self.params = {} if params is None else dict(params)
         self.seed = seed
+        # Every accepted name and seed reaches ``cache_key``: one that the
+        # builder ignores would store the same verdict under another key.
+        if entry.required is not None:
+            if seed is not None and not entry.requires_seed:
+                raise AdversaryError(f"family {family!r} takes no seed")
+            unknown = self.params.keys() - entry.allowed
+            if unknown:
+                raise AdversaryError(
+                    f"unknown param(s) {', '.join(sorted(map(repr, unknown)))} "
+                    f"for family {family!r}; it takes "
+                    f"{', '.join(sorted(entry.allowed))}"
+                )
+            missing = entry.required - self.params.keys()
+            if missing:
+                raise AdversaryError(
+                    f"family {family!r} needs param(s) {', '.join(sorted(missing))}"
+                )
         try:
             self._canonical = json.dumps(
                 {"family": family, "params": self.params, "seed": seed},
@@ -392,15 +422,41 @@ def _build_random_oblivious(params: Mapping[str, Any], rng: random.Random) -> Me
     )
 
 
-register_family("oblivious", _build_oblivious)
-register_family("two-process", _build_two_process)
-register_family("santoro-widmayer", _build_santoro_widmayer)
-register_family("heard-of", _build_heard_of)
-register_family("named", _build_named)
-register_family("eventually-forever", _build_eventually_forever)
-register_family("stabilizing", _build_stabilizing)
-register_family("random-rooted", _build_random_rooted, requires_seed=True)
-register_family("random-oblivious", _build_random_oblivious, requires_seed=True)
+register_family(
+    "oblivious", _build_oblivious, required=("n", "graphs"), optional=("name",)
+)
+register_family("two-process", _build_two_process, required=("index",))
+register_family("santoro-widmayer", _build_santoro_widmayer, required=("n", "losses"))
+register_family(
+    "heard-of", _build_heard_of, required=("n", "predicate"), optional=("k",)
+)
+register_family("named", _build_named, required=("name",))
+register_family(
+    "eventually-forever",
+    _build_eventually_forever,
+    required=("n", "base", "eventual"),
+    optional=("name",),
+)
+register_family(
+    "stabilizing",
+    _build_stabilizing,
+    required=("n", "graphs", "window"),
+    optional=("require_rooted", "name"),
+)
+register_family(
+    "random-rooted",
+    _build_random_rooted,
+    requires_seed=True,
+    required=("n", "size"),
+    optional=("p",),
+)
+register_family(
+    "random-oblivious",
+    _build_random_oblivious,
+    requires_seed=True,
+    required=("n", "size"),
+    optional=("rooted_only", "p"),
+)
 
 
 def random_rooted_specs(

@@ -2,9 +2,9 @@
 
 The linter machine-checks invariants that the library's correctness and
 reproducibility story depends on but ordinary linters cannot see —
-numpy optionality, shared-memory lifecycle, seeded randomness, the
-Optional-container truthiness bug class, the schema-tag registry,
-columnar hot-path purity, and numpy/python backend parity.
+numpy optionality, seeded randomness, the Optional-container truthiness
+bug class, the schema-tag registry, columnar hot-path purity, and
+numpy/python backend parity.
 
 Entry points: the ``repro-lint`` console script,
 ``python -m repro.tools.lint``, or programmatically::

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant checker for the repro codebase: optional-"
-            "numpy hygiene, shared-memory lifecycle, seeded randomness, "
+            "numpy hygiene, seeded randomness, "
             "Optional-container truthiness, schema-literal registry, "
             "columnar hot-path purity, backend parity, and general "
             "except/default hygiene."

@@ -2,10 +2,10 @@
 
 Each rule machine-checks one invariant that previous revisions stated
 only in prose or tests — and that was violated at least once before being
-caught late.  Rules R1/R3/R5/R6/R7 are ``repro_only``: they encode facts
-about the ``repro`` package layout and are skipped for modules outside
-it.  R2/R4/R8 are generic enough to run on any Python source handed to
-the linter (including test helpers).
+caught late.  Rules R1/R3/R5/R6/R7/R9 are ``repro_only``: they encode
+facts about the ``repro`` package layout and are skipped for modules
+outside it.  R4/R8 are generic enough to run on any Python source handed
+to the linter (including test helpers).
 
 See the README "Static analysis & invariants" section for the catalogue
 with rationale; per-rule options live under
@@ -22,7 +22,6 @@ from repro.tools.lint.engine import Finding, LintContext, Rule, register_rule
 
 __all__ = [
     "NumpyImportRule",
-    "SharedMemoryLifecycleRule",
     "SeededRandomnessRule",
     "OptionalTruthinessRule",
     "SchemaLiteralRule",
@@ -147,284 +146,6 @@ class NumpyImportRule(Rule):
                 "with try/except ImportError, or designate this module in "
                 "[tool.repro-lint.rules.R1] kernel-modules",
             )
-
-
-# --------------------------------------------------------------------- #
-# R2 — shared-memory segment lifecycle
-# --------------------------------------------------------------------- #
-
-
-class _SegmentCleanup:
-    """One close()/unlink()/helper call on a created segment name."""
-
-    __slots__ = ("target", "kind", "node", "guard")
-
-    def __init__(self, target: str, kind: str, node: ast.AST, guard: ast.Try | None):
-        self.target = target
-        self.kind = kind  # "close" | "unlink" | "helper"
-        self.node = node
-        self.guard = guard
-
-
-@register_rule
-class SharedMemoryLifecycleRule(Rule):
-    """R2: every ``SharedMemory(create=True)`` is released on all paths.
-
-    A leaked ``/dev/shm`` segment outlives the process; at sweep scale
-    that is an unbounded resource leak.  The rule requires, per created
-    segment:
-
-    1. an ``unlink()`` (or a call to a self-guarding cleanup helper from
-       ``cleanup_helpers``) somewhere in the creating function;
-    2. the creation to be *covered*: either inside the ``try`` body of a
-       ``try/finally`` whose ``finally`` releases the segment, or
-       immediately before such a ``try`` with no statement in between
-       that can raise (any intervening call — e.g. creating a *second*
-       segment — can leak the first);
-    3. independent release: inside the ``finally``, a raw ``close``/
-       ``unlink`` of one segment must not precede another segment's
-       release in the same unguarded suite, because the first raising
-       (``BufferError``) would skip the second.  Helper calls are exempt
-       — helpers are expected to swallow their own errors.
-    """
-
-    id = "R2"
-    name = "shm-lifecycle"
-    description = (
-        "SharedMemory(create=True) segments need close()/unlink() reachable "
-        "on all exit paths of the creating function"
-    )
-    defaults: dict[str, Any] = {
-        "factory_names": ["SharedMemory"],
-        "cleanup_helpers": ["_release_segment"],
-    }
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        options = self.options(ctx)
-        factories = set(options["factory_names"])
-        helpers = set(options["cleanup_helpers"])
-        for function in _iter_functions(ctx.tree):
-            creations = self._creations(function, factories)
-            if not creations:
-                continue
-            cleanups = self._cleanups(ctx, function, helpers)
-            for name, assign in creations:
-                yield from self._check_segment(
-                    ctx, function, name, assign, cleanups, helpers
-                )
-
-    @staticmethod
-    def _creations(
-        function: ast.AST, factories: set[str]
-    ) -> list[tuple[str, ast.Assign]]:
-        found = []
-        for node in ast.walk(function):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            value = node.value
-            if not isinstance(target, ast.Name) or not isinstance(value, ast.Call):
-                continue
-            if _call_name(value) not in factories:
-                continue
-            creates = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in value.keywords
-            )
-            if creates:
-                found.append((target.id, node))
-        return found
-
-    @staticmethod
-    def _cleanups(
-        ctx: LintContext, function: ast.AST, helpers: set[str]
-    ) -> list[_SegmentCleanup]:
-        cleanups = []
-        for node in ast.walk(function):
-            if not isinstance(node, ast.Call):
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("close", "unlink")
-                and isinstance(node.func.value, ast.Name)
-            ):
-                cleanups.append(
-                    _SegmentCleanup(
-                        node.func.value.id, node.func.attr, node, None
-                    )
-                )
-            elif isinstance(node.func, ast.Name) and node.func.id in helpers:
-                for arg in node.args:
-                    if isinstance(arg, ast.Name):
-                        cleanups.append(
-                            _SegmentCleanup(arg.id, "helper", node, None)
-                        )
-        return cleanups
-
-    def _check_segment(
-        self,
-        ctx: LintContext,
-        function: ast.AST,
-        name: str,
-        assign: ast.Assign,
-        cleanups: list[_SegmentCleanup],
-        helpers: set[str],
-    ) -> Iterator[Finding]:
-        releases = [
-            c for c in cleanups if c.target == name and c.kind in ("unlink", "helper")
-        ]
-        if not releases:
-            yield self.finding(
-                ctx,
-                assign,
-                f"shared-memory segment {name!r} is created but never "
-                f"unlink()ed in this function; release it in a finally block",
-            )
-            return
-        protector = self._protecting_try(ctx, name, assign, helpers)
-        if protector is None:
-            yield self.finding(
-                ctx,
-                assign,
-                f"shared-memory segment {name!r} has no try/finally covering "
-                f"its creation; an exception before cleanup leaks the segment",
-            )
-            return
-        trybody, risky = protector
-        for statement in risky:
-            yield self.finding(
-                ctx,
-                statement,
-                f"statement between the creation of segment {name!r} and its "
-                f"protecting try can raise and leak the segment; move the "
-                f"creation into its own try/finally",
-            )
-        yield from self._check_finally_order(ctx, trybody, name, helpers)
-
-    def _protecting_try(
-        self,
-        ctx: LintContext,
-        name: str,
-        assign: ast.Assign,
-        helpers: set[str],
-    ) -> tuple[ast.Try, list[ast.stmt]] | None:
-        """The try/finally releasing ``name``, plus risky gap statements."""
-        # Case 1: the creation sits inside the try body of a protecting try.
-        for ancestor in ctx.ancestors(assign):
-            if isinstance(ancestor, ast.Try) and self._releases(
-                ancestor.finalbody, name, helpers
-            ):
-                statement = ctx.enclosing_statement(assign)
-                if statement in ancestor.body or any(
-                    a in ancestor.body for a in ctx.ancestors(assign)
-                ):
-                    return ancestor, []
-        # Case 2: the creation immediately precedes a protecting sibling try.
-        suite = ctx.enclosing_suite(assign)
-        if suite is None:
-            return None
-        statement = ctx.enclosing_statement(assign)
-        if statement not in suite:
-            return None
-        index = suite.index(statement)
-        for follower_index in range(index + 1, len(suite)):
-            follower = suite[follower_index]
-            if isinstance(follower, ast.Try) and self._releases(
-                follower.finalbody, name, helpers
-            ):
-                risky = [
-                    stmt
-                    for stmt in suite[index + 1 : follower_index]
-                    if any(isinstance(sub, ast.Call) for sub in ast.walk(stmt))
-                ]
-                return follower, risky
-        return None
-
-    @staticmethod
-    def _releases(finalbody: list[ast.stmt], name: str, helpers: set[str]) -> bool:
-        for stmt in finalbody:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "unlink"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == name
-                ):
-                    return True
-                if (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in helpers
-                    and any(
-                        isinstance(arg, ast.Name) and arg.id == name
-                        for arg in node.args
-                    )
-                ):
-                    return True
-        return False
-
-    def _check_finally_order(
-        self, ctx: LintContext, protector: ast.Try, name: str, helpers: set[str]
-    ) -> Iterator[Finding]:
-        """Flag raw cleanup of another segment sequenced before ours."""
-        ordered: list[_SegmentCleanup] = []
-        for stmt in protector.finalbody:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                cleanup: _SegmentCleanup | None = None
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("close", "unlink")
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    cleanup = _SegmentCleanup(
-                        node.func.value.id, node.func.attr, node, None
-                    )
-                elif isinstance(node.func, ast.Name) and node.func.id in helpers:
-                    for arg in node.args:
-                        if isinstance(arg, ast.Name):
-                            ordered.append(
-                                _SegmentCleanup(arg.id, "helper", node, None)
-                            )
-                    continue
-                if cleanup is not None:
-                    cleanup.guard = self._guard_within(ctx, node, protector)
-                    ordered.append(cleanup)
-        ordered.sort(
-            key=lambda c: (getattr(c.node, "lineno", 0), getattr(c.node, "col_offset", 0))
-        )
-        for position, cleanup in enumerate(ordered):
-            if cleanup.target != name or cleanup.kind != "unlink":
-                continue
-            for earlier in ordered[:position]:
-                if earlier.target == name or earlier.kind == "helper":
-                    continue
-                if earlier.guard is cleanup.guard:
-                    yield self.finding(
-                        ctx,
-                        cleanup.node,
-                        f"cleanup of segment {name!r} is skipped if the "
-                        f"preceding {earlier.kind}() of {earlier.target!r} "
-                        f"raises; release each segment under its own "
-                        f"try (or via a self-guarding helper)",
-                    )
-                    break
-
-    @staticmethod
-    def _guard_within(
-        ctx: LintContext, node: ast.AST, boundary: ast.Try
-    ) -> ast.Try | None:
-        """The innermost handler-carrying Try between node and boundary."""
-        for ancestor in ctx.ancestors(node):
-            if ancestor is boundary:
-                return None
-            if isinstance(ancestor, ast.Try) and ancestor.handlers:
-                return ancestor
-        return None
 
 
 # --------------------------------------------------------------------- #

@@ -379,7 +379,7 @@ class ComponentAnalysis:
             self._analyze_numpy(np, store, table, interner, n, count)
         else:
             self._analyze_python(store, table, interner, n, count)
-        self._view_map: dict[tuple[int, int], int] | None = None
+        self._view_map: dict[int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # The two component passes
@@ -478,10 +478,6 @@ class ComponentAnalysis:
             for index in component._members:
                 comp_ids[index] = cid
         self.comp_ids = comp_ids
-        # view bucket -> first node index (the universal algorithm's
-        # lookup); the (p, view) -> component map is built lazily because
-        # the solvability checker never queries it.
-        self._buckets = buckets
 
     def _analyze_numpy(self, np, store, table, interner, n: int, count: int) -> None:
         """Vectorized component pass over the layer's view graph.
@@ -567,9 +563,6 @@ class ComponentAnalysis:
                 )
             )
         self.comp_ids = comp_ids
-        # The (p, view) -> component lookup recomputes its view index
-        # lazily from the store (cold path; the checker never calls it).
-        self._buckets = None
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -586,26 +579,18 @@ class ComponentAnalysis:
         returned component (that is what indistinguishability means); `None`
         if the view does not occur at this depth.
         """
+        n = self.space.adversary.n
         view_map = self._view_map
         if view_map is None:
-            comp_ids = self.comp_ids
-            if self._buckets is not None:
-                pid = self.space.interner.pid
-                view_map = {
-                    (pid(vid), vid): int(comp_ids[first])
-                    for vid, first in self._buckets.items()
-                }
-            else:
-                np = numpy_module()
-                n = self.space.adversary.n
-                mat = self.space.layer_store(self.depth).levels.array()
-                views, first_cells = np.unique(mat.reshape(-1), return_index=True)
-                view_map = {
-                    (cell % n, vid): int(comp_ids[cell // n])
-                    for vid, cell in zip(views.tolist(), first_cells.tolist())
-                }
-            self._view_map = view_map
-        cid = view_map.get((p, view_id))
+            # Built on first use (the checker never calls this): every
+            # prefix holding a view lies in one component, and a view's
+            # owner is ``vid % n``, so the view id alone is the key.
+            comp_ids = plain_ids(self.comp_ids)
+            ids = plain_ids(self.space.layer_store(self.depth).levels.ids)
+            view_map = self._view_map = {
+                vid: comp_ids[cell // n] for cell, vid in enumerate(ids)
+            }
+        cid = view_map.get(view_id) if view_id % n == p else None
         return None if cid is None else self.components[cid]
 
     def bivalent_components(self) -> list[Component]:

@@ -282,6 +282,24 @@ def test_malformed_specs_answer_errors_not_disconnects(tmp_path):
     assert responses[-1]["ok"] and responses[-1]["pong"] is True
 
 
+def test_spec_with_an_unknown_param_is_refused_before_the_store(tmp_path):
+    spec = {"family": "named", "params": {"name": "lossy-full", "extra": 1}}
+    requests = [
+        {"op": "query", "id": "extra", "spec": spec, "options": OPTIONS.to_dict()},
+        {"op": "ping", "id": "ping"},
+    ]
+
+    async def scenario(service, host, port):
+        return await pipelined(host, port, requests)
+
+    store = ResultStore(tmp_path)
+    responses = run(with_service(store, scenario))
+    assert [r["id"] for r in responses] == ["extra", "ping"]
+    assert responses[0]["ok"] is False
+    assert "unknown param" in responses[0]["error"]
+    assert store.stats()["objects"] == 0 and store.puts == 0
+
+
 def test_status_refuses_malformed_job_keys(tmp_path):
     # The store joins a job key into a file path, so only the cache-key
     # digest form may reach it.
@@ -419,14 +437,15 @@ def test_cold_job_exceptions_fail_the_job_not_the_worker(tmp_path, monkeypatch):
     """A cold job that raises anything must answer its waiters (and every
     coalesced twin) with one terminal error and leave the pool full.
 
-    Malformed family params (``n="x"``) pass spec decoding and raise a
-    ``KeyError`` inside the worker's spec build; a malformed option value
-    is refused by the options decoder before it is queued; and an
-    arbitrary exception from the executor stands in for any other bug.
+    A malformed param value (``n="x"``, under the names the family
+    declares) passes spec decoding and raises inside the worker's spec
+    build; a malformed option value is refused by the options decoder
+    before it is queued; and an arbitrary exception from the executor
+    stands in for any other bug.
     """
     import repro.service.server as server_module
 
-    bad_spec = {"family": "oblivious", "params": {"n": "x"}}
+    bad_spec = {"family": "oblivious", "params": {"n": "x", "graphs": [1]}}
     real_execute = server_module.execute_query
 
     def flaky_execute(spec_dict, options_dict):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.specs as specs_module
 from repro import AdversarySpec, CheckOptions, Session
 from repro.adversaries import (
     ObliviousAdversary,
@@ -25,7 +26,12 @@ from repro.consensus.solvability import (
 from repro.core.digraph import arrow
 from repro.errors import AdversaryError, AnalysisError
 from repro.records import certificate_summary
-from repro.specs import NAMED_ADVERSARIES, families, random_rooted_specs
+from repro.specs import (
+    NAMED_ADVERSARIES,
+    families,
+    random_rooted_specs,
+    register_family,
+)
 
 N2_KEYS = sorted(g.key for g in all_digraphs(2))
 N3_ROOTED_KEYS = sorted(g.key for g in all_digraphs(3) if g.is_rooted)
@@ -190,6 +196,37 @@ class TestAdversarySpecRoundTrip:
         # which the query service does not answer.
         with pytest.raises(AdversaryError):
             AdversarySpec.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # Each of these used to decode: the first two under a cache key
+            # of their own for the plain lossy-full verdict, the last two
+            # only to fail with a KeyError inside the build.
+            (
+                {"family": "named", "params": {"name": "lossy-full", "extra": 1}},
+                "unknown param",
+            ),
+            (
+                {"family": "named", "params": {"name": "lossy-full"}, "seed": 7},
+                "takes no seed",
+            ),
+            ({"family": "two-process", "params": {"graphs": ["a"]}}, "unknown param"),
+            ({"family": "oblivious", "params": {"n": 2}}, "needs param"),
+        ],
+        ids=["unknown-name", "unused-seed", "wrong-name", "missing-name"],
+    )
+    def test_declared_families_refuse_names_and_seeds_they_ignore(
+        self, data, message
+    ):
+        with pytest.raises(AdversaryError, match=message):
+            AdversarySpec.from_dict(data)
+
+    def test_families_without_declared_names_accept_any_params(self, monkeypatch):
+        monkeypatch.setattr(specs_module, "_REGISTRY", dict(specs_module._REGISTRY))
+        register_family("undeclared", lambda params, rng: lossy_link_full())
+        spec = AdversarySpec("undeclared", {"anything": 1}, seed=7)
+        assert spec.build().name == lossy_link_full().name
 
 
 class TestSpecDerivation:

@@ -2,9 +2,8 @@
 
 Every rule gets at least one known-bad fixture it must flag and one
 known-good fixture it must pass — including a faithful reproduction of
-the historical ``interner or ...`` bug (R4) and the shared-memory
-cleanup-ordering leak (R2) that motivated the linter.  The ``--json``
-document's key set is pinned: it is a versioned schema
+the historical ``interner or ...`` bug (R4) that motivated the linter.
+The ``--json`` document's key set is pinned: it is a versioned schema
 (``repro.lint-report/1``) that downstream tooling reads.
 """
 
@@ -41,9 +40,12 @@ def rules_of(found):
 # --------------------------------------------------------------------- #
 
 
-def test_all_nine_rules_registered():
+def test_rules_keep_their_ids_with_r2_retired():
+    # R2 guarded shared-memory segments, which no code allocates any more;
+    # the other ids are never renumbered, so configs and --select values
+    # written against them keep working.
     ids = [rule.id for rule in iter_rules()]
-    assert ids == ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
+    assert ids == ["R1", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
     for rule in iter_rules():
         assert rule.name and rule.description
 
@@ -95,93 +97,6 @@ def test_r1_is_repro_only():
 def test_r1_kernel_module_allowlist():
     config = LintConfig(rules={"R1": {"kernel_modules": [REPRO_MODULE]}})
     assert findings(R1_BAD, select={"R1"}, config=config) == []
-
-
-# --------------------------------------------------------------------- #
-# R2 — shared-memory lifecycle
-# --------------------------------------------------------------------- #
-
-R2_BAD_NO_CLEANUP = """\
-from multiprocessing.shared_memory import SharedMemory
-
-
-def leak():
-    shm = SharedMemory(create=True, size=8)
-    return shm.name
-"""
-
-# The exact pre-fix shape of a real leak the rule caught (the map phase of
-# a since-deleted sharded layer extension): the second creation sits
-# before the first segment's protecting try, and one finally suite chains
-# both cleanups so the first close() raising skips the second segment.
-R2_BAD_ORDERING = """\
-from multiprocessing.shared_memory import SharedMemory
-
-
-def leaky(work):
-    shm_in = SharedMemory(create=True, size=8)
-    shm_out = SharedMemory(create=True, size=8)
-    try:
-        work(shm_in, shm_out)
-    finally:
-        try:
-            shm_in.close()
-            shm_in.unlink()
-            shm_out.close()
-            shm_out.unlink()
-        except BufferError:
-            pass
-"""
-
-R2_GOOD = """\
-from multiprocessing.shared_memory import SharedMemory
-
-
-def _release_segment(shm):
-    try:
-        shm.close()
-    except BufferError:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def clean(work):
-    shm_in = SharedMemory(create=True, size=8)
-    try:
-        shm_out = SharedMemory(create=True, size=8)
-        try:
-            work(shm_in, shm_out)
-        finally:
-            _release_segment(shm_out)
-    finally:
-        _release_segment(shm_in)
-"""
-
-
-def test_r2_flags_segment_without_cleanup():
-    found = findings(R2_BAD_NO_CLEANUP, select={"R2"})
-    assert rules_of(found) == ["R2"]
-    assert "unlink" in found[0].message
-
-
-def test_r2_flags_the_prefix_ordering_leak():
-    found = findings(R2_BAD_ORDERING, select={"R2"})
-    assert found, "the pre-fix ordering leak must be flagged"
-    messages = " ".join(f.message for f in found)
-    assert "leak" in messages or "skipped" in messages
-
-
-def test_r2_passes_nested_try_finally_with_helper():
-    assert findings(R2_GOOD, select={"R2"}) == []
-
-
-def test_r2_applies_outside_repro_package_too():
-    assert rules_of(
-        findings(R2_BAD_NO_CLEANUP, module="scripts.helper", select={"R2"})
-    ) == ["R2"]
 
 
 # --------------------------------------------------------------------- #
@@ -752,6 +667,12 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("R1", "R4", "R8"):
         assert rule_id in out
+
+
+def test_cli_rejects_the_retired_r2_id(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main(["--select", "R2", str(tmp_path)])
+    assert excinfo.value.code == 2
 
 
 def test_cli_rejects_unknown_rule_and_missing_path(tmp_path):

@@ -18,10 +18,17 @@ from repro.topology.approximation import (
     eps_approximation_of_value,
     eps_ball,
 )
-from repro.topology.components import ComponentAnalysis, UnionFind
+from repro.core.views import numpy_available
+from repro.topology.components import (
+    _COMPONENT_NUMPY_MIN_CELLS,
+    ComponentAnalysis,
+    UnionFind,
+)
 from repro.topology.prefixspace import PrefixSpace
 
 TO, FRO, BOTH = arrow("->"), arrow("<-"), arrow("<->")
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 class TestUnionFind:
@@ -77,6 +84,26 @@ class TestComponentStructure:
                 component = analysis.component_of_view(p, node.prefix.view(p))
                 assert component is analysis.component_of(node)
         assert analysis.component_of_view(0, 10**9) is None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "make, depth",
+        [(lossy_link_no_hub, 8), (lambda: santoro_widmayer_family(3, 1), 3)],
+        ids=["no-hub-d8", "sw31-d3"],
+    )
+    def test_component_of_view_on_layers_past_the_numpy_floor(
+        self, backend, make, depth
+    ):
+        space = PrefixSpace(make(), layer_backend=backend)
+        analysis = ComponentAnalysis(space, depth)
+        n = space.adversary.n
+        ids = list(space.layer_store(depth).levels.ids)
+        assert len(ids) >= _COMPONENT_NUMPY_MIN_CELLS
+        for cell, vid in enumerate(ids):
+            expected = analysis.components[int(analysis.comp_ids[cell // n])]
+            assert analysis.component_of_view(cell % n, vid) is expected
+            # The same view id asked for under another owner does not occur.
+            assert analysis.component_of_view((cell + 1) % n, vid) is None
 
 
 class TestLossyLinkComponentCounts:
