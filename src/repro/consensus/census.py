@@ -7,24 +7,21 @@ two processes the classification is provably complete; for three processes
 it reports exactly where the heuristic baseline diverges from the certified
 checker.
 
-Both censuses run on the sweep engine (:func:`repro.api.run_sweep`): pass
-``workers > 1`` (or an explicit :class:`~repro.backends.SweepBackend`) to
-fan the checker jobs out.  Every row is backed by the same versioned
-:class:`~repro.records.RunRecord` schema the sweep engine writes — with
-the census's ``oracle``/``cgp`` cross-validation verdicts filled in — so a
-census serializes to the same JSONL streams (``jsonl_path=...``) and feeds
-the same :mod:`repro.analysis` reports as any other sweep.  The serial
-path (``workers=1``) additionally keeps the full
-:class:`~repro.consensus.solvability.SolvabilityResult` on each row
-(``row.result`` is ``None`` on fanned-out rows — certificates, verdicts,
-and depths are identical).
+Both censuses run on the sweep engine (:func:`repro.api.run_sweep`) on
+every path: ``workers=1`` runs the inline serial backend, which shares one
+view interner per process count across the family, and ``workers > 1``
+(or an explicit :class:`~repro.backends.SweepBackend`) fans the checker
+jobs out.  Every row is a :class:`~repro.records.RunRecord` from the
+sweep engine — with the census's ``oracle``/``cgp`` cross-validation
+verdicts filled in — so a census serializes to the same JSONL streams
+(``jsonl_path=...``) and feeds the same :mod:`repro.analysis` reports as
+any other sweep.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -35,12 +32,8 @@ from repro.adversaries.generators import (
 from repro.adversaries.oblivious import ObliviousAdversary
 from repro.consensus.baselines import cgp_predicts_solvable
 from repro.consensus.provers import two_process_oblivious_verdict
-from repro.consensus.solvability import (
-    SolvabilityResult,
-    SolvabilityStatus,
-    check_consensus,
-)
-from repro.records import RunRecord, certificate_summary, write_jsonl
+from repro.consensus.solvability import SolvabilityStatus
+from repro.records import RunRecord, write_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
     from repro.backends import SweepBackend
@@ -52,77 +45,15 @@ class CensusRow:
     """One classified adversary with all verdicts side by side.
 
     The row is a thin view over a :class:`~repro.records.RunRecord`
-    (``row.record``) that keeps the live adversary — and, on the serial
-    path, the full checker result — attached for interactive use.
+    (``row.record``) that keeps the live adversary attached for
+    interactive use.
     """
 
-    __slots__ = ("adversary", "record", "result")
+    __slots__ = ("adversary", "record")
 
-    def __init__(
-        self,
-        adversary: ObliviousAdversary,
-        status: SolvabilityStatus | str | None = None,
-        certificate: str | None = None,
-        certified_depth: int | None = None,
-        oracle: bool | None = None,
-        cgp: bool | None = None,
-        result: SolvabilityResult | None = None,
-        record: RunRecord | None = None,
-    ) -> None:
-        if record is None:
-            # Legacy field-by-field construction: synthesize the record.
-            record = RunRecord(
-                index=0,
-                adversary=adversary.name,
-                n=adversary.n,
-                alphabet=len(adversary.alphabet()),
-                max_depth=result.max_depth if result is not None else 0,
-                status=(
-                    status.value
-                    if isinstance(status, SolvabilityStatus)
-                    else status
-                ),
-                certified_depth=certified_depth,
-                certificate=certificate,
-                elapsed_s=0.0,
-                views_interned=0,
-                shard=0,
-                oracle=oracle,
-                cgp=cgp,
-            )
+    def __init__(self, adversary: ObliviousAdversary, record: RunRecord) -> None:
         self.adversary = adversary
         self.record = record
-        #: The full checker result (serial path only; None on sweep records).
-        self.result = result
-
-    @classmethod
-    def from_result(
-        cls,
-        adversary: ObliviousAdversary,
-        result: SolvabilityResult,
-        oracle: bool | None,
-        cgp: bool,
-        index: int = 0,
-        elapsed_s: float = 0.0,
-        views_interned: int = 0,
-    ) -> "CensusRow":
-        """Row backed by a full in-process checker result."""
-        record = RunRecord(
-            index=index,
-            adversary=adversary.name,
-            n=adversary.n,
-            alphabet=len(adversary.alphabet()),
-            max_depth=result.max_depth,
-            status=result.status.value,
-            certified_depth=result.certified_depth,
-            certificate=certificate_summary(result),
-            elapsed_s=elapsed_s,
-            views_interned=views_interned,
-            shard=0,
-            oracle=oracle,
-            cgp=cgp,
-        )
-        return cls(adversary, result=result, record=record)
 
     @classmethod
     def from_record(
@@ -141,7 +72,7 @@ class CensusRow:
         record = copy.copy(record)
         record.oracle = oracle
         record.cgp = cgp
-        return cls(adversary, record=record)
+        return cls(adversary, record)
 
     # Record-backed views ------------------------------------------------ #
 
@@ -206,48 +137,18 @@ def _classify(
     from repro.api import jobs_for, run_sweep
 
     adversaries = list(adversaries)
-    if backend is not None or workers > 1 or store is not None:
-        records = run_sweep(
-            jobs_for(adversaries, max_depth),
-            workers=workers,
-            backend=backend,
-            store=store,
+    records = run_sweep(
+        jobs_for(adversaries, max_depth),
+        workers=workers,
+        backend=backend,
+        store=store,
+    )
+    rows = [
+        CensusRow.from_record(
+            adversary, record, oracle_fn(adversary), cgp_predicts_solvable(adversary)
         )
-        rows = [
-            CensusRow.from_record(
-                adversary, record, oracle_fn(adversary), cgp_predicts_solvable(adversary)
-            )
-            for adversary, record in zip(adversaries, records)
-        ]
-    else:
-        # Serial path: share one interner per process count across the
-        # family, exactly as a sweep shard would — same-n jobs reuse view
-        # tables.
-        from repro.core.views import ViewInterner
-
-        interners: dict[int, ViewInterner] = {}
-        rows = []
-        for index, adversary in enumerate(adversaries):
-            interner = interners.get(adversary.n)
-            if interner is None:
-                interner = interners[adversary.n] = ViewInterner(adversary.n)
-            before = len(interner)
-            start = time.perf_counter()
-            result = check_consensus(
-                adversary, max_depth=max_depth, interner=interner
-            )
-            elapsed = time.perf_counter() - start
-            rows.append(
-                CensusRow.from_result(
-                    adversary,
-                    result,
-                    oracle_fn(adversary),
-                    cgp_predicts_solvable(adversary),
-                    index=index,
-                    elapsed_s=elapsed,
-                    views_interned=len(interner) - before,
-                )
-            )
+        for adversary, record in zip(adversaries, records)
+    ]
     if jsonl_path is not None:
         write_jsonl([row.record for row in rows], jsonl_path)
     return rows

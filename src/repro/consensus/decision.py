@@ -414,8 +414,9 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     for the library spec; subclasses overriding ``pick_value`` or
     ``allowed_values`` keep the per-component calls (their overrides must
     observe every component).  The columnar pass also needs the
-    vectorized component analysis to have run (``comp_ids`` is then an
-    int32 column) and the domain to fit the int64 value bitmaps.
+    vectorized component analysis to have run (it leaves the member
+    order and component offsets behind) and the domain to fit the int64
+    value bitmaps.
     """
     np = numpy_module()
     if (
@@ -423,7 +424,7 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
         or type(spec).pick_value is not ConsensusSpec.pick_value
         or type(spec).allowed_values is not ConsensusSpec.allowed_values
         or analysis.space.interner.layer_backend != "numpy"
-        or not isinstance(analysis.comp_ids, np.ndarray)
+        or analysis.member_order is None
         or len(spec.domain) > _NUMPY_MAX_VALUES
     ):
         return {
@@ -441,8 +442,9 @@ _NO_VALUE = object()
 def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     """Whole-layer value assignment: forced valences + broadcaster pass.
 
-    One stable argsort groups the layer's prefixes by component;
-    ``reduceat`` folds then answer, per component, everything
+    The component analysis already grouped the layer's prefixes by
+    component (its member order and component offsets); ``reduceat``
+    folds over that grouping answer, per component, everything
     :meth:`ConsensusSpec.pick_value` asks member-by-member: the
     strong-validity allowed sets (AND of per-input-vector value bitmaps)
     and each broadcaster's input value (min/max folds over per-process
@@ -455,13 +457,8 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
     store = space.layer_store(analysis.depth)
     components = analysis.components
     ncomp = len(components)
-    comp_ids = analysis.comp_ids
-    member_order = np.argsort(comp_ids, kind="stable")
-    comp_starts = np.zeros(ncomp, dtype=np.int64)
-    np.cumsum(
-        np.bincount(comp_ids, minlength=ncomp)[:-1], out=comp_starts[1:]
-    )
-    member_inputs = store.input_array()[member_order]
+    comp_starts = analysis.comp_starts
+    member_inputs = store.input_array()[analysis.member_order]
     input_vectors = space.input_vectors
     domain = spec.domain
     code_of = {value: i for i, value in enumerate(domain)}

@@ -131,8 +131,6 @@ class PTGPrefix:
 
     def extended(self, graph: Digraph) -> "PTGPrefix":
         """The prefix with one more round appended (shares the history)."""
-        if graph.n != self.interner.n:
-            raise AnalysisError("appended graph has wrong n")
         history = self._view_history
         level = self.interner.extend_level(history[-1], graph)
         return PTGPrefix._make(

@@ -63,16 +63,19 @@ The whole-layer extension kernel
 --------------------------------
 :meth:`ViewInterner.extend_layer_table` interns the successors of an
 *entire* prefix-space layer in one call and returns them *columnar*: one
-:class:`LayerTable` per graph — a flat view-id column, the exchange format
-the prefix space, the component analysis, and the decision-table builder
-all consume directly, so a layer never expands into per-child Python
-tuples on the hot path.  The kernel deduplicates parent levels, then works
+:class:`LayerTable` holding the child layer as the prefix space stores it,
+parent-major (child ``i * width + j`` is parent ``i`` extended by graph
+``j``) — a flat view-id column, the exchange format the prefix space, the
+component analysis, and the decision-table builder all consume directly,
+so a layer never expands into per-child Python tuples on the hot path.
+The kernel deduplicates parent levels, then works
 per distinct *in-neighborhood* of the alphabet (child rows depend on the
 in-list only, never on the owner): it builds every candidate child row of
 the layer, deduplicates rows across all parents at once, interns each
 distinct row a single time through the open-addressing row table, and
 creates views at unique-row granularity: a child column is ``urid * n +
-p``, plus one owner bit set per row.  Two backends implement the batch:
+p``, plus one owner bit set per row.  Two backends implement the batch,
+and each assembles the parent-major child column once:
 
 * ``"numpy"`` — the layer column becomes one int32 matrix; candidate rows
   are gathered/sorted/uniqued as packed int64 key columns (``np.unique``-based
@@ -80,7 +83,8 @@ p``, plus one owner bit set per row.  Two backends implement the batch:
   vectorized over the distinct rows), and owner bits are set through
   vectorized gathers over the interner's buffer-backed row columns.  Selected
   by default when numpy imports (set ``REPRO_PURE_PYTHON=1`` to veto at
-  import time).
+  import time); layers under :data:`_NUMPY_MIN_CELLS` cells run the
+  Python kernel.
 * ``"python"`` — the same batched structure in pure Python, so
   ``dependencies = []`` stays true and the kernel is always available.
 
@@ -88,9 +92,9 @@ Both backends run serially in the calling process; sweeps parallelize
 across jobs (process-pool and fleet backends), never inside one layer.
 This is the only layer-extension path.  Two thin entry points sit on top
 of the same row arena: :meth:`ViewInterner.extend_level` extends one
-level by one graph through the per-parent loop (what
-:class:`~repro.core.ptg.PTGPrefix` needs, and cheaper than a one-row
-batch), and :meth:`ViewInterner.extend_layer` is a tuple-in, tuple-out
+level by one graph in a direct loop over its in-neighborhoods (what
+:class:`~repro.core.ptg.PTGPrefix` needs), and
+:meth:`ViewInterner.extend_layer` is a tuple-in, per-graph-tuples-out
 wrapper over :meth:`ViewInterner.extend_layer_table`.  All paths produce
 structurally identical views and may be mixed freely on one interner;
 only the view-id *numbering* may differ between them.
@@ -154,10 +158,6 @@ DEFAULT_PLAN_CACHE_SIZE = 128
 #: Below this many (parent, pattern) cells the numpy batch is not worth its
 #: fixed per-call overhead; tiny layers stay on the pure-Python kernel.
 _NUMPY_MIN_CELLS = 192
-
-#: Below this many cells even the batched Python kernel loses to the plain
-#: per-parent loop (batch bookkeeping dominates microscopic layers).
-_BATCH_MIN_CELLS = 48
 
 #: Rows the vectorized row-table rehash places per chunk.  Its index and
 #: row-id temporaries are sized by the chunk, not by every row, so growing
@@ -837,14 +837,14 @@ class ViewInterner:
                 f"limit of {_ID_LIMIT} slots and cells"
             )
 
-    def _batch_need(self, level: Sequence[int], patterns) -> tuple[int, int]:
+    def _batch_need(self, level: Sequence[int], in_lists) -> tuple[int, int]:
         """The exact (rows, cells) extending ``level`` would add.
 
-        A dry run of :meth:`_extend_batch`'s probe, taken only when the
+        A dry run of :meth:`extend_level`'s probe, taken only when the
         cheap upper bound does not fit the limit.
         """
         fresh_rows: set = set()
-        for _, in_list in patterns:
+        for in_list in in_lists:
             kids = tuple(sorted({level[q] for q in in_list}))
             if self._row_find(kids, _row_hash(kids))[0] < 0:
                 fresh_rows.add(kids)
@@ -944,14 +944,56 @@ class ViewInterner:
 
         ``level`` must be the full view-id tuple of one prefix at some time
         ``t`` (so the children of each new view are mutually consistent by
-        construction); the result is the level at time ``t + 1``.  Runs the
-        per-parent loop directly — for one level and one graph that is
-        about half the cost of a one-row :meth:`extend_layer_table` batch.
-        Origin *values* of the new views are materialized lazily (only
-        :meth:`origins` and :meth:`input_of` force them) — the prefix-space
-        hot path needs only the origin masks.
+        construction); the result is the level at time ``t + 1``, one row
+        probe per process.  Origin *values* of the new views are
+        materialized lazily (only :meth:`origins` and :meth:`input_of`
+        force them) — the prefix-space hot path needs only the origin
+        masks.  A graph on another process count raises
+        :class:`~repro.errors.AnalysisError`.
         """
-        return self._extend_batch(level, (graph,))[0]
+        n = self.n
+        self._check_graph(graph)
+        in_lists = graph.in_neighbor_lists
+        row_masks = self._row_masks
+        owners = self._row_owners
+        row_find = self._row_find
+        row_add = self._row_add
+        depth = self._row_depth[level[0] // n] + 1
+        if not self._has_room(n, n * n):
+            self._reserve(*self._batch_need(level, in_lists))
+        sorted_level: tuple[int, ...] | None = None
+        vids = []
+        added = 0
+        for p, in_list in enumerate(in_lists):
+            size = len(in_list)
+            if size == 2:
+                a = level[in_list[0]]
+                b = level[in_list[1]]
+                kids = (a, b) if a < b else (b, a)
+            elif size == 1:
+                kids = (level[in_list[0]],)
+            elif size == n:
+                # Dense row: every process that hears everyone shares the
+                # sorted full level.
+                if sorted_level is None:
+                    sorted_level = tuple(sorted(level))
+                kids = sorted_level
+            else:
+                kids = tuple(sorted([level[q] for q in in_list]))
+            h = _row_hash(kids)
+            rid, slot = row_find(kids, h)
+            if rid < 0:
+                mask = 0
+                for c in kids:
+                    mask |= row_masks[c // n]
+                rid = row_add(kids, h, slot, mask, depth)
+            held = owners[rid]
+            if not held >> p & 1:
+                owners[rid] = held | 1 << p
+                added += 1
+            vids.append(rid * n + p)
+        self._view_count += added
+        return tuple(vids)
 
     def _alphabet_plan(self, graphs: Sequence[Digraph]) -> tuple:
         """The distinct ``(p, in-neighborhood)`` patterns of an alphabet.
@@ -959,20 +1001,21 @@ class ViewInterner:
         Alphabets repeat in-rows across their graphs (e.g. every graph in
         which ``p`` hears everyone shares a row); which rows coincide is a
         property of the *alphabet alone*, so the dedup is hoisted out of
-        the per-parent hot loop and cached per graphs-tuple.  Returns
+        the layer kernels and cached per graphs-tuple.  Returns
         ``(patterns, layouts, inlists, pats_of_inlist)``: the distinct
         patterns in first-occurrence order, per graph the pattern indices
         assembling its level, the distinct in-neighborhoods of the
         patterns, and per in-neighborhood the indices of the patterns it
         serves — the layer kernels share candidate-row work across owners
-        through the last two.
+        through the last two.  Building a plan checks every graph's process
+        count (:class:`~repro.errors.AnalysisError`), once per alphabet.
 
         The cache is an LRU holding at most :data:`DEFAULT_PLAN_CACHE_SIZE`
-        entries, keyed by graphs-tuple — the adversary alphabets plus the
-        single-graph tuples of :meth:`extend_level`.  Real families use a
-        handful of alphabets, so the working set fits the cap; eviction merely
-        recomputes (plans are pure functions of the alphabet) and
-        :class:`ViewStats` reports the live count as ``cached_plans``.
+        entries, keyed by the alphabets of :meth:`extend_layer_table`.
+        Real families use a handful of alphabets, so the working set fits
+        the cap; eviction merely recomputes (plans are pure functions of
+        the alphabet) and :class:`ViewStats` reports the live count as
+        ``cached_plans``.
         """
         key = tuple(graphs)
         cache = self._plan_cache
@@ -987,6 +1030,7 @@ class ViewInterner:
         index_of: dict = {}
         layouts = []
         for graph in key:
+            self._check_graph(graph)
             layout = []
             for p, in_list in enumerate(graph.in_neighbor_lists):
                 pattern = (p, in_list)
@@ -1021,62 +1065,6 @@ class ViewInterner:
         cache[key] = plan
         return plan
 
-    def _extend_batch(
-        self, level: Sequence[int], graphs: Sequence[Digraph]
-    ) -> list[tuple[int, ...]]:
-        """Extend one level by every graph of an alphabet (per-parent loop).
-
-        Shares the per-``(p, in-neighborhood)`` work across graphs:
-        alphabets repeat in-rows (e.g. every graph in which ``p`` hears
-        everyone produces the same view of ``p``), so each distinct row is
-        interned once, in first-occurrence pattern order, graph by graph.
-        """
-        patterns, layouts, _, _ = self._alphabet_plan(graphs)
-        n = self.n
-        row_masks = self._row_masks
-        owners = self._row_owners
-        row_find = self._row_find
-        row_add = self._row_add
-        depth = self._row_depth[level[0] // n] + 1
-        count = len(patterns)
-        if not self._has_room(count, n * count):
-            self._reserve(*self._batch_need(level, patterns))
-        sorted_level: tuple[int, ...] | None = None
-        vids = []
-        vids_append = vids.append
-        added = 0
-        for p, in_list in patterns:
-            size = len(in_list)
-            if size == 2:
-                a = level[in_list[0]]
-                b = level[in_list[1]]
-                kids = (a, b) if a < b else (b, a)
-            elif size == 1:
-                kids = (level[in_list[0]],)
-            elif size == n:
-                # Dense row: every pattern in which p hears everyone
-                # shares the sorted full level.
-                if sorted_level is None:
-                    sorted_level = tuple(sorted(level))
-                kids = sorted_level
-            else:
-                kids = tuple(sorted([level[q] for q in in_list]))
-            h = _row_hash(kids)
-            rid, slot = row_find(kids, h)
-            if rid < 0:
-                # Fresh row: fold its origin mask once for every owner.
-                mask = 0
-                for c in kids:
-                    mask |= row_masks[c // n]
-                rid = row_add(kids, h, slot, mask, depth)
-            held = owners[rid]
-            if not held >> p & 1:
-                owners[rid] = held | 1 << p
-                added += 1
-            vids_append(rid * n + p)
-        self._view_count += added
-        return [tuple([vids[i] for i in layout]) for layout in layouts]
-
     # ------------------------------------------------------------------ #
     # The whole-layer extension kernel
     # ------------------------------------------------------------------ #
@@ -1085,21 +1073,23 @@ class ViewInterner:
         self,
         table: "LayerTable | Sequence[Sequence[int]]",
         graphs: Sequence[Digraph],
-    ) -> list[LayerTable]:
-        """Intern the successors of an entire layer, columns in — columns out.
+    ) -> LayerTable:
+        """Intern the successors of an entire layer, columns in — column out.
 
         ``table`` is the :class:`LayerTable` of one layer (or any sequence
         of full length-``n`` levels, which is packed first); ``graphs`` the
-        alphabet to extend every parent by.  Returns one :class:`LayerTable`
-        per graph, aligned with the parents: ``result[j][i]`` is parent
-        ``i`` extended by ``graphs[j]`` — element-wise equal to per-parent
-        :meth:`extend_level` calls, but the batch deduplicates parent
-        levels, builds and dedups every candidate child row of the layer
-        per distinct in-neighborhood, interns each distinct row once
+        alphabet to extend every parent by.  Returns the child layer as the
+        prefix space stores it, parent-major: child ``i * len(graphs) + j``
+        is parent ``i`` extended by ``graphs[j]`` — element-wise equal to
+        per-parent :meth:`extend_level` calls, but the batch deduplicates
+        parent levels, builds and dedups every candidate child row of the
+        layer per distinct in-neighborhood, interns each distinct row once
         through the open-addressing row table, and allocates new views at
         unique-row granularity — without materializing any per-child level
-        tuple.  The backend (numpy or pure Python) follows
-        ``self.layer_backend``; tiny layers always run the per-parent loop.
+        tuple.  The backend follows ``self.layer_backend`` (layers under
+        :data:`_NUMPY_MIN_CELLS` cells run the Python kernel).  A graph on
+        another process count raises :class:`~repro.errors.AnalysisError`
+        before anything is interned.
         """
         graphs = tuple(graphs)
         if not isinstance(table, LayerTable):
@@ -1113,14 +1103,16 @@ class ViewInterner:
                 f"layer column of {len(table.ids)} ids is not a multiple of "
                 f"n={self.n}"
             )
-        if not graphs:
-            return []
-        if not len(table):
-            return [LayerTable(self.n, array("i")) for _ in graphs]
-        return [
-            LayerTable(self.n, column)
-            for column in self._extend_layer_columns(table, graphs)
-        ]
+        if not graphs or not len(table):
+            return LayerTable(self.n, array("i"))
+        plan = self._alphabet_plan(graphs)
+        if (
+            self.layer_backend == "numpy"
+            and self.n <= _MASK_ARRAY_MAX_N
+            and len(table) * len(plan[0]) >= _NUMPY_MIN_CELLS
+        ):
+            return LayerTable(self.n, self._extend_layer_numpy(table, plan))
+        return LayerTable(self.n, self._extend_layer_python(table, plan))
 
     def extend_layer(
         self,
@@ -1129,48 +1121,16 @@ class ViewInterner:
     ) -> list[list[tuple[int, ...]]]:
         """:meth:`extend_layer_table` with per-level tuples in and out.
 
-        ``result[j][i]`` is ``levels[i]`` extended by ``graphs[j]``.
-        Levels must be full (length ``n``) view-id tuples of one common
-        depth, as produced by :meth:`leaf_level` or a previous extension;
-        duplicate levels are fine.
+        ``result[j][i]`` is ``levels[i]`` extended by ``graphs[j]``, read
+        from the parent-major child layer by stride.  Levels must be full
+        (length ``n``) view-id tuples of one common depth, as produced by
+        :meth:`leaf_level` or a previous extension; duplicates are fine.
         """
-        return [
-            table.tolist() for table in self.extend_layer_table(levels, graphs)
-        ]
+        graphs = tuple(graphs)
+        children = self.extend_layer_table(levels, graphs).tolist()
+        return [children[j :: len(graphs)] for j in range(len(graphs))]
 
-    def _extend_layer_columns(
-        self, table: LayerTable, graphs: tuple[Digraph, ...]
-    ) -> list:
-        """Dispatch one layer batch to the backend that wins at its size.
-
-        Returns one flat int32 view-id column per graph (``array('i')``
-        from the Python kernel, int32 numpy arrays from the vectorized one).
-        """
-        plan = self._alphabet_plan(graphs)
-        count = len(table)
-        cells = count * len(plan[0])
-        if cells < _BATCH_MIN_CELLS:
-            # Microscopic layers: batch bookkeeping costs more than the
-            # plain per-parent loop it replaces.
-            results = [
-                self._extend_batch(table[i], graphs) for i in range(count)
-            ]
-            columns = []
-            for j in range(len(graphs)):
-                flat = array("i")
-                for result in results:
-                    flat.extend(result[j])
-                columns.append(flat)
-            return columns
-        if (
-            self.layer_backend == "numpy"
-            and self.n <= _MASK_ARRAY_MAX_N
-            and cells >= _NUMPY_MIN_CELLS
-        ):
-            return self._extend_layer_numpy(table, plan)
-        return self._extend_layer_python(table, plan)
-
-    def _extend_layer_python(self, table: LayerTable, plan: tuple) -> list:
+    def _extend_layer_python(self, table: LayerTable, plan: tuple) -> array:
         """The batched pure-Python layer kernel.
 
         Same structure as the numpy backend — candidate rows dedup per
@@ -1178,7 +1138,7 @@ class ViewInterner:
         unique-row granularity — in plain loops over the flat layer
         column.  Small per-row key tuples are built transiently for the
         batch-local dedup dict; nothing tuple-shaped is stored or
-        returned.
+        returned, and the child column is an ``array('i')``.
         """
         patterns, layouts, inlists, pats_of_inlist = plan
         n = self.n
@@ -1296,18 +1256,16 @@ class ViewInterner:
                     vid_u_append(rid * n + p)
                 vid_arrs[pi] = array("i", [vid_u[u] for u in inv])
             self._view_count += added
-        # Interleave the per-pattern columns into one flat column per
-        # graph: strided array-slice assignment, no per-child tuples.
-        columns = []
-        zeros = array("i", bytes(4 * total))
-        for layout in layouts:
-            out = zeros[:]
+        # Cell p of child i * width + j is pattern layouts[j][p] of parent
+        # i: one strided array-slice assignment per (graph, process).
+        stride = len(layouts) * n
+        out = array("i", bytes(4 * total * len(layouts)))
+        for j, layout in enumerate(layouts):
             for p, pi in enumerate(layout):
-                out[p::n] = vid_arrs[pi]
-            columns.append(out)
-        return columns
+                out[j * n + p :: stride] = vid_arrs[pi]
+        return out
 
-    def _extend_layer_numpy(self, table: LayerTable, plan: tuple) -> list:
+    def _extend_layer_numpy(self, table: LayerTable, plan: tuple):
         """The vectorized layer kernel (numpy backend).
 
         Candidate rows of each in-neighborhood gather/sort as one int32
@@ -1356,16 +1314,20 @@ class ViewInterner:
             owners_view[urid_arr] = held
             del owners_view, held, slot_base
             self._view_count += added
-        # Interleave per-pattern columns into one flat int32 column per
-        # graph — a stack/ravel, no per-child tuples and no tolist().
-        return [
-            np.stack([vid_cols[pi] for pi in layout], axis=1).reshape(-1)
-            for layout in layouts
-        ]
+        # Child i * width + j is row (i, j) of a (count, width, n) block,
+        # filled one graph's contiguous (count, n) levels at a time.
+        out = np.empty((len(level_matrix), len(layouts), n), dtype=np.int32)
+        for j, layout in enumerate(layouts):
+            out[:, j, :] = np.stack([vid_cols[pi] for pi in layout], axis=1)
+        return out.reshape(-1)
 
     def _check_pid(self, p: int) -> None:
         if not 0 <= p < self.n:
             raise AnalysisError(f"process id {p} outside 0..{self.n - 1}")
+
+    def _check_graph(self, graph: Digraph) -> None:
+        if graph.n != self.n:
+            raise AnalysisError(f"graph on {graph.n} processes for n={self.n}")
 
     # ------------------------------------------------------------------ #
     # Accessors

@@ -345,6 +345,11 @@ class ComponentAnalysis:
         Per-prefix component-id column (int32 numpy array on the
         vectorized path, list on the Python path) — the columnar handoff
         the decision-table builder consumes.
+    member_order, comp_starts:
+        On the vectorized path, the prefix indices grouped by component
+        (int32, ascending within a component) and each component's
+        offset into that order (int64) — the grouping the decision-table
+        builder folds over.  ``None`` on the Python path.
 
     Examples
     --------
@@ -363,6 +368,8 @@ class ComponentAnalysis:
         n = space.adversary.n
         np = numpy_module()
         count = len(table)
+        self.member_order = None
+        self.comp_starts = None
         # The vectorized pass folds valences as int64 bitmaps; instances
         # with more distinct unanimity values than fit take the Python
         # pass (arbitrary-precision sets).
@@ -563,6 +570,8 @@ class ComponentAnalysis:
                 )
             )
         self.comp_ids = comp_ids
+        self.member_order = member_order
+        self.comp_starts = comp_starts
 
     # ------------------------------------------------------------------ #
     # Lookup

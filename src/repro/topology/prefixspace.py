@@ -430,10 +430,11 @@ class PrefixSpace:
         eventually-forever adversaries into a few state-keyed groups — and
         each group's successor levels are interned by one whole-layer
         kernel call
-        (:meth:`~repro.core.views.ViewInterner.extend_layer_table`), whose
-        column output lands straight in the child layer's flat columns.
-        Children are emitted in the same parent-major, alphabet-minor
-        order as always, so layer indexing is unchanged.
+        (:meth:`~repro.core.views.ViewInterner.extend_layer_table`).  The
+        kernel returns a group's children parent-major, alphabet-minor —
+        the order the child layer stores — so a single group's column is
+        the child layer's levels as returned, and several groups scatter
+        one contiguous block per parent.
         """
         current = self._stores[-1]
         if current.condensed:
@@ -474,15 +475,14 @@ class PrefixSpace:
     def _extend_single_group(
         self, cur_table: LayerTable, current: LayerStore, node_states
     ) -> LayerStore:
-        """One kernel call over the whole layer; columns interleave flat."""
+        """One kernel call over the whole layer; its column is the layer."""
         adversary = self.adversary
         exts = adversary.admissible_extensions(node_states)
-        alphabet = adversary.extension_alphabet(node_states)
-        n = adversary.n
         count = len(cur_table)
         width = len(exts)
-        tables = self.interner.extend_layer_table(cur_table, alphabet)
-        child_table = _interleave_tables(n, count, tables)
+        child_table = self.interner.extend_layer_table(
+            cur_table, adversary.extension_alphabet(node_states)
+        )
         parent_code = _parent_typecode(count)
         input_code = self._input_typecode
         np = numpy_module()
@@ -515,10 +515,13 @@ class PrefixSpace:
         A parent whose group has ``w`` admissible extensions owns the ``w``
         consecutive children from its offset on, so child offsets are a
         running sum of per-parent extension counts.  Round graphs and next
-        state sets code into per-layer palettes, and each group's kernel
-        columns scatter straight into preallocated child columns —
-        vectorized on the numpy backend (:meth:`_merge_groups_numpy`),
-        slice-assigned per parent on the Python one
+        state sets code into per-layer palettes.  Each group's kernel
+        column is already parent-major over the group's members, so every
+        member's ``w`` children are one contiguous block of it that lands
+        at the member's offset in preallocated child columns — the column
+        read as a ``(members, w, n)`` block and scattered one graph at a
+        time on the numpy backend (:meth:`_merge_groups_numpy`), one slice
+        assignment per member on the Python one
         (:meth:`_merge_groups_python`).  Kernel calls run in group order
         (first occurrence), which fixes view-id allocation.
         """
@@ -566,7 +569,7 @@ class PrefixSpace:
     def _merge_groups_numpy(
         self, np, cur_table: LayerTable, current: LayerStore, plan: list, typecodes
     ) -> tuple:
-        """Scatter each group's kernel columns into preallocated child columns.
+        """Scatter each group's kernel column into preallocated child columns.
 
         ``plan`` holds ``(alphabet, members, graph codes, state codes)``
         per group; returns the flat levels, parents, input-index, and
@@ -596,12 +599,15 @@ class PrefixSpace:
         graphs = np.empty(total, dtype=np.dtype(typecodes[0]))
         states = np.empty(total, dtype=np.dtype(typecodes[1]))
         cur_inputs = current.input_array()
-        for (_, members, graph_codes, state_codes), tables in zip(plan, outputs):
+        for (_, members, graph_codes, state_codes), table in zip(plan, outputs):
+            # Row (m, j) of the block is member m's child by graph j.  One
+            # 1-D scatter per graph beats one 2-D scatter of the block.
+            block = table.array().reshape(len(members), len(graph_codes), n)
             first = offsets[members]
             member_inputs = cur_inputs[members]
-            for j, table in enumerate(tables):
+            for j in range(len(graph_codes)):
                 rows = first + j
-                levels[rows] = table.array()
+                levels[rows] = block[:, j]
                 parents[rows] = members
                 input_idx[rows] = member_inputs
                 graphs[rows] = graph_codes[j]
@@ -613,10 +619,10 @@ class PrefixSpace:
     ) -> tuple:
         """:meth:`_merge_groups_numpy` on ``array`` columns, in plain Python.
 
-        Each group's kernel columns interleave parent-major first, so every
-        member's children are one contiguous block that lands with a
-        single slice assignment; the parent, input, and code columns
-        expand per parent at C speed (``repeat``/``chain``).
+        Every member's children are one contiguous block of its group's
+        kernel column and land with a single slice assignment; the parent,
+        input, and code columns expand per parent at C speed
+        (``repeat``/``chain``).
         """
         n = self.adversary.n
         count = len(cur_table)
@@ -637,10 +643,8 @@ class PrefixSpace:
                 states_of[i] = state_codes
         offsets = list(accumulate(widths, initial=0))
         levels = array("i", bytes(4 * offsets[-1] * n))
-        for (_, members, graph_codes, _), tables in zip(plan, outputs):
-            column = _interleave_tables(n, len(members), tables).ids
-            if not isinstance(column, array):
-                column = array("i", plain_ids(column))
+        for (_, members, graph_codes, _), table in zip(plan, outputs):
+            column = table.ids
             block = len(graph_codes) * n
             for mi, i in enumerate(members):
                 levels[offsets[i] * n : offsets[i + 1] * n] = column[
@@ -796,31 +800,6 @@ class PrefixSpace:
             f"PrefixSpace({self.adversary.name}, depth={self.depth}, "
             f"sizes={self.layer_sizes()})"
         )
-
-
-def _interleave_tables(n: int, count: int, tables: list[LayerTable]) -> LayerTable:
-    """Merge per-graph layer tables parent-major into one flat int32 column.
-
-    ``tables[j][i]`` becomes child ``i * width + j`` — a stack/ravel on the
-    numpy backend, strided array-slice assignment on pure Python; no
-    per-child tuples either way.
-    """
-    width = len(tables)
-    if width == 1:
-        return LayerTable(n, tables[0].ids)
-    np = numpy_module()
-    if np is not None and isinstance(tables[0].ids, np.ndarray):
-        stacked = np.stack([t.array() for t in tables], axis=1)
-        return LayerTable(n, stacked.reshape(-1))
-    flat = array("i", bytes(4 * count * width * n))
-    stride = width * n
-    for j, t in enumerate(tables):
-        col = t.ids
-        if not isinstance(col, array):
-            col = array("i", col)
-        for p in range(n):
-            flat[j * n + p :: stride] = col[p::n]
-    return LayerTable(n, flat)
 
 
 def _gather_subtable(table: LayerTable, members) -> LayerTable:

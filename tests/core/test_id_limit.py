@@ -70,8 +70,7 @@ def assert_consistent(interner, limit):
 
 @pytest.fixture
 def limit_to(monkeypatch):
-    """Patch the id limit; tiny layers take the batch kernels."""
-    monkeypatch.setattr(views_module, "_BATCH_MIN_CELLS", 0)
+    """Patch the id limit; tiny layers take the numpy kernel too."""
     monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
 
     def patch(limit):
@@ -102,7 +101,7 @@ def test_layer_kernels_refuse_a_batch_past_the_limit(backend, limit_to):
     assert_consistent(interner, limit)
 
     level = space.layer_store(3).levels[0]
-    [table] = interner.extend_layer_table(
+    table = interner.extend_layer_table(
         LayerTable.from_levels(2, [level]), [arrow("->")]
     )
     assert counts(interner) != before
@@ -143,7 +142,7 @@ def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
         interner.extend_layer_table(table, [arrow("->")])
     assert snapshot(interner) == state
     assert_consistent(interner, limit)
-    [both] = interner.extend_layer_table(table, [arrow("<->")])
+    both = interner.extend_layer_table(table, [arrow("<->")])
     assert counts(interner) == (views + need, rows, cells)
     assert_consistent(interner, limit)
     assert all(vid < limit for vid in both.ids)

@@ -61,7 +61,6 @@ STATE_COLUMNS = (
 
 @pytest.fixture(autouse=True)
 def kernels_on_tiny_layers(monkeypatch):
-    monkeypatch.setattr(views_module, "_BATCH_MIN_CELLS", 0)
     monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
 
 

@@ -29,10 +29,11 @@ from repro.adversaries import (
     santoro_widmayer_family,
 )
 from repro.adversaries.stabilizing import StabilizingAdversary
-from repro.core.digraph import arrow
+from repro.core.digraph import Digraph, arrow
 from repro.core.inputs import all_assignments, binary_domain
 from repro.core.views import (
     LAYER_BACKENDS,
+    LayerTable,
     ViewInterner,
     numpy_available,
 )
@@ -48,12 +49,11 @@ BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 @pytest.fixture(autouse=True)
 def batch_even_tiny_layers(monkeypatch):
-    """Drop the batch-size floors so test-sized layers actually exercise
-    the batched kernels instead of the tiny-layer per-parent fallback."""
+    """Drop the numpy floor so test-sized layers exercise the numpy
+    kernel on the numpy backend, not only the batched Python one."""
     import repro.core.views as views_module
 
     monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
-    monkeypatch.setattr(views_module, "_BATCH_MIN_CELLS", 0)
 
 
 def canonical(interner, vid, cache):
@@ -237,6 +237,77 @@ def test_repeated_extension_interns_nothing_new(backend):
         for j, graph in enumerate(graphs):
             assert interner.extend_level(level, graph) == first[j][i]
     assert (len(interner), interner.stats().rows) == (views, rows)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "label, factory, depth", FAMILIES, ids=[f[0] for f in FAMILIES]
+)
+def test_kernel_column_is_the_stored_child_layer(label, factory, depth, backend):
+    """The kernel returns a layer's children parent-major, as stored.
+
+    Re-running the kernel on a built layer interns nothing, so its column
+    must be, id for id, the stored children of the parents it was given —
+    the whole next layer for a single-group layer, and each member's
+    contiguous block of children for every state group of a grouped one —
+    and child ``i * width + j`` must be what ``extend_level`` resolves for
+    parent ``i`` and graph ``j``.
+    """
+    space = PrefixSpace(factory(), layer_backend=backend)
+    space.ensure_depth(depth)
+    adversary = space.adversary
+    n = adversary.n
+    interner = space.interner
+    before = (len(interner), interner.stats().rows)
+    group_counts = set()
+    for t in range(1, depth + 1):
+        parent, child = space.layer_store(t - 1), space.layer_store(t)
+        children_of: dict = {}
+        for index, i in enumerate(child.parents):
+            children_of.setdefault(int(i), []).append(child.levels[index])
+        groups: dict = {}
+        for i, states in enumerate(parent.states):
+            groups.setdefault(states, []).append(i)
+        group_counts.add(len(groups))
+        for states, members in groups.items():
+            alphabet = adversary.extension_alphabet(states)
+            sub = LayerTable.from_levels(n, [parent.levels[i] for i in members])
+            column = interner.extend_layer_table(sub, alphabet)
+            assert column.tolist() == [
+                level for i in members for level in children_of[i]
+            ], (t, states)
+            assert column.tolist() == [
+                interner.extend_level(parent.levels[i], graph)
+                for i in members
+                for graph in alphabet
+            ], (t, states)
+            if len(groups) == 1:
+                assert list(column.ids) == list(child.levels.ids), t
+    assert (len(interner), interner.stats().rows) == before
+    grouped = label in ("eventually-to", "stabilizing-w2")
+    assert (max(group_counts) > 1) == grouped
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "other", [Digraph(1), Digraph(3, [(0, 1), (1, 2)])], ids=["n-1", "n+1"]
+)
+def test_graph_on_another_process_count_is_refused(backend, other):
+    """A graph on n - 1 or n + 1 processes raises and interns nothing.
+
+    Its in-lists would put a view of process 0 into column 1 (n - 1) or
+    index past the level (n + 1).
+    """
+    interner = ViewInterner(2, layer_backend=backend)
+    level = interner.leaf_level((0, 1))
+    interner.extend_level(level, TO)
+    before = (len(interner), interner.stats().rows)
+    with pytest.raises(AnalysisError):
+        interner.extend_level(level, other)
+    for graphs in ([other], [FRO, other]):
+        with pytest.raises(AnalysisError):
+            interner.extend_layer_table([level, level], graphs)
+    assert (len(interner), interner.stats().rows) == before
 
 
 def test_plan_cache_reported_in_stats():

@@ -19,7 +19,7 @@ import pytest
 import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
 from repro.core.views import ViewInterner, numpy_available
-from repro.topology.prefixspace import PrefixSpace, _interleave_tables
+from repro.topology.prefixspace import PrefixSpace
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -83,9 +83,8 @@ def test_rows_survive_chunked_rehashes(backend, rehashes):
     alphabet = adversary.extension_alphabet(states)
     parent = space.layer_store(depth - 1)
     views, rows = len(interner), interner.stats().rows
-    tables = interner.extend_layer_table(parent.levels, alphabet)
+    again = interner.extend_layer_table(parent.levels, alphabet)
     assert len(interner) == views
     assert interner.stats().rows == rows
-    again = _interleave_tables(adversary.n, len(parent), tables)
     assert list(again.ids) == list(space.layer_store(depth).levels.ids)
     assert_row_table_intact(interner)

@@ -76,8 +76,7 @@ np = numpy_module()
 
 @pytest.fixture(autouse=True)
 def shard_even_tiny_layers(monkeypatch):
-    """Drop the batching floors so test-sized layers take the numpy kernel."""
-    monkeypatch.setattr(views_module, "_BATCH_MIN_CELLS", 0)
+    """Drop the numpy floor so test-sized layers take the numpy kernel."""
     monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
 
 

@@ -405,8 +405,7 @@ def test_slot_ids_under_random_interleavings(script):
     levels = {0: [interner.leaf_level(inputs)]}
     for p, vid in enumerate(levels[0][0]):
         reference.record(vid, (p, ("leaf", inputs[p])))
-    with mock.patch.object(views_module, "_BATCH_MIN_CELLS", 0), \
-            mock.patch.object(views_module, "_NUMPY_MIN_CELLS", 0):
+    with mock.patch.object(views_module, "_NUMPY_MIN_CELLS", 0):
         for step in steps:
             depth = rng.choice(sorted(levels))
             if step == "leaf":
@@ -423,17 +422,16 @@ def test_slot_ids_under_random_interleavings(script):
                 if step == "level":
                     children = [
                         interner.extend_level(level, g)
-                        for g in graphs for level in parents
+                        for level in parents for g in graphs
                     ]
                 else:
                     interner.layer_backend = step
-                    tables = interner.extend_layer_table(
+                    children = list(interner.extend_layer_table(
                         LayerTable.from_levels(n, parents), graphs
-                    )
-                    children = [level for table in tables for level in table]
+                    ))
                 it = iter(children)
-                for graph in graphs:
-                    for level in parents:
+                for level in parents:
+                    for graph in graphs:
                         child = next(it)
                         for p, in_list in enumerate(graph.in_neighbor_lists):
                             kids = frozenset(level[q] for q in in_list)

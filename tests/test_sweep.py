@@ -115,15 +115,14 @@ class TestCensusOnEngine:
         serial = two_process_census(max_depth=5)
         parallel = two_process_census(max_depth=5, workers=2)
         assert [
-            (r.adversary.name, r.status, r.certificate, r.oracle, r.cgp)
+            (r.adversary.name, r.status, r.certificate, r.certified_depth,
+             r.oracle, r.cgp)
             for r in serial
         ] == [
-            (r.adversary.name, r.status, r.certificate, r.oracle, r.cgp)
+            (r.adversary.name, r.status, r.certificate, r.certified_depth,
+             r.oracle, r.cgp)
             for r in parallel
         ]
-        # Serial rows keep the full result; engine rows are record-backed.
-        assert all(row.result is not None for row in serial)
-        assert all(row.result is None for row in parallel)
 
     def test_rooted_census_is_seed_deterministic(self):
         rows_a = random_rooted_census(random.Random(11), samples=6, max_depth=3)

@@ -87,15 +87,14 @@ def reference_layers(adversary, depth: int, backend: str):
             sub = array("q")
             for i in members:
                 sub.extend(cur_flat[i * n : (i + 1) * n])
-            group_cols = [
-                plain_ids(table.ids)
-                for table in interner.extend_layer_table(
+            group_col = plain_ids(
+                interner.extend_layer_table(
                     LayerTable(n, sub), adversary.extension_alphabet(node_states)
-                )
-            ]
+                ).ids
+            )
             for mi, i in enumerate(members):
                 exts_of[i] = exts
-                cols_of[i] = group_cols
+                cols_of[i] = group_col
                 pos_of[i] = mi
         flat = array("q")
         parents = array("q")
@@ -105,9 +104,9 @@ def reference_layers(adversary, depth: int, backend: str):
         for i, exts in enumerate(exts_of):
             if exts is None:
                 continue
-            base = pos_of[i] * n
-            for (graph, nxt_states), column in zip(exts, cols_of[i]):
-                flat.extend(column[base : base + n])
+            base = pos_of[i] * len(exts) * n
+            for j, (graph, nxt_states) in enumerate(exts):
+                flat.extend(cols_of[i][base + j * n : base + (j + 1) * n])
                 parents.append(i)
                 input_idx.append(cur_inputs[i])
                 graphs.append(graph)
