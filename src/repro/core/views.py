@@ -62,20 +62,21 @@ a prefix iff the bit of ``p`` is set in every process's view mask.
 The whole-layer extension kernel
 --------------------------------
 :meth:`ViewInterner.extend_layer_table` interns the successors of an
-*entire* prefix-space layer in one call and returns them *columnar*: one
-:class:`LayerTable` holding the child layer as the prefix space stores it,
-parent-major (child ``i * width + j`` is parent ``i`` extended by graph
-``j``) — a flat view-id column, the exchange format the prefix space, the
-component analysis, and the decision-table builder all consume directly,
-so a layer never expands into per-child Python tuples on the hot path.
-The kernel deduplicates parent levels, then works
-per distinct *in-neighborhood* of the alphabet (child rows depend on the
-in-list only, never on the owner): it builds every candidate child row of
-the layer, deduplicates rows across all parents at once, interns each
-distinct row a single time through the open-addressing row table, and
-creates views at unique-row granularity: a child column is ``urid * n +
-p``, plus one owner bit set per row.  Two backends implement the batch,
-and each assembles the parent-major child column once:
+*entire* prefix-space layer in one call — every state group with its own
+alphabet, when the adversary is stateful — and returns one
+:class:`LayerTable` holding the child layer as the prefix space stores it:
+parent-major, each parent's children contiguous, in parent order.  That
+flat view-id column is the exchange format the prefix space, the component
+analysis, and the decision-table builder all consume directly, so a layer
+never expands into per-child Python tuples on the hot path.  The kernel
+works per distinct *in-neighborhood* across all groups' alphabets (child
+rows depend on the in-list only, never on the owner or the group): it
+builds the candidate child rows of every parent that uses it, deduplicates
+them at once, interns each distinct row a single time through the
+open-addressing row table, and creates views at unique-row granularity: a
+child column is ``urid * n + p``, with owner ``p``'s bit set on the rows
+of the groups whose alphabet has the pattern ``(p, in-list)``.  Two
+backends implement the batch, and each assembles the child column once:
 
 * ``"numpy"`` — the layer column becomes one int32 matrix; candidate rows
   are gathered/sorted/uniqued as packed int64 key columns (``np.unique``-based
@@ -105,6 +106,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.core.digraph import Digraph
@@ -344,6 +346,53 @@ def _unique_rows(np, cand):
     return np.unique(cand, axis=0, return_inverse=True)
 
 
+def _check_partition(count: int, members: Sequence) -> None:
+    """Raise unless the groups ``members`` partition parents ``0 .. count - 1``."""
+    np = _np
+    if np is None:
+        ok = sorted(chain.from_iterable(members)) == list(range(count))
+    else:
+        flat = np.concatenate(
+            [np.asarray(rows, dtype=np.int64).ravel() for rows in members]
+            + [np.empty(0, dtype=np.int64)]
+        )
+        ok = len(flat) == count and (
+            not count
+            or (flat.min() >= 0 and flat.max() < count and np.bincount(flat).max() == 1)
+        )
+    if not ok:
+        raise AnalysisError(f"state groups must partition the layer's {count} parents")
+
+
+def _inlist_uses(plans: Sequence[tuple], sizes: Sequence[int]) -> list:
+    """The distinct in-neighborhoods of a layer's group plans, with their users.
+
+    One ``(in_list, spans, owners)`` entry per distinct in-list, in first
+    occurrence order: ``spans`` maps each group whose alphabet holds the
+    in-list, in group order, to its slice of the in-list's candidate rows
+    (the groups' members stacked, ``sizes[g]`` rows each), and ``owners``
+    maps each owner ``p`` to the ``(group, pattern index)`` pairs of the
+    pattern ``(p, in_list)``.  The kernels intern an in-list's candidate
+    rows once for all its groups, but set owner ``p``'s bit only on its
+    pairs' groups' rows: with ``n = 2``, ``->`` and ``<-`` share the
+    in-list ``(0, 1)`` as owners 1 and 0, and either bit on the other
+    group's rows would be a view that no parent reaches.
+    """
+    index: dict = {}
+    uses: list = []
+    for g, (patterns, _) in enumerate(plans):
+        for pi, (p, in_list) in enumerate(patterns):
+            u = index.setdefault(in_list, len(uses))
+            if u == len(uses):
+                uses.append((in_list, {}, {}))
+            _, spans, owners = uses[u]
+            if g not in spans:
+                start = spans[next(reversed(spans))].stop if spans else 0
+                spans[g] = slice(start, start + sizes[g])
+            owners.setdefault(p, []).append((g, pi))
+    return uses
+
+
 class LayerTable(Sequence):
     """Columnar view-id levels of one layer: the array-native exchange format.
 
@@ -367,9 +416,16 @@ class LayerTable(Sequence):
 
     @classmethod
     def from_levels(cls, n: int, levels: Iterable[Sequence[int]]) -> "LayerTable":
-        """Pack an iterable of length-``n`` levels into one flat int32 column."""
+        """Pack an iterable of length-``n`` levels into one flat int32 column.
+
+        A level of another length raises
+        :class:`~repro.errors.AnalysisError`: packed, it would shift every
+        later level's columns onto other processes' views.
+        """
         flat = array("i")
         for level in levels:
+            if len(level) != n:
+                raise AnalysisError(f"level of {len(level)} views for n={n}")
             flat.extend(level)
         return cls(n, flat)
 
@@ -948,10 +1004,12 @@ class ViewInterner:
         probe per process.  Origin *values* of the new views are
         materialized lazily (only :meth:`origins` and :meth:`input_of`
         force them) — the prefix-space hot path needs only the origin
-        masks.  A graph on another process count raises
-        :class:`~repro.errors.AnalysisError`.
+        masks.  A level of another length or a graph on another process
+        count raises :class:`~repro.errors.AnalysisError`.
         """
         n = self.n
+        if len(level) != n:
+            raise AnalysisError(f"level of {len(level)} views for n={n} interner")
         self._check_graph(graph)
         in_lists = graph.in_neighbor_lists
         row_masks = self._row_masks
@@ -1002,16 +1060,16 @@ class ViewInterner:
         which ``p`` hears everyone shares a row); which rows coincide is a
         property of the *alphabet alone*, so the dedup is hoisted out of
         the layer kernels and cached per graphs-tuple.  Returns
-        ``(patterns, layouts, inlists, pats_of_inlist)``: the distinct
-        patterns in first-occurrence order, per graph the pattern indices
-        assembling its level, the distinct in-neighborhoods of the
-        patterns, and per in-neighborhood the indices of the patterns it
-        serves — the layer kernels share candidate-row work across owners
-        through the last two.  Building a plan checks every graph's process
-        count (:class:`~repro.errors.AnalysisError`), once per alphabet.
+        ``(patterns, layouts)``: the distinct patterns in first-occurrence
+        order and, per graph, the pattern indices assembling its level.
+        :func:`_inlist_uses` groups the patterns of a layer's state groups
+        by in-neighborhood, so the layer kernels share candidate-row work
+        across owners and groups.  Building a plan checks every graph's
+        process count (:class:`~repro.errors.AnalysisError`), once per
+        alphabet.
 
         The cache is an LRU holding at most :data:`DEFAULT_PLAN_CACHE_SIZE`
-        entries, keyed by the alphabets of :meth:`extend_layer_table`.
+        entries, one per group alphabet of :meth:`extend_layer_table`.
         Real families use a handful of alphabets, so the working set fits
         the cap; eviction merely recomputes (plans are pure functions of
         the alphabet) and :class:`ViewStats` reports the live count as
@@ -1041,25 +1099,7 @@ class ViewInterner:
                     patterns.append(pattern)
                 layout.append(i)
             layouts.append(layout)
-        # Child rows depend on the in-neighborhood only, never on the
-        # owner: group patterns by in-list so the layer kernels build
-        # and dedup each candidate-row column once per in-list.
-        inlist_index: dict = {}
-        inlists: list[tuple[int, ...]] = []
-        pats_of_inlist: list[list[int]] = []
-        for pi, (_, in_list) in enumerate(patterns):
-            s = inlist_index.get(in_list)
-            if s is None:
-                s = inlist_index[in_list] = len(inlists)
-                inlists.append(in_list)
-                pats_of_inlist.append([])
-            pats_of_inlist[s].append(pi)
-        plan = (
-            patterns,
-            layouts,
-            tuple(inlists),
-            tuple(tuple(pis) for pis in pats_of_inlist),
-        )
+        plan = (patterns, layouts)
         while len(cache) >= DEFAULT_PLAN_CACHE_SIZE:
             del cache[next(iter(cache))]
         cache[key] = plan
@@ -1072,47 +1112,68 @@ class ViewInterner:
     def extend_layer_table(
         self,
         table: "LayerTable | Sequence[Sequence[int]]",
-        graphs: Sequence[Digraph],
+        graphs: Sequence,
+        members: Sequence | None = None,
     ) -> LayerTable:
         """Intern the successors of an entire layer, columns in — column out.
 
         ``table`` is the :class:`LayerTable` of one layer (or any sequence
-        of full length-``n`` levels, which is packed first); ``graphs`` the
-        alphabet to extend every parent by.  Returns the child layer as the
-        prefix space stores it, parent-major: child ``i * len(graphs) + j``
-        is parent ``i`` extended by ``graphs[j]`` — element-wise equal to
-        per-parent :meth:`extend_level` calls, but the batch deduplicates
-        parent levels, builds and dedups every candidate child row of the
-        layer per distinct in-neighborhood, interns each distinct row once
-        through the open-addressing row table, and allocates new views at
-        unique-row granularity — without materializing any per-child level
-        tuple.  The backend follows ``self.layer_backend`` (layers under
-        :data:`_NUMPY_MIN_CELLS` cells run the Python kernel).  A graph on
-        another process count raises :class:`~repro.errors.AnalysisError`
-        before anything is interned.
+        of length-``n`` levels, which is packed first) and ``graphs`` the
+        alphabet every parent extends by.  With ``members`` the layer is
+        *ragged*: ``graphs[g]`` is the alphabet of state group ``g``, whose
+        parent indices are ``members[g]`` (the groups partition the layer;
+        a sole group may give ``None`` for all of it).  Returns the child
+        layer as the prefix space stores it, parent-major: each parent's
+        children are contiguous, in parent order, one per graph of its
+        alphabet (child ``i * len(graphs) + j`` is parent ``i`` extended by
+        ``graphs[j]`` for one alphabet) — element-wise equal to per-parent
+        :meth:`extend_level` calls.  The candidate child rows of each
+        distinct in-neighborhood are built and deduplicated across every
+        parent and group that uses it and interned once; owner bits go only
+        where a group's pattern reaches (:func:`_inlist_uses`).  The
+        backend follows ``self.layer_backend`` (layers under
+        :data:`_NUMPY_MIN_CELLS` cells in all run the Python kernel).  A
+        level of another length, a graph on another process count, or
+        groups that do not partition the layer raise
+        :class:`~repro.errors.AnalysisError` before anything is interned.
         """
-        graphs = tuple(graphs)
+        n = self.n
         if not isinstance(table, LayerTable):
-            table = LayerTable.from_levels(self.n, [tuple(lv) for lv in table])
-        if table.n != self.n:
+            table = LayerTable.from_levels(n, table)
+        if table.n != n:
             raise AnalysisError(
-                f"layer table of n={table.n} levels for n={self.n} interner"
+                f"layer table of n={table.n} levels for n={n} interner"
             )
-        if len(table.ids) % self.n:
+        if len(table.ids) % n:
             raise AnalysisError(
-                f"layer column of {len(table.ids)} ids is not a multiple of "
-                f"n={self.n}"
+                f"layer column of {len(table.ids)} ids is not a multiple of n={n}"
             )
-        if not graphs or not len(table):
-            return LayerTable(self.n, array("i"))
-        plan = self._alphabet_plan(graphs)
+        count = len(table)
+        if members is None:
+            graphs, members = (graphs,), (None,)
+        elif len(members) != len(graphs):
+            raise AnalysisError(
+                f"{len(graphs)} alphabets for {len(members)} state groups"
+            )
+        elif not (len(members) == 1 and members[0] is None):
+            _check_partition(count, members)
+        groups = [
+            (self._alphabet_plan(alphabet), rows)
+            for alphabet, rows in zip(graphs, members)
+            if len(alphabet) and (count if rows is None else len(rows))
+        ]
+        sizes = [count if rows is None else len(rows) for _, rows in groups]
+        cells = sum(len(plan[0]) * size for (plan, _), size in zip(groups, sizes))
+        if not cells:
+            return LayerTable(n, array("i"))
+        uses = _inlist_uses([plan for plan, _ in groups], sizes)
         if (
             self.layer_backend == "numpy"
-            and self.n <= _MASK_ARRAY_MAX_N
-            and len(table) * len(plan[0]) >= _NUMPY_MIN_CELLS
+            and n <= _MASK_ARRAY_MAX_N
+            and cells >= _NUMPY_MIN_CELLS
         ):
-            return LayerTable(self.n, self._extend_layer_numpy(table, plan))
-        return LayerTable(self.n, self._extend_layer_python(table, plan))
+            return LayerTable(n, self._extend_layer_numpy(table, groups, uses))
+        return LayerTable(n, self._extend_layer_python(table, groups, uses))
 
     def extend_layer(
         self,
@@ -1130,27 +1191,33 @@ class ViewInterner:
         children = self.extend_layer_table(levels, graphs).tolist()
         return [children[j :: len(graphs)] for j in range(len(graphs))]
 
-    def _extend_layer_python(self, table: LayerTable, plan: tuple) -> array:
+    def _extend_layer_python(self, table: LayerTable, groups: list, uses: list) -> array:
         """The batched pure-Python layer kernel.
 
         Same structure as the numpy backend — candidate rows dedup per
-        in-neighborhood across the whole layer, views resolve at
-        unique-row granularity — in plain loops over the flat layer
-        column.  Small per-row key tuples are built transiently for the
-        batch-local dedup dict; nothing tuple-shaped is stored or
-        returned, and the child column is an ``array('i')``.
+        in-neighborhood across every parent that uses it, views resolve
+        at unique-row granularity — in plain loops over the flat layer
+        column and plain-int member lists.  Small per-row key tuples are
+        built transiently for the batch-local dedup dict; nothing
+        tuple-shaped is stored or returned, and the child column is an
+        ``array('i')``.
         """
-        patterns, layouts, inlists, pats_of_inlist = plan
         n = self.n
         ids = plain_ids(table.ids)
         total = len(ids)
+        count = total // n
         depth = self._row_depth[ids[0] // n] + 1
         row_masks = self._row_masks
         owners = self._row_owners
         row_depth = self._row_depth
-        vid_arrs: list = [None] * len(patterns)
-        for si, in_list in enumerate(inlists):
+        members = [None if rows is None else plain_ids(rows) for _, rows in groups]
+        vid_arrs: list = [[None] * len(plan[0]) for plan, _ in groups]
+        for in_list, spans, owner_pairs in uses:
             k = len(in_list)
+            if members[0] is None:
+                bases: Iterable[int] = range(0, total, n)
+            else:
+                bases = [i * n for g in spans for i in members[g]]
             # Column pass: candidate child row per parent, dedup in place.
             uniq_index: dict = {}
             uniq_rows: list[tuple[int, ...]] = []
@@ -1160,7 +1227,7 @@ class ViewInterner:
             uniq_append = uniq_rows.append
             if k == 1:
                 q = in_list[0]
-                for base in range(0, total, n):
+                for base in bases:
                     kids = (ids[base + q],)
                     u = uniq_setdefault(kids, len(uniq_rows))
                     if u == len(uniq_rows):
@@ -1168,7 +1235,7 @@ class ViewInterner:
                     inv_append(u)
             elif k == 2:
                 qa, qb = in_list
-                for base in range(0, total, n):
+                for base in bases:
                     a = ids[base + qa]
                     b = ids[base + qb]
                     kids = (a, b) if a < b else (b, a)
@@ -1177,14 +1244,14 @@ class ViewInterner:
                         uniq_append(kids)
                     inv_append(u)
             elif k == n:
-                for base in range(0, total, n):
+                for base in bases:
                     kids = tuple(sorted(ids[base : base + n]))
                     u = uniq_setdefault(kids, len(uniq_rows))
                     if u == len(uniq_rows):
                         uniq_append(kids)
                     inv_append(u)
             else:
-                for base in range(0, total, n):
+                for base in bases:
                     kids = tuple(sorted([ids[base + q] for q in in_list]))
                     u = uniq_setdefault(kids, len(uniq_rows))
                     if u == len(uniq_rows):
@@ -1240,57 +1307,85 @@ class ViewInterner:
                                 break
                     idx = (idx + 1) & slot_mask
                 urids_append(rid)
-            # One owner bit per row and owner: the child column is the
-            # slot ``rid * n + p``.
+            # Owner p's bit goes on the rows its groups reach; the child
+            # column of its pattern is the slot ``rid * n + p``.
             added = 0
-            for pi in pats_of_inlist[si]:
-                p = patterns[pi][0]
+            for p, pairs in owner_pairs.items():
                 bit = 1 << p
-                vid_u: list[int] = []
-                vid_u_append = vid_u.append
-                for rid in urids:
+                targets = urids
+                if len(pairs) < len(spans):
+                    reached: set = set()
+                    for g, _ in pairs:
+                        reached.update(inv[spans[g]])
+                    targets = [urids[u] for u in reached]
+                for rid in targets:
                     held = owners[rid]
                     if not held & bit:
                         owners[rid] = held | bit
                         added += 1
-                    vid_u_append(rid * n + p)
-                vid_arrs[pi] = array("i", [vid_u[u] for u in inv])
+                vid_u = [rid * n + p for rid in urids]
+                for g, pi in pairs:
+                    vid_arrs[g][pi] = array("i", [vid_u[u] for u in inv[spans[g]]])
             self._view_count += added
-        # Cell p of child i * width + j is pattern layouts[j][p] of parent
-        # i: one strided array-slice assignment per (graph, process).
-        stride = len(layouts) * n
-        out = array("i", bytes(4 * total * len(layouts)))
-        for j, layout in enumerate(layouts):
-            for p, pi in enumerate(layout):
-                out[j * n + p :: stride] = vid_arrs[pi]
+        # Cell p of child i * width + j of a group's block is pattern
+        # layouts[j][p] of its i-th parent: one strided array-slice
+        # assignment per (graph, process).
+        blocks = []
+        for (plan, _), rows, arrs in zip(groups, members, vid_arrs):
+            stride = len(plan[1]) * n
+            size = count if rows is None else len(rows)
+            block = array("i", bytes(4 * size * stride))
+            for j, layout in enumerate(plan[1]):
+                for p, pi in enumerate(layout):
+                    block[j * n + p :: stride] = arrs[pi]
+            blocks.append(block)
+        if members[0] is None:
+            return blocks[0]
+        # Ragged: each member's contiguous children, laid out in parent order.
+        children: list = [array("i")] * count
+        for (plan, _), rows, block in zip(groups, members, blocks):
+            span = len(plan[1]) * n
+            for mi, i in enumerate(rows):
+                children[i] = block[mi * span : (mi + 1) * span]
+        out = array("i")
+        for part in children:
+            out.extend(part)
         return out
 
-    def _extend_layer_numpy(self, table: LayerTable, plan: tuple):
+    def _extend_layer_numpy(self, table: LayerTable, groups: list, uses: list):
         """The vectorized layer kernel (numpy backend).
 
-        Candidate rows of each in-neighborhood gather/sort as one int32
-        matrix and dedup via ``np.unique`` on packed int64 key columns;
-        row keys for the open-addressing probe are computed vectorized
-        over the distinct rows, fresh rows append in bulk, and each owner
-        sets its bit on the distinct rows with one gather and one scatter
-        over the buffer-backed owner column.  The child column of owner
-        ``p`` is ``urid * n + p`` (products in int64, stored int32, which
-        the ``rows * n`` id limit keeps in range).  Views over the
-        interner's columns are strictly transient: every ``frombuffer``
-        window is dropped before the underlying array can resize.
+        Per distinct in-neighborhood, the candidate rows of every parent
+        that uses it — the whole layer, or its groups' members stacked —
+        gather/sort as one int32 matrix and dedup via ``np.unique`` on
+        packed int64 key columns; row keys for the open-addressing probe
+        are computed vectorized over the distinct rows, fresh rows append
+        in bulk, and each owner sets its bit on the distinct rows its
+        groups reach with one gather and one scatter over the
+        buffer-backed owner column.  The child column of owner ``p`` is
+        ``urid * n + p`` (products in int64, stored int32, which the
+        ``rows * n`` id limit keeps in range).  Views over the interner's
+        columns are strictly transient: every ``frombuffer`` window is
+        dropped before the underlying array can resize.
         """
         np = _np
         n = self.n
         level_matrix = table.array()
+        count = len(level_matrix)
         depth = self._row_depth[int(level_matrix[0, 0]) // n] + 1
-        patterns, layouts, inlists, pats_of_inlist = plan
         owner_dtype = self._row_owners.typecode
-        vid_cols: list = [None] * len(patterns)
-        for si, in_list in enumerate(inlists):
+        members = [rows for _, rows in groups]
+        vid_cols: list = [[None] * len(plan[0]) for plan, _ in groups]
+        for in_list, spans, owner_pairs in uses:
             # Gather each parent's in-list columns, sort every row (child
             # rows are *sets* of view ids), and dedup across the layer.
             k = len(in_list)
-            cand = level_matrix[:, in_list]
+            if members[0] is None:
+                cand = level_matrix[:, in_list]
+            else:
+                parents = np.concatenate([members[g] for g in spans])
+                cand = level_matrix[parents[:, None], in_list]
+                del parents
             if k > 1:
                 cand = np.ascontiguousarray(cand)
                 cand.sort(axis=1)
@@ -1305,20 +1400,45 @@ class ViewInterner:
             owners_view = np.frombuffer(self._row_owners, dtype=owner_dtype)
             held = owners_view[urid_arr]
             added = 0
-            for pi in pats_of_inlist[si]:
-                p = patterns[pi][0]
+            for p, pairs in owner_pairs.items():
                 bit = 1 << p
-                added += len(held) - int(np.count_nonzero(held & bit))
-                held |= bit
-                vid_cols[pi] = (slot_base + p)[inv]
+                if len(pairs) < len(spans):
+                    hit = np.zeros(len(held), dtype=bool)
+                    for g, _ in pairs:
+                        hit[inv[spans[g]]] = True
+                    part = held[hit]
+                    added += len(part) - int(np.count_nonzero(part & bit))
+                    held[hit] = part | bit
+                else:
+                    added += len(held) - int(np.count_nonzero(held & bit))
+                    held |= bit
+                column = slot_base + p
+                for g, pi in pairs:
+                    vid_cols[g][pi] = column[inv[spans[g]]]
             owners_view[urid_arr] = held
             del owners_view, held, slot_base
             self._view_count += added
-        # Child i * width + j is row (i, j) of a (count, width, n) block,
-        # filled one graph's contiguous (count, n) levels at a time.
-        out = np.empty((len(level_matrix), len(layouts), n), dtype=np.int32)
-        for j, layout in enumerate(layouts):
-            out[:, j, :] = np.stack([vid_cols[pi] for pi in layout], axis=1)
+        if members[0] is None:
+            # Child i * width + j is row (i, j) of a (count, width, n)
+            # block, filled one graph's contiguous (count, n) levels at a
+            # time.
+            layouts = groups[0][0][1]
+            out = np.empty((count, len(layouts), n), dtype=np.int32)
+            for j, layout in enumerate(layouts):
+                out[:, j, :] = np.stack([vid_cols[0][pi] for pi in layout], axis=1)
+            return out.reshape(-1)
+        # Ragged: parent i's children start at the running sum of the
+        # widths before it; each group scatters its members' (members, n)
+        # levels one graph at a time (one 2-D block scatter is slower).
+        widths = np.zeros(count, dtype=np.int64)
+        for (plan, _), rows in zip(groups, members):
+            widths[rows] = len(plan[1])
+        offsets = np.cumsum(widths) - widths
+        out = np.empty((int(offsets[-1] + widths[-1]), n), dtype=np.int32)
+        for (plan, _), rows, cols in zip(groups, members, vid_cols):
+            first = offsets[rows]
+            for j, layout in enumerate(plan[1]):
+                out[first + j] = np.stack([cols[pi] for pi in layout], axis=1)
         return out.reshape(-1)
 
     def _check_pid(self, p: int) -> None:
@@ -1447,19 +1567,15 @@ class ViewInterner:
         for entry in self._origin_values.values():
             approx += tuple_header + len(entry) * (tuple_header + 16)
         # The per-alphabet extension plans: graphs-tuple keys plus the
-        # pattern/layout/in-list structures (an LRU capped at
+        # pattern and layout structures (an LRU capped at
         # DEFAULT_PLAN_CACHE_SIZE; the stats report the live entries).
         approx += getsizeof(self._plan_cache)
-        for key, (patterns, layouts, inlists, pats) in self._plan_cache.items():
+        for key, (patterns, layouts) in self._plan_cache.items():
             approx += tuple_header + 8 * len(key)
             for _, in_list in patterns:
                 approx += 2 * tuple_header + 16 + 8 * len(in_list)
             for layout in layouts:
                 approx += getsizeof(layout)
-            for in_list in inlists:
-                approx += tuple_header + 8 * len(in_list)
-            for pis in pats:
-                approx += tuple_header + 8 * len(pis)
         return ViewStats(
             self._view_count,
             self._leaf_count,

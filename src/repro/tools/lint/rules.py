@@ -557,9 +557,9 @@ class ColumnarHotPathRule(Rule):
             "repro.topology.components::_sv_labels",
             "repro.topology.components::_compress_parents",
             "repro.topology.components::_first_member_ids",
-            "repro.topology.prefixspace::_extend_grouped",
-            "repro.topology.prefixspace::_merge_groups_numpy",
-            "repro.topology.prefixspace::_merge_groups_python",
+            "repro.topology.prefixspace::extend",
+            "repro.topology.prefixspace::_ragged_codes",
+            "repro.topology.prefixspace::_repeat_rows",
             "repro.topology.prefixspace::_group_rows",
             "repro.consensus.decision::_validate_python",
             "repro.consensus.decision::_validate_numpy",

@@ -60,7 +60,7 @@ view tables and nothing else.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.adversaries.base import MessageAdversary
@@ -239,11 +239,7 @@ class LayerStore:
 
     __slots__ = ("levels", "parents", "input_idx", "graphs", "states", "nodes", "count")
 
-    def __init__(self, levels, parents, input_idx, graphs, states) -> None:
-        if not isinstance(levels, LayerTable) and levels is not None:
-            levels = LayerTable.from_levels(
-                len(levels[0]) if levels else 0, levels
-            )
+    def __init__(self, levels: LayerTable, parents, input_idx, graphs, states) -> None:
         self.levels: LayerTable | None = levels
         self.parents = parents
         self.input_idx = input_idx
@@ -253,7 +249,7 @@ class LayerStore:
         #: deep layers hold millions of prefixes, wrappers are rare).
         self.nodes: dict[int, PrefixNode] | None = {}
         #: Layer size; survives :meth:`condense`.
-        self.count: int = len(levels) if levels is not None else 0
+        self.count: int = len(levels)
 
     def __len__(self) -> int:
         return self.count
@@ -428,30 +424,32 @@ class PrefixSpace:
         off the layer's coded state column — oblivious adversaries
         collapse the whole layer into one group, stabilizing and
         eventually-forever adversaries into a few state-keyed groups — and
-        each group's successor levels are interned by one whole-layer
-        kernel call
-        (:meth:`~repro.core.views.ViewInterner.extend_layer_table`).  The
-        kernel returns a group's children parent-major, alphabet-minor —
-        the order the child layer stores — so a single group's column is
-        the child layer's levels as returned, and several groups scatter
-        one contiguous block per parent.
+        one whole-layer kernel call
+        (:meth:`~repro.core.views.ViewInterner.extend_layer_table`) interns
+        every group's successors, each group extended by its own alphabet.
+        The kernel returns the child layer's levels as stored: parent
+        ``i``'s ``w_i`` children contiguous, in parent order, ``w_i`` the
+        number of admissible extensions of its state set.  The parents
+        and input-index columns repeat each parent's entry ``w_i`` times,
+        and round graphs and next state sets code into per-layer palettes;
+        a single group keeps its codes implicit (a tile).  Columns are
+        numpy arrays only when the kernel returned one.
         """
         current = self._stores[-1]
         if current.condensed:
             raise AnalysisError("cannot extend: the frontier layer was condensed")
         adversary = self.adversary
-        extensions = adversary.admissible_extensions
-        cur_table = current.levels
         count = len(current)
         np = numpy_module() if self.interner.layer_backend == "numpy" else None
         groups = _group_rows(current.states, np)
+        members = list(groups.values())
+        exts = [adversary.admissible_extensions(states) for states in groups]
         # The node budget is checkable before any interning happens: every
         # parent of a group contributes exactly one child per admissible
         # extension of its state set.
         child_count = sum(
-            len(extensions(states))
-            * (count if members is None else len(members))
-            for states, members in groups.items()
+            len(group_exts) * (count if rows is None else len(rows))
+            for group_exts, rows in zip(exts, members)
         )
         if child_count > self.max_nodes:
             raise AnalysisError(
@@ -462,205 +460,36 @@ class PrefixSpace:
             raise AnalysisError(
                 f"{adversary.name}: no admissible extension at depth {self.depth}"
             )
-        if len(groups) == 1 and next(iter(groups.values())) is None:
-            store = self._extend_single_group(
-                cur_table, current, next(iter(groups))
-            )
+        levels = self.interner.extend_layer_table(
+            current.levels,
+            [adversary.extension_alphabet(states) for states in groups],
+            members,
+        )
+        if np is not None and not isinstance(levels.ids, np.ndarray):
+            np = None
+        if members[0] is None:
+            (group_exts,) = exts
+            widths = len(group_exts)
+            graphs = _CodedColumn([graph for graph, _ in group_exts], repeats=count)
+            states = _CodedColumn([nxt for _, nxt in group_exts], repeats=count)
         else:
-            store = self._extend_grouped(cur_table, current, groups, np)
-        self._stores.append(store)
+            widths, graphs, states = _ragged_codes(np, count, exts, members)
+        parent_code = _parent_typecode(count)
+        if np is not None:
+            parents, inputs = np.arange(count, dtype=parent_code), current.input_array()
+        else:
+            parents, inputs = array(parent_code, range(count)), current.input_idx
+        self._stores.append(
+            LayerStore(
+                levels=levels,
+                parents=_repeat_rows(np, parents, widths, parent_code),
+                input_idx=_repeat_rows(np, inputs, widths, self._input_typecode),
+                graphs=graphs,
+                states=states,
+            )
+        )
         if self.retain == "frontier":
             self._stores[-2].condense()
-
-    def _extend_single_group(
-        self, cur_table: LayerTable, current: LayerStore, node_states
-    ) -> LayerStore:
-        """One kernel call over the whole layer; its column is the layer."""
-        adversary = self.adversary
-        exts = adversary.admissible_extensions(node_states)
-        count = len(cur_table)
-        width = len(exts)
-        child_table = self.interner.extend_layer_table(
-            cur_table, adversary.extension_alphabet(node_states)
-        )
-        parent_code = _parent_typecode(count)
-        input_code = self._input_typecode
-        np = numpy_module()
-        if np is not None and isinstance(child_table.ids, np.ndarray):
-            parents = np.repeat(np.arange(count, dtype=parent_code), width)
-            input_idx = np.repeat(current.input_array(), width)
-        else:
-            parents = array(parent_code, [0]) * (count * width)
-            input_idx = array(input_code, [0]) * (count * width)
-            base = array(parent_code, range(count))
-            cur_inputs = current.input_idx
-            if not isinstance(cur_inputs, array):
-                cur_inputs = array(input_code, plain_ids(cur_inputs))
-            for j in range(width):
-                parents[j::width] = base
-                input_idx[j::width] = cur_inputs
-        return LayerStore(
-            levels=child_table,
-            parents=parents,
-            input_idx=input_idx,
-            graphs=_CodedColumn([graph for graph, _ in exts], repeats=count),
-            states=_CodedColumn([nxt for _, nxt in exts], repeats=count),
-        )
-
-    def _extend_grouped(
-        self, cur_table: LayerTable, current: LayerStore, groups: dict, np
-    ) -> LayerStore:
-        """One whole-layer kernel call per state group, scattered parent-major.
-
-        A parent whose group has ``w`` admissible extensions owns the ``w``
-        consecutive children from its offset on, so child offsets are a
-        running sum of per-parent extension counts.  Round graphs and next
-        state sets code into per-layer palettes.  Each group's kernel
-        column is already parent-major over the group's members, so every
-        member's ``w`` children are one contiguous block of it that lands
-        at the member's offset in preallocated child columns — the column
-        read as a ``(members, w, n)`` block and scattered one graph at a
-        time on the numpy backend (:meth:`_merge_groups_numpy`), one slice
-        assignment per member on the Python one
-        (:meth:`_merge_groups_python`).  Kernel calls run in group order
-        (first occurrence), which fixes view-id allocation.
-        """
-        adversary = self.adversary
-        graph_slots: dict = {}
-        state_slots: dict = {}
-        plan = []
-        for node_states, members in groups.items():
-            exts = adversary.admissible_extensions(node_states)
-            if not exts:
-                continue
-            plan.append(
-                (
-                    adversary.extension_alphabet(node_states),
-                    members,
-                    tuple(
-                        graph_slots.setdefault(graph, len(graph_slots))
-                        for graph, _ in exts
-                    ),
-                    tuple(
-                        state_slots.setdefault(nxt, len(state_slots))
-                        for _, nxt in exts
-                    ),
-                )
-            )
-        typecodes = (
-            _code_typecode(len(graph_slots)),
-            _code_typecode(len(state_slots)),
-        )
-        if np is not None:
-            columns = self._merge_groups_numpy(
-                np, cur_table, current, plan, typecodes
-            )
-        else:
-            columns = self._merge_groups_python(cur_table, current, plan, typecodes)
-        levels, parents, input_idx, graph_codes, state_codes = columns
-        return LayerStore(
-            levels=LayerTable(adversary.n, levels),
-            parents=parents,
-            input_idx=input_idx,
-            graphs=_CodedColumn(list(graph_slots), graph_codes),
-            states=_CodedColumn(list(state_slots), state_codes),
-        )
-
-    def _merge_groups_numpy(
-        self, np, cur_table: LayerTable, current: LayerStore, plan: list, typecodes
-    ) -> tuple:
-        """Scatter each group's kernel column into preallocated child columns.
-
-        ``plan`` holds ``(alphabet, members, graph codes, state codes)``
-        per group; returns the flat levels, parents, input-index, and
-        graph/state code columns.
-        """
-        n = self.adversary.n
-        count = len(cur_table)
-        cur_levels = cur_table.array()
-        # Every kernel call runs before the child columns are allocated,
-        # so the interner's growth never overlaps them.
-        outputs = [
-            self.interner.extend_layer_table(
-                LayerTable(n, cur_levels[members].reshape(-1)), alphabet
-            )
-            for alphabet, members, _, _ in plan
-        ]
-        widths = np.zeros(count, dtype=np.int64)
-        for _, members, graph_codes, _ in plan:
-            widths[members] = len(graph_codes)
-        offsets = np.zeros(count, dtype=np.int64)
-        np.cumsum(widths[:-1], out=offsets[1:])
-        total = int(offsets[-1] + widths[-1])
-        del widths
-        levels = np.empty((total, n), dtype=np.int32)
-        parents = np.empty(total, dtype=_parent_typecode(count))
-        input_idx = np.empty(total, dtype=self._input_typecode)
-        graphs = np.empty(total, dtype=np.dtype(typecodes[0]))
-        states = np.empty(total, dtype=np.dtype(typecodes[1]))
-        cur_inputs = current.input_array()
-        for (_, members, graph_codes, state_codes), table in zip(plan, outputs):
-            # Row (m, j) of the block is member m's child by graph j.  One
-            # 1-D scatter per graph beats one 2-D scatter of the block.
-            block = table.array().reshape(len(members), len(graph_codes), n)
-            first = offsets[members]
-            member_inputs = cur_inputs[members]
-            for j in range(len(graph_codes)):
-                rows = first + j
-                levels[rows] = block[:, j]
-                parents[rows] = members
-                input_idx[rows] = member_inputs
-                graphs[rows] = graph_codes[j]
-                states[rows] = state_codes[j]
-        return levels.reshape(-1), parents, input_idx, graphs, states
-
-    def _merge_groups_python(
-        self, cur_table: LayerTable, current: LayerStore, plan: list, typecodes
-    ) -> tuple:
-        """:meth:`_merge_groups_numpy` on ``array`` columns, in plain Python.
-
-        Every member's children are one contiguous block of its group's
-        kernel column and land with a single slice assignment; the parent,
-        input, and code columns expand per parent at C speed
-        (``repeat``/``chain``).
-        """
-        n = self.adversary.n
-        count = len(cur_table)
-        outputs = [
-            self.interner.extend_layer_table(
-                _gather_subtable(cur_table, members), alphabet
-            )
-            for alphabet, members, _, _ in plan
-        ]
-        widths = [0] * count
-        graphs_of: list = [()] * count
-        states_of: list = [()] * count
-        for _, members, graph_codes, state_codes in plan:
-            width = len(graph_codes)
-            for i in members:
-                widths[i] = width
-                graphs_of[i] = graph_codes
-                states_of[i] = state_codes
-        offsets = list(accumulate(widths, initial=0))
-        levels = array("i", bytes(4 * offsets[-1] * n))
-        for (_, members, graph_codes, _), table in zip(plan, outputs):
-            column = table.ids
-            block = len(graph_codes) * n
-            for mi, i in enumerate(members):
-                levels[offsets[i] * n : offsets[i + 1] * n] = column[
-                    mi * block : (mi + 1) * block
-                ]
-        parents = array(
-            _parent_typecode(count),
-            chain.from_iterable(map(repeat, range(count), widths)),
-        )
-        input_idx = array(
-            self._input_typecode,
-            chain.from_iterable(map(repeat, plain_ids(current.input_idx), widths)),
-        )
-        graphs = array(typecodes[0], chain.from_iterable(graphs_of))
-        states = array(typecodes[1], chain.from_iterable(states_of))
-        return levels, parents, input_idx, graphs, states
 
     def ensure_depth(self, t: int) -> None:
         """Construct layers up to depth ``t``."""
@@ -802,24 +631,74 @@ class PrefixSpace:
         )
 
 
-def _gather_subtable(table: LayerTable, members) -> LayerTable:
-    """The sub-table of the given parent indices (order-preserving, int32)."""
-    n = table.n
-    ids = table.ids
-    flat = array("i")
-    for i in members:
-        flat.extend(ids[i * n : (i + 1) * n])
-    return LayerTable(n, flat)
+def _repeat_rows(np, column, widths, typecode: str):
+    """``column[i]`` repeated ``widths[i]`` times (``widths`` an int: for every row).
+
+    With ``np`` the result is a numpy array (``column`` is one at
+    ``typecode``), otherwise an ``array`` at ``typecode``: one strided
+    slice assignment per child position for a uniform width (building it
+    from an iterator costs about 15x more on census-sized layers).
+    """
+    if np is not None:
+        return np.repeat(column, widths)
+    if not isinstance(widths, int):
+        return array(typecode, chain.from_iterable(map(repeat, plain_ids(column), widths)))
+    if not isinstance(column, array):
+        column = array(typecode, plain_ids(column))
+    out = array(typecode, [0]) * (len(column) * widths)
+    for j in range(widths):
+        out[j::widths] = column
+    return out
+
+
+def _ragged_codes(np, count: int, exts: list, members: list) -> tuple:
+    """Per-parent widths and the coded graph and state columns of a ragged layer.
+
+    Group ``g`` extends the parents ``members[g]`` by ``exts[g]``, its
+    ``(graph, next states)`` pairs; graphs and state sets code into
+    per-layer palettes.  With ``np`` each group writes its codes at its
+    members' child offsets, one extension at a time; otherwise the code
+    columns chain per-parent code tuples.
+    """
+    slots: tuple = ({}, {})
+    codes = [
+        [tuple(s.setdefault(x, len(s)) for s, x in zip(slots, ext)) for ext in e]
+        for e in exts
+    ]
+    typecodes = [_code_typecode(len(s)) for s in slots]
+    if np is not None:
+        widths = np.zeros(count, dtype=np.int64)
+        for e, rows in zip(exts, members):
+            widths[rows] = len(e)
+        offsets = np.cumsum(widths) - widths
+        columns = [np.empty(int(widths.sum()), dtype=t) for t in typecodes]
+        for group_codes, rows in zip(codes, members):
+            first = offsets[rows]
+            for j, pair in enumerate(group_codes):
+                at = first + j
+                for column, code in zip(columns, pair):
+                    column[at] = code
+    else:
+        widths = [0] * count
+        codes_of: list = [()] * count
+        for group_codes, rows in zip(codes, members):
+            for i in plain_ids(rows):
+                widths[i] = len(group_codes)
+                codes_of[i] = group_codes
+        pairs = list(chain.from_iterable(codes_of))
+        columns = [array(t, [pair[c] for pair in pairs]) for c, t in enumerate(typecodes)]
+    return widths, *(_CodedColumn(list(s), c) for s, c in zip(slots, columns))
 
 
 def _group_rows(column: _CodedColumn, np) -> dict:
     """Row indices per distinct object of a coded column.
 
-    Returns ``{object: rows}`` in order of each object's first row (the
-    kernel-call order).  ``rows`` is ``None`` when one object covers the
-    whole column; otherwise an int64 numpy array (one stable radix
-    argsort of the codes) when ``np`` is given, else a list.  Palette
-    entries that compare equal share one group.
+    Returns ``{object: rows}`` in palette order, for the objects some row
+    holds (the group order of the layer's kernel call).  ``rows`` is
+    ``None`` when one object covers the whole column; otherwise an int64
+    numpy array (one stable radix argsort of the codes) when ``np`` is
+    given, else a list.  Palette entries that compare equal share one
+    group.
     """
     slot_of: dict = {}
     slots = [slot_of.setdefault(item, len(slot_of)) for item in column.items]
@@ -838,8 +717,4 @@ def _group_rows(column: _CodedColumn, np) -> dict:
         appends = [rows[slot].append for slot in slots]
         for i, code in enumerate(codes):
             appends[code](i)
-    used = sorted(
-        (slot for slot in range(len(values)) if len(rows[slot])),
-        key=lambda slot: rows[slot][0],
-    )
-    return {values[slot]: rows[slot] for slot in used}
+    return {value: group for value, group in zip(values, rows) if len(group)}

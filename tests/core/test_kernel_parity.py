@@ -31,6 +31,7 @@ from repro.consensus.solvability import CheckOptions, check_consensus_with_optio
 from repro.core.digraph import arrow
 from repro.core.views import ViewInterner, numpy_available, numpy_module
 from repro.errors import AnalysisError
+from repro.specs import NAMED_ADVERSARIES
 from repro.topology.prefixspace import PrefixSpace
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
@@ -45,6 +46,9 @@ FAMILIES = {
         lambda: StabilizingAdversary(2, (arrow("->"), arrow("<-")), window=2),
         5,
     ),
+    # Several state groups per layer, each with its own alphabet: one
+    # ragged kernel call per depth.
+    "eventually-to-full-base": (NAMED_ADVERSARIES["eventually-to-full-base"], 6),
 }
 
 #: Every column of an interner's state.

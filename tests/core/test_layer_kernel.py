@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.views as views_module
 from repro.adversaries import (
     ObliviousAdversary,
     eventually_one_direction,
@@ -28,6 +29,7 @@ from repro.adversaries import (
     random_oblivious_adversary,
     santoro_widmayer_family,
 )
+from repro.adversaries.generators import all_digraphs
 from repro.adversaries.stabilizing import StabilizingAdversary
 from repro.core.digraph import Digraph, arrow
 from repro.core.inputs import all_assignments, binary_domain
@@ -36,11 +38,17 @@ from repro.core.views import (
     LayerTable,
     ViewInterner,
     numpy_available,
+    numpy_module,
 )
 from repro.errors import AnalysisError
+from repro.specs import NAMED_ADVERSARIES
 from repro.topology.prefixspace import PrefixSpace
 
 TO, FRO = arrow("->"), arrow("<-")
+
+#: The numpy kernel's cell floor as shipped, read before the fixture
+#: below drops it.
+DEFAULT_MIN_CELLS = views_module._NUMPY_MIN_CELLS
 
 #: Backends available in this environment (the numpy leg only when numpy
 #: imports; the CI matrix runs a leg without it).
@@ -308,6 +316,173 @@ def test_graph_on_another_process_count_is_refused(backend, other):
         with pytest.raises(AnalysisError):
             interner.extend_layer_table([level, level], graphs)
     assert (len(interner), interner.stats().rows) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("size", [1, 3], ids=["short", "long"])
+def test_level_of_another_length_is_refused(backend, size):
+    """A level of 1 or 3 views on n=2 raises and interns nothing.
+
+    ``extend_level`` used to raise a bare ``IndexError`` on the short level
+    and cut the long one to its first two views; packing tuple levels for
+    the layer kernel re-framed two 3-view levels as three 2-view ones,
+    with a process-0 view in column 1.
+    """
+    interner = ViewInterner(2, layer_backend=backend)
+    level = interner.leaf_level((0, 1)) + interner.leaf_level((1, 0))
+    bad = level[:size]
+    interner.extend_level(level[:2], TO)
+    before = (len(interner), interner.stats().rows)
+    with pytest.raises(AnalysisError):
+        interner.extend_level(bad, FRO)
+    with pytest.raises(AnalysisError):
+        LayerTable.from_levels(2, [bad, bad])
+    with pytest.raises(AnalysisError):
+        interner.extend_layer_table([bad, bad], [FRO])
+    with pytest.raises(AnalysisError):
+        interner.extend_layer([bad], [FRO])
+    assert (len(interner), interner.stats().rows) == before
+
+
+def _ragged_layer(interner, draw_specs):
+    """The depth-``d`` levels of ``(inputs, word)`` specs, one per parent."""
+    levels = []
+    for inputs, word in draw_specs:
+        level = interner.leaf_level(inputs)
+        for graph in word:
+            level = interner.extend_level(level, graph)
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize(
+    "min_cells", [0, DEFAULT_MIN_CELLS], ids=["floor-0", "floor-default"]
+)
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=3))
+@settings(max_examples=25, deadline=None)
+def test_ragged_layer_matches_per_parent_and_per_group(backend, min_cells, data, n):
+    """A layer split into 1-4 state groups, each with its own alphabet.
+
+    Every child equals per-parent ``extend_level``, and the ragged call
+    interns exactly the views and rows that one call per group interns on
+    a fresh interner: an in-list shared by groups under different owners
+    gets each owner's bit only on the rows its own groups reach.
+    """
+    pool = list(all_digraphs(n))
+    depth = data.draw(st.integers(min_value=0, max_value=2))
+    count = data.draw(st.integers(min_value=1, max_value=40))
+    specs = [
+        (
+            tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+            [data.draw(st.sampled_from(pool)) for _ in range(depth)],
+        )
+        for _ in range(count)
+    ]
+    group_count = data.draw(st.integers(min_value=1, max_value=4))
+    group_of = [data.draw(st.integers(0, group_count - 1)) for _ in range(count)]
+    alphabets = [
+        tuple(data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)))
+        for _ in range(group_count)
+    ]
+    members = [[i for i in range(count) if group_of[i] == g] for g in range(group_count)]
+    if group_count == 1 and data.draw(st.booleans()):
+        members = [None]
+    elif backend == "numpy" and data.draw(st.booleans()):
+        np = numpy_module()
+        members = [np.array(rows, dtype=np.int64) for rows in members]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(views_module, "_NUMPY_MIN_CELLS", min_cells)
+        interner = ViewInterner(n, layer_backend=backend)
+        levels = _ragged_layer(interner, specs)
+        children = interner.extend_layer_table(levels, alphabets, members).tolist()
+        per_group = ViewInterner(n, layer_backend=backend)
+        group_levels = _ragged_layer(per_group, specs)
+        for g, alphabet in enumerate(alphabets):
+            rows = [i for i in range(count) if group_of[i] == g]
+            per_group.extend_layer_table([group_levels[i] for i in rows], alphabet)
+    counts = (len(interner), interner.stats().rows)
+    assert counts == (len(per_group), per_group.stats().rows)
+    assert children == [
+        interner.extend_level(levels[i], graph)
+        for i in range(count)
+        for graph in alphabets[group_of[i]]
+    ]
+    assert (len(interner), interner.stats().rows) == counts
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_shared_in_list_sets_only_the_owners_its_groups_reach(backend):
+    """``->`` and ``<-`` share the in-list ``(0, 1)`` as owners 1 and 0.
+
+    Parent 0 extends by ``->`` only and parent 1 by ``<-`` only, so the
+    row of parent 0's in-list ``(0, 1)`` holds owner 1's view alone and
+    parent 1's holds owner 0's: four child views, not six.
+    """
+    interner = ViewInterner(2, layer_backend=backend)
+    levels = [interner.leaf_level((0, 1)), interner.leaf_level((1, 0))]
+    children = interner.extend_layer_table(levels, [[TO], [FRO]], [[0], [1]])
+    assert len(interner) == 4 + 4 and interner.stats().rows == 4
+    to_child, fro_child = children.tolist()
+    assert interner.child_row(to_child[1]) == tuple(sorted(levels[0]))
+    assert interner.child_row(fro_child[0]) == tuple(sorted(levels[1]))
+    with pytest.raises(AnalysisError):
+        interner.pid(to_child[1] - 1)  # owner 0 of parent 0's shared row
+    with pytest.raises(AnalysisError):
+        interner.pid(fro_child[0] + 1)  # owner 1 of parent 1's shared row
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_groups_must_partition_the_layer(backend):
+    interner = ViewInterner(2, layer_backend=backend)
+    levels = [interner.leaf_level((0, 1)), interner.leaf_level((1, 0))]
+    before = (len(interner), interner.stats().rows)
+    for members in ([[0], [0]], [[0], []], [[0, 1], [1]], [[-1], [0]], [[0], [2]]):
+        with pytest.raises(AnalysisError):
+            interner.extend_layer_table(levels, [[TO], [FRO]], members)
+    with pytest.raises(AnalysisError):
+        interner.extend_layer_table(levels, [[TO], [FRO]], [[0, 1]])
+    assert (len(interner), interner.stats().rows) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(NAMED_ADVERSARIES))
+def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypatch):
+    """A fresh build makes one kernel call per depth, and none re-probes.
+
+    Rows of different depths or in-lists never coincide, so on a fresh
+    interner every row a build interns is new; the numpy kernel (forced
+    on every layer here) must never find one in the table.  Spaces stop
+    where ``max_nodes`` allows (``sw-n3-1`` and ``sw-n3-2`` before depth 6).
+    """
+    calls = []
+    extend = ViewInterner.extend_layer_table
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return extend(self, *args, **kwargs)
+
+    found = []
+    intern = ViewInterner._intern_rows_numpy
+
+    def fresh_only(self, np, uniq, hashes, k, depth):
+        before = self._row_count
+        rids = intern(self, np, uniq, hashes, k, depth)
+        found.append(int((rids < before).sum()))
+        return rids
+
+    monkeypatch.setattr(ViewInterner, "extend_layer_table", counted)
+    monkeypatch.setattr(ViewInterner, "_intern_rows_numpy", fresh_only)
+    space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend, max_nodes=400_000)
+    for depth in range(1, 7):
+        try:
+            space.ensure_depth(depth)
+        except AnalysisError:
+            break
+    assert space.depth >= 3
+    assert calls == space.layer_sizes()[:-1]
+    assert sum(found) == 0
+    assert (len(found) > 0) == (backend == "numpy")
 
 
 def test_plan_cache_reported_in_stats():

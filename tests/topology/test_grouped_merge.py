@@ -1,15 +1,20 @@
-"""The columnar grouped merge against the per-child merge loop it replaced.
+"""Grouped prefix-space layers against the per-child merge loop they replaced.
 
 Stateful adversaries (eventually-forever, stabilizing: the non-compact
-families of §6.3) split every layer into state-keyed groups, and
-``PrefixSpace`` extends each group with one kernel call.  The child
-columns used to be assembled by a per-child Python loop; they are now
-scattered from per-parent offsets into preallocated columns, with the
-round graphs and state sets held as a palette plus int codes.  The old
-loop is kept below, verbatim in semantics, as the reference.  Both run
-the same kernel calls in the same group order, so the five columns of
-every layer — levels, parents, input indices, graphs, states — and the
-interner behind them must coincide exactly, on both kernel backends.
+families of §6.3) split every layer into state-keyed groups, each with
+its own alphabet.  ``PrefixSpace`` extends all of them with one ragged
+kernel call per depth and builds the child columns from per-parent
+widths, with the round graphs and state sets held as a palette plus int
+codes.  The reference below is the old loop, verbatim in semantics: one
+kernel call per group, children appended one by one.
+
+The ragged call interns each in-neighborhood's rows once across all
+groups, so grouped layers number their views differently from the
+reference by design.  Levels are therefore compared by canonical view
+structure (the ``structure`` helper of ``test_kernel_parity.py``), while
+everything id-free stays exact: the parents, input-index, graph and state
+columns, their widths, frontier retention, and the view and row counts
+(no phantom views for owners no group's pattern reaches).
 
 The reference keeps every integer column at int64, while the space and
 its interner store narrow ones (per-row owner masks at the mask width for
@@ -22,7 +27,9 @@ widened fails one check or the other.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +47,9 @@ from repro.core.inputs import all_assignments, binary_domain
 from repro.core.views import LayerTable, ViewInterner, numpy_available, plain_ids
 from repro.specs import NAMED_ADVERSARIES
 from repro.topology.prefixspace import PrefixSpace
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from test_kernel_parity import structure  # noqa: E402
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -120,17 +130,6 @@ def reference_layers(adversary, depth: int, backend: str):
 #: 7 processes) and depth column, and of a layer's parents column.
 OWNER_WIDTH, DEPTH_WIDTH, PARENT_WIDTH = 1, 4, 4
 
-#: The interner columns that define its extension state: view ids are
-#: ``(row, owner)`` slots, so every column is per row.
-INTERNER_COLUMNS = (
-    "_row_owners",
-    "_row_depth",
-    "_row_masks",
-    "_row_data",
-    "_row_starts",
-    "_row_hashes",
-)
-
 
 def input_width(space) -> int:
     """Bytes per input index: int8 up to 128 assignments, int16 beyond."""
@@ -143,11 +142,17 @@ def assert_column(column, reference, width: int, label) -> None:
     assert plain_ids(column) == list(reference), label
 
 
+def structures(interner, ids, cache) -> list:
+    """The canonical view structure of every id of a flat level column."""
+    return [structure(interner, vid, cache) for vid in plain_ids(ids)]
+
+
 def assert_interners_match(interner, reference) -> None:
+    """Same view and row counts, at the interner's narrow column widths."""
     assert interner._row_owners.itemsize == OWNER_WIDTH
     assert interner._row_depth.itemsize == DEPTH_WIDTH
-    for name in INTERNER_COLUMNS:
-        assert list(getattr(interner, name)) == list(getattr(reference, name)), name
+    assert len(interner) == len(reference)
+    assert interner.stats().rows == reference.stats().rows
 
 
 def assert_layers_match(adversary, depth: int, backend: str) -> None:
@@ -157,9 +162,12 @@ def assert_layers_match(adversary, depth: int, backend: str) -> None:
     frontier.ensure_depth(depth)
     layers, reference = reference_layers(adversary, depth, backend)
     width = input_width(space)
+    cache: dict = {}
+    reference_cache: dict = {}
     for t, (flat, parents, input_idx, graphs, states) in enumerate(layers):
         store = space.layer_store(t)
-        assert plain_ids(store.levels.ids) == list(flat), t
+        expected = structures(reference, flat, reference_cache)
+        assert structures(space.interner, store.levels.ids, cache) == expected, t
         assert_column(store.parents, parents, PARENT_WIDTH, t)
         assert_column(store.input_idx, input_idx, width, t)
         assert list(store.graphs) == graphs, t
@@ -170,8 +178,7 @@ def assert_layers_match(adversary, depth: int, backend: str) -> None:
         assert kept.condensed == (t < depth), t
         assert_column(kept.parents, parents, PARENT_WIDTH, t)
         assert_column(kept.input_idx, input_idx, width, t)
-    assert len(space.interner) == len(reference)
-    assert space.interner.stats().rows == reference.stats().rows
+    assert structures(frontier.interner, kept.levels.ids, {}) == expected
     assert_interners_match(space.interner, reference)
     assert_interners_match(frontier.interner, reference)
     # Materialized nodes read plain ints off the narrow columns.
