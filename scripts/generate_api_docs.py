@@ -56,7 +56,7 @@ def main() -> None:
             lines.append("")
             continue
         for item_name in exported:
-            item = getattr(module, item_name, None)
+            item = getattr(module, item_name)
             item_doc = (inspect.getdoc(item) or "").splitlines()
             summary = item_doc[0] if item_doc else ""
             kind = (

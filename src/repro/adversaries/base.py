@@ -57,7 +57,6 @@ class MessageAdversary(ABC):
         self._live_cache: frozenset | None = None
         self._state_cache: frozenset | None = None
         self._extensions_cache: dict[frozenset, tuple] = {}
-        self._ext_graphs_cache: dict[frozenset, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # Automaton interface (to be provided by subclasses)
@@ -215,13 +214,8 @@ class MessageAdversary(ABC):
         return result
 
     def extension_alphabet(self, states: frozenset) -> tuple[Digraph, ...]:
-        """The graphs of :meth:`admissible_extensions`, cached as a tuple."""
-        states = frozenset(states)
-        graphs = self._ext_graphs_cache.get(states)
-        if graphs is None:
-            graphs = tuple(g for g, _ in self.admissible_extensions(states))
-            self._ext_graphs_cache[states] = graphs
-        return graphs
+        """The graphs of :meth:`admissible_extensions`, in the same order."""
+        return tuple(graph for graph, _ in self.admissible_extensions(states))
 
     # ------------------------------------------------------------------ #
     # Word enumeration / sampling

@@ -8,8 +8,7 @@ library's workflow around four ideas:
   worker can rebuild; the unit sweep manifests are made of.
 * :class:`~repro.consensus.solvability.CheckOptions` — the checker's
   tuning knobs as one value object, instead of a pile of kwargs.
-* :class:`Session` — owns per-``n`` view interners plus default options,
-  so consecutive checks share view tables the way a sweep shard does;
+* :class:`Session` — default options plus an optional result store;
   ``session.check(...)`` accepts specs or live adversaries,
   ``session.sweep(...)`` fans a family out through any
   :class:`~repro.backends.SweepBackend` — including the crash-tolerant
@@ -63,7 +62,6 @@ from repro.consensus.solvability import (
     check_consensus_with_options,
 )
 from repro.consensus.spec import ConsensusSpec
-from repro.core.views import ViewInterner
 from repro.errors import AdversaryError
 from repro.fleet import FleetBackend
 from repro.records import (
@@ -157,13 +155,13 @@ def run_sweep(
 
 
 class Session:
-    """A reusable checking context: per-``n`` view interners + options.
+    """A reusable checking context: default options + an optional store.
 
-    Views depend only on inputs and in-neighborhoods, never on the
-    adversary, so every check the session runs for the same process count
-    shares one :class:`~repro.core.views.ViewInterner`.  Checking a family
-    through one session therefore costs what one sweep shard costs,
-    instead of rebuilding view tables per call.
+    Each check builds its own :class:`~repro.core.views.ViewInterner`
+    from the options it runs with, so a per-call ``layer_backend`` takes
+    effect and a finished check's view tables are freed with its result.
+    Callers that want to share view tables across checks on purpose pass
+    one interner to :func:`~repro.consensus.solvability.check_consensus`.
 
     Parameters
     ----------
@@ -175,8 +173,8 @@ class Session:
         (:class:`~repro.store.cache.ResultStore`, or a path that opens
         one).  With a store, :meth:`check_record` and :meth:`sweep`
         serve previously-computed verdicts as O(1) lookups — no checker
-        work, no interner growth — and write every newly computed
-        cacheable verdict back.  :meth:`check` always computes: its
+        work — and write every newly computed cacheable verdict back.
+        :meth:`check` always computes: its
         :class:`SolvabilityResult` carries live certificate objects a
         stored record cannot rebuild.
     """
@@ -192,20 +190,6 @@ class Session:
             self.store = store
         else:
             self.store = ResultStore(store)
-        self._interners: dict[int, ViewInterner] = {}
-
-    def interner(self, n: int) -> ViewInterner:
-        """The session's shared view interner for ``n`` processes.
-
-        Created with the session options' ``layer_backend``, so one switch
-        selects the whole-layer kernel for every check the session runs.
-        """
-        interner = self._interners.get(n)
-        if interner is None:
-            interner = self._interners[n] = ViewInterner(
-                n, layer_backend=self.options.layer_backend
-            )
-        return interner
 
     @staticmethod
     def _resolve(target: AdversarySpec | MessageAdversary) -> MessageAdversary:
@@ -219,13 +203,13 @@ class Session:
         options: CheckOptions | None = None,
         spec: ConsensusSpec | None = None,
     ) -> SolvabilityResult:
-        """Check one adversary (or spec) with the session's shared tables."""
-        adversary = self._resolve(target)
+        """Check one adversary (or spec) on a fresh view interner.
+
+        ``options`` (default: the session's) also pick the interner's
+        ``layer_backend``.
+        """
         return check_consensus_with_options(
-            adversary,
-            options or self.options,
-            spec=spec,
-            interner=self.interner(adversary.n),
+            self._resolve(target), options or self.options, spec=spec
         )
 
     def check_record(
@@ -238,14 +222,11 @@ class Session:
 
         The record-granular sibling of :meth:`check`: with a session
         ``store``, an already-cached (spec, options) pair is answered
-        without any checker work — the session interners are not even
-        consulted, which the cache tests assert through
-        :meth:`stats`.  Misses run through :meth:`check` (sharing the
-        session's interners as usual) and are written back, so the
-        second identical call is a hit.  Timing fields are always zero:
-        a record that may be served from cache must not depend on when
-        it was computed.  Adversaries without a canonical spec are
-        checked but never cached.
+        without any checker work.  Misses run through :meth:`check` and
+        are written back, so the second identical call is a hit.  Timing
+        fields are always zero: a record that may be served from cache
+        must not depend on when it was computed.  Adversaries without a
+        canonical spec are checked but never cached.
         """
         effective = options or self.options
         adversary_spec: AdversarySpec | None
@@ -305,8 +286,8 @@ class Session:
         ``targets`` may be ready-made :class:`SweepJob` lists or plain
         iterables of specs/adversaries (indexed in order, with the
         effective options' ``max_depth`` as each job's depth budget).
-        Backend selection matches :func:`run_sweep`; shards use their own
-        interners — process boundaries cannot share the session's tables.
+        Backend selection matches :func:`run_sweep`; shards build their
+        own interners.
         The session's ``store`` (or the per-call ``store`` override) turns
         repeat sweeps of equal specs into pure cache reads — see
         :func:`run_sweep`.
@@ -326,13 +307,5 @@ class Session:
             store=store if store is not None else self.store,
         )
 
-    def stats(self) -> dict[int, object]:
-        """Per-``n`` view-table statistics of the session's interners."""
-        return {n: interner.stats() for n, interner in sorted(self._interners.items())}
-
     def __repr__(self) -> str:
-        sizes = ", ".join(
-            f"n={n}:{len(interner)} views"
-            for n, interner in sorted(self._interners.items())
-        )
-        return f"Session({self.options!r}{'; ' + sizes if sizes else ''})"
+        return f"Session({self.options!r})"

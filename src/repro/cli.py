@@ -235,9 +235,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "--retry re-runs the records' own specs; "
                 "it cannot be combined with --family"
             )
-        jobs, skipped = retry_jobs(
-            read_jsonl(args.retry), extra_depth=extra, max_depth=absolute
-        )
+        try:
+            jobs, skipped = retry_jobs(
+                read_jsonl(args.retry), extra_depth=extra, max_depth=absolute
+            )
+        except ValueError as exc:  # a malformed records file
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if skipped:
             print(
                 f"note: {len(skipped)} undecided record(s) skipped "
@@ -484,10 +488,13 @@ def cmd_fleet_work(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import json_report_jsonl, report_jsonl
 
-    if args.json:
-        print(json_report_jsonl(args.records, top=args.top))
-    else:
-        print(report_jsonl(args.records, top=args.top))
+    render = json_report_jsonl if args.json else report_jsonl
+    try:
+        text = render(args.records, top=args.top)
+    except ValueError as exc:  # a malformed records file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 

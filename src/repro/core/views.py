@@ -126,7 +126,6 @@ __all__ = [
     "ViewStats",
     "LAYER_BACKENDS",
     "DEFAULT_LAYER_BACKEND",
-    "DEFAULT_PLAN_CACHE_SIZE",
     "numpy_available",
     "numpy_module",
 ]
@@ -149,13 +148,6 @@ LAYER_BACKENDS = ("numpy", "python")
 #: Backend used when a :class:`ViewInterner` is built without an explicit
 #: choice: ``"numpy"`` when numpy imported at module load, else ``"python"``.
 DEFAULT_LAYER_BACKEND = "python" if _np is None else "numpy"
-
-#: LRU capacity of every interner's per-alphabet extension-plan cache.
-#: Real adversary families use a handful of alphabets, so the cap only
-#: matters for long-lived sessions sweeping many distinct alphabets —
-#: exactly the case that used to grow the cache without bound.  Read at
-#: eviction time, so tests can monkeypatch it.
-DEFAULT_PLAN_CACHE_SIZE = 128
 
 #: Below this many (parent, pattern) cells the numpy batch is not worth its
 #: fixed per-call overhead; tiny layers stay on the pure-Python kernel.
@@ -490,11 +482,9 @@ class ViewStats:
 
     Beyond the view counts, the stats expose the table geometry that the
     benchmarks and the CLI use to watch interner pressure: ``rows`` is the
-    number of distinct interned child sets, ``cached_plans`` the number of
-    per-alphabet extension plans currently held (an LRU with
-    :data:`DEFAULT_PLAN_CACHE_SIZE` capacity), and ``approx_bytes`` an
-    estimate of the resident size of all tables (columns, side tables and
-    plan keys; Python object headers of shared children are not counted).
+    number of distinct interned child sets, and ``approx_bytes`` an
+    estimate of the resident size of all tables (columns and side tables;
+    Python object headers of shared children are not counted).
     """
 
     __slots__ = (
@@ -502,7 +492,6 @@ class ViewStats:
         "leaves",
         "max_depth",
         "rows",
-        "cached_plans",
         "approx_bytes",
     )
 
@@ -513,20 +502,17 @@ class ViewStats:
         max_depth: int,
         rows: int = 0,
         approx_bytes: int = 0,
-        cached_plans: int = 0,
     ) -> None:
         self.total = total
         self.leaves = leaves
         self.max_depth = max_depth
         self.rows = rows
-        self.cached_plans = cached_plans
         self.approx_bytes = approx_bytes
 
     def __repr__(self) -> str:
         return (
             f"ViewStats(total={self.total}, leaves={self.leaves}, "
             f"max_depth={self.max_depth}, rows={self.rows}, "
-            f"cached_plans={self.cached_plans}, "
             f"approx_bytes={self.approx_bytes})"
         )
 
@@ -545,10 +531,7 @@ class ViewInterner:
     ``"numpy"`` (vectorized; requires numpy), ``"python"`` (the batched
     pure-Python fallback), or ``None`` for the import-time default
     (:data:`DEFAULT_LAYER_BACKEND`).  The choice affects speed and view-id
-    numbering only, never the interned structure.  The per-alphabet
-    extension-plan LRU holds at most :data:`DEFAULT_PLAN_CACHE_SIZE`
-    plans (plans are pure functions of the alphabet, so eviction never
-    changes results).
+    numbering only, never the interned structure.
 
     Examples
     --------
@@ -574,7 +557,6 @@ class ViewInterner:
         "_row_depth",
         "_view_count",
         "_leaf_count",
-        "_plan_cache",
     )
 
     def __init__(self, n: int, layer_backend: str | None = None) -> None:
@@ -623,9 +605,6 @@ class ViewInterner:
         self._row_depth = array("i")
         self._view_count = 0
         self._leaf_count = 0
-        # Per-alphabet extension plan LRU: distinct (p, in-neighborhood)
-        # patterns in first-occurrence order + per-graph assembly layouts.
-        self._plan_cache: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # The interned child-row arena
@@ -1004,19 +983,24 @@ class ViewInterner:
         probe per process.  Origin *values* of the new views are
         materialized lazily (only :meth:`origins` and :meth:`input_of`
         force them) — the prefix-space hot path needs only the origin
-        masks.  A level of another length or a graph on another process
-        count raises :class:`~repro.errors.AnalysisError`.
+        masks.  A level of another length, views of several depths or a
+        graph on another process count raise
+        :class:`~repro.errors.AnalysisError`.
         """
         n = self.n
         if len(level) != n:
             raise AnalysisError(f"level of {len(level)} views for n={n} interner")
         self._check_graph(graph)
+        row_depth = self._row_depth
+        depths = {row_depth[v // n] for v in level}
+        if len(depths) != 1:
+            raise AnalysisError(f"level views must share a depth, got {sorted(depths)}")
+        depth = depths.pop() + 1
         in_lists = graph.in_neighbor_lists
         row_masks = self._row_masks
         owners = self._row_owners
         row_find = self._row_find
         row_add = self._row_add
-        depth = self._row_depth[level[0] // n] + 1
         if not self._has_room(n, n * n):
             self._reserve(*self._batch_need(level, in_lists))
         sorted_level: tuple[int, ...] | None = None
@@ -1058,36 +1042,19 @@ class ViewInterner:
 
         Alphabets repeat in-rows across their graphs (e.g. every graph in
         which ``p`` hears everyone shares a row); which rows coincide is a
-        property of the *alphabet alone*, so the dedup is hoisted out of
-        the layer kernels and cached per graphs-tuple.  Returns
+        property of the *alphabet alone*, so the dedup runs once per group
+        alphabet of a kernel call, outside the per-parent work.  Returns
         ``(patterns, layouts)``: the distinct patterns in first-occurrence
         order and, per graph, the pattern indices assembling its level.
         :func:`_inlist_uses` groups the patterns of a layer's state groups
         by in-neighborhood, so the layer kernels share candidate-row work
         across owners and groups.  Building a plan checks every graph's
-        process count (:class:`~repro.errors.AnalysisError`), once per
-        alphabet.
-
-        The cache is an LRU holding at most :data:`DEFAULT_PLAN_CACHE_SIZE`
-        entries, one per group alphabet of :meth:`extend_layer_table`.
-        Real families use a handful of alphabets, so the working set fits
-        the cap; eviction merely recomputes (plans are pure functions of
-        the alphabet) and :class:`ViewStats` reports the live count as
-        ``cached_plans``.
+        process count (:class:`~repro.errors.AnalysisError`).
         """
-        key = tuple(graphs)
-        cache = self._plan_cache
-        plan = cache.get(key)
-        if plan is not None:
-            if next(reversed(cache)) != key:
-                # LRU touch: re-append as the most recently used entry.
-                del cache[key]
-                cache[key] = plan
-            return plan
         patterns: list[tuple[int, tuple[int, ...]]] = []
         index_of: dict = {}
         layouts = []
-        for graph in key:
+        for graph in graphs:
             self._check_graph(graph)
             layout = []
             for p, in_list in enumerate(graph.in_neighbor_lists):
@@ -1099,11 +1066,7 @@ class ViewInterner:
                     patterns.append(pattern)
                 layout.append(i)
             layouts.append(layout)
-        plan = (patterns, layouts)
-        while len(cache) >= DEFAULT_PLAN_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = plan
-        return plan
+        return patterns, layouts
 
     # ------------------------------------------------------------------ #
     # The whole-layer extension kernel
@@ -1133,9 +1096,10 @@ class ViewInterner:
         where a group's pattern reaches (:func:`_inlist_uses`).  The
         backend follows ``self.layer_backend`` (layers under
         :data:`_NUMPY_MIN_CELLS` cells in all run the Python kernel).  A
-        level of another length, a graph on another process count, or
-        groups that do not partition the layer raise
-        :class:`~repro.errors.AnalysisError` before anything is interned.
+        level of another length, views of several depths, a graph on
+        another process count, or groups that do not partition the layer
+        raise :class:`~repro.errors.AnalysisError` before anything is
+        interned.
         """
         n = self.n
         if not isinstance(table, LayerTable):
@@ -1206,10 +1170,13 @@ class ViewInterner:
         ids = plain_ids(table.ids)
         total = len(ids)
         count = total // n
-        depth = self._row_depth[ids[0] // n] + 1
+        row_depth = self._row_depth
+        depths = {row_depth[v // n] for v in ids}
+        if len(depths) != 1:
+            raise AnalysisError(f"layer views must share a depth, got {sorted(depths)}")
+        depth = depths.pop() + 1
         row_masks = self._row_masks
         owners = self._row_owners
-        row_depth = self._row_depth
         members = [None if rows is None else plain_ids(rows) for _, rows in groups]
         vid_arrs: list = [[None] * len(plan[0]) for plan, _ in groups]
         for in_list, spans, owner_pairs in uses:
@@ -1372,7 +1339,17 @@ class ViewInterner:
         n = self.n
         level_matrix = table.array()
         count = len(level_matrix)
-        depth = self._row_depth[int(level_matrix[0, 0]) // n] + 1
+        # One view column at a time; the depth window is dropped before
+        # interning appends to the depth column.
+        depth_view = np.frombuffer(self._row_depth, dtype=np.int32)
+        depth = int(depth_view[int(level_matrix[0, 0]) // n])
+        mixed = any(
+            (depth_view[level_matrix[:, p] // n] != depth).any() for p in range(n)
+        )
+        del depth_view
+        if mixed:
+            raise AnalysisError(f"layer views must share a depth, not all are at {depth}")
+        depth += 1
         owner_dtype = self._row_owners.typecode
         members = [rows for _, rows in groups]
         vid_cols: list = [[None] * len(plan[0]) for plan, _ in groups]
@@ -1566,22 +1543,11 @@ class ViewInterner:
         tuple_header = getsizeof(())
         for entry in self._origin_values.values():
             approx += tuple_header + len(entry) * (tuple_header + 16)
-        # The per-alphabet extension plans: graphs-tuple keys plus the
-        # pattern and layout structures (an LRU capped at
-        # DEFAULT_PLAN_CACHE_SIZE; the stats report the live entries).
-        approx += getsizeof(self._plan_cache)
-        for key, (patterns, layouts) in self._plan_cache.items():
-            approx += tuple_header + 8 * len(key)
-            for _, in_list in patterns:
-                approx += 2 * tuple_header + 16 + 8 * len(in_list)
-            for layout in layouts:
-                approx += getsizeof(layout)
         return ViewStats(
             self._view_count,
             self._leaf_count,
             max_depth,
             rows=len(self._row_hashes) - self._leaf_count,
-            cached_plans=len(self._plan_cache),
             approx_bytes=approx,
         )
 

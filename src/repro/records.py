@@ -238,15 +238,51 @@ class JsonlCorruption:
         )
 
 
-def _parse_record_lines(
-    path: Path, lines: list[str], tolerate_torn_tail: bool
-) -> tuple[list[RunRecord], JsonlCorruption | None]:
-    """Shared v1/v2 parsing over materialized lines.
+class _MissingField(ValueError):
+    """A record line lacks a version-1 field (tolerated on a torn tail)."""
 
-    With ``tolerate_torn_tail`` a parse failure on the *last* non-empty
-    line is reported instead of raised (mid-write kill signature); a
-    failure on any earlier line always raises — the rest of the file
-    cannot be trusted after unexplained corruption in the middle.
+    def __init__(self, path: Path, number: int, field: str) -> None:
+        super().__init__(f"{path}:{number}: record missing field {field!r}")
+        self.field = field
+
+
+def _parse_line(path: Path, number: int, line: str, first: bool) -> RunRecord | None:
+    """One non-empty JSONL line: its record, or ``None`` for the v2 header.
+
+    Every error names the file and line.  An undecodable line raises
+    :class:`json.JSONDecodeError`.  A line that is not a JSON object, a
+    header naming another schema, or a record lacking a version-1 field
+    raises :class:`ValueError`.
+    """
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}:{number}: {exc.msg}", line, exc.pos) from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}:{number}: not a record object: {line[:60]}")
+    if first and data.get("schema") is not None:
+        if data["schema"] != SCHEMA:
+            raise ValueError(
+                f"{path}:{number}: unsupported record schema "
+                f"{data['schema']!r} (this reader understands {SCHEMA!r} "
+                "and headerless v1 files)"
+            )
+        return None
+    try:
+        return RunRecord.from_dict(data)
+    except KeyError as exc:
+        raise _MissingField(path, number, exc.args[0]) from None
+
+
+def _recover_records(
+    path: Path, lines: list[str]
+) -> tuple[list[RunRecord], JsonlCorruption | None]:
+    """Parse materialized lines, reporting a bad *last* line.
+
+    An undecodable last non-empty line, or one lacking a record field, is
+    reported instead of raised (mid-write kill signature); any other
+    failure raises — the rest of the file cannot be trusted after
+    unexplained corruption in the middle.
     """
     numbered = [
         (number, line.strip())
@@ -255,34 +291,24 @@ def _parse_record_lines(
     ]
     records: list[RunRecord] = []
     for position, (number, line) in enumerate(numbered):
-        last = position == len(numbered) - 1
         try:
-            data = json.loads(line)
-            if position == 0:
-                schema = data.get("schema") if isinstance(data, dict) else None
-                if schema is not None:
-                    if schema != SCHEMA:
-                        raise ValueError(
-                            f"unsupported record schema {schema!r} "
-                            f"(this reader understands {SCHEMA!r} and "
-                            "headerless v1 files)"
-                        )
-                    continue
-            records.append(RunRecord.from_dict(data))
-        except (json.JSONDecodeError, KeyError) as exc:
-            if tolerate_torn_tail and last:
-                reason = (
-                    "truncated trailing line (mid-write kill?)"
-                    if isinstance(exc, json.JSONDecodeError)
-                    else f"trailing record missing field {exc}"
-                )
-                return records, JsonlCorruption(
-                    path=str(path),
-                    line_number=number,
-                    reason=reason,
-                    fragment=line[:120],
-                )
-            raise
+            record = _parse_line(path, number, line, position == 0)
+        except (json.JSONDecodeError, _MissingField) as exc:
+            if position < len(numbered) - 1:
+                raise
+            reason = (
+                f"trailing record missing field {exc.field!r}"
+                if isinstance(exc, _MissingField)
+                else "truncated trailing line (mid-write kill?)"
+            )
+            return records, JsonlCorruption(
+                path=str(path),
+                line_number=number,
+                reason=reason,
+                fragment=line[:120],
+            )
+        if record is not None:
+            records.append(record)
     return records, None
 
 
@@ -306,41 +332,34 @@ def read_jsonl(
     schema tags raise rather than misparse.
 
     By default returns a lazy iterator and raises
-    :class:`json.JSONDecodeError` on any malformed line.  With
-    ``recover=True`` it instead returns an eager
-    ``(records, corruption)`` pair: a torn *final* line — what a process
-    killed mid-append leaves behind — is skipped and described by a
-    :class:`JsonlCorruption` report (``corruption is None`` for a clean
-    file).  Corruption anywhere but the tail still raises: a damaged
-    middle means the file cannot be trusted at all.  The fleet merge path
-    reads every shard output this way, so worker death during a write
-    downgrades to a retriable validation failure instead of an exception.
+    :class:`json.JSONDecodeError` on any undecodable line, and
+    :class:`ValueError` naming the file and line on a line that is not a
+    record object or lacks a record field.  With ``recover=True`` it
+    instead returns an eager ``(records, corruption)`` pair: a torn or
+    field-less *final* line — what a process killed mid-append leaves
+    behind — is skipped and described by a :class:`JsonlCorruption`
+    report (``corruption is None`` for a clean file).  Corruption anywhere
+    but the tail still raises: a damaged middle means the file cannot be
+    trusted at all.  The fleet merge path reads every shard output this
+    way, so worker death during a write downgrades to a retriable
+    validation failure instead of an exception.
     """
     path = Path(path)
     if recover:
         with path.open("r", encoding="utf-8") as handle:
             lines = handle.readlines()
-        return _parse_record_lines(path, lines, tolerate_torn_tail=True)
+        return _recover_records(path, lines)
     return _iter_jsonl(path)
 
 
 def _iter_jsonl(path: Path) -> Iterator[RunRecord]:
     with path.open("r", encoding="utf-8") as handle:
         first = True
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            if first:
-                first = False
-                schema = data.get("schema")
-                if schema is not None:
-                    if schema != SCHEMA:
-                        raise ValueError(
-                            f"unsupported record schema {schema!r} "
-                            f"(this reader understands {SCHEMA!r} and "
-                            "headerless v1 files)"
-                        )
-                    continue
-            yield RunRecord.from_dict(data)
+            record = _parse_line(path, number, line, first)
+            first = False
+            if record is not None:
+                yield record

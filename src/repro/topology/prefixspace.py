@@ -462,7 +462,7 @@ class PrefixSpace:
             )
         levels = self.interner.extend_layer_table(
             current.levels,
-            [adversary.extension_alphabet(states) for states in groups],
+            [[graph for graph, _ in group_exts] for group_exts in exts],
             members,
         )
         if np is not None and not isinstance(levels.ids, np.ndarray):

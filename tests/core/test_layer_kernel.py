@@ -344,6 +344,31 @@ def test_level_of_another_length_is_refused(backend, size):
     assert (len(interner), interner.stats().rows) == before
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_views_of_several_depths_are_refused(backend):
+    """Depth-0 and depth-1 views in one call raise and intern nothing.
+
+    Every new row used to take the first view's depth plus one, so the
+    depth-2 children of ``l1`` read depth 1, and a later extension of
+    ``l1`` returned those mis-stamped rows.
+    """
+    interner = ViewInterner(2, layer_backend=backend)
+    l0 = interner.leaf_level((0, 1))
+    l1 = interner.extend_level(l0, arrow("<->"))
+    before = (len(interner), interner.stats().rows)
+    with pytest.raises(AnalysisError, match="share a depth"):
+        interner.extend_layer_table([l0, l1], (TO,))
+    with pytest.raises(AnalysisError, match="share a depth"):
+        interner.extend_layer_table([l1, l0], [[TO], [FRO]], [[1], [0]])
+    with pytest.raises(AnalysisError, match="share a depth"):
+        interner.extend_level((l0[0], l1[1]), TO)
+    assert (len(interner), interner.stats().rows) == before
+    # The refusals left every column appendable.
+    children = interner.extend_layer_table([l1, l1], (TO,)).tolist()
+    assert children == [interner.extend_level(l1, TO)] * 2
+    assert {interner.depth(vid) for vid in children[0]} == {2}
+
+
 def _ragged_layer(interner, draw_specs):
     """The depth-``d`` levels of ``(inputs, word)`` specs, one per parent."""
     levels = []
@@ -483,20 +508,6 @@ def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypat
     assert calls == space.layer_sizes()[:-1]
     assert sum(found) == 0
     assert (len(found) > 0) == (backend == "numpy")
-
-
-def test_plan_cache_reported_in_stats():
-    interner = ViewInterner(2)
-    assert interner.stats().cached_plans == 0
-    level = interner.leaf_level((0, 1))
-    before = interner.stats().approx_bytes
-    interner.extend_layer([level], lossy_link_full().alphabet())
-    stats = interner.stats()
-    assert stats.cached_plans == 1
-    assert stats.approx_bytes > before
-    # Sub-alphabets create further plans; the count tracks them.
-    interner.extend_layer([level], lossy_link_full().alphabet()[:2])
-    assert interner.stats().cached_plans == 2
 
 
 def test_layer_backend_validation():

@@ -6,7 +6,8 @@ no interner, and still returns records byte-identical to a cold
 ``record_timing=False`` serial run.
 """
 
-from repro.api import Session, run_sweep
+import repro.api
+from repro.api import Session, check_consensus_with_options, run_sweep
 from repro.adversaries import two_process_oblivious_family
 from repro.backends import SerialBackend, jobs_for
 from repro.consensus.census import two_process_census
@@ -138,15 +139,23 @@ def test_run_sweep_store_with_timing_zeroes_only_hits(tmp_path):
     assert hot[0].to_dict() == cold[0].to_dict()
 
 
-def test_session_check_record_zero_work_on_second_call(tmp_path):
+def test_session_check_record_zero_work_on_second_call(tmp_path, monkeypatch):
     session = Session(OPTIONS, store=tmp_path)
-    [spec] = specs_for(1)
+    spec, other = specs_for(2)
     cold = session.check_record(spec)
-    stats_after_cold = repr(session.stats())
+    checks = []
+
+    def spy(*args, **kwargs):
+        checks.append(args)
+        return check_consensus_with_options(*args, **kwargs)
+
+    monkeypatch.setattr(repro.api, "check_consensus_with_options", spy)
     hot = session.check_record(spec)
-    # The session's interners were not even consulted, let alone grown.
-    assert repr(session.stats()) == stats_after_cold
+    # The hit never reached the checker; a miss does.
+    assert checks == []
     assert session.store.hits == 1
+    session.check_record(other)
+    assert len(checks) == 1
     assert hot.to_dict() == cold.to_dict()
     assert hot.elapsed_s == 0.0 and hot.views_interned == 0
 

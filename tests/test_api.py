@@ -1,15 +1,17 @@
 """Tests for the public experiment API: specs, options, sessions, shims."""
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.specs as specs_module
+import repro.topology.prefixspace as prefixspace_module
 from repro import AdversarySpec, CheckOptions, Session
 from repro.adversaries import (
-    ObliviousAdversary,
     SafetyAdversary,
     lossy_link_full,
     lossy_link_no_hub,
@@ -24,6 +26,7 @@ from repro.consensus.solvability import (
     check_consensus_with_options,
 )
 from repro.core.digraph import arrow
+from repro.core.views import ViewInterner, numpy_available
 from repro.errors import AdversaryError, AnalysisError
 from repro.records import certificate_summary
 from repro.specs import (
@@ -396,16 +399,6 @@ class TestSession:
         by_adversary = session.check(lossy_link_no_hub())
         assert by_spec.status == by_adversary.status
 
-    def test_interners_shared_across_checks(self):
-        session = Session(CheckOptions(max_depth=5))
-        session.check(lossy_link_no_hub())
-        views_after_first = len(session.interner(2))
-        session.check(ObliviousAdversary(2, [arrow("->")]))
-        # The singleton adversary's views were already interned by the
-        # first check: the shared table did not grow.
-        assert len(session.interner(2)) == views_after_first
-        assert set(session.stats()) == {2}
-
     def test_sweep_uses_session_depth_and_writes_jsonl(self, tmp_path):
         from repro.records import read_jsonl
 
@@ -479,18 +472,49 @@ class TestRandomRootedSpecs:
         assert list(reversed(reversed_graphs)) == in_order_graphs
 
 
+ONLY_TO = AdversarySpec("named", {"name": "only-to"})
+
+
+def _check_interner(session, options=None):
+    """The interner of a table-certified session check."""
+    result = session.check(ONLY_TO, options=options)
+    assert result.decision_table is not None
+    return result.decision_table.space.interner
+
+
 class TestLayerBackendOption:
     def test_roundtrips_and_reaches_session_interners(self):
         options = CheckOptions(max_depth=4, layer_backend="python")
         assert CheckOptions.from_dict(options.to_dict()) == options
         session = Session(options)
-        assert session.interner(2).layer_backend == "python"
+        assert _check_interner(session).layer_backend == "python"
 
     def test_default_follows_import_time_selection(self):
         from repro.core.views import DEFAULT_LAYER_BACKEND
 
         session = Session(CheckOptions(max_depth=4))
-        assert session.interner(2).layer_backend == DEFAULT_LAYER_BACKEND
+        assert _check_interner(session).layer_backend == DEFAULT_LAYER_BACKEND
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs the numpy backend")
+    def test_per_call_backend_overrides_the_session_default(self):
+        session = Session(CheckOptions(max_depth=4, layer_backend="numpy"))
+        assert _check_interner(session).layer_backend == "numpy"
+        options = CheckOptions(max_depth=4, layer_backend="python")
+        assert _check_interner(session, options).layer_backend == "python"
+
+    def test_finished_check_releases_its_interner(self, monkeypatch):
+        # ViewInterner's slots leave out __weakref__; a subclass adds it.
+        class Tracked(ViewInterner):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(prefixspace_module, "ViewInterner", Tracked)
+        session = Session(CheckOptions(max_depth=4))
+        interner = _check_interner(session)
+        assert isinstance(interner, Tracked)
+        ref = weakref.ref(interner)
+        del interner
+        gc.collect()
+        assert ref() is None
 
     def test_manifest_carries_the_backend_to_shard_runners(self, tmp_path):
         from repro.backends import load_manifest, write_manifest
@@ -508,7 +532,6 @@ class TestLayerBackendOption:
 
     def test_backend_choice_does_not_change_verdicts(self):
         from repro.adversaries import two_process_oblivious_family
-        from repro.core.views import numpy_available
         from repro.api import jobs_for
 
         backends = ["python"] + (["numpy"] if numpy_available() else [])

@@ -7,6 +7,7 @@ still returned; damage anywhere else stays fatal.
 """
 
 import json
+import re
 
 import pytest
 
@@ -84,3 +85,63 @@ def test_recover_reads_headerless_v1_files(written, tmp_path):
     recovered, corruption = read_jsonl(v1, recover=True)
     assert corruption is None
     assert [r.index for r in recovered] == [r.index for r in records]
+
+
+def _rewrite(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+#: Files whose line ``number`` is not a record: (lines, number).  The
+#: header and records come from the ``written`` fixture.
+NOT_RECORDS = {
+    "first-line-array": (lambda h, r: ["[1, 2]", *r], 1),
+    "middle-string": (lambda h, r: [h, r[0], '"text"', *r[1:]], 3),
+    "final-number": (lambda h, r: [h, *r, "3"], 6),
+    "headerless-missing-fields": (lambda h, r: ['{"index": 0}', *r], 1),
+}
+
+
+@pytest.mark.parametrize("recover", [False, True], ids=["lazy", "recover"])
+@pytest.mark.parametrize("case", sorted(NOT_RECORDS))
+def test_non_record_line_raises_value_error_naming_it(written, case, recover):
+    path, _ = written
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    build, number = NOT_RECORDS[case]
+    _rewrite(path, build(header, records))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{number}: ") as info:
+        if recover:
+            read_jsonl(path, recover=True)
+        else:
+            list(read_jsonl(path))
+    assert not isinstance(info.value, json.JSONDecodeError)
+
+
+def test_lone_field_less_line_is_a_torn_tail_only_when_recovering(tmp_path):
+    path = tmp_path / "one.jsonl"
+    _rewrite(path, ['{"index": 0}'])
+    with pytest.raises(ValueError, match="missing field 'adversary'"):
+        list(read_jsonl(path))
+    records, corruption = read_jsonl(path, recover=True)
+    assert records == []
+    assert corruption.line_number == 1
+    assert "missing field" in corruption.reason
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["report", "{}"], ["report", "{}", "--json"], ["sweep", "--retry", "{}"]],
+    ids=["report", "report-json", "sweep-retry"],
+)
+@pytest.mark.parametrize(
+    "line", ["[1, 2]", '{"index": 0', '{"index": 0}'], ids=["array", "torn", "field-less"]
+)
+def test_cli_reports_a_bad_records_file_in_one_line(tmp_path, capsys, command, line):
+    from repro.cli import main
+
+    path = tmp_path / "bad.jsonl"
+    _rewrite(path, [line])
+    assert main([word.format(path) for word in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [message] = captured.err.splitlines()
+    assert message.startswith(f"error: {path}:1: ")

@@ -87,6 +87,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "SOLVABLE" in out
 
+    def test_check_stats_prints_the_view_tables_of_the_run(self, capsys):
+        from repro.consensus import check_consensus
+
+        argv = ["check", "--adversary", "sw-n3-1", "--max-depth", "3", "--stats"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        interner = ViewInterner(3)
+        check_consensus(ADVERSARIES["sw-n3-1"](), max_depth=3, interner=interner)
+        assert lines[-1] == f"  view tables: {interner.stats()!r}"
+
     def test_check_unknown_adversary(self):
         with pytest.raises(SystemExit):
             main(["check", "--adversary", "bogus"])
