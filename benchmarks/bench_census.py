@@ -8,8 +8,7 @@ reconstruction.
 
 The sweep-engine entries measure the sharded execution paths added for the
 oblivious-adversary studies (Winkler et al., arXiv:2202.12397): the serial
-engine path (one shared interner per shard and process count) and the
-4-worker process fan-out.  The two-process family itself finishes in a few
+engine path (a fresh interner per job) and the 4-worker process fan-out.  The two-process family itself finishes in a few
 milliseconds, so process fan-out can only lose there — the multi-core win
 is measured on the heavier random rooted n=5 family, and the "parallel
 beats serial" assertion is gated on the machine actually having multiple
@@ -122,7 +121,7 @@ def _rooted_jobs():
 
 @pytest.mark.bench_deep
 def test_rooted_census_sweep_serial(benchmark):
-    """Engine serial path on the rooted n=5 family (shared interner)."""
+    """Engine serial path on the rooted n=5 family (one interner per job)."""
     jobs = _rooted_jobs()
     records = benchmark.pedantic(lambda: run_sweep(jobs, workers=1), rounds=3, iterations=1)
     statuses = {record.status for record in records}
@@ -140,8 +139,8 @@ def test_rooted_census_sweep_parallel(benchmark):
 
     On a machine with at least as many cores as workers this must beat the
     serial engine wall-clock; on smaller or 1-core runners the assertion
-    is skipped (each forked shard rebuilds its own interner, so with fewer
-    cores than workers the comparison is legitimately unstable) — the
+    is skipped (with fewer cores than workers the comparison is
+    legitimately unstable) — the
     fan-out still runs and its records must match the serial ones.
     """
     jobs = _rooted_jobs()

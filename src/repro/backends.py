@@ -18,8 +18,8 @@ The sweep engine classifies a family of adversaries by fanning independent
 
 All backends return the same :class:`~repro.records.RunRecord` list,
 sorted by job index, and accept ``record_timing=False`` to zero the
-run-dependent observability fields (``elapsed_s`` wall-clock and
-``views_interned`` interner-reuse counts) — this makes equal-spec runs
+observability fields (``elapsed_s`` wall-clock and the per-check
+``views_interned`` count) — this makes equal-spec runs
 byte-identical across backends *and shard counts*, which the tests (and
 the fault-tolerance guarantees of :mod:`repro.fleet`) assert.
 """
@@ -57,12 +57,6 @@ __all__ = [
 
 #: Schema tag of shard manifest files (defined in :mod:`repro.schemas`).
 MANIFEST_SCHEMA = SWEEP_MANIFEST
-
-#: View count past which a shard stops sharing its interner for a process
-#: count: the next job of that count starts a fresh one, so a long shard
-#: holds at most this many views plus one job's.  A census shard (about
-#: 500 random rooted n=4 jobs at depth 6) interns 136k-291k views.
-_SHARD_VIEW_BUDGET = 1_000_000
 
 
 class SweepJob:
@@ -228,37 +222,30 @@ def iter_job_records(
 ) -> Iterator[RunRecord]:
     """Run one shard's jobs inline, yielding each record as it finishes.
 
-    Interners are shared per process count across the shard's jobs until
-    one holds :data:`_SHARD_VIEW_BUDGET` views; the next job of that
-    count then starts a fresh interner, which bounds the shard's memory
-    without changing any verdict.  The streaming shape is what the fleet
-    worker consumes — it appends each record to its shard output (and
-    checks its lease) between checks, so a killed worker leaves a
-    readable record prefix rather than nothing.  With
-    ``record_timing=False`` the two run-dependent observability fields
-    (``elapsed_s`` and ``views_interned`` — the latter depends on how
-    jobs were sharded across interners) are zeroed, so equal-spec runs
-    are byte-identical across backends and shard counts.
+    Each job checks on a fresh interner of its own, so a shard holds one
+    job's views at a time, every depth of a check appends its rows without
+    building the row index (see :mod:`repro.core.views`), and a record's
+    ``views_interned`` is that check's view count whatever the job order.
+    The streaming shape is what the fleet worker consumes — it appends
+    each record to its shard output (and checks its lease) between
+    checks, so a killed worker leaves a readable record prefix rather
+    than nothing.  With ``record_timing=False`` the two observability
+    fields (``elapsed_s`` and ``views_interned``) are zeroed, so
+    equal-spec runs are byte-identical across backends and shard counts.
     """
     from repro.consensus.solvability import check_consensus_with_options
 
     base = options or CheckOptions()
-    interners: dict[int, ViewInterner] = {}
     for job in jobs:
         adversary = job.adversary
-        interner = interners.get(adversary.n)
-        if interner is None or len(interner) >= _SHARD_VIEW_BUDGET:
-            interner = interners[adversary.n] = ViewInterner(
-                adversary.n, layer_backend=base.layer_backend
-            )
-        before = len(interner)
+        interner = ViewInterner(adversary.n, layer_backend=base.layer_backend)
         start = time.perf_counter()
         result = check_consensus_with_options(
             adversary, base.replace(max_depth=job.max_depth), interner=interner
         )
         elapsed = time.perf_counter() - start
         spec = job.spec
-        yield RunRecord(
+        record = RunRecord(
             index=job.index,
             adversary=adversary.name,
             n=adversary.n,
@@ -268,13 +255,17 @@ def iter_job_records(
             certified_depth=result.certified_depth,
             certificate=certificate_summary(result),
             elapsed_s=elapsed if record_timing else 0.0,
-            views_interned=(len(interner) - before) if record_timing else 0,
+            views_interned=len(interner) if record_timing else 0,
             shard=shard,
             tags=job.tags,
             family=spec.family if spec is not None else None,
             seed=spec.seed if spec is not None else None,
             spec=spec.to_dict() if spec is not None else None,
         )
+        # Free the job's tables (the result's decision table holds its
+        # prefix space) before the consumer and the next job run.
+        del result, interner
+        yield record
 
 
 def _run_jobs(

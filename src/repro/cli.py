@@ -239,7 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             jobs, skipped = retry_jobs(
                 read_jsonl(args.retry), extra_depth=extra, max_depth=absolute
             )
-        except ValueError as exc:  # a malformed records file
+        except (OSError, ValueError) as exc:  # an unreadable or malformed records file
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if skipped:
@@ -491,7 +491,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     render = json_report_jsonl if args.json else report_jsonl
     try:
         text = render(args.records, top=args.top)
-    except ValueError as exc:  # a malformed records file
+    except (OSError, ValueError) as exc:  # an unreadable or malformed records file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

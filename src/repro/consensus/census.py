@@ -8,8 +8,8 @@ it reports exactly where the heuristic baseline diverges from the certified
 checker.
 
 Both censuses run on the sweep engine (:func:`repro.api.run_sweep`) on
-every path: ``workers=1`` runs the inline serial backend, which shares one
-view interner per process count across the family, and ``workers > 1``
+every path: ``workers=1`` runs the inline serial backend, which checks
+each adversary on a fresh view interner of its own, and ``workers > 1``
 (or an explicit :class:`~repro.backends.SweepBackend`) fans the checker
 jobs out.  Every row is a :class:`~repro.records.RunRecord` from the
 sweep engine — with the census's ``oracle``/``cgp`` cross-validation

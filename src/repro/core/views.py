@@ -33,16 +33,27 @@ owner, row, depth and origin mask of a view all come from ``vid // n``
 and ``vid % n``.  A leaf ``(p, x_p)`` is an owner-only row with no
 children.  Child rows (sorted view-id sets) live flat in an arena
 (``_row_data`` + ``_row_starts`` offsets, both int32): no per-row Python
-tuple is ever stored.  Row interning goes through a packed-key
+tuple is ever stored.  Row lookups go through a packed-key
 open-addressing table (``_row_slots``, int32 row ids): the low 32 bits
 of a 64-bit mix of the child ids are the probe key, kept per row
-(``_row_hashes``, uint32) so table growth rehashes without touching row
+(``_row_hashes``, uint32) so rows are placed without touching row
 contents, and collisions resolve by comparing against the arena.  The
-probe and the rehash read only ``key & mask``, and with int32 row ids the
-table never holds more than ``2**32`` slots, so 32 key bits lose nothing.
-A leaf row is keyed by its own row id; being empty, it never matches a
-child-row probe, and leaves are found through the ``(p, value)`` leaf
-table.
+probe and the placement read only ``key & mask``, and with int32 row ids
+the table never holds more than ``2**32`` slots, so 32 key bits lose
+nothing.  A leaf row is keyed by its own row id; being empty, it never
+matches a child-row probe, and leaves are found through the
+``(p, value)`` leaf table.
+
+The table is an index built on demand.  A depth-``t`` row holds
+depth-``t - 1`` views, so it can only equal another depth-``t`` row, and
+the layer kernels intern each depth's distinct rows in one call: a kernel
+call at a depth that holds no rows yet appends its rows without probing
+or placing them.  Those rows stay unindexed until a lookup needs them — a
+kernel call at a depth that already has rows, :meth:`ViewInterner.node`,
+:meth:`ViewInterner.extend_level` or a new leaf — which first places
+every unindexed row (the catch-up).  A single check on a fresh interner
+never places a child row; an interner shared on purpose still
+hash-conses exactly.
 
 Slot ids leave gaps — the slots of owners a row has no view for — so ids
 are not ``0 .. len - 1``: ``len()`` counts views (set owner bits), an
@@ -72,20 +83,20 @@ never expands into per-child Python tuples on the hot path.  The kernel
 works per distinct *in-neighborhood* across all groups' alphabets (child
 rows depend on the in-list only, never on the owner or the group): it
 builds the candidate child rows of every parent that uses it, deduplicates
-them at once, interns each distinct row a single time through the
-open-addressing row table, and creates views at unique-row granularity: a
-child column is ``urid * n + p``, with owner ``p``'s bit set on the rows
-of the groups whose alphabet has the pattern ``(p, in-list)``.  Two
-backends implement the batch, and each assembles the child column once:
+them at once, interns each distinct row a single time (appended, or
+probed in the row table when the depth already holds rows), and creates
+views at unique-row granularity: a child column is ``urid * n + p``, with
+owner ``p``'s bit set on the rows of the groups whose alphabet has the
+pattern ``(p, in-list)``.  Two backends implement the batch, and each
+assembles the child column once:
 
 * ``"numpy"`` — the layer column becomes one int32 matrix; candidate rows
   are gathered/sorted/uniqued as packed int64 key columns (``np.unique``-based
-  bulk interning: row hashes for the open-addressing probe are computed
-  vectorized over the distinct rows), and owner bits are set through
-  vectorized gathers over the interner's buffer-backed row columns.  Selected
-  by default when numpy imports (set ``REPRO_PURE_PYTHON=1`` to veto at
-  import time); layers under :data:`_NUMPY_MIN_CELLS` cells run the
-  Python kernel.
+  bulk interning: row keys are computed vectorized over the distinct
+  rows), and owner bits are set through vectorized gathers over the
+  interner's buffer-backed row columns.  Selected by default when numpy
+  imports (set ``REPRO_PURE_PYTHON=1`` to veto at import time); layers
+  under :data:`_NUMPY_MIN_CELLS` cells run the Python kernel.
 * ``"python"`` — the same batched structure in pure Python, so
   ``dependencies = []`` stays true and the kernel is always available.
 
@@ -153,9 +164,10 @@ DEFAULT_LAYER_BACKEND = "python" if _np is None else "numpy"
 #: fixed per-call overhead; tiny layers stay on the pure-Python kernel.
 _NUMPY_MIN_CELLS = 192
 
-#: Rows the vectorized row-table rehash places per chunk.  Its index and
-#: row-id temporaries are sized by the chunk, not by every row, so growing
-#: a million-row table allocates a few MB instead of a few dozen.
+#: Rows the vectorized row-table placement (rehash or catch-up) places per
+#: chunk.  Its index and row-id temporaries are sized by the chunk, not by
+#: every row, so indexing a million rows allocates a few MB instead of a
+#: few dozen.
 _REHASH_CHUNK = 1 << 16
 
 _MASK64 = (1 << 64) - 1
@@ -524,8 +536,10 @@ class ViewInterner:
     ids are only comparable within the interner that produced them.  Because
     views depend only on inputs and in-neighborhoods — never on the
     adversary that generated a prefix — one interner may also be shared
-    *across* adversaries of the same ``n``, which is how the sweep engine
-    reuses view tables between jobs of one shard.
+    *across* checks and adversaries of the same ``n``
+    (``check_consensus(..., interner=...)``); the row index then catches
+    up before the second check's lookups, so equal views keep equal ids.
+    Sweeps give each job a fresh interner, which never builds the index.
 
     ``layer_backend`` selects the whole-layer extension kernel backend:
     ``"numpy"`` (vectorized; requires numpy), ``"python"`` (the batched
@@ -552,6 +566,8 @@ class ViewInterner:
         "_row_hashes",
         "_row_slots",
         "_row_slot_mask",
+        "_rows_indexed",
+        "_held_depths",
         "_row_masks",
         "_row_owners",
         "_row_depth",
@@ -583,16 +599,21 @@ class ViewInterner:
         # Leaf table: (p, value) -> vid.
         self._leaf_table: dict = {}
         # Child rows live flat in an arena (``_row_data`` + ``_row_starts``
-        # offsets) and are interned through a packed-key open-addressing
+        # offsets) and are looked up through a packed-key open-addressing
         # table: ``_row_slots`` holds row ids, probed at ``key & mask``
         # with linear probing, and ``_row_hashes`` keeps each row's 32-bit
-        # key so growth rehashes by gather.  Ids, offsets and slots are
-        # int32.
+        # key so rows are placed by gather.  Ids, offsets and slots are
+        # int32.  Rows ``0 .. _rows_indexed - 1`` are placed; later rows
+        # were appended without a lookup and wait for the catch-up
+        # (:meth:`_index_rows`).  ``_held_depths`` records the depths that
+        # hold rows, so a kernel call knows whether its rows can repeat.
         self._row_data = array("i")
         self._row_starts = array("i", [0])
         self._row_hashes = array("I")
         self._row_slots = array("i", [-1]) * 64
         self._row_slot_mask = 63
+        self._rows_indexed = 0
+        self._held_depths: set[int] = set()
         # Per-row columns; view ``rid * n + p`` exists iff bit ``p`` of
         # ``_row_owners[rid]`` is set.  A view's origin mask is the union
         # of its children's masks, which depends on the row only, so it
@@ -615,7 +636,8 @@ class ViewInterner:
 
         Returns ``(rid, slot)``: ``rid >= 0`` when the row is interned;
         otherwise ``rid == -1`` and ``slot`` is the insertion point (valid
-        until the next insert or rehash).
+        until the next insert or rehash).  Sees only indexed rows: callers
+        catch the index up first (:meth:`_index_rows`).
         """
         slots = self._row_slots
         mask = self._row_slot_mask
@@ -643,7 +665,8 @@ class ViewInterner:
     ) -> int:
         """Append a fresh row, owning no view yet, at ``slot``.
 
-        The caller reserves the id room first (:meth:`_reserve`).
+        ``slot`` comes from a probe of the caught-up index; the caller
+        reserves the id room first (:meth:`_reserve`).
         """
         rid = len(self._row_hashes)
         self._row_data.extend(kids)
@@ -652,40 +675,82 @@ class ViewInterner:
         self._row_masks.append(mask_value)
         self._row_owners.append(0)
         self._row_depth.append(depth)
+        self._held_depths.add(depth)
         self._row_slots[slot] = rid
+        self._rows_indexed = rid + 1
         if (rid + 2) * 3 >= len(self._row_slots) * 2:
             self._row_rehash()
         return rid
 
-    def _row_rehash(self, size: int | None = None) -> None:
-        """Grow the probe table (4x by default) and re-place every row.
+    def _probe_depth(self, depth: int) -> bool:
+        """Whether a kernel call interning rows of ``depth`` must probe.
 
-        Placement goes by the stored per-row key — row contents (and the
-        old table) are never re-read.  With numpy available and enough
-        rows, placement runs in fixed chunks of :data:`_REHASH_CHUNK` rows,
-        so its temporaries are sized by the chunk: each chunk first steps
-        its probe cursors past the slots earlier chunks hold, then resolves
-        its own collisions by iterated last-write-wins scatter.  Without
-        numpy, or below 4096 rows, placement is a per-row Python loop.
-        Probe cursors are int64; the slots hold int32 row ids.
+        Decided once per call, before anything is interned, and the depth
+        counts as held from then on.  A depth that holds no rows cannot
+        repeat one: a row's children are owned by exactly the processes of
+        its in-list, so rows of different in-lists never coincide, and
+        each in-list's rows are deduplicated before they are interned.
         """
+        probe = depth in self._held_depths
+        self._held_depths.add(depth)
+        return probe
+
+    def _index_rows(self, more: int = 0) -> None:
+        """The catch-up: place every unindexed row before a lookup.
+
+        Grows the table through :meth:`_row_rehash` only when the load
+        bound requires it, counting ``more`` rows about to be placed;
+        otherwise places just the rows not yet indexed.
+        """
+        nrows = len(self._row_hashes)
+        if self._rows_indexed == nrows and not more:
+            return
+        size = len(self._row_slots)
+        while (nrows + more + 2) * 3 >= size * 2:
+            size *= 2
+        if size != len(self._row_slots):
+            self._row_rehash(size=size)
+        else:
+            self._place_rows()
+
+    def _row_rehash(self, size: int | None = None) -> None:
+        """Grow the probe table (4x by default) and place every row anew."""
         if size is None:
             size = len(self._row_slots) * 4
-        mask = size - 1
+        self._row_slots = array("i", [-1]) * size
+        self._row_slot_mask = size - 1
+        self._rows_indexed = 0
+        self._place_rows()
+
+    def _place_rows(self) -> None:
+        """Place the unindexed rows into the probe table by their keys.
+
+        Placement goes by the stored per-row key — row contents are never
+        re-read — and rows already placed stay where they are.  With numpy
+        available and at least 4096 rows to place, placement runs in fixed
+        chunks of :data:`_REHASH_CHUNK` rows, so its temporaries are sized
+        by the chunk: each chunk first steps its probe cursors past the
+        slots already held, then resolves its own collisions by iterated
+        last-write-wins scatter.  Otherwise placement is a per-row Python
+        loop.  Probe cursors are int64; the slots hold int32 row ids.  The
+        caller sizes the table for the load bound.
+        """
+        first = self._rows_indexed
         nrows = len(self._row_hashes)
-        slots = array("i", [-1]) * size
-        if _np is not None and nrows >= 4096:
+        slots = self._row_slots
+        mask = self._row_slot_mask
+        if _np is not None and nrows - first >= 4096:
             np = _np
             slots_np = np.frombuffer(slots, dtype=np.int32)
             hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
             umask = np.uint32(mask)
-            for lo in range(0, nrows, _REHASH_CHUNK):
+            for lo in range(first, nrows, _REHASH_CHUNK):
                 hi = min(lo + _REHASH_CHUNK, nrows)
                 idx = (hashes_np[lo:hi] & umask).astype(np.int64)
                 rids = np.arange(lo, hi, dtype=np.int32)
                 while len(rids):
-                    # Step past held slots (earlier chunks' rows, earlier
-                    # winners) first, so no scatter lands on a placed row.
+                    # Step past held slots (placed rows, earlier chunks,
+                    # earlier winners) first, so no scatter lands on one.
                     held = np.flatnonzero(slots_np[idx] >= 0)
                     while len(held):
                         idx[held] = (idx[held] + 1) & mask
@@ -697,87 +762,88 @@ class ViewInterner:
             del slots_np, hashes_np
         else:
             hashes = self._row_hashes
-            for rid in range(nrows):
+            for rid in range(first, nrows):
                 idx = hashes[rid] & mask
                 while slots[idx] >= 0:
                     idx = (idx + 1) & mask
                 slots[idx] = rid
-        self._row_slots = slots
-        self._row_slot_mask = mask
+        self._rows_indexed = nrows
 
-    def _intern_rows_numpy(self, np, uniq, hashes, k: int, depth: int):
+    def _intern_rows_numpy(self, np, uniq, hashes, k: int, depth: int, probe: bool):
         """Bulk-intern distinct candidate rows of depth ``depth``, vectorized.
 
         ``uniq`` is the ``(count, k)`` matrix of distinct sorted rows,
-        ``hashes`` their uint32 keys.  Probing gathers the
-        open-addressing table through transient buffer windows (key hits
-        verify against the arena, mismatches advance their probe cursor),
-        fresh rows append to the arena and the per-row columns in one
+        ``hashes`` their uint32 keys.  Without ``probe`` (the kernel call
+        found no row of this depth) every row is fresh: they append, in
+        order, and stay unindexed.  With it, the index catches up with
+        room for every row, probing gathers the open-addressing table
+        through transient buffer windows (key hits verify against the
+        arena, mismatches advance their probe cursor), and only the fresh
+        rows append and take a slot, by iterated last-write-wins scatter.
+        Fresh rows append to the arena and the per-row columns in one
         contiguous copy each (origin masks fold from the children's rows;
-        owner masks start empty), and their slot placement resolves
-        contention by iterated last-write-wins scatter.  Returns the
-        int64 row id per input row, ready for ``rid * n + p``.  Raises
+        owner masks start empty).  Returns the int64 row id per input row,
+        ready for ``rid * n + p``.  Raises
         :class:`~repro.errors.CapacityError` before appending rows or
         arena cells past :data:`_ID_LIMIT`.
         """
         count = len(uniq)
         nrows = len(self._row_hashes)
-        # Pre-grow for the all-fresh worst case: at most one rehash per
-        # batch, and the probe below never observes a resize.
-        size = len(self._row_slots)
-        while (nrows + count + 2) * 3 >= size * 2:
-            size *= 2
-        if size != len(self._row_slots):
-            self._row_rehash(size=size)
-        slot_mask = self._row_slot_mask
-        slots_np = np.frombuffer(self._row_slots, dtype=np.int32)
-        row_hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
-        starts_np = np.frombuffer(self._row_starts, dtype=np.int32)
-        data_np = np.frombuffer(self._row_data, dtype=np.int32)
-        idx = (hashes & np.uint32(slot_mask)).astype(np.int64)
-        rids = np.full(count, -1, dtype=np.int64)
-        found_slot = np.full(count, -1, dtype=np.int64)
-        unresolved = np.arange(count, dtype=np.int64)
-        while len(unresolved):
-            cur_idx = idx[unresolved]
-            cur = slots_np[cur_idx]
-            empty = cur < 0
-            if empty.any():
-                found_slot[unresolved[empty]] = cur_idx[empty]
-            occupied = unresolved[~empty]
-            if not len(occupied):
-                break
-            occ_rids = cur[~empty]
-            resolved = np.zeros(len(occupied), dtype=bool)
-            hit_pos = np.flatnonzero(row_hashes_np[occ_rids] == hashes[occupied])
-            if len(hit_pos):
-                cand_rows = occupied[hit_pos]
-                cand_rids = occ_rids[hit_pos]
-                s = starts_np[cand_rids]
-                length_ok = (starts_np[cand_rids + 1] - s) == k
-                eq = np.zeros(len(hit_pos), dtype=bool)
-                sub = np.flatnonzero(length_ok)
-                if len(sub):
-                    ss = s[sub]
-                    sub_eq = np.ones(len(sub), dtype=bool)
-                    for j in range(k):
-                        sub_eq &= data_np[ss + j] == uniq[cand_rows[sub], j]
-                    eq[sub] = sub_eq
-                match_sel = hit_pos[eq]
-                rids[occupied[match_sel]] = occ_rids[match_sel]
-                resolved[match_sel] = True
-            advance = occupied[~resolved]
-            idx[advance] = (idx[advance] + 1) & slot_mask
-            unresolved = advance
-        del starts_np, data_np, row_hashes_np
-        fresh_rows = np.flatnonzero(rids < 0)
-        total_fresh = len(fresh_rows)
+        if probe:
+            # At most one rehash per batch, and the probe below never
+            # observes a resize.
+            self._index_rows(more=count)
+            slot_mask = self._row_slot_mask
+            slots_np = np.frombuffer(self._row_slots, dtype=np.int32)
+            row_hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
+            starts_np = np.frombuffer(self._row_starts, dtype=np.int32)
+            data_np = np.frombuffer(self._row_data, dtype=np.int32)
+            idx = (hashes & np.uint32(slot_mask)).astype(np.int64)
+            rids = np.full(count, -1, dtype=np.int64)
+            found_slot = np.full(count, -1, dtype=np.int64)
+            unresolved = np.arange(count, dtype=np.int64)
+            while len(unresolved):
+                cur_idx = idx[unresolved]
+                cur = slots_np[cur_idx]
+                empty = cur < 0
+                if empty.any():
+                    found_slot[unresolved[empty]] = cur_idx[empty]
+                occupied = unresolved[~empty]
+                if not len(occupied):
+                    break
+                occ_rids = cur[~empty]
+                resolved = np.zeros(len(occupied), dtype=bool)
+                hit_pos = np.flatnonzero(row_hashes_np[occ_rids] == hashes[occupied])
+                if len(hit_pos):
+                    cand_rows = occupied[hit_pos]
+                    cand_rids = occ_rids[hit_pos]
+                    s = starts_np[cand_rids]
+                    length_ok = (starts_np[cand_rids + 1] - s) == k
+                    eq = np.zeros(len(hit_pos), dtype=bool)
+                    sub = np.flatnonzero(length_ok)
+                    if len(sub):
+                        ss = s[sub]
+                        sub_eq = np.ones(len(sub), dtype=bool)
+                        for j in range(k):
+                            sub_eq &= data_np[ss + j] == uniq[cand_rows[sub], j]
+                        eq[sub] = sub_eq
+                    match_sel = hit_pos[eq]
+                    rids[occupied[match_sel]] = occ_rids[match_sel]
+                    resolved[match_sel] = True
+                advance = occupied[~resolved]
+                idx[advance] = (idx[advance] + 1) & slot_mask
+                unresolved = advance
+            del starts_np, data_np, row_hashes_np
+            fresh_rows = np.flatnonzero(rids < 0)
+            if len(fresh_rows) < count:
+                uniq, hashes = uniq[fresh_rows], hashes[fresh_rows]
+        else:
+            rids = np.arange(nrows, nrows + count, dtype=np.int64)
+        total_fresh = len(uniq)
         if total_fresh:
             self._reserve(total_fresh, k * total_fresh)
             old_len = len(self._row_data)
-            new_rids = np.arange(nrows, nrows + total_fresh, dtype=np.int32)
-            rids[fresh_rows] = new_rids
-            payload = np.ascontiguousarray(uniq[fresh_rows], dtype=np.int32)
+            payload = np.ascontiguousarray(uniq, dtype=np.int32)
             # A row's origin mask is the OR of its children's row masks,
             # folded column by column (a reduce along a k-wide axis is
             # several times slower).
@@ -794,31 +860,36 @@ class ViewInterner:
                     old_len + k, old_len + k * total_fresh + 1, k, dtype=np.int32
                 ).tobytes()
             )
-            self._row_hashes.frombytes(hashes[fresh_rows].tobytes())
+            self._row_hashes.frombytes(hashes.tobytes())
             self._row_masks.frombytes(fresh_masks.tobytes())
             self._row_owners.frombytes(bytes(fresh_masks.nbytes))
             self._row_depth.frombytes(
                 np.full(total_fresh, depth, dtype=np.int32).tobytes()
             )
-            # Slot placement: last-write-wins scatter with collision retry
-            # (the table was pre-grown, so the load factor bound holds).
-            place_idx = found_slot[fresh_rows]
-            pending = np.arange(total_fresh, dtype=np.int64)
-            while len(pending):
-                pi = place_idx[pending]
-                slots_np[pi] = new_rids[pending]
-                lost = slots_np[pi] != new_rids[pending]
-                pending = pending[lost]
-                if not len(pending):
-                    break
-                nxt = (place_idx[pending] + 1) & slot_mask
-                while True:
-                    occupied = slots_np[nxt] >= 0
-                    if not occupied.any():
+        if probe:
+            if total_fresh:
+                # Slot placement: last-write-wins scatter with collision
+                # retry (the catch-up sized the table for the load bound).
+                new_rids = np.arange(nrows, nrows + total_fresh, dtype=np.int32)
+                rids[fresh_rows] = new_rids
+                place_idx = found_slot[fresh_rows]
+                pending = np.arange(total_fresh, dtype=np.int64)
+                while len(pending):
+                    pi = place_idx[pending]
+                    slots_np[pi] = new_rids[pending]
+                    lost = slots_np[pi] != new_rids[pending]
+                    pending = pending[lost]
+                    if not len(pending):
                         break
-                    nxt[occupied] = (nxt[occupied] + 1) & slot_mask
-                place_idx[pending] = nxt
-        del slots_np
+                    nxt = (place_idx[pending] + 1) & slot_mask
+                    while True:
+                        occupied = slots_np[nxt] >= 0
+                        if not occupied.any():
+                            break
+                        nxt[occupied] = (nxt[occupied] + 1) & slot_mask
+                    place_idx[pending] = nxt
+                self._rows_indexed = nrows + total_fresh
+            del slots_np
         return rids
 
     def _row_tuple(self, rid: int) -> tuple[int, ...]:
@@ -875,8 +946,8 @@ class ViewInterner:
     def _batch_need(self, level: Sequence[int], in_lists) -> tuple[int, int]:
         """The exact (rows, cells) extending ``level`` would add.
 
-        A dry run of :meth:`extend_level`'s probe, taken only when the
-        cheap upper bound does not fit the limit.
+        A dry run of :meth:`extend_level`'s probe (after its catch-up),
+        taken only when the cheap upper bound does not fit the limit.
         """
         fresh_rows: set = set()
         for in_list in in_lists:
@@ -893,8 +964,10 @@ class ViewInterner:
         """Append the owner-only row of a fresh leaf and return its view id.
 
         The empty row is keyed by its own row id, so it takes a free slot
-        and no child-row probe (``k >= 1``) ever matches it.
+        (after the catch-up) and no child-row probe (``k >= 1``) ever
+        matches it.
         """
+        self._index_rows()
         key = len(self._row_hashes) & _MASK32
         rid = self._row_add((), key, self._row_find((), key)[1], 1 << p, 0)
         self._row_owners[rid] = 1 << p
@@ -926,6 +999,7 @@ class ViewInterner:
         if not kids:
             raise AnalysisError("a non-leaf view needs at least its own previous view")
         n = self.n
+        self._index_rows()
         h = _row_hash(kids)
         rid, slot = self._row_find(kids, h)
         if rid >= 0 and self._row_owners[rid] >> p & 1:
@@ -1001,6 +1075,7 @@ class ViewInterner:
         owners = self._row_owners
         row_find = self._row_find
         row_add = self._row_add
+        self._index_rows()
         if not self._has_room(n, n * n):
             self._reserve(*self._batch_need(level, in_lists))
         sorted_level: tuple[int, ...] | None = None
@@ -1160,8 +1235,9 @@ class ViewInterner:
 
         Same structure as the numpy backend — candidate rows dedup per
         in-neighborhood across every parent that uses it, views resolve
-        at unique-row granularity — in plain loops over the flat layer
-        column and plain-int member lists.  Small per-row key tuples are
+        at unique-row granularity, rows are probed only when the depth
+        already holds rows — in plain loops over the flat layer column
+        and plain-int member lists.  Small per-row key tuples are
         built transiently for the batch-local dedup dict; nothing
         tuple-shaped is stored or returned, and the child column is an
         ``array('i')``.
@@ -1175,6 +1251,9 @@ class ViewInterner:
         if len(depths) != 1:
             raise AnalysisError(f"layer views must share a depth, got {sorted(depths)}")
         depth = depths.pop() + 1
+        probe = self._probe_depth(depth)
+        if probe:
+            self._index_rows()
         row_masks = self._row_masks
         owners = self._row_owners
         members = [None if rows is None else plain_ids(rows) for _, rows in groups]
@@ -1224,56 +1303,77 @@ class ViewInterner:
                     if u == len(uniq_rows):
                         uniq_append(kids)
                     inv_append(u)
-            # Intern the distinct rows of this column once.  The probe
-            # loop is inlined — one hash, linear probing, arena compare on
-            # key hits — because at deep layers most distinct rows are
+            # Intern the distinct rows of this column once.  The loops are
+            # inlined because at deep layers most distinct rows are
             # globally fresh and per-row call overhead dominates.
-            urids: list[int] = []
-            urids_append = urids.append
-            slots = self._row_slots
-            slot_mask = self._row_slot_mask
             hashes = self._row_hashes
             starts = self._row_starts
             data = self._row_data
             row_hash = _row_hash
-            if not self._has_room(len(uniq_rows), k * len(uniq_rows)):
-                fresh = sum(
-                    self._row_find(kids, row_hash(kids))[0] < 0
-                    for kids in uniq_rows
-                )
+            urids: Sequence[int]
+            if not probe:
+                # Every row is fresh: append them in order, unindexed.
+                fresh = len(uniq_rows)
                 self._reserve(fresh, k * fresh)
-            for kids in uniq_rows:
-                h = row_hash(kids)
-                idx = h & slot_mask
-                while True:
-                    rid = slots[idx]
-                    if rid < 0:
-                        rid = len(hashes)
-                        data.extend(kids)
-                        starts.append(len(data))
-                        hashes.append(h)
-                        slots[idx] = rid
-                        mask = 0
-                        for c in kids:
-                            mask |= row_masks[c // n]
-                        row_masks.append(mask)
-                        owners.append(0)
-                        row_depth.append(depth)
-                        if (rid + 2) * 3 >= len(slots) * 2:
-                            self._row_rehash()
-                            slots = self._row_slots
-                            slot_mask = self._row_slot_mask
-                        break
-                    if hashes[rid] == h:
-                        s = starts[rid]
-                        if starts[rid + 1] - s == k:
-                            for j in range(k):
-                                if data[s + j] != kids[j]:
+                first = len(hashes)
+                for kids in uniq_rows:
+                    data.extend(kids)
+                    starts.append(len(data))
+                    hashes.append(row_hash(kids))
+                    mask = 0
+                    for c in kids:
+                        mask |= row_masks[c // n]
+                    row_masks.append(mask)
+                owners.extend([0] * fresh)
+                row_depth.extend([depth] * fresh)
+                urids = range(first, len(hashes))
+            else:
+                # One hash, linear probing, arena compare on key hits; a
+                # fresh row takes its empty slot.
+                if not self._has_room(len(uniq_rows), k * len(uniq_rows)):
+                    fresh = sum(
+                        self._row_find(kids, row_hash(kids))[0] < 0
+                        for kids in uniq_rows
+                    )
+                    self._reserve(fresh, k * fresh)
+                probed: list[int] = []
+                urids_append = probed.append
+                slots = self._row_slots
+                slot_mask = self._row_slot_mask
+                for kids in uniq_rows:
+                    h = row_hash(kids)
+                    idx = h & slot_mask
+                    while True:
+                        rid = slots[idx]
+                        if rid < 0:
+                            rid = len(hashes)
+                            data.extend(kids)
+                            starts.append(len(data))
+                            hashes.append(h)
+                            slots[idx] = rid
+                            mask = 0
+                            for c in kids:
+                                mask |= row_masks[c // n]
+                            row_masks.append(mask)
+                            owners.append(0)
+                            row_depth.append(depth)
+                            if (rid + 2) * 3 >= len(slots) * 2:
+                                self._row_rehash()
+                                slots = self._row_slots
+                                slot_mask = self._row_slot_mask
+                            break
+                        if hashes[rid] == h:
+                            s = starts[rid]
+                            if starts[rid + 1] - s == k:
+                                for j in range(k):
+                                    if data[s + j] != kids[j]:
+                                        break
+                                else:
                                     break
-                            else:
-                                break
-                    idx = (idx + 1) & slot_mask
-                urids_append(rid)
+                        idx = (idx + 1) & slot_mask
+                    urids_append(rid)
+                self._rows_indexed = len(hashes)
+                urids = probed
             # Owner p's bit goes on the rows its groups reach; the child
             # column of its pattern is the slot ``rid * n + p``.
             added = 0
@@ -1325,9 +1425,10 @@ class ViewInterner:
         Per distinct in-neighborhood, the candidate rows of every parent
         that uses it — the whole layer, or its groups' members stacked —
         gather/sort as one int32 matrix and dedup via ``np.unique`` on
-        packed int64 key columns; row keys for the open-addressing probe
-        are computed vectorized over the distinct rows, fresh rows append
-        in bulk, and each owner sets its bit on the distinct rows its
+        packed int64 key columns; row keys are computed vectorized over
+        the distinct rows, which append in bulk (probed first only when
+        the depth already holds rows, :meth:`_probe_depth`), and each
+        owner sets its bit on the distinct rows its
         groups reach with one gather and one scatter over the
         buffer-backed owner column.  The child column of owner ``p`` is
         ``urid * n + p`` (products in int64, stored int32, which the
@@ -1350,6 +1451,7 @@ class ViewInterner:
         if mixed:
             raise AnalysisError(f"layer views must share a depth, not all are at {depth}")
         depth += 1
+        probe = self._probe_depth(depth)
         owner_dtype = self._row_owners.typecode
         members = [rows for _, rows in groups]
         vid_cols: list = [[None] * len(plan[0]) for plan, _ in groups]
@@ -1369,9 +1471,9 @@ class ViewInterner:
             uniq, inv = _unique_rows(np, cand)
             del cand  # layer-sized; only the distinct rows are interned
             # Bulk-hash the distinct rows (same key as _row_hash), then
-            # probe and insert entirely vectorized.  No per-row Python.
+            # append, or probe and insert, entirely vectorized.
             hashes = _bulk_row_hashes(np, uniq, k)
-            urid_arr = self._intern_rows_numpy(np, uniq, hashes, k, depth)
+            urid_arr = self._intern_rows_numpy(np, uniq, hashes, k, depth, probe)
             del uniq, hashes
             slot_base = (urid_arr * n).astype(np.int32)
             owners_view = np.frombuffer(self._row_owners, dtype=owner_dtype)

@@ -97,21 +97,23 @@ class RunRecord:
         "spec",
     )
 
-    #: Fields present in version-1 (headerless) files; everything after
-    #: them defaults to None when reading old artifacts.
-    _V1_FIELDS = (
-        "index",
-        "adversary",
-        "n",
-        "alphabet",
-        "max_depth",
-        "status",
-        "certified_depth",
-        "certificate",
-        "elapsed_s",
-        "views_interned",
-        "shard",
-    )
+    #: Fields present in version-1 (headerless) files, with the JSON
+    #: types a record line must give them (a ``bool`` is never a number
+    #: here); everything after them defaults to None when reading old
+    #: artifacts.
+    _V1_FIELDS: dict[str, tuple[type, ...]] = {
+        "index": (int,),
+        "adversary": (str,),
+        "n": (int,),
+        "alphabet": (int,),
+        "max_depth": (int,),
+        "status": (str,),
+        "certified_depth": (int, type(None)),
+        "certificate": (str,),
+        "elapsed_s": (int, float),
+        "views_interned": (int,),
+        "shard": (int,),
+    }
 
     def __init__(
         self,
@@ -252,7 +254,7 @@ def _parse_line(path: Path, number: int, line: str, first: bool) -> RunRecord | 
     Every error names the file and line.  An undecodable line raises
     :class:`json.JSONDecodeError`.  A line that is not a JSON object, a
     header naming another schema, or a record lacking a version-1 field
-    raises :class:`ValueError`.
+    or giving one a value of another type raises :class:`ValueError`.
     """
     try:
         data = json.loads(line)
@@ -269,9 +271,20 @@ def _parse_line(path: Path, number: int, line: str, first: bool) -> RunRecord | 
             )
         return None
     try:
-        return RunRecord.from_dict(data)
+        record = RunRecord.from_dict(data)
     except KeyError as exc:
         raise _MissingField(path, number, exc.args[0]) from None
+    for field, kinds in RunRecord._V1_FIELDS.items():
+        value = data[field]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            expected = " or ".join(
+                "null" if kind is type(None) else kind.__name__ for kind in kinds
+            )
+            raise ValueError(
+                f"{path}:{number}: record field {field!r} is "
+                f"{json.dumps(value)[:40]}, not {expected}"
+            )
+    return record
 
 
 def _recover_records(
@@ -334,15 +347,18 @@ def read_jsonl(
     By default returns a lazy iterator and raises
     :class:`json.JSONDecodeError` on any undecodable line, and
     :class:`ValueError` naming the file and line on a line that is not a
-    record object or lacks a record field.  With ``recover=True`` it
-    instead returns an eager ``(records, corruption)`` pair: a torn or
-    field-less *final* line — what a process killed mid-append leaves
-    behind — is skipped and described by a :class:`JsonlCorruption`
-    report (``corruption is None`` for a clean file).  Corruption anywhere
-    but the tail still raises: a damaged middle means the file cannot be
-    trusted at all.  The fleet merge path reads every shard output this
-    way, so worker death during a write downgrades to a retriable
-    validation failure instead of an exception.
+    record object, lacks a record field or gives a version-1 field a value
+    of another type.  With ``recover=True`` it instead returns an eager
+    ``(records, corruption)`` pair: a torn or field-less *final* line —
+    what a process killed mid-append leaves behind — is skipped and
+    described by a :class:`JsonlCorruption` report (``corruption is None``
+    for a clean file).  Corruption anywhere but the tail still raises: a
+    damaged middle means the file cannot be trusted at all.  A field of
+    the wrong type raises anywhere, the tail included: a torn write leaves
+    an undecodable line, never a well-formed one of the wrong type.  The
+    fleet merge path reads every shard output this way, so worker death
+    during a write downgrades to a retriable validation failure instead
+    of an exception.
     """
     path = Path(path)
     if recover:

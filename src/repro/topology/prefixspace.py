@@ -361,7 +361,7 @@ class PrefixSpace:
             raise AnalysisError(f"retain must be 'all' or 'frontier', got {retain!r}")
         self.retain = retain
         # Not ``interner or ...``: an empty interner is falsy via __len__
-        # and must still be adopted (the sweep engine shares fresh ones).
+        # and must still be adopted (the sweep engine passes fresh ones).
         if interner is None:
             interner = ViewInterner(adversary.n, layer_backend=layer_backend)
         self.interner = interner

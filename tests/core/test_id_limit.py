@@ -115,7 +115,10 @@ def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
     """Every row interned, some views not: the views need no room.
 
     A full interner still takes the missing owners' views on its rows,
-    and refuses a batch with one fresh row whole.
+    and refuses a batch with one fresh row whole.  Its rows were appended
+    unindexed; caught up by one lookup first, the refusal leaves even the
+    row table as it was, and without that lookup it changes no content
+    column (the refused call catches the index up itself).
     """
 
     def prepared():
@@ -133,19 +136,28 @@ def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
     assert counts(reference)[1:] == (rows, cells)
     need = len(reference) - views
     assert need > 0
-    interner, table = prepared()
-    limit = limit_to(rows * interner.n)
-    assert limit >= cells
-    # "->" needs a fresh (v0,) row per parent: refused whole.
-    state = snapshot(interner)
-    with pytest.raises(CapacityError):
-        interner.extend_layer_table(table, [arrow("->")])
-    assert snapshot(interner) == state
-    assert_consistent(interner, limit)
-    both = interner.extend_layer_table(table, [arrow("<->")])
-    assert counts(interner) == (views + need, rows, cells)
-    assert_consistent(interner, limit)
-    assert all(vid < limit for vid in both.ids)
+    for caught_up in (True, False):
+        interner, table = prepared()
+        limit = limit_to(rows * interner.n)
+        assert limit >= cells
+        assert interner._rows_indexed < rows
+        if caught_up:
+            # Owner 0's view of parent 0's (v0, v1) row, found by lookup.
+            vid = interner.node(0, table[0])
+            assert interner._rows_indexed == rows and vid < limit
+        # "->" needs a fresh (v0,) row per parent: refused whole.
+        state = snapshot(interner)
+        with pytest.raises(CapacityError):
+            interner.extend_layer_table(table, [arrow("->")])
+        after = snapshot(interner)
+        if not caught_up:
+            del state["_row_slots"], after["_row_slots"]
+        assert after == state
+        assert_consistent(interner, limit)
+        both = interner.extend_layer_table(table, [arrow("<->")])
+        assert counts(interner) == (views + need, rows, cells)
+        assert_consistent(interner, limit)
+        assert all(vid < limit for vid in both.ids)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -109,7 +109,7 @@ def test_kernel_row_ids_reach_slot_keys_as_int64():
     hashes = views_module._bulk_row_hashes(np, uniq, 2)
     assert hashes.dtype == np.uint32
     assert int(hashes[0]) == views_module._row_hash(tuple(sorted(level)))
-    rids = interner._intern_rows_numpy(np, uniq, hashes, 2, 1)
+    rids = interner._intern_rows_numpy(np, uniq, hashes, 2, 1, True)
     assert rids.dtype == np.int64 and rids.tolist() == [2]  # two leaf rows
     assert interner._row_slots.typecode == interner._row_data.typecode == "i"
     assert list(interner._row_depth) == [0, 0, 1]

@@ -140,9 +140,9 @@ def test_numpy_kernel_interns_fresh_rows_in_lexicographic_order(family):
     fresh_counts = []
     intern = views_module.ViewInterner._intern_rows_numpy
 
-    def logged(self, np, uniq, hashes, k, row_depth):
+    def logged(self, np, uniq, hashes, k, row_depth, probe):
         before = self._row_count
-        rids = intern(self, np, uniq, hashes, k, row_depth)
+        rids = intern(self, np, uniq, hashes, k, row_depth, probe)
         rows = uniq.tolist()
         assert rows == sorted(rows)  # _unique_rows order
         fresh = [rid for rid in rids.tolist() if rid >= before]

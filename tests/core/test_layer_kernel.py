@@ -473,12 +473,14 @@ def test_groups_must_partition_the_layer(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(NAMED_ADVERSARIES))
 def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypatch):
-    """A fresh build makes one kernel call per depth, and none re-probes.
+    """A fresh build makes one kernel call per depth, and none probes.
 
     Rows of different depths or in-lists never coincide, so on a fresh
-    interner every row a build interns is new; the numpy kernel (forced
-    on every layer here) must never find one in the table.  Spaces stop
-    where ``max_nodes`` allows (``sw-n3-1`` and ``sw-n3-2`` before depth 6).
+    interner every row a build interns is new: every kernel call decides
+    not to probe (the numpy kernel, forced on every layer here, is told
+    so), and no child row is ever placed in the row table — it holds the
+    leaves and never grows.  Spaces stop where ``max_nodes`` allows
+    (``sw-n3-1`` and ``sw-n3-2`` before depth 6).
     """
     calls = []
     extend = ViewInterner.extend_layer_table
@@ -487,17 +489,23 @@ def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypat
         calls.append(len(args[0]))
         return extend(self, *args, **kwargs)
 
-    found = []
+    decided = []
+    probe_depth = ViewInterner._probe_depth
+
+    def logged_decision(self, depth):
+        decided.append(probe_depth(self, depth))
+        return decided[-1]
+
+    probed = []
     intern = ViewInterner._intern_rows_numpy
 
-    def fresh_only(self, np, uniq, hashes, k, depth):
-        before = self._row_count
-        rids = intern(self, np, uniq, hashes, k, depth)
-        found.append(int((rids < before).sum()))
-        return rids
+    def logged_intern(self, np, uniq, hashes, k, depth, probe):
+        probed.append(probe)
+        return intern(self, np, uniq, hashes, k, depth, probe)
 
     monkeypatch.setattr(ViewInterner, "extend_layer_table", counted)
-    monkeypatch.setattr(ViewInterner, "_intern_rows_numpy", fresh_only)
+    monkeypatch.setattr(ViewInterner, "_probe_depth", logged_decision)
+    monkeypatch.setattr(ViewInterner, "_intern_rows_numpy", logged_intern)
     space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend, max_nodes=400_000)
     for depth in range(1, 7):
         try:
@@ -506,8 +514,14 @@ def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypat
             break
     assert space.depth >= 3
     assert calls == space.layer_sizes()[:-1]
-    assert sum(found) == 0
-    assert (len(found) > 0) == (backend == "numpy")
+    assert decided == [False] * len(calls)
+    assert (len(probed) > 0) == (backend == "numpy")
+    assert not any(probed)
+    interner = space.interner
+    leaves = interner.stats().leaves
+    assert interner._rows_indexed == leaves < interner._row_count
+    assert len(interner._row_slots) == 64
+    assert sorted(rid for rid in interner._row_slots if rid >= 0) == list(range(leaves))
 
 
 def test_layer_backend_validation():

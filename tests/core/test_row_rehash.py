@@ -1,17 +1,21 @@
-"""The row table survives growth: every row stays findable after rehashes.
+"""The row index survives growth and catch-up: every row stays findable.
 
-``ViewInterner`` interns child rows through an open-addressing table
-(``_row_slots``) that grows by rehashing from the stored per-row hashes.
-With numpy and at least 4096 rows, placement runs in chunks of
-``_REHASH_CHUNK`` rows, each chunk stepping past the slots earlier chunks
-hold before it scatters.  Leaf rows (owner-only, no children) sit in the
-table too, keyed by their own row id.  A rehash that loses a row breaks no verdict
-directly — the row is simply interned again under a new id later — so
-these tests check the table itself: after several rehashes, with the
-chunk shrunk so that placement crosses many chunk boundaries, every row
-id sits in exactly one slot, a probe for each stored row under its 32-bit
-key finds that row, and re-extending an already-interned layer interns
-nothing new.
+``ViewInterner`` looks child rows up through an open-addressing table
+(``_row_slots``) that it builds on demand: a fresh depth's rows append
+unindexed, and the first lookup after them (``node()``, ``extend_level``,
+a new leaf, a kernel call at a depth that holds rows) places them from
+the stored per-row hashes, growing the table by a rehash when the load
+bound requires it.  With numpy and at least 4096 rows to place,
+placement runs in chunks of ``_REHASH_CHUNK`` rows, each chunk stepping
+past the slots already held before it scatters.  Leaf rows (owner-only,
+no children) sit in the table too, keyed by their own row id.  A lost row
+breaks no verdict directly — the row is simply interned again under a new
+id later — so these tests check the table itself: after catch-ups that
+grow the table or fill a roomy one, and after a re-placement into the
+tightest table the load bound allows, with the chunk shrunk so that
+placement crosses many chunk boundaries, every row id sits in exactly one
+slot, a probe for each stored row under its 32-bit key finds that row,
+and re-extending an already-interned layer interns nothing new.
 """
 
 import pytest
@@ -28,17 +32,17 @@ SMALL_CHUNK = 1000
 
 
 @pytest.fixture
-def rehashes(monkeypatch):
-    """Shrink the rehash chunk and log the row count of every rehash."""
+def placements(monkeypatch):
+    """Shrink the placement chunk; log each placement's (first, rows, slots)."""
     monkeypatch.setattr(views_module, "_REHASH_CHUNK", SMALL_CHUNK)
     log = []
-    rehash = ViewInterner._row_rehash
+    place = ViewInterner._place_rows
 
-    def logged(self, size=None):
-        log.append(len(self._row_hashes))
-        rehash(self, size)
+    def logged(self):
+        log.append((self._rows_indexed, len(self._row_hashes), len(self._row_slots)))
+        place(self)
 
-    monkeypatch.setattr(ViewInterner, "_row_rehash", logged)
+    monkeypatch.setattr(ViewInterner, "_place_rows", logged)
     return log
 
 
@@ -46,6 +50,7 @@ def assert_row_table_intact(interner):
     stats = interner.stats()
     rows = interner._row_count
     assert rows == stats.rows + stats.leaves
+    assert interner._rows_indexed == rows
     placed = sorted(rid for rid in interner._row_slots if rid >= 0)
     assert placed == list(range(rows))
     for rid in range(rows):
@@ -57,24 +62,49 @@ def assert_row_table_intact(interner):
         assert found == rid
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_rows_survive_chunked_rehashes(backend, rehashes):
-    depth = 8
-    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
-    space.ensure_depth(depth)
-    interner = space.interner
-    # A leaf interned late sits among the child rows of the last chunk.
-    interner.leaf(0, "late")
-    # Re-place everything once more into the tightest table the load bound
-    # allows, so probe runs are long and cross chunk boundaries.
-    rows = interner._row_count
+def tight_size(rows):
+    """The smallest table the load bound allows for ``rows`` rows."""
     size = 64
     while (rows + 2) * 3 >= size * 2:
         size *= 2
-    interner._row_rehash(size=size)
-    assert len(rehashes) >= 4
+    return size
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rows_survive_chunked_rehashes(backend, placements):
+    depth = 8
+    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space.ensure_depth(depth - 1)
+    interner = space.interner
+    leaves = interner.stats().leaves
+    # A fresh build places its leaves one by one and nothing else.
+    assert placements == [] and interner._rows_indexed == leaves
+    # A leaf interned late catches the index up first: one rehash into a
+    # grown table places every row from the start, chunk by chunk.
+    interner.leaf(0, "late")
+    rows = interner._row_count
+    assert placements == [(0, rows - 1, tight_size(rows - 1))]
     if numpy_available():
-        assert max(rehashes) >= max(4096, 4 * SMALL_CHUNK)
+        assert rows - 1 >= max(4096, 4 * SMALL_CHUNK)
+    assert_row_table_intact(interner)
+
+    # The next depth appends unindexed into a table roomy enough for it,
+    # so the catch-up places only those rows, stepping past held slots.
+    interner._row_rehash(size=tight_size(3 * rows))
+    size = len(interner._row_slots)
+    del placements[:]
+    space.ensure_depth(depth)
+    assert placements == [] and interner._rows_indexed == rows
+    level = space.layer_store(depth).levels[0]
+    assert interner.node(1, interner.children(level[1])) == level[1]
+    assert placements == [(rows, interner._row_count, size)]
+    if numpy_available():
+        assert interner._row_count - rows >= max(4096, 4 * SMALL_CHUNK)
+    assert_row_table_intact(interner)
+
+    # Re-place everything once more into the tightest table the load bound
+    # allows, so probe runs are long and cross chunk boundaries.
+    interner._row_rehash(size=tight_size(interner._row_count))
     assert_row_table_intact(interner)
 
     # The deepest layer again, from its parents: every row and view exists.

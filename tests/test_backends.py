@@ -353,57 +353,95 @@ class TestExtensionWorkerClamp:
         ]
 
 
-class TestBoundedShardInterners:
-    """A long shard recycles a process count's interner past the view budget."""
+class TestOneInternerPerJob:
+    """Every sweep job checks on a fresh interner of its own."""
 
-    BUDGET = 300
+    #: sha256 of the ``record_timing=False`` records of :meth:`_jobs`, as
+    #: written when shards still shared one interner per process count.
+    SHARED_DESIGN_SHA256 = (
+        "867a63162e03bf4bdaf02c09d6ca0b1c902f553710410e71fc8f36350d2e9069"
+    )
 
     @staticmethod
     def _jobs():
         specs = random_rooted_specs(5, 3, 24) + _two_process_specs()
         return jobs_for(specs, max_depth=4)
 
-    def test_interners_stay_under_budget_plus_one_job(self, monkeypatch):
-        import repro.backends as backends
+    def test_each_job_gets_its_own_empty_interner(self, monkeypatch):
         import repro.consensus.solvability as solvability
 
-        monkeypatch.setattr(backends, "_SHARD_VIEW_BUDGET", self.BUDGET)
         check = solvability.check_consensus_with_options
-        calls = []
+        seen = []
 
         def spy(adversary, options, **kwargs):
             interner = kwargs["interner"]
-            before = len(interner)
-            result = check(adversary, options, **kwargs)
-            calls.append((interner, before, len(interner)))
-            return result
+            seen.append((interner, len(interner), interner.n == adversary.n))
+            return check(adversary, options, **kwargs)
 
         monkeypatch.setattr(solvability, "check_consensus_with_options", spy)
-        records = list(iter_job_records(0, self._jobs(), record_timing=False))
-        assert len(calls) == len(records)
-        last_job_views = {}
-        for interner, before, after in calls:
-            assert before < self.BUDGET
-            last_job_views[id(interner)] = (interner, after - before)
-        for interner, views in last_job_views.values():
-            assert len(interner) < self.BUDGET + views
-        # The budget really recycled: some process count used several.
-        by_n: dict = {}
-        for interner, _ in last_job_views.values():
-            by_n[interner.n] = by_n.get(interner.n, 0) + 1
-        assert max(by_n.values()) > 1
+        jobs = self._jobs()
+        records = list(iter_job_records(0, jobs))
+        assert len(seen) == len(records) == len(jobs)
+        assert all(empty == 0 and same_n for _, empty, same_n in seen)
+        assert len({id(interner) for interner, _, _ in seen}) == len(jobs)
+        # A job's views are its own: the record counts every view its
+        # interner holds after the check.
+        assert [len(interner) for interner, _, _ in seen] == [
+            record.views_interned for record in records
+        ]
 
-    def test_recycled_records_are_byte_identical(self, tmp_path, monkeypatch):
-        import repro.backends as backends
-        from repro.records import write_jsonl
+    def test_views_interned_is_the_solo_count_in_any_job_order(self):
+        from repro.consensus.solvability import check_consensus_with_options
+        from repro.core.views import ViewInterner
 
         jobs = self._jobs()
-        write_jsonl(
-            iter_job_records(0, jobs, record_timing=False), tmp_path / "shared.jsonl"
-        )
-        monkeypatch.setattr(backends, "_SHARD_VIEW_BUDGET", self.BUDGET)
-        write_jsonl(
-            iter_job_records(0, jobs, record_timing=False), tmp_path / "bounded.jsonl"
-        )
-        shared = (tmp_path / "shared.jsonl").read_bytes()
-        assert shared and (tmp_path / "bounded.jsonl").read_bytes() == shared
+        options = CheckOptions()
+        solo = {}
+        for job in jobs:
+            interner = ViewInterner(job.adversary.n)
+            check_consensus_with_options(
+                job.adversary, options.replace(max_depth=job.max_depth),
+                interner=interner,
+            )
+            solo[job.index] = len(interner)
+        assert any(solo.values())
+        for order in (jobs, jobs[::-1], jobs[1::2] + jobs[::2]):
+            records = list(iter_job_records(0, order, options))
+            assert {r.index: r.views_interned for r in records} == solo
+
+    def test_untimed_records_are_byte_identical_to_the_shared_design(self, tmp_path):
+        import hashlib
+
+        from repro.consensus.solvability import check_consensus_with_options
+        from repro.core.views import ViewInterner
+        from repro.records import RunRecord, certificate_summary, write_jsonl
+
+        jobs = self._jobs()
+        write_jsonl(iter_job_records(0, jobs, record_timing=False), tmp_path / "own.jsonl")
+        own = (tmp_path / "own.jsonl").read_bytes()
+        assert hashlib.sha256(own).hexdigest() == self.SHARED_DESIGN_SHA256
+
+        # The same jobs checked on one interner per process count, which
+        # catches its row index up before each later job's lookups.
+        shared: dict = {}
+        records = []
+        for job in jobs:
+            adversary = job.adversary
+            interner = shared.setdefault(adversary.n, ViewInterner(adversary.n))
+            result = check_consensus_with_options(
+                adversary, CheckOptions(max_depth=job.max_depth), interner=interner
+            )
+            records.append(
+                RunRecord(
+                    index=job.index, adversary=adversary.name, n=adversary.n,
+                    alphabet=len(adversary.alphabet()), max_depth=job.max_depth,
+                    status=result.status.value,
+                    certified_depth=result.certified_depth,
+                    certificate=certificate_summary(result), elapsed_s=0.0,
+                    views_interned=0, shard=0, tags=job.tags,
+                    family=job.spec.family, seed=job.spec.seed,
+                    spec=job.spec.to_dict(),
+                )
+            )
+        write_jsonl(records, tmp_path / "shared.jsonl")
+        assert (tmp_path / "shared.jsonl").read_bytes() == own

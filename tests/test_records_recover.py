@@ -91,13 +91,25 @@ def _rewrite(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _retyped(line, field, value):
+    """A record line with one version-1 field set to ``value``."""
+    return json.dumps(dict(json.loads(line), **{field: value}), sort_keys=True)
+
+
 #: Files whose line ``number`` is not a record: (lines, number).  The
-#: header and records come from the ``written`` fixture.
+#: header and records come from the ``written`` fixture.  A field of the
+#: wrong type fails anywhere, the tail included: a torn write leaves an
+#: undecodable line, never a well-formed one of the wrong type.
 NOT_RECORDS = {
     "first-line-array": (lambda h, r: ["[1, 2]", *r], 1),
     "middle-string": (lambda h, r: [h, r[0], '"text"', *r[1:]], 3),
     "final-number": (lambda h, r: [h, *r, "3"], 6),
     "headerless-missing-fields": (lambda h, r: ['{"index": 0}', *r], 1),
+    "final-max-depth-text": (lambda h, r: [h, *r[:-1], _retyped(r[-1], "max_depth", "deep")], 5),
+    "middle-index-bool": (lambda h, r: [h, r[0], _retyped(r[1], "index", True), *r[2:]], 3),
+    "certified-depth-float": (lambda h, r: [h, _retyped(r[0], "certified_depth", 1.5), *r[1:]], 2),
+    "status-null": (lambda h, r: [h, *r[:2], _retyped(r[2], "status", None), r[3]], 4),
+    "headerless-elapsed-text": (lambda h, r: [_retyped(r[0], "elapsed_s", "0.1"), *r[1:]], 1),
 }
 
 
@@ -127,13 +139,35 @@ def test_lone_field_less_line_is_a_torn_tail_only_when_recovering(tmp_path):
     assert "missing field" in corruption.reason
 
 
-@pytest.mark.parametrize(
+#: A well-formed version-1 (headerless) record line's fields.
+V1_RECORD = {
+    "index": 0, "adversary": "x", "n": 2, "alphabet": 1, "max_depth": 4,
+    "status": "undecided", "certified_depth": None, "certificate": "undecided@4",
+    "elapsed_s": 0, "views_interned": 0, "shard": 0,
+}
+
+
+def test_version_one_field_types_accept_ints_floats_and_null(tmp_path):
+    path = tmp_path / "v1.jsonl"
+    lines = [dict(V1_RECORD), dict(V1_RECORD, index=1, elapsed_s=0.25, certified_depth=2)]
+    _rewrite(path, [json.dumps(line) for line in lines])
+    records = list(read_jsonl(path))
+    assert [(r.elapsed_s, r.certified_depth) for r in records] == [(0, None), (0.25, 2)]
+    assert read_jsonl(path, recover=True)[1] is None
+
+
+CLI_COMMANDS = pytest.mark.parametrize(
     "command",
     [["report", "{}"], ["report", "{}", "--json"], ["sweep", "--retry", "{}"]],
     ids=["report", "report-json", "sweep-retry"],
 )
+
+
+@CLI_COMMANDS
 @pytest.mark.parametrize(
-    "line", ["[1, 2]", '{"index": 0', '{"index": 0}'], ids=["array", "torn", "field-less"]
+    "line",
+    ["[1, 2]", '{"index": 0', '{"index": 0}', json.dumps(dict(V1_RECORD, max_depth="deep"))],
+    ids=["array", "torn", "field-less", "wrong-type"],
 )
 def test_cli_reports_a_bad_records_file_in_one_line(tmp_path, capsys, command, line):
     from repro.cli import main
@@ -145,3 +179,18 @@ def test_cli_reports_a_bad_records_file_in_one_line(tmp_path, capsys, command, l
     assert captured.out == ""
     [message] = captured.err.splitlines()
     assert message.startswith(f"error: {path}:1: ")
+
+
+@CLI_COMMANDS
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_cli_reports_an_unreadable_records_path_in_one_line(tmp_path, capsys, command, target):
+    from repro.cli import main
+
+    path = tmp_path / "records.jsonl"
+    if target == "directory":
+        path.mkdir()
+    assert main([word.format(path) for word in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [message] = captured.err.splitlines()
+    assert message.startswith("error: ") and str(path) in message

@@ -42,17 +42,6 @@ class TestSerialEngine:
             assert record.shard == 0
             assert record.elapsed_s >= 0
 
-    def test_shared_interner_reuses_views_across_jobs(self):
-        family = two_process_oblivious_family()
-        records = run_sweep(jobs_for(family, max_depth=6))
-        solvable_after_first = [
-            r for r in records[1:] if r.status == "solvable"
-        ]
-        # Later same-n jobs hit the shared tables: at least one interned
-        # strictly fewer views than the first solvable job.
-        first_views = next(r.views_interned for r in records if r.status == "solvable")
-        assert any(r.views_interned < first_views for r in solvable_after_first)
-
     def test_duplicate_indices_rejected(self):
         family = two_process_oblivious_family()[:2]
         jobs = [SweepJob(0, family[0]), SweepJob(0, family[1])]
