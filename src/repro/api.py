@@ -220,55 +220,38 @@ class Session:
     ) -> RunRecord:
         """Check one adversary to a :class:`RunRecord`, via the store.
 
-        The record-granular sibling of :meth:`check`: with a session
-        ``store``, an already-cached (spec, options) pair is answered
-        without any checker work.  Misses run through :meth:`check` and
-        are written back, so the second identical call is a hit.  Timing
-        fields are always zero: a record that may be served from cache
-        must not depend on when it was computed.  Adversaries without a
-        canonical spec are checked but never cached.
+        The record-granular sibling of :meth:`check`: one sweep job on a
+        ``record_timing=False`` :class:`~repro.backends.SerialBackend`,
+        wrapped in a :class:`~repro.store.backend.CachedBackend` when the
+        session has a ``store``, so an already-cached (spec, options) pair
+        is answered without any checker work and a miss is written back.
+        Timing fields are always zero: a record that may be served from
+        cache must not depend on when it was computed.  A live adversary's
+        spec is resolved first, so its record carries it; adversaries
+        without a canonical spec are checked but never cached.
         """
         effective = options or self.options
-        adversary_spec: AdversarySpec | None
+        adversary: MessageAdversary | None = None
+        spec: AdversarySpec | None = None
         if isinstance(target, AdversarySpec):
-            adversary_spec = target
+            spec = target
         else:
+            adversary = target
             try:
-                adversary_spec = AdversarySpec.from_adversary(target)
+                spec = AdversarySpec.from_adversary(target)
             except AdversaryError:
-                adversary_spec = None
-        if self.store is not None and adversary_spec is not None:
-            cached = self.store.get(adversary_spec, effective)
-            if cached is not None:
-                data = cached.to_dict()
-                data["tags"] = {} if tags is None else dict(tags)
-                return RunRecord.from_dict(data)
-        resolved = (
-            adversary_spec.build()
-            if isinstance(target, AdversarySpec) and adversary_spec is not None
-            else target
+                pass
+        job = SweepJob(
+            0,
+            adversary,
+            effective.max_depth,
+            tags=None if tags is None else dict(tags),
+            spec=spec,
         )
-        assert not isinstance(resolved, AdversarySpec)  # resolved above
-        result = self.check(resolved, options=effective)
-        record = RunRecord(
-            index=0,
-            adversary=resolved.name,
-            n=resolved.n,
-            alphabet=len(resolved.alphabet()),
-            max_depth=effective.max_depth,
-            status=result.status.value,
-            certified_depth=result.certified_depth,
-            certificate=certificate_summary(result),
-            elapsed_s=0.0,
-            views_interned=0,
-            shard=0,
-            tags={} if tags is None else dict(tags),
-            family=adversary_spec.family if adversary_spec is not None else None,
-            seed=adversary_spec.seed if adversary_spec is not None else None,
-            spec=adversary_spec.to_dict() if adversary_spec is not None else None,
-        )
-        if self.store is not None and adversary_spec is not None:
-            self.store.put(adversary_spec, effective, record)
+        backend: SweepBackend = SerialBackend(record_timing=False)
+        if self.store is not None:
+            backend = CachedBackend(self.store, backend)
+        [record] = backend.run([job], effective)
         return record
 
     def sweep(

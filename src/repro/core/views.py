@@ -44,16 +44,16 @@ nothing.  A leaf row is keyed by its own row id; being empty, it never
 matches a child-row probe, and leaves are found through the
 ``(p, value)`` leaf table.
 
-The table is an index built on demand.  A depth-``t`` row holds
-depth-``t - 1`` views, so it can only equal another depth-``t`` row, and
-the layer kernels intern each depth's distinct rows in one call: a kernel
-call at a depth that holds no rows yet appends its rows without probing
-or placing them.  Those rows stay unindexed until a lookup needs them — a
-kernel call at a depth that already has rows, :meth:`ViewInterner.node`,
-:meth:`ViewInterner.extend_level` or a new leaf — which first places
-every unindexed row (the catch-up).  A single check on a fresh interner
-never places a child row; an interner shared on purpose still
-hash-conses exactly.
+The table is an index built on demand, and interning never writes it:
+every path — both layer kernels, :meth:`ViewInterner.extend_level`,
+:meth:`ViewInterner.node` and a new leaf — appends its fresh rows
+unindexed.  A depth-``t`` row holds depth-``t - 1`` views, so it can only
+equal another depth-``t`` row: a call at a depth that holds no rows yet
+appends without looking anything up, and a call at a depth that already
+has rows first places every unindexed row (the catch-up, the only code
+that writes the table) and then probes.  Leaves are found through the
+leaf table and never probe.  A single check on a fresh interner never
+places a row; an interner shared on purpose still hash-conses exactly.
 
 Slot ids leave gaps — the slots of owners a row has no view for — so ids
 are not ``0 .. len - 1``: ``len()`` counts views (set owner bits), an
@@ -83,8 +83,8 @@ never expands into per-child Python tuples on the hot path.  The kernel
 works per distinct *in-neighborhood* across all groups' alphabets (child
 rows depend on the in-list only, never on the owner or the group): it
 builds the candidate child rows of every parent that uses it, deduplicates
-them at once, interns each distinct row a single time (appended, or
-probed in the row table when the depth already holds rows), and creates
+them at once, interns each distinct row a single time (looked up in the
+row table only when the depth already holds rows), and creates
 views at unique-row granularity: a child column is ``urid * n + p``, with
 owner ``p``'s bit set on the rows of the groups whose alphabet has the
 pattern ``(p, in-list)``.  Two backends implement the batch, and each
@@ -351,9 +351,15 @@ def _unique_rows(np, cand):
 
 
 def _check_partition(count: int, members: Sequence) -> None:
-    """Raise unless the groups ``members`` partition parents ``0 .. count - 1``."""
+    """Raise unless the groups ``members`` partition parents ``0 .. count - 1``.
+
+    A ``None`` group (the whole layer) is refused: only a sole group may
+    give it.
+    """
     np = _np
-    if np is None:
+    if any(rows is None for rows in members):
+        ok = False
+    elif np is None:
         ok = sorted(chain.from_iterable(members)) == list(range(count))
     else:
         flat = np.concatenate(
@@ -537,9 +543,10 @@ class ViewInterner:
     views depend only on inputs and in-neighborhoods — never on the
     adversary that generated a prefix — one interner may also be shared
     *across* checks and adversaries of the same ``n``
-    (``check_consensus(..., interner=...)``); the row index then catches
-    up before the second check's lookups, so equal views keep equal ids.
-    Sweeps give each job a fresh interner, which never builds the index.
+    (``check_consensus(..., interner=...)``).  Interning appends rows
+    unindexed, and the second check's first lookup catches the row index
+    up, so equal views keep equal ids.  Sweeps give each job a fresh
+    interner, which never builds the index.
 
     ``layer_backend`` selects the whole-layer extension kernel backend:
     ``"numpy"`` (vectorized; requires numpy), ``"python"`` (the batched
@@ -603,10 +610,10 @@ class ViewInterner:
         # table: ``_row_slots`` holds row ids, probed at ``key & mask``
         # with linear probing, and ``_row_hashes`` keeps each row's 32-bit
         # key so rows are placed by gather.  Ids, offsets and slots are
-        # int32.  Rows ``0 .. _rows_indexed - 1`` are placed; later rows
-        # were appended without a lookup and wait for the catch-up
+        # int32.  Every row is appended unindexed; rows ``0 ..
+        # _rows_indexed - 1`` are placed, the rest wait for the catch-up
         # (:meth:`_index_rows`).  ``_held_depths`` records the depths that
-        # hold rows, so a kernel call knows whether its rows can repeat.
+        # hold rows, so an interning call knows whether its rows can repeat.
         self._row_data = array("i")
         self._row_starts = array("i", [0])
         self._row_hashes = array("I")
@@ -631,13 +638,12 @@ class ViewInterner:
     # The interned child-row arena
     # ------------------------------------------------------------------ #
 
-    def _row_find(self, kids: Sequence[int], h: int) -> tuple[int, int]:
-        """Probe the open-addressing table for a row under its 32-bit key.
+    def _row_find(self, kids: Sequence[int], h: int) -> int:
+        """The id of row ``kids`` under its 32-bit key ``h``, or ``-1``.
 
-        Returns ``(rid, slot)``: ``rid >= 0`` when the row is interned;
-        otherwise ``rid == -1`` and ``slot`` is the insertion point (valid
-        until the next insert or rehash).  Sees only indexed rows: callers
-        catch the index up first (:meth:`_index_rows`).
+        Linear probing from ``h & mask``; key hits compare against the
+        arena.  Sees only indexed rows: callers catch the index up first
+        (:meth:`_index_rows`).
         """
         slots = self._row_slots
         mask = self._row_slot_mask
@@ -649,7 +655,7 @@ class ViewInterner:
         while True:
             rid = slots[idx]
             if rid < 0:
-                return -1, idx
+                return -1
             if hashes[rid] == h:
                 s = starts[rid]
                 if starts[rid + 1] - s == k:
@@ -657,66 +663,109 @@ class ViewInterner:
                         if data[s + j] != kids[j]:
                             break
                     else:
-                        return rid, idx
+                        return rid
             idx = (idx + 1) & mask
 
-    def _row_add(
-        self, kids: Sequence[int], h: int, slot: int, mask_value: int, depth: int
-    ) -> int:
-        """Append a fresh row, owning no view yet, at ``slot``.
+    def _intern_rows(
+        self, rows: Sequence[tuple[int, ...]], depth: int, probe: bool
+    ) -> Sequence[int]:
+        """Intern distinct sorted child rows of depth ``depth``; their row ids.
 
-        ``slot`` comes from a probe of the caught-up index; the caller
-        reserves the id room first (:meth:`_reserve`).
+        The pure-Python twin of :meth:`_intern_rows_numpy`.  With
+        ``probe`` (the depth already holds rows) the index catches up and
+        every row is looked up; without it every row is fresh.  Room for
+        all fresh rows is reserved before any is written (a refused batch
+        raises :class:`~repro.errors.CapacityError` and changes no content
+        column), and they append in order, unindexed, owning no view yet,
+        with origin masks folded from their children's rows.
         """
-        rid = len(self._row_hashes)
-        self._row_data.extend(kids)
-        self._row_starts.append(len(self._row_data))
-        self._row_hashes.append(h)
-        self._row_masks.append(mask_value)
-        self._row_owners.append(0)
-        self._row_depth.append(depth)
-        self._held_depths.add(depth)
-        self._row_slots[slot] = rid
-        self._rows_indexed = rid + 1
-        if (rid + 2) * 3 >= len(self._row_slots) * 2:
-            self._row_rehash()
-        return rid
+        first = len(self._row_hashes)
+        data = self._row_data
+        starts = self._row_starts
+        rids: Sequence[int]
+        if probe:
+            self._index_rows()
+            # :meth:`_row_find`'s probe, inlined: a call per row made a
+            # PTGPrefix replay on a shared interner about 2 us of 17 slower.
+            slots = self._row_slots
+            slot_mask = self._row_slot_mask
+            hashes = self._row_hashes
+            found: list[int] = []
+            fresh: list[tuple[int, ...]] = []
+            keys = []
+            for kids in rows:
+                h = _row_hash(kids)
+                k = len(kids)
+                idx = h & slot_mask
+                while True:
+                    rid = slots[idx]
+                    if rid < 0:
+                        break
+                    if hashes[rid] == h:
+                        s = starts[rid]
+                        if starts[rid + 1] - s == k:
+                            for j in range(k):
+                                if data[s + j] != kids[j]:
+                                    break
+                            else:
+                                break
+                    idx = (idx + 1) & slot_mask
+                if rid < 0:
+                    rid = first + len(fresh)
+                    fresh.append(kids)
+                    keys.append(h)
+                found.append(rid)
+            rids, rows = found, fresh
+        else:
+            keys = [_row_hash(kids) for kids in rows]
+            rids = range(first, first + len(rows))
+        if rows:
+            self._reserve(len(rows), sum(map(len, rows)))
+            n = self.n
+            row_masks = self._row_masks
+            for kids in rows:
+                data.extend(kids)
+                starts.append(len(data))
+                mask = 0
+                for c in kids:
+                    mask |= row_masks[c // n]
+                row_masks.append(mask)
+            self._row_hashes.extend(keys)
+            self._row_owners.extend([0] * len(rows))
+            self._row_depth.extend([depth] * len(rows))
+            self._held_depths.add(depth)
+        return rids
 
     def _probe_depth(self, depth: int) -> bool:
-        """Whether a kernel call interning rows of ``depth`` must probe.
+        """Whether interning rows of ``depth`` must look them up first.
 
-        Decided once per call, before anything is interned, and the depth
-        counts as held from then on.  A depth that holds no rows cannot
-        repeat one: a row's children are owned by exactly the processes of
-        its in-list, so rows of different in-lists never coincide, and
-        each in-list's rows are deduplicated before they are interned.
+        Decided once per call, before anything is interned.  A depth that
+        holds no rows cannot repeat one: a row's children are owned by
+        exactly the processes of its in-list, so rows of different
+        in-lists never coincide, and each call deduplicates its rows
+        before it interns them.
         """
-        probe = depth in self._held_depths
-        self._held_depths.add(depth)
-        return probe
+        return depth in self._held_depths
 
-    def _index_rows(self, more: int = 0) -> None:
+    def _index_rows(self) -> None:
         """The catch-up: place every unindexed row before a lookup.
 
         Grows the table through :meth:`_row_rehash` only when the load
-        bound requires it, counting ``more`` rows about to be placed;
-        otherwise places just the rows not yet indexed.
+        bound requires it; otherwise places just the rows not yet indexed.
         """
         nrows = len(self._row_hashes)
-        if self._rows_indexed == nrows and not more:
+        if self._rows_indexed == nrows:
             return
         size = len(self._row_slots)
-        while (nrows + more + 2) * 3 >= size * 2:
+        while (nrows + 2) * 3 >= size * 2:
             size *= 2
         if size != len(self._row_slots):
-            self._row_rehash(size=size)
+            self._row_rehash(size)
         else:
             self._place_rows()
 
-    def _row_rehash(self, size: int | None = None) -> None:
-        """Grow the probe table (4x by default) and place every row anew."""
-        if size is None:
-            size = len(self._row_slots) * 4
+    def _row_rehash(self, size: int) -> None:
+        """Place every row anew into an empty probe table of ``size`` slots."""
         self._row_slots = array("i", [-1]) * size
         self._row_slot_mask = size - 1
         self._rows_indexed = 0
@@ -725,15 +774,18 @@ class ViewInterner:
     def _place_rows(self) -> None:
         """Place the unindexed rows into the probe table by their keys.
 
-        Placement goes by the stored per-row key — row contents are never
-        re-read — and rows already placed stay where they are.  With numpy
-        available and at least 4096 rows to place, placement runs in fixed
-        chunks of :data:`_REHASH_CHUNK` rows, so its temporaries are sized
-        by the chunk: each chunk first steps its probe cursors past the
-        slots already held, then resolves its own collisions by iterated
-        last-write-wins scatter.  Otherwise placement is a per-row Python
-        loop.  Probe cursors are int64; the slots hold int32 row ids.  The
-        caller sizes the table for the load bound.
+        The only code that writes the table: interning appends rows
+        unindexed, and the catch-up (:meth:`_index_rows`) or a rehash
+        places them here.  Placement goes by the stored per-row key — row
+        contents are never re-read — and rows already placed stay where
+        they are.  With numpy available and at least 4096 rows to place,
+        placement runs in fixed chunks of :data:`_REHASH_CHUNK` rows, so
+        its temporaries are sized by the chunk: each chunk first steps its
+        probe cursors past the slots already held, then resolves its own
+        collisions by iterated last-write-wins scatter.  Otherwise
+        placement is a per-row Python loop.  Probe cursors are int64; the
+        slots hold int32 row ids.  The caller sizes the table for the load
+        bound.
         """
         first = self._rows_indexed
         nrows = len(self._row_hashes)
@@ -772,27 +824,23 @@ class ViewInterner:
     def _intern_rows_numpy(self, np, uniq, hashes, k: int, depth: int, probe: bool):
         """Bulk-intern distinct candidate rows of depth ``depth``, vectorized.
 
-        ``uniq`` is the ``(count, k)`` matrix of distinct sorted rows,
-        ``hashes`` their uint32 keys.  Without ``probe`` (the kernel call
-        found no row of this depth) every row is fresh: they append, in
-        order, and stay unindexed.  With it, the index catches up with
-        room for every row, probing gathers the open-addressing table
-        through transient buffer windows (key hits verify against the
-        arena, mismatches advance their probe cursor), and only the fresh
-        rows append and take a slot, by iterated last-write-wins scatter.
-        Fresh rows append to the arena and the per-row columns in one
-        contiguous copy each (origin masks fold from the children's rows;
-        owner masks start empty).  Returns the int64 row id per input row,
-        ready for ``rid * n + p``.  Raises
-        :class:`~repro.errors.CapacityError` before appending rows or
-        arena cells past :data:`_ID_LIMIT`.
+        The numpy twin of :meth:`_intern_rows`.  ``uniq`` is the
+        ``(count, k)`` matrix of distinct sorted rows, ``hashes`` their
+        uint32 keys.  With ``probe`` (the depth already holds rows) the
+        index catches up and every row is looked up by gathers through
+        transient buffer windows over the table (key hits verify against
+        the arena, mismatches advance their probe cursor); without it
+        every row is fresh.  The fresh rows append in order, unindexed,
+        to the arena and the per-row columns in one contiguous copy each
+        (origin masks fold from the children's rows; owner masks start
+        empty).  Returns the int64 row id per input row, ready for
+        ``rid * n + p``.  Raises :class:`~repro.errors.CapacityError`
+        before appending rows or arena cells past :data:`_ID_LIMIT`.
         """
         count = len(uniq)
         nrows = len(self._row_hashes)
         if probe:
-            # At most one rehash per batch, and the probe below never
-            # observes a resize.
-            self._index_rows(more=count)
+            self._index_rows()
             slot_mask = self._row_slot_mask
             slots_np = np.frombuffer(self._row_slots, dtype=np.int32)
             row_hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
@@ -800,18 +848,13 @@ class ViewInterner:
             data_np = np.frombuffer(self._row_data, dtype=np.int32)
             idx = (hashes & np.uint32(slot_mask)).astype(np.int64)
             rids = np.full(count, -1, dtype=np.int64)
-            found_slot = np.full(count, -1, dtype=np.int64)
             unresolved = np.arange(count, dtype=np.int64)
             while len(unresolved):
-                cur_idx = idx[unresolved]
-                cur = slots_np[cur_idx]
-                empty = cur < 0
-                if empty.any():
-                    found_slot[unresolved[empty]] = cur_idx[empty]
-                occupied = unresolved[~empty]
-                if not len(occupied):
-                    break
-                occ_rids = cur[~empty]
+                # An empty slot ends a miss's probe.
+                cur = slots_np[idx[unresolved]]
+                held = cur >= 0
+                occupied = unresolved[held]
+                occ_rids = cur[held]
                 resolved = np.zeros(len(occupied), dtype=bool)
                 hit_pos = np.flatnonzero(row_hashes_np[occ_rids] == hashes[occupied])
                 if len(hit_pos):
@@ -833,15 +876,16 @@ class ViewInterner:
                 advance = occupied[~resolved]
                 idx[advance] = (idx[advance] + 1) & slot_mask
                 unresolved = advance
-            del starts_np, data_np, row_hashes_np
+            del slots_np, starts_np, data_np, row_hashes_np
             fresh_rows = np.flatnonzero(rids < 0)
+            rids[fresh_rows] = np.arange(nrows, nrows + len(fresh_rows))
             if len(fresh_rows) < count:
                 uniq, hashes = uniq[fresh_rows], hashes[fresh_rows]
         else:
             rids = np.arange(nrows, nrows + count, dtype=np.int64)
-        total_fresh = len(uniq)
-        if total_fresh:
-            self._reserve(total_fresh, k * total_fresh)
+        fresh = len(uniq)
+        if fresh:
+            self._reserve(fresh, k * fresh)
             old_len = len(self._row_data)
             payload = np.ascontiguousarray(uniq, dtype=np.int32)
             # A row's origin mask is the OR of its children's row masks,
@@ -856,40 +900,13 @@ class ViewInterner:
             self._row_data.frombytes(payload.tobytes())
             del payload
             self._row_starts.frombytes(
-                np.arange(
-                    old_len + k, old_len + k * total_fresh + 1, k, dtype=np.int32
-                ).tobytes()
+                np.arange(old_len + k, old_len + k * fresh + 1, k, dtype=np.int32).tobytes()
             )
             self._row_hashes.frombytes(hashes.tobytes())
             self._row_masks.frombytes(fresh_masks.tobytes())
             self._row_owners.frombytes(bytes(fresh_masks.nbytes))
-            self._row_depth.frombytes(
-                np.full(total_fresh, depth, dtype=np.int32).tobytes()
-            )
-        if probe:
-            if total_fresh:
-                # Slot placement: last-write-wins scatter with collision
-                # retry (the catch-up sized the table for the load bound).
-                new_rids = np.arange(nrows, nrows + total_fresh, dtype=np.int32)
-                rids[fresh_rows] = new_rids
-                place_idx = found_slot[fresh_rows]
-                pending = np.arange(total_fresh, dtype=np.int64)
-                while len(pending):
-                    pi = place_idx[pending]
-                    slots_np[pi] = new_rids[pending]
-                    lost = slots_np[pi] != new_rids[pending]
-                    pending = pending[lost]
-                    if not len(pending):
-                        break
-                    nxt = (place_idx[pending] + 1) & slot_mask
-                    while True:
-                        occupied = slots_np[nxt] >= 0
-                        if not occupied.any():
-                            break
-                        nxt[occupied] = (nxt[occupied] + 1) & slot_mask
-                    place_idx[pending] = nxt
-                self._rows_indexed = nrows + total_fresh
-            del slots_np
+            self._row_depth.frombytes(np.full(fresh, depth, dtype=np.int32).tobytes())
+            self._held_depths.add(depth)
         return rids
 
     def _row_tuple(self, rid: int) -> tuple[int, ...]:
@@ -931,9 +948,9 @@ class ViewInterner:
         """Raise :class:`~repro.errors.CapacityError` unless the ids fit.
 
         Every path checks a whole batch this way before it writes any of
-        it — a call for :meth:`leaf_level`, :meth:`node` and
-        :meth:`extend_level`, one in-neighborhood's rows for the layer
-        kernels — so a refused batch leaves every column as it was.
+        it — a call's new leaves for :meth:`leaf` and :meth:`leaf_level`,
+        a call's fresh rows for :meth:`_intern_rows` and its numpy twin —
+        so a refused batch leaves every content column as it was.
         """
         if not self._has_room(rows, cells):
             raise CapacityError(
@@ -943,19 +960,6 @@ class ViewInterner:
                 f"limit of {_ID_LIMIT} slots and cells"
             )
 
-    def _batch_need(self, level: Sequence[int], in_lists) -> tuple[int, int]:
-        """The exact (rows, cells) extending ``level`` would add.
-
-        A dry run of :meth:`extend_level`'s probe (after its catch-up),
-        taken only when the cheap upper bound does not fit the limit.
-        """
-        fresh_rows: set = set()
-        for in_list in in_lists:
-            kids = tuple(sorted({level[q] for q in in_list}))
-            if self._row_find(kids, _row_hash(kids))[0] < 0:
-                fresh_rows.add(kids)
-        return len(fresh_rows), sum(map(len, fresh_rows))
-
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
@@ -963,14 +967,16 @@ class ViewInterner:
     def _add_leaf(self, p: int, value) -> int:
         """Append the owner-only row of a fresh leaf and return its view id.
 
-        The empty row is keyed by its own row id, so it takes a free slot
-        (after the catch-up) and no child-row probe (``k >= 1``) ever
-        matches it.
+        No lookup: leaves are found through the leaf table.  The empty row
+        is keyed by its own row id, so once placed it takes a free slot and
+        no child-row probe (``k >= 1``) ever matches it.
         """
-        self._index_rows()
-        key = len(self._row_hashes) & _MASK32
-        rid = self._row_add((), key, self._row_find((), key)[1], 1 << p, 0)
-        self._row_owners[rid] = 1 << p
+        rid = len(self._row_hashes)
+        self._row_starts.append(len(self._row_data))
+        self._row_hashes.append(rid & _MASK32)
+        self._row_masks.append(1 << p)
+        self._row_owners.append(1 << p)
+        self._row_depth.append(0)
         vid = rid * self.n + p
         self._leaf_table[(p, value)] = vid
         self._origin_values[vid] = ((p, value),)
@@ -999,20 +1005,20 @@ class ViewInterner:
         if not kids:
             raise AnalysisError("a non-leaf view needs at least its own previous view")
         n = self.n
-        self._index_rows()
-        h = _row_hash(kids)
-        rid, slot = self._row_find(kids, h)
-        if rid >= 0 and self._row_owners[rid] >> p & 1:
-            return rid * n + p
-        # Validate *before* interning the row, so a rejected call leaves no
-        # phantom row behind in the tables (or the stats).
         depths = {self._row_depth[self._view_row(c)] for c in kids}
         if len(depths) != 1:
             raise AnalysisError(f"children of a view must share a depth, got {sorted(depths)}")
-        mask = 0
+        depth = depths.pop() + 1
+        rid = -1
+        if self._probe_depth(depth):
+            self._index_rows()
+            rid = self._row_find(kids, _row_hash(kids))
+            if rid >= 0 and self._row_owners[rid] >> p & 1:
+                return rid * n + p
+        # Validate *before* interning the row, so a rejected call leaves no
+        # phantom row behind in the tables (or the stats).
         values: dict[int, object] = {}
         for c in kids:
-            mask |= self._row_masks[c // n]
             for q, value in self.origins(c):
                 previous = values.setdefault(q, value)
                 if previous != value:
@@ -1020,8 +1026,7 @@ class ViewInterner:
                         f"inconsistent input values for process {q}: {previous!r} vs {value!r}"
                     )
         if rid < 0:
-            self._reserve(1, len(kids))
-            rid = self._row_add(kids, h, slot, mask, depths.pop() + 1)
+            rid = self._intern_rows([kids], depth, False)[0]
         self._row_owners[rid] |= 1 << p
         self._view_count += 1
         vid = rid * n + p
@@ -1053,12 +1058,14 @@ class ViewInterner:
 
         ``level`` must be the full view-id tuple of one prefix at some time
         ``t`` (so the children of each new view are mutually consistent by
-        construction); the result is the level at time ``t + 1``, one row
-        probe per process.  Origin *values* of the new views are
-        materialized lazily (only :meth:`origins` and :meth:`input_of`
-        force them) — the prefix-space hot path needs only the origin
-        masks.  A level of another length, views of several depths or a
-        graph on another process count raise
+        construction); the result is the level at time ``t + 1``.  Its
+        distinct rows are interned in one :meth:`_intern_rows` call, looked
+        up only when depth ``t + 1`` already holds rows, and owner bits are
+        set only after every fresh row is in.  Origin *values* of the new
+        views are materialized lazily (only :meth:`origins` and
+        :meth:`input_of` force them) — the prefix-space hot path needs only
+        the origin masks.  A level of another length, views of several
+        depths or a graph on another process count raise
         :class:`~repro.errors.AnalysisError`.
         """
         n = self.n
@@ -1070,18 +1077,10 @@ class ViewInterner:
         if len(depths) != 1:
             raise AnalysisError(f"level views must share a depth, got {sorted(depths)}")
         depth = depths.pop() + 1
-        in_lists = graph.in_neighbor_lists
-        row_masks = self._row_masks
-        owners = self._row_owners
-        row_find = self._row_find
-        row_add = self._row_add
-        self._index_rows()
-        if not self._has_room(n, n * n):
-            self._reserve(*self._batch_need(level, in_lists))
-        sorted_level: tuple[int, ...] | None = None
-        vids = []
-        added = 0
-        for p, in_list in enumerate(in_lists):
+        # Each process's row, deduplicated in first-occurrence order.
+        index: dict = {}
+        picks = []
+        for in_list in graph.in_neighbor_lists:
             size = len(in_list)
             if size == 2:
                 a = level[in_list[0]]
@@ -1089,21 +1088,15 @@ class ViewInterner:
                 kids = (a, b) if a < b else (b, a)
             elif size == 1:
                 kids = (level[in_list[0]],)
-            elif size == n:
-                # Dense row: every process that hears everyone shares the
-                # sorted full level.
-                if sorted_level is None:
-                    sorted_level = tuple(sorted(level))
-                kids = sorted_level
             else:
                 kids = tuple(sorted([level[q] for q in in_list]))
-            h = _row_hash(kids)
-            rid, slot = row_find(kids, h)
-            if rid < 0:
-                mask = 0
-                for c in kids:
-                    mask |= row_masks[c // n]
-                rid = row_add(kids, h, slot, mask, depth)
+            picks.append(index.setdefault(kids, len(index)))
+        rids = self._intern_rows(list(index), depth, self._probe_depth(depth))
+        owners = self._row_owners
+        vids = []
+        added = 0
+        for p, u in enumerate(picks):
+            rid = rids[u]
             held = owners[rid]
             if not held >> p & 1:
                 owners[rid] = held | 1 << p
@@ -1235,12 +1228,12 @@ class ViewInterner:
 
         Same structure as the numpy backend — candidate rows dedup per
         in-neighborhood across every parent that uses it, views resolve
-        at unique-row granularity, rows are probed only when the depth
-        already holds rows — in plain loops over the flat layer column
-        and plain-int member lists.  Small per-row key tuples are
-        built transiently for the batch-local dedup dict; nothing
-        tuple-shaped is stored or returned, and the child column is an
-        ``array('i')``.
+        at unique-row granularity, rows are looked up only when the depth
+        already holds rows (:meth:`_intern_rows`) — in plain loops over
+        the flat layer column and plain-int member lists.  Small per-row
+        key tuples are built transiently for the batch-local dedup dict;
+        nothing tuple-shaped is stored or returned, and the child column
+        is an ``array('i')``.
         """
         n = self.n
         ids = plain_ids(table.ids)
@@ -1252,9 +1245,6 @@ class ViewInterner:
             raise AnalysisError(f"layer views must share a depth, got {sorted(depths)}")
         depth = depths.pop() + 1
         probe = self._probe_depth(depth)
-        if probe:
-            self._index_rows()
-        row_masks = self._row_masks
         owners = self._row_owners
         members = [None if rows is None else plain_ids(rows) for _, rows in groups]
         vid_arrs: list = [[None] * len(plan[0]) for plan, _ in groups]
@@ -1303,77 +1293,9 @@ class ViewInterner:
                     if u == len(uniq_rows):
                         uniq_append(kids)
                     inv_append(u)
-            # Intern the distinct rows of this column once.  The loops are
-            # inlined because at deep layers most distinct rows are
-            # globally fresh and per-row call overhead dominates.
-            hashes = self._row_hashes
-            starts = self._row_starts
-            data = self._row_data
-            row_hash = _row_hash
-            urids: Sequence[int]
-            if not probe:
-                # Every row is fresh: append them in order, unindexed.
-                fresh = len(uniq_rows)
-                self._reserve(fresh, k * fresh)
-                first = len(hashes)
-                for kids in uniq_rows:
-                    data.extend(kids)
-                    starts.append(len(data))
-                    hashes.append(row_hash(kids))
-                    mask = 0
-                    for c in kids:
-                        mask |= row_masks[c // n]
-                    row_masks.append(mask)
-                owners.extend([0] * fresh)
-                row_depth.extend([depth] * fresh)
-                urids = range(first, len(hashes))
-            else:
-                # One hash, linear probing, arena compare on key hits; a
-                # fresh row takes its empty slot.
-                if not self._has_room(len(uniq_rows), k * len(uniq_rows)):
-                    fresh = sum(
-                        self._row_find(kids, row_hash(kids))[0] < 0
-                        for kids in uniq_rows
-                    )
-                    self._reserve(fresh, k * fresh)
-                probed: list[int] = []
-                urids_append = probed.append
-                slots = self._row_slots
-                slot_mask = self._row_slot_mask
-                for kids in uniq_rows:
-                    h = row_hash(kids)
-                    idx = h & slot_mask
-                    while True:
-                        rid = slots[idx]
-                        if rid < 0:
-                            rid = len(hashes)
-                            data.extend(kids)
-                            starts.append(len(data))
-                            hashes.append(h)
-                            slots[idx] = rid
-                            mask = 0
-                            for c in kids:
-                                mask |= row_masks[c // n]
-                            row_masks.append(mask)
-                            owners.append(0)
-                            row_depth.append(depth)
-                            if (rid + 2) * 3 >= len(slots) * 2:
-                                self._row_rehash()
-                                slots = self._row_slots
-                                slot_mask = self._row_slot_mask
-                            break
-                        if hashes[rid] == h:
-                            s = starts[rid]
-                            if starts[rid + 1] - s == k:
-                                for j in range(k):
-                                    if data[s + j] != kids[j]:
-                                        break
-                                else:
-                                    break
-                        idx = (idx + 1) & slot_mask
-                    urids_append(rid)
-                self._rows_indexed = len(hashes)
-                urids = probed
+            # Intern the distinct rows of this column once, looked up only
+            # when the depth already held rows before this call.
+            urids = self._intern_rows(uniq_rows, depth, probe)
             # Owner p's bit goes on the rows its groups reach; the child
             # column of its pattern is the slot ``rid * n + p``.
             added = 0
@@ -1426,15 +1348,15 @@ class ViewInterner:
         that uses it — the whole layer, or its groups' members stacked —
         gather/sort as one int32 matrix and dedup via ``np.unique`` on
         packed int64 key columns; row keys are computed vectorized over
-        the distinct rows, which append in bulk (probed first only when
-        the depth already holds rows, :meth:`_probe_depth`), and each
-        owner sets its bit on the distinct rows its
-        groups reach with one gather and one scatter over the
-        buffer-backed owner column.  The child column of owner ``p`` is
-        ``urid * n + p`` (products in int64, stored int32, which the
-        ``rows * n`` id limit keeps in range).  Views over the interner's
-        columns are strictly transient: every ``frombuffer`` window is
-        dropped before the underlying array can resize.
+        the distinct rows, which append in bulk (looked up first only when
+        the depth already holds rows, :meth:`_intern_rows_numpy`), and
+        each owner sets its bit on the distinct rows its groups reach with
+        one gather and one scatter over the buffer-backed owner column.
+        The child column of owner ``p`` is ``urid * n + p`` (products in
+        int64, stored int32, which the ``rows * n`` id limit keeps in
+        range).  Views over the interner's columns are strictly transient:
+        every ``frombuffer`` window is dropped before the underlying array
+        can resize.
         """
         np = _np
         n = self.n
@@ -1471,7 +1393,7 @@ class ViewInterner:
             uniq, inv = _unique_rows(np, cand)
             del cand  # layer-sized; only the distinct rows are interned
             # Bulk-hash the distinct rows (same key as _row_hash), then
-            # append, or probe and insert, entirely vectorized.
+            # look them up (at a held depth) and append, all vectorized.
             hashes = _bulk_row_hashes(np, uniq, k)
             urid_arr = self._intern_rows_numpy(np, uniq, hashes, k, depth, probe)
             del uniq, hashes

@@ -548,6 +548,7 @@ class ColumnarHotPathRule(Rule):
             "repro.core.views::extend_layer_table",
             "repro.core.views::_extend_layer_python",
             "repro.core.views::_extend_layer_numpy",
+            "repro.core.views::_intern_rows",
             "repro.core.views::_intern_rows_numpy",
             "repro.topology.components::_analyze_python",
             "repro.topology.components::_analyze_numpy",
@@ -653,14 +654,7 @@ class BackendParityRule(Rule):
         "counterpart (_*_python or the bare stem) in the same module"
     )
     repro_only = True
-    defaults: dict[str, Any] = {
-        "exempt": [
-            # numpy-only sub-step of the vectorized extension kernel: the
-            # python backend interns rows through a different (scalar)
-            # code path that the layer-kernel equivalence suite pins.
-            "repro.core.views::_intern_rows_numpy",
-        ]
-    }
+    defaults: dict[str, Any] = {"exempt": []}
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         options = self.options(ctx)

@@ -93,9 +93,9 @@ def _view_nodes(np, mat):
     layer's rows consecutively, so shifting by the smallest view id is
     free; the range then also spans the layer's gap slots (owners a row
     holds no view for), which is harmless while it stays within the cell
-    count.  An interner shared across a sweep shard interleaves many
-    spaces' rows, so the id range can run far past the layer; then the
-    ids compact through one ``np.unique``.
+    count.  An interner shared on purpose across checks interleaves
+    several spaces' rows, so the id range can run far past the layer; then
+    the ids compact through one ``np.unique``.
     """
     lo = int(mat.min())
     span = int(mat.max()) - lo + 1

@@ -182,6 +182,36 @@ def test_extend_level_refuses_past_the_limit(backend, limit_to):
     assert interner.extend_level(level, arrow("<->")) == both
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_extend_level_sets_no_owner_bit_before_its_fresh_rows_fit(backend, limit_to):
+    """A found row's missing owner waits until the fresh rows have room.
+
+    Process 1's row already exists without its owner bit, and processes 0
+    and 2 need fresh rows: a refused call must not have handed out
+    process 1's view first.
+    """
+    interner = ViewInterner(3, layer_backend=backend)
+    a, b, c = level = interner.leaf_level((0, 1, 0))
+    shared = interner.node(0, [a, b])
+    graph = Digraph(3, [(0, 1)])
+    assert graph.in_neighbor_lists == ((0,), (0, 1), (2,))
+    views, rows, cells = counts(interner)
+    limit = limit_to((rows + 1) * 3)  # room for one fresh row, not two
+    state = snapshot(interner)
+    with pytest.raises(CapacityError):
+        interner.extend_level(level, graph)
+    after = snapshot(interner)
+    # The lookup caught the row index up; every content column is as it was.
+    del state["_row_slots"], after["_row_slots"]
+    assert after == state
+    assert_consistent(interner, limit)
+    limit = limit_to((rows + 2) * 3)
+    child = interner.extend_level(level, graph)
+    assert child[1] == shared + 1
+    assert counts(interner) == (views + 3, rows + 2, cells + 2)
+    assert_consistent(interner, limit)
+
+
 def test_node_refuses_past_the_limit(limit_to):
     interner = ViewInterner(2)
     a, b = interner.leaf_level((0, 1))

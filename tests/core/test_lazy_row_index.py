@@ -1,20 +1,23 @@
 """The row index is built on demand and keeps exact hash-consing.
 
-A kernel call at a depth that holds no rows yet appends its distinct rows
-without probing the row table (``_row_slots``) or placing them in it, so
-a fresh build leaves them unindexed.  Every later lookup — ``node()``,
-``extend_level``, a new leaf, a kernel call at a depth that already holds
-rows, a second check on an interner shared on purpose — first places the
-unindexed rows, so a structurally equal view still gets the kernel's id
-and nothing is interned twice.  The tests run on both backends, with the
-numpy kernel's cell floor at 0 and at its default, and with the placement
-chunk shrunk so that every catch-up of these builds spans many chunks.
+Every interning path appends its rows without placing them in the row
+table (``_row_slots``), and a call at a depth that holds no rows yet does
+not probe it either, so a fresh build leaves every row unindexed, leaves
+included.  Every later lookup — ``node()``, ``extend_level`` or a kernel
+call at a depth that already holds rows, as in a second check on an
+interner shared on purpose — first places the unindexed rows, so a
+structurally equal view still gets the kernel's id and nothing is
+interned twice; leaves are found through the leaf table.  The tests run
+on both backends, with the numpy kernel's cell floor at 0 and at its
+default, and with the placement chunk shrunk so that every catch-up of
+these builds spans many chunks.
 """
 
 import pytest
 
 import repro.core.views as views_module
 from repro.consensus.solvability import check_consensus
+from repro.core.digraph import arrow
 from repro.core.ptg import PTGPrefix
 from repro.core.views import ViewInterner, numpy_available
 from repro.specs import NAMED_ADVERSARIES
@@ -38,13 +41,35 @@ def small_chunks(request, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_extend_level_and_node_append_their_rows_unindexed(backend):
+    interner = ViewInterner(2, layer_backend=backend)
+    level = interner.leaf_level((0, 1))
+    child = interner.extend_level(level, arrow("->"))
+    view = interner.node(0, child)
+    rows, views = interner._row_count, len(interner)
+    assert rows == 5 and interner._rows_indexed == 0
+
+    # Lookups at the held depths catch the index up and find the same ids.
+    assert interner.extend_level(level, arrow("->")) == child
+    assert interner._rows_indexed == rows
+    assert interner.node(0, child) == view
+    assert (interner._row_count, len(interner)) == (rows, views)
+
+    # A fresh row found missing by a lookup still appends unindexed.
+    fro = interner.extend_level(level, arrow("<-"))
+    assert interner._row_count == rows + 1 and interner._rows_indexed == rows
+    assert interner.extend_level(level, arrow("<-")) == fro
+    assert interner._rows_indexed == rows + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name, depth", CASES)
 def test_lookups_after_a_lazy_build_return_the_kernel_ids(name, depth, backend, small_chunks):
     space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend)
     space.ensure_depth(depth)
     interner = space.interner
     rows, views = interner._row_count, len(interner)
-    assert interner._rows_indexed == interner.stats().leaves < rows
+    assert interner._rows_indexed == 0 < rows
 
     # node(): the first lookup catches the index up; every view of the
     # deepest layer is found again from its children.

@@ -1,11 +1,11 @@
 """The row index survives growth and catch-up: every row stays findable.
 
 ``ViewInterner`` looks child rows up through an open-addressing table
-(``_row_slots``) that it builds on demand: a fresh depth's rows append
-unindexed, and the first lookup after them (``node()``, ``extend_level``,
-a new leaf, a kernel call at a depth that holds rows) places them from
-the stored per-row hashes, growing the table by a rehash when the load
-bound requires it.  With numpy and at least 4096 rows to place,
+(``_row_slots``) that it builds on demand: every interning path appends
+its rows unindexed, and the first lookup after them (``node()``,
+``extend_level`` or a kernel call at a depth that holds rows) places them
+from the stored per-row hashes, growing the table by a rehash when the
+load bound requires it.  With numpy and at least 4096 rows to place,
 placement runs in chunks of ``_REHASH_CHUNK`` rows, each chunk stepping
 past the slots already held before it scatters.  Leaf rows (owner-only,
 no children) sit in the table too, keyed by their own row id.  A lost row
@@ -58,8 +58,7 @@ def assert_row_table_intact(interner):
         key = interner._row_hashes[rid]
         # A child row's key is its 32-bit hash; a leaf row's its own id.
         assert key == (views_module._row_hash(kids) if kids else rid)
-        found, _ = interner._row_find(kids, key)
-        assert found == rid
+        assert interner._row_find(kids, key) == rid
 
 
 def tight_size(rows):
@@ -76,16 +75,16 @@ def test_rows_survive_chunked_rehashes(backend, placements):
     space = PrefixSpace(lossy_link_full(), layer_backend=backend)
     space.ensure_depth(depth - 1)
     interner = space.interner
-    leaves = interner.stats().leaves
-    # A fresh build places its leaves one by one and nothing else.
-    assert placements == [] and interner._rows_indexed == leaves
-    # A leaf interned late catches the index up first: one rehash into a
-    # grown table places every row from the start, chunk by chunk.
-    interner.leaf(0, "late")
+    # A fresh build places no row, not even its leaves.
+    assert placements == [] and interner._rows_indexed == 0
+    # The first lookup catches the index up: one rehash into a grown
+    # table places every row from the start, chunk by chunk.
+    level = space.layer_store(depth - 1).levels[0]
+    assert interner.node(1, interner.children(level[1])) == level[1]
     rows = interner._row_count
-    assert placements == [(0, rows - 1, tight_size(rows - 1))]
+    assert placements == [(0, rows, tight_size(rows))]
     if numpy_available():
-        assert rows - 1 >= max(4096, 4 * SMALL_CHUNK)
+        assert rows >= max(4096, 4 * SMALL_CHUNK)
     assert_row_table_intact(interner)
 
     # The next depth appends unindexed into a table roomy enough for it,

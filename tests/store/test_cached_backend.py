@@ -6,7 +6,7 @@ no interner, and still returns records byte-identical to a cold
 ``record_timing=False`` serial run.
 """
 
-import repro.api
+import repro.consensus.solvability
 from repro.api import Session, check_consensus_with_options, run_sweep
 from repro.adversaries import two_process_oblivious_family
 from repro.backends import SerialBackend, jobs_for
@@ -149,7 +149,7 @@ def test_session_check_record_zero_work_on_second_call(tmp_path, monkeypatch):
         checks.append(args)
         return check_consensus_with_options(*args, **kwargs)
 
-    monkeypatch.setattr(repro.api, "check_consensus_with_options", spy)
+    monkeypatch.setattr(repro.consensus.solvability, "check_consensus_with_options", spy)
     hot = session.check_record(spec)
     # The hit never reached the checker; a miss does.
     assert checks == []
