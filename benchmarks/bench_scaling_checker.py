@@ -227,9 +227,7 @@ def test_scaling_layer_kernel_quick(benchmark, backend):
     """
 
     def kernel():
-        space = PrefixSpace(
-            lossy_link_full(), retain="frontier", layer_backend=backend
-        )
+        space = PrefixSpace(lossy_link_full(), retain="frontier")
         for depth, store in space.iter_layers(max_depth=6):
             pass
         return len(store)
@@ -259,7 +257,6 @@ def test_scaling_layer_construction_depth12_streaming(benchmark, backend):
             lossy_link_full(),
             retain="frontier",
             max_nodes=4_000_000,
-            layer_backend=backend,
         )
         for depth, store in space.iter_layers(max_depth=12):
             pass
@@ -291,9 +288,7 @@ def test_scaling_n7_rooted_space(benchmark, backend):
     adversary = random_oblivious_adversary(rng, 7, size=8, rooted_only=True)
 
     def kernel():
-        space = PrefixSpace(
-            adversary, retain="frontier", layer_backend=backend
-        )
+        space = PrefixSpace(adversary, retain="frontier")
         space.ensure_depth(3)
         return len(space.layer_store(3)), space.interner.stats()
 
@@ -345,7 +340,7 @@ def test_scaling_components_quick(benchmark, backend):
     that keeps the columnar ``ComponentAnalysis`` honest between full
     re-recordings.
     """
-    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space = PrefixSpace(lossy_link_full())
     space.ensure_depth(6)
 
     analysis = benchmark(lambda: ComponentAnalysis(space, 6))
@@ -369,7 +364,7 @@ def test_scaling_stateful_check_quick(benchmark, backend):
     enough for the CI quick run on both legs; this is the entry that keeps
     the grouped merge honest between full re-recordings.
     """
-    options = CheckOptions(max_depth=9, layer_backend=backend)
+    options = CheckOptions(max_depth=9)
     result = benchmark.pedantic(
         lambda: check_consensus_with_options(
             NAMED_ADVERSARIES["eventually-to-full-base"](), options
@@ -402,7 +397,6 @@ def test_scaling_checker_pipeline_depth10(benchmark, backend):
         max_depth=10,
         use_impossibility_provers=False,
         use_broadcaster_certificate=False,
-        layer_backend=backend,
     )
     result = benchmark.pedantic(
         lambda: check_consensus_with_options(lossy_link_full(), options),
@@ -432,7 +426,6 @@ def test_scaling_checker_pipeline_depth12(benchmark, backend):
         max_nodes=8_000_000,
         use_impossibility_provers=False,
         use_broadcaster_certificate=False,
-        layer_backend=backend,
     )
     result = benchmark.pedantic(
         lambda: check_consensus_with_options(lossy_link_full(), options),
@@ -459,7 +452,7 @@ def test_scaling_decision_pipeline_n3(benchmark, backend):
 
     def kernel():
         adversary = ObliviousAdversary(3, out_star_set(3))
-        space = PrefixSpace(adversary, layer_backend=backend)
+        space = PrefixSpace(adversary)
         space.ensure_depth(8)
         analysis = ComponentAnalysis(space, 8)
         return build_decision_table(analysis, ConsensusSpec())
@@ -491,7 +484,6 @@ def test_scaling_layer_construction_depth14_streaming(benchmark, backend):
             lossy_link_full(),
             retain="frontier",
             max_nodes=20_000_000,
-            layer_backend=backend,
         )
         for depth, store in space.iter_layers(max_depth=14):
             pass
@@ -523,9 +515,7 @@ def test_scaling_n7_rooted_space_depth4(benchmark, backend):
     adversary = random_oblivious_adversary(rng, 7, size=8, rooted_only=True)
 
     def kernel():
-        space = PrefixSpace(
-            adversary, retain="frontier", layer_backend=backend
-        )
+        space = PrefixSpace(adversary, retain="frontier")
         space.ensure_depth(4)
         return len(space.layer_store(4)), space.interner.stats()
 
@@ -571,9 +561,7 @@ def test_scaling_n9_rooted_space(benchmark, backend):
     adversary = random_oblivious_adversary(rng, 9, size=8, rooted_only=True)
 
     def kernel():
-        space = PrefixSpace(
-            adversary, retain="frontier", layer_backend=backend
-        )
+        space = PrefixSpace(adversary, retain="frontier")
         space.ensure_depth(3)
         return len(space.layer_store(3)), space.interner.stats()
 

@@ -157,11 +157,10 @@ def run_sweep(
 class Session:
     """A reusable checking context: default options + an optional store.
 
-    Each check builds its own :class:`~repro.core.views.ViewInterner`
-    from the options it runs with, so a per-call ``layer_backend`` takes
-    effect and a finished check's view tables are freed with its result.
-    Callers that want to share view tables across checks on purpose pass
-    one interner to :func:`~repro.consensus.solvability.check_consensus`.
+    Each check builds its own :class:`~repro.core.views.ViewInterner`, so
+    a finished check's view tables are freed with its result.  Callers
+    that want to share view tables across checks on purpose pass one
+    interner to :func:`~repro.consensus.solvability.check_consensus`.
 
     Parameters
     ----------
@@ -205,8 +204,7 @@ class Session:
     ) -> SolvabilityResult:
         """Check one adversary (or spec) on a fresh view interner.
 
-        ``options`` (default: the session's) also pick the interner's
-        ``layer_backend``.
+        ``options`` default to the session's.
         """
         return check_consensus_with_options(
             self._resolve(target), options or self.options, spec=spec

@@ -65,7 +65,9 @@ class SweepJob:
     A job carries a live ``adversary``, a serializable ``spec``
     (:class:`~repro.specs.AdversarySpec`), or both.  Spec-carrying jobs
     build their adversary lazily — on whichever worker runs them — which
-    is what lets shard manifests ship jobs as JSON.
+    is what lets shard manifests ship jobs as JSON.  ``max_depth`` must be
+    a non-negative int (a bool is not one), or
+    :class:`~repro.errors.AnalysisError` is raised.
     """
 
     __slots__ = ("index", "max_depth", "tags", "spec", "_adversary")
@@ -80,6 +82,10 @@ class SweepJob:
     ) -> None:
         if adversary is None and spec is None:
             raise AnalysisError("a sweep job needs an adversary or a spec")
+        if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
+            raise AnalysisError(
+                f"a sweep job's max_depth must be an int >= 0, got {max_depth!r}"
+            )
         self.index = index
         self.max_depth = max_depth
         #: JSON-able metadata carried through to the record (e.g. family
@@ -238,7 +244,7 @@ def iter_job_records(
     base = options or CheckOptions()
     for job in jobs:
         adversary = job.adversary
-        interner = ViewInterner(adversary.n, layer_backend=base.layer_backend)
+        interner = ViewInterner(adversary.n)
         start = time.perf_counter()
         result = check_consensus_with_options(
             adversary, base.replace(max_depth=job.max_depth), interner=interner

@@ -50,18 +50,33 @@ from collections import Counter
 from repro.core.digraph import Digraph
 from repro.specs import NAMED_ADVERSARIES
 
-#: Backwards-compatible alias: the named table now lives in ``repro.specs``
-#: so sweep manifests (the ``named`` family) and the CLI share it.
-ADVERSARIES = NAMED_ADVERSARIES
-
 
 def _resolve(name: str):
     try:
-        return ADVERSARIES[name]()
+        return NAMED_ADVERSARIES[name]()
     except KeyError:
         raise SystemExit(
-            f"unknown adversary {name!r}; choose from {sorted(ADVERSARIES)}"
+            f"unknown adversary {name!r}; choose from {sorted(NAMED_ADVERSARIES)}"
         )
+
+
+def _depth(text: str) -> int:
+    """argparse type of ``--max-depth``: a depth budget, an int >= 0."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {depth}")
+    return depth
+
+
+def _sweep_depth(text: str) -> str:
+    """argparse type of ``sweep --max-depth``: ``+N`` (checked by
+    :func:`_parse_sweep_depth`) or an absolute :func:`_depth`."""
+    if not text.strip().startswith("+"):
+        _depth(text)
+    return text
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -185,10 +200,7 @@ def _parse_sweep_depth(args: argparse.Namespace) -> tuple[int | None, int | None
         if extra <= 0:
             raise SystemExit("--max-depth +N must deepen the budget (N >= 1)")
         return None, extra
-    try:
-        return int(value), None
-    except ValueError:
-        raise SystemExit(f"invalid --max-depth {value!r}")
+    return int(value), None
 
 
 def _print_sweep_records(records, workers: int, out) -> None:
@@ -620,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
 
     check = sub.add_parser("check", help="run the solvability checker")
     check.add_argument("--adversary", required=True)
-    check.add_argument("--max-depth", type=int, default=8)
+    check.add_argument("--max-depth", type=_depth, default=8)
     check.add_argument(
         "--stats", action="store_true",
         help="also print the view-table statistics of the run",
@@ -628,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     check.set_defaults(func=cmd_check)
 
     census = sub.add_parser("census", help="oblivious adversary census")
-    census.add_argument("--max-depth", type=int, default=6)
+    census.add_argument("--max-depth", type=_depth, default=6)
     census.add_argument("--workers", type=int, default=1,
                         help="fan checker jobs across this many processes")
     census.add_argument("--rooted", action="store_true",
@@ -655,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--retry", metavar="RECORDS_JSONL",
                        help="re-queue only the undecided records of an "
                             "earlier sweep's JSONL at a deeper budget")
-    sweep.add_argument("--max-depth", default=None,
+    sweep.add_argument("--max-depth", type=_sweep_depth, default=None,
                        help="depth budget: an integer (default 6), or +N "
                             "with --retry to deepen each retried record's "
                             "old budget by N (default +2)")
@@ -720,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="every Nth query is cold (10 = 90/10 mix)")
     load_test.add_argument("--connections", type=int, default=50,
                            help="concurrent client connections")
-    load_test.add_argument("--max-depth", type=int, default=2,
+    load_test.add_argument("--max-depth", type=_depth, default=2,
                            help="depth budget of the load-test queries")
     load_test.add_argument("--workers", type=int, default=2,
                            help="server worker threads (self-hosted mode)")
@@ -741,7 +753,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="fleet state directory (must not already "
                                 "hold a fleet)")
     _add_family_arguments(fleet_run)
-    fleet_run.add_argument("--max-depth", type=int, default=6)
+    fleet_run.add_argument("--max-depth", type=_depth, default=6)
     fleet_run.add_argument("--shards", type=int, default=4,
                            help="work-queue shards (capped at the job count)")
     fleet_run.add_argument("--workers", type=int, default=2,
@@ -817,7 +829,7 @@ def main(argv: list[str] | None = None) -> int:
     simulate.add_argument("--trials", type=int, default=50)
     simulate.add_argument("--rounds", type=int, default=8)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--max-depth", type=int, default=8)
+    simulate.add_argument("--max-depth", type=_depth, default=8)
     simulate.set_defaults(func=cmd_simulate)
 
     ptg = sub.add_parser("ptg", help="print the Figure 2 process-time graph")
@@ -828,12 +840,12 @@ def main(argv: list[str] | None = None) -> int:
     kset.add_argument("--adversary", required=True)
     kset.add_argument("--k", type=int, default=2)
     kset.add_argument("--values", type=int, default=2)
-    kset.add_argument("--max-depth", type=int, default=3)
+    kset.add_argument("--max-depth", type=_depth, default=3)
     kset.set_defaults(func=cmd_kset)
 
     heardof = sub.add_parser("heardof", help="classify Heard-Of predicate families")
     heardof.add_argument("--n", type=int, default=3)
-    heardof.add_argument("--max-depth", type=int, default=3)
+    heardof.add_argument("--max-depth", type=_depth, default=3)
     heardof.set_defaults(func=cmd_heardof)
 
     fair = sub.add_parser("fair", help="extract fair-sequence candidates")

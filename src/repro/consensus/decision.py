@@ -15,7 +15,7 @@ the depth-``t`` components are fixed, that rule becomes a pure lookup:
 :class:`DecisionTable` materializes both maps and validates itself against
 the prefix space (agreement, validity, termination by round ``t``).  Both
 maps are :class:`DecisionMap` columns — a sorted int32 view-id column, one
-narrow value code per view and the value palette — on both backends, so a
+narrow value code per view and the value palette — on both paths, so a
 table costs about five bytes per decided view instead of a dict entry.
 
 Columnar construction
@@ -26,8 +26,10 @@ per-prefix component-id column of the
 value-bit column, the final map reads the depth-``t``
 :class:`~repro.core.views.LayerTable` flat column, and the early map pushes
 value bitmaps bottom-up through the parent-index columns — per layer one
-scatter-OR into a per-view column on the numpy backend, one flat loop on
-pure Python.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
+scatter-OR into a per-view column when
+:func:`~repro.core.views.numpy_module` returns numpy and the layer has at
+least :data:`_DECISION_NUMPY_MIN_CELLS` cells, one flat loop on pure
+Python otherwise.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
 materialized except to format a validation error.
 """
 
@@ -65,12 +67,10 @@ _DECISION_NUMPY_MIN_CELLS = 256
 _NUMPY_MAX_VALUES = 62
 
 
-def _use_numpy_maps(space, store, value_count: int) -> bool:
+def _use_numpy_maps(store, value_count: int) -> bool:
     """Whether the vectorized decision folds should run for this layer."""
-    np = numpy_module()
     return (
-        np is not None
-        and space.interner.layer_backend == "numpy"
+        numpy_module() is not None
         and value_count <= _NUMPY_MAX_VALUES
         and len(store) * store.levels.n >= _DECISION_NUMPY_MIN_CELLS
     )
@@ -83,7 +83,7 @@ class DecisionMap(Mapping):
     the value code of each (an ``array`` at the palette's code width: int8
     up to 128 values) and ``palette`` the tuple of values, so view
     ``ids[i]`` decides ``palette[codes[i]]``.  Lookups bisect the id
-    column; iteration runs in id order.  Both backends build this one
+    column; iteration runs in id order.  Both paths build this one
     type, and :meth:`DecisionTable.validate` reads its columns directly.
     """
 
@@ -201,7 +201,7 @@ class DecisionTable:
         hi`` first scatter into a code column over that span (one byte per
         id, offset by ``lo``, -1 = undecided), so its size follows the
         layer, not the largest id of a shared interner; the checks then
-        run columnar on the numpy backend
+        run columnar on the numpy path
         (one gather over the layer's flat view column) with the flat
         Python loop as the fallback; nodes are only materialized to
         format a failure.
@@ -215,7 +215,7 @@ class DecisionTable:
         code_of = {value: i for i, value in enumerate(early.palette)}
         # Final codes translated into the early palette (-2 never matches).
         expected = [code_of.get(value, -2) for value in final.palette]
-        numpy_path = _use_numpy_maps(space, store, value_count) and len(early) > 0
+        numpy_path = _use_numpy_maps(store, value_count) and len(early) > 0
         if numpy_path:
             np = numpy_module()
             mat = table.array()
@@ -391,10 +391,10 @@ def build_decision_table(
     depth = analysis.depth
     assignment = _assign_values(analysis, spec)
     # Value sets are encoded as bitmaps over the (small, finite) set of
-    # assigned values; both backends share the coding.
+    # assigned values; both paths share the coding.
     value_list = sorted(set(assignment.values()), key=repr)
     bit_of = {value: 1 << i for i, value in enumerate(value_list)}
-    if _use_numpy_maps(space, space.layer_store(depth), len(value_list)):
+    if _use_numpy_maps(space.layer_store(depth), len(value_list)):
         final, early = _decision_maps_numpy(
             numpy_module(), space, depth, analysis, assignment, value_list, bit_of
         )
@@ -423,7 +423,6 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
         np is None
         or type(spec).pick_value is not ConsensusSpec.pick_value
         or type(spec).allowed_values is not ConsensusSpec.allowed_values
-        or analysis.space.interner.layer_backend != "numpy"
         or analysis.member_order is None
         or len(spec.domain) > _NUMPY_MAX_VALUES
     ):

@@ -42,7 +42,7 @@ from repro.consensus.provers import (
 )
 from repro.consensus.spec import ConsensusSpec
 from repro.core.inputs import all_assignments
-from repro.core.views import LAYER_BACKENDS, ViewInterner
+from repro.core.views import ViewInterner
 from repro.errors import AnalysisError
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
@@ -75,24 +75,24 @@ class CheckOptions:
         Prefix-space node budget; exceeding it aborts the deepening.
     use_impossibility_provers / use_broadcaster_certificate:
         Allow disabling individual certificates (useful for ablations).
-    layer_backend:
-        Columnar-pipeline kernel backend for interners created by the
-        checker (``"numpy"``/``"python"``; ``None`` = import-time
-        default).  One switch drives the whole-layer extension kernel,
-        the component analysis, and the decision-table construction.
-        Serializes with the options, so sweep manifests carry the backend
-        choice to shard runners.  Ignored when the caller shares an
-        interner — the interner's own backend wins.
 
-    The checker runs serially in the calling process; sweeps get their
-    parallelism at job granularity from the sweep backends.
+    Every construction, :meth:`replace` and :meth:`from_dict` checks the
+    fields: each must have its field's type (a bool is not an int) and lie
+    in its range (``max_depth >= 0``, ``max_nodes >= 1``), or
+    :class:`~repro.errors.AnalysisError` is raised instead of running (and
+    caching) a check under a junk key.  The checker runs serially in the
+    calling process; sweeps get their parallelism at job granularity from
+    the sweep backends.
     """
 
     max_depth: int = 10
     max_nodes: int = 2_000_000
     use_impossibility_provers: bool = True
     use_broadcaster_certificate: bool = True
-    layer_backend: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            _check_option(name, getattr(self, name))
 
     def replace(self, **changes) -> "CheckOptions":
         """A copy with the given fields changed."""
@@ -104,18 +104,13 @@ class CheckOptions:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CheckOptions":
-        """Inverse of :meth:`to_dict`, checking names, types, and ranges.
+        """Inverse of :meth:`to_dict`.
 
-        ``data`` must be a mapping.  Unknown keys are rejected by name, and
-        every value must have its field's type (a bool is not an int) and
-        lie in its range: ``max_depth >= 0``, ``max_nodes >= 1``, bool
-        toggles, and ``layer_backend`` ``None`` or one of
-        :data:`~repro.core.views.LAYER_BACKENDS`.  A malformed value raises
-        :class:`~repro.errors.AnalysisError` instead of running (and
-        caching) a check under a junk key.  The keys of removed knobs
-        (:data:`_LEGACY_OPTIONS`) are validated as before and dropped, so
-        manifests, fleet directories, and client requests written before
-        their removal still load.
+        ``data`` must be a mapping, and unknown keys are rejected by name.
+        The keys of removed knobs (:data:`_LEGACY_OPTIONS`) are validated
+        as before and dropped, so manifests, fleet directories, and client
+        requests written before their removal still load; the fields are
+        checked by the constructor.
         """
         if not isinstance(data, Mapping):
             raise AnalysisError(
@@ -124,8 +119,8 @@ class CheckOptions:
         unknown = set(data) - set(cls.__dataclass_fields__) - _LEGACY_OPTIONS
         if unknown:
             raise AnalysisError(f"unknown CheckOptions fields: {sorted(unknown)}")
-        for name, value in data.items():
-            _check_option(name, value)
+        for name in _LEGACY_OPTIONS.intersection(data):
+            _check_option(name, data[name])
         return cls(
             **{name: value for name, value in data.items() if name not in _LEGACY_OPTIONS}
         )
@@ -134,7 +129,9 @@ class CheckOptions:
 #: Keys of removed knobs that old manifests, fleet directories and client
 #: requests may still carry: :meth:`CheckOptions.from_dict` validates them
 #: as it did before their removal and then drops them.
-_LEGACY_OPTIONS = frozenset({"memo_extensions", "extension_workers", "plan_cache_size"})
+_LEGACY_OPTIONS = frozenset(
+    {"memo_extensions", "extension_workers", "plan_cache_size", "layer_backend"}
+)
 
 #: Smallest allowed value of each integer :class:`CheckOptions` field.
 _OPTION_INT_FLOORS = {
@@ -152,10 +149,10 @@ def _check_option(name: str, value: object) -> None:
     if value is None and name in ("plan_cache_size", "layer_backend"):
         return
     if name == "layer_backend":
-        if not isinstance(value, str) or value not in LAYER_BACKENDS:
+        if value not in ("numpy", "python"):
             raise AnalysisError(
                 f"CheckOptions.layer_backend must be None or one of "
-                f"{LAYER_BACKENDS}, got {value!r}"
+                f"('numpy', 'python'), got {value!r}"
             )
     elif name in _OPTION_INT_FLOORS:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -463,7 +460,6 @@ def check_consensus_with_options(
         input_vectors=input_vectors,
         interner=interner,
         max_nodes=max_nodes,
-        layer_backend=options.layer_backend,
     )
     table: DecisionTable | None = None
     certified_depth = None

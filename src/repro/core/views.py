@@ -87,20 +87,21 @@ them at once, interns each distinct row a single time (looked up in the
 row table only when the depth already holds rows), and creates
 views at unique-row granularity: a child column is ``urid * n + p``, with
 owner ``p``'s bit set on the rows of the groups whose alphabet has the
-pattern ``(p, in-list)``.  Two backends implement the batch, and each
-assembles the child column once:
+pattern ``(p, in-list)``.  Two kernels implement the batch, and each
+assembles the child column once; the platform picks between them, not
+the caller:
 
-* ``"numpy"`` — the layer column becomes one int32 matrix; candidate rows
+* numpy — the layer column becomes one int32 matrix; candidate rows
   are gathered/sorted/uniqued as packed int64 key columns (``np.unique``-based
   bulk interning: row keys are computed vectorized over the distinct
   rows), and owner bits are set through vectorized gathers over the
-  interner's buffer-backed row columns.  Selected by default when numpy
-  imports (set ``REPRO_PURE_PYTHON=1`` to veto at import time); layers
-  under :data:`_NUMPY_MIN_CELLS` cells run the Python kernel.
-* ``"python"`` — the same batched structure in pure Python, so
-  ``dependencies = []`` stays true and the kernel is always available.
+  interner's buffer-backed row columns.  Runs every call of at least
+  :data:`_NUMPY_MIN_CELLS` cells where :func:`numpy_module` returns numpy
+  (``REPRO_PURE_PYTHON=1`` vetoes it at import time).
+* pure Python — the same batched structure in plain loops, for every
+  other call, so ``dependencies = []`` stays true.
 
-Both backends run serially in the calling process; sweeps parallelize
+Both kernels run serially in the calling process; sweeps parallelize
 across jobs (process-pool and fleet backends), never inside one layer.
 This is the only layer-extension path.  Two thin entry points sit on top
 of the same row arena: :meth:`ViewInterner.extend_level` extends one
@@ -135,8 +136,6 @@ __all__ = [
     "LayerTable",
     "ViewInterner",
     "ViewStats",
-    "LAYER_BACKENDS",
-    "DEFAULT_LAYER_BACKEND",
     "numpy_available",
     "numpy_module",
 ]
@@ -152,13 +151,6 @@ _MASK_ARRAY_MAX_N = 62
 #: this (the largest space ever checked held about 0.26G views).  Read at
 #: call time, so tests can monkeypatch it.
 _ID_LIMIT = (1 << 31) - 1
-
-#: The layer-kernel backends an interner can run on.
-LAYER_BACKENDS = ("numpy", "python")
-
-#: Backend used when a :class:`ViewInterner` is built without an explicit
-#: choice: ``"numpy"`` when numpy imported at module load, else ``"python"``.
-DEFAULT_LAYER_BACKEND = "python" if _np is None else "numpy"
 
 #: Below this many (parent, pattern) cells the numpy batch is not worth its
 #: fixed per-call overhead; tiny layers stay on the pure-Python kernel.
@@ -191,16 +183,17 @@ _XX_SUFFIX = _XXPRIME_5 ^ 3527539
 
 
 def numpy_available() -> bool:
-    """Whether the numpy layer-kernel backend can be selected."""
+    """Whether the columnar stages run their numpy paths on this platform."""
     return _np is not None
 
 
 def numpy_module():
     """The numpy module honoring ``REPRO_PURE_PYTHON`` (None when vetoed).
 
-    The columnar consumers of layer tables (component analysis, decision
-    tables) share the interner's import gate through this accessor instead
-    of re-importing numpy with their own policy.
+    The one import gate of the columnar pipeline: the layer kernel, the
+    prefix space's columns, the component analysis and the decision
+    tables take their numpy paths exactly when this returns numpy and
+    their cell floors allow it.
     """
     return _np
 
@@ -548,11 +541,10 @@ class ViewInterner:
     up, so equal views keep equal ids.  Sweeps give each job a fresh
     interner, which never builds the index.
 
-    ``layer_backend`` selects the whole-layer extension kernel backend:
-    ``"numpy"`` (vectorized; requires numpy), ``"python"`` (the batched
-    pure-Python fallback), or ``None`` for the import-time default
-    (:data:`DEFAULT_LAYER_BACKEND`).  The choice affects speed and view-id
-    numbering only, never the interned structure.
+    The whole-layer extension kernel runs on numpy when
+    :func:`numpy_module` returns it and in pure Python otherwise; the
+    platform affects speed and view-id numbering only, never the
+    interned structure.
 
     Examples
     --------
@@ -565,7 +557,6 @@ class ViewInterner:
 
     __slots__ = (
         "n",
-        "layer_backend",
         "_origin_values",
         "_leaf_table",
         "_row_data",
@@ -582,22 +573,9 @@ class ViewInterner:
         "_leaf_count",
     )
 
-    def __init__(self, n: int, layer_backend: str | None = None) -> None:
+    def __init__(self, n: int) -> None:
         if n <= 0:
             raise AnalysisError("a view interner needs n >= 1 processes")
-        if layer_backend is None:
-            layer_backend = DEFAULT_LAYER_BACKEND
-        if layer_backend not in LAYER_BACKENDS:
-            raise AnalysisError(
-                f"unknown layer backend {layer_backend!r}; "
-                f"choose from {LAYER_BACKENDS}"
-            )
-        if layer_backend == "numpy" and _np is None:
-            raise AnalysisError(
-                "layer backend 'numpy' requested but numpy is not importable "
-                "(install numpy or pick the 'python' backend)"
-            )
-        self.layer_backend = layer_backend
         self.n = n
         # Origin *values* are sparse, per view id: only leaves, node()
         # views and forced views hold an entry; the extension kernels
@@ -1162,8 +1140,9 @@ class ViewInterner:
         distinct in-neighborhood are built and deduplicated across every
         parent and group that uses it and interned once; owner bits go only
         where a group's pattern reaches (:func:`_inlist_uses`).  The
-        backend follows ``self.layer_backend`` (layers under
-        :data:`_NUMPY_MIN_CELLS` cells in all run the Python kernel).  A
+        numpy kernel runs when :func:`numpy_module` returns numpy and the
+        call has at least :data:`_NUMPY_MIN_CELLS` cells in all, the
+        pure-Python kernel otherwise.  A
         level of another length, views of several depths, a graph on
         another process count, or groups that do not partition the layer
         raise :class:`~repro.errors.AnalysisError` before anything is
@@ -1199,11 +1178,7 @@ class ViewInterner:
         if not cells:
             return LayerTable(n, array("i"))
         uses = _inlist_uses([plan for plan, _ in groups], sizes)
-        if (
-            self.layer_backend == "numpy"
-            and n <= _MASK_ARRAY_MAX_N
-            and cells >= _NUMPY_MIN_CELLS
-        ):
+        if _np is not None and n <= _MASK_ARRAY_MAX_N and cells >= _NUMPY_MIN_CELLS:
             return LayerTable(n, self._extend_layer_numpy(table, groups, uses))
         return LayerTable(n, self._extend_layer_python(table, groups, uses))
 
@@ -1226,7 +1201,7 @@ class ViewInterner:
     def _extend_layer_python(self, table: LayerTable, groups: list, uses: list) -> array:
         """The batched pure-Python layer kernel.
 
-        Same structure as the numpy backend — candidate rows dedup per
+        Same structure as the numpy kernel — candidate rows dedup per
         in-neighborhood across every parent that uses it, views resolve
         at unique-row granularity, rows are looked up only when the depth
         already holds rows (:meth:`_intern_rows`) — in plain loops over
@@ -1342,7 +1317,7 @@ class ViewInterner:
         return out
 
     def _extend_layer_numpy(self, table: LayerTable, groups: list, uses: list):
-        """The vectorized layer kernel (numpy backend).
+        """The vectorized layer kernel.
 
         Per distinct in-neighborhood, the candidate rows of every parent
         that uses it — the whole layer, or its groups' members stacked —

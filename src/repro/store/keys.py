@@ -9,11 +9,12 @@ ingredients:
    seed — the complete description of the adversary);
 2. the *semantic* subset of :class:`~repro.consensus.solvability.
    CheckOptions` (:data:`SEMANTIC_OPTION_FIELDS`): the fields that can
-   change a verdict or certificate.  The accelerator knob
-   ``layer_backend`` is deliberately excluded — backend parity is a
-   tested invariant of the library, so a record computed by the numpy
-   kernel is byte-identical (timing zeroed) to the pure-python one and
-   may be served to either;
+   change a verdict or certificate.  The platform's kernel is not an
+   ingredient — kernel parity is a tested invariant of the library, so
+   a record computed where numpy imports is byte-identical (timing
+   zeroed) to one computed without it and may be served to either, and
+   the keys of removed knobs an old options document may carry are
+   dropped when it decodes;
 3. the run-record schema version (:data:`repro.schemas.RUN_RECORD`) —
    a schema bump must never serve old-shape records;
 4. the checker :data:`KERNEL_EPOCH` — bumped whenever checker semantics

@@ -630,17 +630,18 @@ class ColumnarHotPathRule(Rule):
 # R7 — numpy kernels keep python-backend parity
 # --------------------------------------------------------------------- #
 
-_NUMPY_KERNEL_RE = re.compile(r"^(?P<stem>_?[A-Za-z0-9_]*?)_numpy(?:_mp)?$")
+_NUMPY_KERNEL_RE = re.compile(r"^(?P<stem>_?[A-Za-z0-9_]*?)_numpy$")
 
 
 @register_rule
 class BackendParityRule(Rule):
     """R7: every ``_*_numpy`` kernel has a python-backend counterpart.
 
-    The ``layer_backend`` switch promises that numpy is an accelerator,
-    never a semantic fork: whatever the vectorized kernel computes, a
-    pure-python twin computes identically (the hypothesis suites pin the
-    equivalence).  A ``_foo_numpy`` without ``_foo_python`` (or plain
+    numpy is an optional accelerator, never a semantic fork: every stage
+    takes its numpy path only where numpy imports, so whatever a
+    vectorized kernel computes, a pure-python twin must compute
+    identically on a platform without numpy (the hypothesis suites pin
+    the equivalence).  A ``_foo_numpy`` without ``_foo_python`` (or plain
     ``_foo``) in the same module is a parity hole the without-numpy leg
     cannot test.  Genuinely numpy-only internals (sub-steps of the
     vectorized path with no scalar analogue) must be exempted explicitly
@@ -671,7 +672,7 @@ class BackendParityRule(Rule):
             if match is None or function.name in exempt:
                 continue
             stem = match.group("stem")
-            if not stem or stem in ("_", "_use"):
+            if not stem:
                 continue
             counterparts = (f"{stem}_python", f"{stem}_py", stem)
             if any(candidate in names for candidate in counterparts):

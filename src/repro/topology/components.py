@@ -28,25 +28,27 @@ column, and the interner's origin-mask column — and produces columns: a
 per-prefix component-id column (``comp_ids``) plus per-component member
 index arrays.  Column ``p`` of a level always holds a view owned by ``p``,
 so a view id alone keys its cell: two prefixes are indistinguishable
-exactly when they share a view id.  Two equivalent paths sit behind the
-interner's ``layer_backend`` switch:
+exactly when they share a view id.  Two equivalent paths compute it, and
+the platform and the layer pick one, not the caller:
 
-* ``"numpy"`` — connectivity is that of the layer's *view graph*, whose
-  nodes are the layer's views and where each prefix joins its ``n`` views
-  by ``n - 1`` edges (column 0 to column ``p``).  One int32
-  Shiloach–Vishkin loop labels it (:func:`_sv_labels`): the first round
-  hooks one view column at a time, parent pointers compress in place,
-  and edges drop out once both ends share a root.  Every temporary is
-  sized by the prefix count, canonical ids come from a first-member
-  pass, ``comp_ids`` and the member order are int32 columns, and the
-  per-component masks/valences fold with ``reduceat``;
-* ``"python"`` — the batched union-find pass over the flat column (one
-  dict probe per cell on its view id, inlined union by size with path
-  halving).
+* numpy, when :func:`~repro.core.views.numpy_module` returns it and the
+  layer has at least :data:`_COMPONENT_NUMPY_MIN_CELLS` cells —
+  connectivity is that of the layer's *view graph*, whose nodes are the
+  layer's views and where each prefix joins its ``n`` views by ``n - 1``
+  edges (column 0 to column ``p``).  One int32 Shiloach–Vishkin loop
+  labels it (:func:`_sv_labels`): the first round hooks one view column
+  at a time, parent pointers compress in place, and edges drop out once
+  both ends share a root.  Every temporary is sized by the prefix count,
+  canonical ids come from a first-member pass, ``comp_ids`` and the
+  member order are int32 columns, and the per-component masks/valences
+  fold with ``reduceat``;
+* pure Python, everywhere else — the batched union-find pass over the
+  flat column (one dict probe per cell on its view id, inlined union by
+  size with path halving).
 
 Both paths order components canonically by smallest member index, so
 component ids, member order, and every downstream decision table are
-identical regardless of backend.  :class:`Component` objects stay thin
+identical on either path.  :class:`Component` objects stay thin
 wrappers; their member *lists* (and any
 :class:`~repro.topology.prefixspace.PrefixNode`) materialize lazily.
 """
@@ -378,7 +380,6 @@ class ComponentAnalysis:
         )
         if (
             np is not None
-            and interner.layer_backend == "numpy"
             and isinstance(interner._row_masks, array)
             and distinct_values <= _NUMPY_MAX_VALENCES
             and count * n >= _COMPONENT_NUMPY_MIN_CELLS

@@ -330,13 +330,9 @@ class PrefixSpace:
         ``"all"`` (default) keeps every constructed layer; ``"frontier"``
         condenses historical layers to parents + input indices as the
         frontier advances (see module docstring for the eviction contract).
-    layer_backend:
-        Columnar-pipeline kernel backend (``"numpy"``/``"python"``/``None``
-        for the import-time default) of the interner this space creates
-        when none is shared in; ignored — the shared interner's own
-        backend wins — when ``interner`` is given.  The same switch also
-        selects the vectorized vs pure-Python paths of the component
-        analysis and decision-table construction over this space's layers.
+
+    The layer kernel and this space's columns take their numpy paths
+    where :func:`~repro.core.views.numpy_module` returns numpy.
 
     Examples
     --------
@@ -354,7 +350,6 @@ class PrefixSpace:
         interner: ViewInterner | None = None,
         max_nodes: int = 2_000_000,
         retain: str = "all",
-        layer_backend: str | None = None,
     ) -> None:
         self.adversary = adversary
         if retain not in ("all", "frontier"):
@@ -363,7 +358,7 @@ class PrefixSpace:
         # Not ``interner or ...``: an empty interner is falsy via __len__
         # and must still be adopted (the sweep engine passes fresh ones).
         if interner is None:
-            interner = ViewInterner(adversary.n, layer_backend=layer_backend)
+            interner = ViewInterner(adversary.n)
         self.interner = interner
         if self.interner.n != adversary.n:
             raise AnalysisError("interner and adversary disagree on n")
@@ -440,7 +435,7 @@ class PrefixSpace:
             raise AnalysisError("cannot extend: the frontier layer was condensed")
         adversary = self.adversary
         count = len(current)
-        np = numpy_module() if self.interner.layer_backend == "numpy" else None
+        np = numpy_module()
         groups = _group_rows(current.states, np)
         members = list(groups.values())
         exts = [adversary.admissible_extensions(states) for states in groups]

@@ -21,6 +21,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import BACKENDS
 
 import repro.consensus.decision as decision_module
 from repro.adversaries import random_oblivious_adversary, santoro_widmayer_family
@@ -39,8 +40,6 @@ from repro.errors import AnalysisError, CertificateError
 from repro.specs import NAMED_ADVERSARIES
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: Depths stop once a layer holds this many (prefix, process) cells.
 MAX_CELLS = 20_000
@@ -174,7 +173,7 @@ def vectorized_small_layers(monkeypatch):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(NAMED_ADVERSARIES))
 def test_named_family_maps_match_reference(name, backend):
-    space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend)
+    space = PrefixSpace(NAMED_ADVERSARIES[name]())
     check_space(space, backend, range(8), ConsensusSpec())
 
 
@@ -183,7 +182,7 @@ def test_certified_families_build_tables(backend):
     """The solvable named families certify and match through the builder."""
     certified = {
         name: check_space(
-            PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend),
+            PrefixSpace(NAMED_ADVERSARIES[name]()),
             backend,
             range(6),
             ConsensusSpec(),
@@ -202,14 +201,14 @@ def test_certified_families_build_tables(backend):
 @settings(max_examples=20, deadline=None)
 def test_random_oblivious_maps_match_reference(backend, seed, n, size):
     adversary = random_oblivious_adversary(random.Random(seed), n, size)
-    space = PrefixSpace(adversary, layer_backend=backend)
+    space = PrefixSpace(adversary)
     check_space(space, backend, range(4 if n == 2 else 3), ConsensusSpec())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_validate_reads_the_map_columns(backend):
     """A tampered column fails validation on the backend's own path."""
-    space = PrefixSpace(NAMED_ADVERSARIES["no-hub"](), layer_backend=backend)
+    space = PrefixSpace(NAMED_ADVERSARIES["no-hub"]())
     table = build_decision_table(ComponentAnalysis(space, 3), ConsensusSpec())
     final, early = table.final, table.early
 
@@ -237,7 +236,7 @@ def test_shared_interner_maps_compact_spread_ids(monkeypatch):
     through ``np.unique`` before the scatter-OR, and still match the
     reference."""
     family = random_rooted_family(random.Random(3), 4, 12)
-    interner = ViewInterner(4, layer_backend="numpy")
+    interner = ViewInterner(4)
     for adversary in family[:-1]:
         PrefixSpace(adversary, interner=interner).ensure_depth(3)
     space = PrefixSpace(family[-1], interner=interner)

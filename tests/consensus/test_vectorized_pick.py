@@ -10,6 +10,7 @@ override the per-component hooks.
 """
 
 import pytest
+from kernels import without_numpy
 
 from repro.adversaries import (
     ObliviousAdversary,
@@ -57,7 +58,7 @@ FAMILIES = [
 def test_vectorized_assignment_matches_scalar(factory, validity):
     np = numpy_module()
     spec = ConsensusSpec(validity=validity)
-    space = PrefixSpace(factory(), layer_backend="numpy")
+    space = PrefixSpace(factory())
     layers_checked = 0
     for depth in range(0, 5):
         space.ensure_depth(depth)
@@ -81,7 +82,7 @@ def test_bivalent_component_raises_identical_error():
     spec = ConsensusSpec()
     # Full lossy link stays bivalent with the provers disabled: its deep
     # layers exercise the empty-allowed error path on both code paths.
-    space = PrefixSpace(lossy_link_full(), layer_backend="numpy")
+    space = PrefixSpace(lossy_link_full())
     space.ensure_depth(3)
     analysis = ComponentAnalysis(space, 3)
     assert isinstance(analysis.comp_ids, np.ndarray)
@@ -102,7 +103,7 @@ def test_custom_spec_subclass_falls_back_to_per_component_calls():
             return super().pick_value(component)
 
     spec = CountingSpec()
-    space = PrefixSpace(santoro_widmayer_family(3, 1), layer_backend="numpy")
+    space = PrefixSpace(santoro_widmayer_family(3, 1))
     space.ensure_depth(2)
     analysis = ComponentAnalysis(space, 2)
     assignment = _assign_values(analysis, spec)
@@ -119,7 +120,7 @@ def test_library_spec_takes_the_columnar_path():
     # The gate keys on the class attributes, not the instance: the plain
     # library spec (and trivial subclasses that override nothing) must
     # route through the columnar pass without per-component calls.
-    space = PrefixSpace(santoro_widmayer_family(3, 1), layer_backend="numpy")
+    space = PrefixSpace(santoro_widmayer_family(3, 1))
     space.ensure_depth(2)
     analysis = ComponentAnalysis(space, 2)
     expected = scalar_assignment(analysis, ConsensusSpec())
@@ -134,11 +135,12 @@ def test_checker_results_unchanged_by_the_columnar_pass():
             options,
             spec=ConsensusSpec(validity=validity),
         )
-        python_result = check_consensus_with_options(
-            santoro_widmayer_family(3, 1),
-            options.replace(layer_backend="python"),
-            spec=ConsensusSpec(validity=validity),
-        )
+        with without_numpy():
+            python_result = check_consensus_with_options(
+                santoro_widmayer_family(3, 1),
+                options,
+                spec=ConsensusSpec(validity=validity),
+            )
         assert result.status == python_result.status
         assert result.certified_depth == python_result.certified_depth
         if result.decision_table is not None:

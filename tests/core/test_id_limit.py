@@ -14,18 +14,17 @@ cannot turn it into an UNDECIDED verdict that a store caches.
 """
 
 import pytest
+from kernels import BACKENDS
 
 import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
 from repro.api import Session
 from repro.consensus.solvability import CheckOptions, check_consensus_with_options
 from repro.core.digraph import Digraph, arrow
-from repro.core.views import LayerTable, ViewInterner, numpy_available
+from repro.core.views import LayerTable, ViewInterner
 from repro.errors import AnalysisError, CapacityError, ReproError
 from repro.store import ResultStore
 from repro.topology.prefixspace import PrefixSpace
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: Every column of the interner's state.
 COLUMNS = (
@@ -87,7 +86,7 @@ def test_capacity_error_is_not_an_analysis_error():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_layer_kernels_refuse_a_batch_past_the_limit(backend, limit_to):
-    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space = PrefixSpace(lossy_link_full())
     space.ensure_depth(3)
     interner = space.interner
     before = counts(interner)
@@ -122,7 +121,7 @@ def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
     """
 
     def prepared():
-        space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+        space = PrefixSpace(lossy_link_full())
         space.ensure_depth(3)
         table = space.layer_store(3).levels
         # "<-" interns each parent's (v0, v1) row for owner 0 only, so
@@ -162,7 +161,7 @@ def test_layer_kernels_refuse_an_owner_batch_past_the_limit(backend, limit_to):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extend_level_refuses_past_the_limit(backend, limit_to):
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     level = interner.leaf_level((0, 1))
     before = counts(interner)
     # "->" needs two fresh rows (eight slots with the two leaf rows), one
@@ -190,7 +189,7 @@ def test_extend_level_sets_no_owner_bit_before_its_fresh_rows_fit(backend, limit
     and 2 need fresh rows: a refused call must not have handed out
     process 1's view first.
     """
-    interner = ViewInterner(3, layer_backend=backend)
+    interner = ViewInterner(3)
     a, b, c = level = interner.leaf_level((0, 1, 0))
     shared = interner.node(0, [a, b])
     graph = Digraph(3, [(0, 1)])
@@ -243,7 +242,7 @@ def test_leaf_level_refuses_past_the_limit(limit_to):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_capacity_counts_rows_times_n(n, backend, limit_to):
     """One more row fits exactly when ``(rows + 1) * n`` is within the limit."""
-    interner = ViewInterner(n, layer_backend=backend)
+    interner = ViewInterner(n)
     level = interner.leaf_level(tuple(range(n)))
     rows = counts(interner)[1]
     complete = Digraph.complete(n)  # one fresh row, every owner on it

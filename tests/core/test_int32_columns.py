@@ -13,6 +13,7 @@ packed keys need 63 bits, and pin the width the slot ids are computed in.
 from array import array
 
 import pytest
+from kernels import BACKENDS
 
 import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
@@ -27,7 +28,6 @@ from repro.core.views import (
 )
 from repro.topology.prefixspace import PrefixSpace
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 
 
@@ -37,7 +37,7 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 )
 def test_mask_width_holds_n_bits(n, typecode):
     assert _mask_typecode(n) == typecode
-    interner = ViewInterner(n, layer_backend="python")
+    interner = ViewInterner(n)
     for masks in (interner._row_masks, interner._row_owners):
         if typecode is None:
             assert masks == []
@@ -48,7 +48,7 @@ def test_mask_width_holds_n_bits(n, typecode):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_layer_columns_are_int32(backend):
-    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space = PrefixSpace(lossy_link_full())
     space.ensure_depth(6)
     for t in range(7):
         ids = space.layer_store(t).levels.ids
@@ -103,7 +103,7 @@ def test_kernel_row_ids_reach_slot_keys_as_int64():
     with.
     """
     np = numpy_module()
-    interner = ViewInterner(2, layer_backend="numpy")
+    interner = ViewInterner(2)
     level = interner.leaf_level((0, 1))
     uniq = np.array([sorted(level)], dtype=np.int32)
     hashes = views_module._bulk_row_hashes(np, uniq, 2)

@@ -2,9 +2,9 @@
 
 Three properties that outlived the sharded extension path:
 
-* both kernel backends intern the same views: every layer of every family
-  has the same structure, and the interners the same view and row counts,
-  whatever ids each backend hands out;
+* both kernels intern the same views: every layer of every family has the
+  same structure, and the interners the same view and row counts, whatever
+  ids each kernel hands out;
 * the numpy kernel's numbering is fixed by ``_unique_rows``, which returns
   the distinct candidate rows in lexicographic order — an order of the row
   set alone — and the kernel interns each in-neighborhood's fresh rows in
@@ -16,6 +16,7 @@ Layers in these tests are tiny, so the fixture drops the batching floors.
 """
 
 import pytest
+from kernels import without_numpy
 
 import repro.core.views as views_module
 from repro.adversaries import (
@@ -104,12 +105,11 @@ def state(interner):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_backends_build_the_same_view_structure(family):
     factory, depth = FAMILIES[family]
-    built = {}
-    for backend in ("python", "numpy"):
-        space = PrefixSpace(factory(), layer_backend=backend)
-        space.ensure_depth(depth)
-        built[backend] = space
-    python, numpy = built["python"], built["numpy"]
+    with without_numpy():
+        python = PrefixSpace(factory())
+        python.ensure_depth(depth)
+    numpy = PrefixSpace(factory())
+    numpy.ensure_depth(depth)
     assert layer_structures(python, depth) == layer_structures(numpy, depth)
     assert len(python.interner) == len(numpy.interner)
     assert python.interner.stats().rows == numpy.interner.stats().rows
@@ -154,7 +154,7 @@ def test_numpy_kernel_interns_fresh_rows_in_lexicographic_order(family):
     for _ in range(2):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(views_module.ViewInterner, "_intern_rows_numpy", logged)
-            space = PrefixSpace(factory(), layer_backend="numpy")
+            space = PrefixSpace(factory())
             space.ensure_depth(depth)
         spaces.append(space)
     assert max(fresh_counts) > 1

@@ -14,10 +14,12 @@ must intern exactly the views the per-parent path interns — no phantom
 """
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import BACKENDS, without_numpy
 
 import repro.core.views as views_module
 from repro.adversaries import (
@@ -31,15 +33,10 @@ from repro.adversaries import (
 )
 from repro.adversaries.generators import all_digraphs
 from repro.adversaries.stabilizing import StabilizingAdversary
+from repro.consensus.solvability import CheckOptions
 from repro.core.digraph import Digraph, arrow
 from repro.core.inputs import all_assignments, binary_domain
-from repro.core.views import (
-    LAYER_BACKENDS,
-    LayerTable,
-    ViewInterner,
-    numpy_available,
-    numpy_module,
-)
+from repro.core.views import LayerTable, ViewInterner, numpy_available, numpy_module
 from repro.errors import AnalysisError
 from repro.specs import NAMED_ADVERSARIES
 from repro.topology.prefixspace import PrefixSpace
@@ -50,15 +47,10 @@ TO, FRO = arrow("->"), arrow("<-")
 #: below drops it.
 DEFAULT_MIN_CELLS = views_module._NUMPY_MIN_CELLS
 
-#: Backends available in this environment (the numpy leg only when numpy
-#: imports; the CI matrix runs a leg without it).
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
-
 @pytest.fixture(autouse=True)
 def batch_even_tiny_layers(monkeypatch):
     """Drop the numpy floor so test-sized layers exercise the numpy
-    kernel on the numpy backend, not only the batched Python one."""
+    kernel on the numpy platform, not only the batched Python one."""
     import repro.core.views as views_module
 
     monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
@@ -117,8 +109,8 @@ def per_parent_layers(adversary, depth, interner, input_vectors=None):
     return layers
 
 
-def assert_space_matches_reference(adversary, depth, backend):
-    space = PrefixSpace(adversary, layer_backend=backend)
+def assert_space_matches_reference(adversary, depth):
+    space = PrefixSpace(adversary)
     space.ensure_depth(depth)
     reference = ViewInterner(adversary.n)
     layers = per_parent_layers(adversary, depth, reference)
@@ -156,7 +148,7 @@ FAMILIES = [
     "label, factory, depth", FAMILIES, ids=[f[0] for f in FAMILIES]
 )
 def test_layer_kernel_matches_per_parent_path(label, factory, depth, backend):
-    assert_space_matches_reference(factory(), depth, backend)
+    assert_space_matches_reference(factory(), depth)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -178,7 +170,7 @@ def test_layer_kernel_matches_on_random_oblivious(
         )
     except Exception:
         return  # some (n, size, rooted) draws admit no family
-    assert_space_matches_reference(adversary, depth, backend)
+    assert_space_matches_reference(adversary, depth)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
@@ -188,12 +180,11 @@ def test_backends_agree_structurally():
         (lambda: santoro_widmayer_family(3, 1), 3),
         (lossy_link_no_hub, 5),
     ):
-        spaces = {}
-        for backend in ("python", "numpy"):
-            space = PrefixSpace(factory(), layer_backend=backend)
-            space.ensure_depth(depth)
-            spaces[backend] = space
-        py, np_ = spaces["python"], spaces["numpy"]
+        with without_numpy():
+            py = PrefixSpace(factory())
+            py.ensure_depth(depth)
+        np_ = PrefixSpace(factory())
+        np_.ensure_depth(depth)
         assert len(py.interner) == len(np_.interner)
         assert py.interner.stats().rows == np_.interner.stats().rows
         for t in range(depth + 1):
@@ -204,7 +195,7 @@ def test_backends_agree_structurally():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extend_layer_column_alignment_and_duplicates(backend):
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     level_a = interner.leaf_level((0, 1))
     level_b = interner.leaf_level((1, 0))
     graphs = lossy_link_full().alphabet()
@@ -222,7 +213,7 @@ def test_extend_layer_column_alignment_and_duplicates(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extend_layer_edge_cases(backend):
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     level = interner.leaf_level((0, 1))
     graphs = lossy_link_full().alphabet()
     assert interner.extend_layer([level], ()) == []
@@ -233,7 +224,7 @@ def test_extend_layer_edge_cases(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_repeated_extension_interns_nothing_new(backend):
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     levels = [interner.leaf_level((0, 1)), interner.leaf_level((1, 0))]
     graphs = lossy_link_full().alphabet()
     first = interner.extend_layer(levels, graphs)
@@ -261,7 +252,7 @@ def test_kernel_column_is_the_stored_child_layer(label, factory, depth, backend)
     and child ``i * width + j`` must be what ``extend_level`` resolves for
     parent ``i`` and graph ``j``.
     """
-    space = PrefixSpace(factory(), layer_backend=backend)
+    space = PrefixSpace(factory())
     space.ensure_depth(depth)
     adversary = space.adversary
     n = adversary.n
@@ -306,7 +297,7 @@ def test_graph_on_another_process_count_is_refused(backend, other):
     Its in-lists would put a view of process 0 into column 1 (n - 1) or
     index past the level (n + 1).
     """
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     level = interner.leaf_level((0, 1))
     interner.extend_level(level, TO)
     before = (len(interner), interner.stats().rows)
@@ -328,7 +319,7 @@ def test_level_of_another_length_is_refused(backend, size):
     the layer kernel re-framed two 3-view levels as three 2-view ones,
     with a process-0 view in column 1.
     """
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     level = interner.leaf_level((0, 1)) + interner.leaf_level((1, 0))
     bad = level[:size]
     interner.extend_level(level[:2], TO)
@@ -352,7 +343,7 @@ def test_views_of_several_depths_are_refused(backend):
     depth-2 children of ``l1`` read depth 1, and a later extension of
     ``l1`` returned those mis-stamped rows.
     """
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     l0 = interner.leaf_level((0, 1))
     l1 = interner.extend_level(l0, arrow("<->"))
     before = (len(interner), interner.stats().rows)
@@ -418,10 +409,10 @@ def test_ragged_layer_matches_per_parent_and_per_group(backend, min_cells, data,
         members = [np.array(rows, dtype=np.int64) for rows in members]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(views_module, "_NUMPY_MIN_CELLS", min_cells)
-        interner = ViewInterner(n, layer_backend=backend)
+        interner = ViewInterner(n)
         levels = _ragged_layer(interner, specs)
         children = interner.extend_layer_table(levels, alphabets, members).tolist()
-        per_group = ViewInterner(n, layer_backend=backend)
+        per_group = ViewInterner(n)
         group_levels = _ragged_layer(per_group, specs)
         for g, alphabet in enumerate(alphabets):
             rows = [i for i in range(count) if group_of[i] == g]
@@ -444,7 +435,7 @@ def test_shared_in_list_sets_only_the_owners_its_groups_reach(backend):
     row of parent 0's in-list ``(0, 1)`` holds owner 1's view alone and
     parent 1's holds owner 0's: four child views, not six.
     """
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     levels = [interner.leaf_level((0, 1)), interner.leaf_level((1, 0))]
     children = interner.extend_layer_table(levels, [[TO], [FRO]], [[0], [1]])
     assert len(interner) == 4 + 4 and interner.stats().rows == 4
@@ -459,7 +450,7 @@ def test_shared_in_list_sets_only_the_owners_its_groups_reach(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_groups_must_partition_the_layer(backend):
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     levels = [interner.leaf_level((0, 1)), interner.leaf_level((1, 0))]
     before = (len(interner), interner.stats().rows)
     for members in (
@@ -509,7 +500,7 @@ def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypat
     monkeypatch.setattr(ViewInterner, "extend_layer_table", counted)
     monkeypatch.setattr(ViewInterner, "_probe_depth", logged_decision)
     monkeypatch.setattr(ViewInterner, "_intern_rows_numpy", logged_intern)
-    space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend, max_nodes=400_000)
+    space = PrefixSpace(NAMED_ADVERSARIES[name](), max_nodes=400_000)
     for depth in range(1, 7):
         try:
             space.ensure_depth(depth)
@@ -527,15 +518,30 @@ def test_one_kernel_call_per_depth_and_no_reprobed_rows(name, backend, monkeypat
 
 
 def test_layer_backend_validation():
-    with pytest.raises(AnalysisError):
-        ViewInterner(2, layer_backend="cython")
-    assert ViewInterner(2, layer_backend="python").layer_backend == "python"
-    for backend in BACKENDS:
-        assert ViewInterner(2, layer_backend=backend).layer_backend == backend
-    assert ViewInterner(2).layer_backend in LAYER_BACKENDS
+    """The platform picks the kernel: neither the interner nor a prefix
+    space takes a backend, and an options document naming one is checked
+    as before and then dropped."""
+    with pytest.raises(TypeError):
+        ViewInterner(2, layer_backend="python")
+    with pytest.raises(TypeError):
+        PrefixSpace(lossy_link_full(), layer_backend="python")
+    with pytest.raises(AnalysisError, match="layer_backend"):
+        CheckOptions.from_dict({"layer_backend": "cython"})
+    for backend in (None, "python", "numpy"):
+        assert CheckOptions.from_dict({"layer_backend": backend}) == CheckOptions()
 
 
-@pytest.mark.skipif(numpy_available(), reason="only without numpy")
 def test_numpy_backend_requested_without_numpy_raises():
-    with pytest.raises(AnalysisError):
-        ViewInterner(2, layer_backend="numpy")
+    """Without numpy, naming it raises only where a parameter is gone.
+
+    The interner takes no backend (``TypeError``), and a space built from
+    an options document that names numpy runs the pure-Python kernel
+    instead of failing on a worker that lacks it.
+    """
+    with without_numpy():
+        with pytest.raises(TypeError):
+            ViewInterner(2, layer_backend="numpy")
+        options = CheckOptions.from_dict({"max_depth": 3, "layer_backend": "numpy"})
+        space = PrefixSpace(lossy_link_no_hub(), max_nodes=options.max_nodes)
+        space.ensure_depth(options.max_depth)
+    assert isinstance(space.layer_store(3).levels.ids, array)

@@ -14,16 +14,15 @@ these builds spans many chunks.
 """
 
 import pytest
+from kernels import BACKENDS
 
 import repro.core.views as views_module
 from repro.consensus.solvability import check_consensus
 from repro.core.digraph import arrow
 from repro.core.ptg import PTGPrefix
-from repro.core.views import ViewInterner, numpy_available
+from repro.core.views import ViewInterner
 from repro.specs import NAMED_ADVERSARIES
 from repro.topology.prefixspace import PrefixSpace
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: The numpy kernel's cell floor as shipped.
 DEFAULT_MIN_CELLS = views_module._NUMPY_MIN_CELLS
@@ -42,7 +41,7 @@ def small_chunks(request, monkeypatch):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extend_level_and_node_append_their_rows_unindexed(backend):
-    interner = ViewInterner(2, layer_backend=backend)
+    interner = ViewInterner(2)
     level = interner.leaf_level((0, 1))
     child = interner.extend_level(level, arrow("->"))
     view = interner.node(0, child)
@@ -65,7 +64,7 @@ def test_extend_level_and_node_append_their_rows_unindexed(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name, depth", CASES)
 def test_lookups_after_a_lazy_build_return_the_kernel_ids(name, depth, backend, small_chunks):
-    space = PrefixSpace(NAMED_ADVERSARIES[name](), layer_backend=backend)
+    space = PrefixSpace(NAMED_ADVERSARIES[name]())
     space.ensure_depth(depth)
     interner = space.interner
     rows, views = interner._row_count, len(interner)
@@ -96,7 +95,7 @@ def test_lookups_after_a_lazy_build_return_the_kernel_ids(name, depth, backend, 
 @pytest.mark.parametrize("name", ["lossy-full", "eventually-to-full-base", "sw-n3-1"])
 def test_a_second_check_on_a_shared_interner_interns_no_view(name, backend, small_chunks):
     adversary = NAMED_ADVERSARIES[name]()
-    interner = ViewInterner(adversary.n, layer_backend=backend)
+    interner = ViewInterner(adversary.n)
     # Without the provers every check deepens through the prefix space.
     options = dict(max_depth=5, max_nodes=400_000, use_impossibility_provers=False)
     first = check_consensus(adversary, interner=interner, **options)

@@ -11,13 +11,12 @@ build the very same row table.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import BACKENDS
 
 import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
-from repro.core.views import numpy_available, numpy_module
+from repro.core.views import numpy_module
 from repro.topology.prefixspace import PrefixSpace
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: Batches of sorted child rows: 1 to 9 distinct view ids anywhere in int32.
 ROW_BATCHES = st.lists(
@@ -55,7 +54,7 @@ def test_emulated_scalar_hash_builds_the_same_row_table(backend, monkeypatch):
     """The interpreter fallback (emulation on the scalar side) moves no row."""
 
     def row_table():
-        space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+        space = PrefixSpace(lossy_link_full())
         space.ensure_depth(8)
         interner = space.interner
         return {

@@ -19,13 +19,12 @@ and re-extending an already-interned layer interns nothing new.
 """
 
 import pytest
+from kernels import BACKENDS
 
 import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
 from repro.core.views import ViewInterner, numpy_available
 from repro.topology.prefixspace import PrefixSpace
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: A chunk small enough that every vectorized rehash below spans several.
 SMALL_CHUNK = 1000
@@ -72,7 +71,7 @@ def tight_size(rows):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_rows_survive_chunked_rehashes(backend, placements):
     depth = 8
-    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space = PrefixSpace(lossy_link_full())
     space.ensure_depth(depth - 1)
     interner = space.interner
     # A fresh build places no row, not even its leaves.

@@ -27,6 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import without_numpy
 
 import repro.core.views as views_module
 from repro.adversaries import (
@@ -133,13 +134,13 @@ def build_space(adversary, workers, depth, **kwargs):
     layer's dedup through a :class:`ShardedDedup` of that many shards."""
     dedup = ShardedDedup(workers)
     with mock.patch.object(views_module, "_unique_rows", dedup):
-        space = PrefixSpace(adversary, layer_backend="numpy", **kwargs)
+        space = PrefixSpace(adversary, **kwargs)
         space.ensure_depth(depth)
     return space, dedup
 
 
 def build_serial(adversary, depth, **kwargs):
-    space = PrefixSpace(adversary, layer_backend="numpy", **kwargs)
+    space = PrefixSpace(adversary, **kwargs)
     space.ensure_depth(depth)
     return space
 
@@ -255,8 +256,9 @@ def canonical_level(interner, vid, cache):
 def test_sharded_structurally_matches_python_backend():
     depth = 5
     sharded, dedup = build_space(lossy_link_no_hub(), 4, depth)
-    python_space = PrefixSpace(lossy_link_no_hub(), layer_backend="python")
-    python_space.ensure_depth(depth)
+    with without_numpy():
+        python_space = PrefixSpace(lossy_link_no_hub())
+        python_space.ensure_depth(depth)
     assert dedup.sharded > 0
     cache_a, cache_b = {}, {}
     for d in range(depth + 1):

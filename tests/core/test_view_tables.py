@@ -16,16 +16,18 @@ no view for) are refused by every accessor.
 
 import random
 import sys
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import BACKENDS, without_numpy
 
 import repro.core.views as views_module
 from repro.adversaries import lossy_link_full
 from repro.core.digraph import Digraph
-from repro.core.views import LayerTable, ViewInterner, numpy_available, plain_ids
+from repro.core.views import LayerTable, ViewInterner, plain_ids
 from repro.errors import AnalysisError
 from repro.topology.prefixspace import PrefixSpace
 
@@ -263,11 +265,9 @@ def test_stats_report_table_geometry():
 BYTES_PER_VIEW = {"numpy": 23, "python": 28}
 
 
-@pytest.mark.parametrize(
-    "backend", ["python"] + (["numpy"] if numpy_available() else [])
-)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_views_cost_few_bytes_each(backend):
-    space = PrefixSpace(lossy_link_full(), layer_backend=backend)
+    space = PrefixSpace(lossy_link_full())
     space.ensure_depth(9)
     interner = space.interner
     stats = interner.stats()
@@ -316,10 +316,9 @@ def test_empty_interner_is_falsy_but_adoptable():
 # Slot ids under random interleavings of every interning path
 # --------------------------------------------------------------------- #
 
-#: The interning paths a script step can take.
-STEPS = ("leaf", "node", "level") + (
-    ("python", "numpy") if numpy_available() else ("python",)
-)
+#: The interning paths a script step can take: a leaf, a node, one level,
+#: or one layer-kernel call on each kernel this platform runs.
+STEPS = ("leaf", "node", "level") + tuple(BACKENDS)
 
 
 @st.composite
@@ -398,7 +397,7 @@ def _consistent_sample(interner, rng, pool, size):
 def test_slot_ids_under_random_interleavings(script):
     n, steps, seed = script
     rng = random.Random(seed)
-    interner = ViewInterner(n, layer_backend="python")
+    interner = ViewInterner(n)
     reference = StructuralReference(n)
     values = (0, 1, "x")
     inputs = [rng.choice(values) for _ in range(n)]
@@ -425,10 +424,10 @@ def test_slot_ids_under_random_interleavings(script):
                         for level in parents for g in graphs
                     ]
                 else:
-                    interner.layer_backend = step
-                    children = list(interner.extend_layer_table(
-                        LayerTable.from_levels(n, parents), graphs
-                    ))
+                    with without_numpy() if step == "python" else nullcontext():
+                        children = list(interner.extend_layer_table(
+                            LayerTable.from_levels(n, parents), graphs
+                        ))
                 it = iter(children)
                 for level in parents:
                     for graph in graphs:

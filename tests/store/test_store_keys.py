@@ -99,10 +99,9 @@ def test_every_semantic_option_field_changes_the_key():
 def test_observability_options_do_not_change_the_key():
     base = cache_key(SPEC, OPTIONS)
     legacy = dict(OPTIONS.to_dict(), extension_workers=4, plan_cache_size=7)
-    for variant in (
-        OPTIONS.replace(layer_backend="python"),
-        CheckOptions.from_dict(legacy),
-    ):
+    for backend in (None, "python", "numpy"):
+        variant = CheckOptions.from_dict(dict(legacy, layer_backend=backend))
+        assert variant == OPTIONS
         assert cache_key(SPEC, variant) == base
 
 

@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import without_numpy
 
 import repro.specs as specs_module
 import repro.topology.prefixspace as prefixspace_module
@@ -269,6 +270,26 @@ class TestCheckOptions:
         options = CheckOptions(max_depth=4, use_broadcaster_certificate=False)
         assert CheckOptions.from_dict(options.to_dict()) == options
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_depth": -1},
+            {"max_depth": True},
+            {"max_depth": "3"},
+            {"max_nodes": 0},
+            {"use_impossibility_provers": "no"},
+            {"use_broadcaster_certificate": 1},
+        ],
+        ids=repr,
+    )
+    def test_construction_and_replace_check_every_field(self, bad):
+        # These used to construct: `check --max-depth -1` printed SOLVABLE
+        # and a sweep stored records keyed by "max_depth": -1.
+        with pytest.raises(AnalysisError, match="CheckOptions"):
+            CheckOptions(**bad)
+        with pytest.raises(AnalysisError, match="CheckOptions"):
+            CheckOptions().replace(**bad)
+
     @pytest.mark.parametrize("legacy", [True, False, None])
     def test_legacy_memo_extensions_key_is_dropped(self, legacy):
         # Manifests, fleet directories, and client requests written before
@@ -342,9 +363,7 @@ class TestCheckOptions:
             max_depth=0, max_nodes=1, use_impossibility_provers=False
         )
         assert CheckOptions.from_dict({"plan_cache_size": 1}) == CheckOptions()
-        assert CheckOptions.from_dict({"layer_backend": "python"}).layer_backend == (
-            "python"
-        )
+        assert CheckOptions.from_dict({"layer_backend": "python"}) == CheckOptions()
 
     def test_wrapper_matches_options_core(self):
         adversary = lossy_link_no_hub()
@@ -482,25 +501,51 @@ def _check_interner(session, options=None):
     return result.decision_table.space.interner
 
 
+def _numpy_kernel_calls(monkeypatch):
+    """Log every numpy layer-kernel call, with the cell floor at 0."""
+    import repro.core.views as views_module
+
+    calls = []
+    numpy_kernel = ViewInterner._extend_layer_numpy
+
+    def logged(self, *args):
+        calls.append(len(args[0]))
+        return numpy_kernel(self, *args)
+
+    monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
+    monkeypatch.setattr(ViewInterner, "_extend_layer_numpy", logged)
+    return calls
+
+
 class TestLayerBackendOption:
+    """The removed ``layer_backend`` option: the platform picks the
+    kernel, and the key of an old options document loads and is dropped."""
+
     def test_roundtrips_and_reaches_session_interners(self):
-        options = CheckOptions(max_depth=4, layer_backend="python")
+        options = CheckOptions.from_dict({"max_depth": 4, "layer_backend": "python"})
+        assert options == CheckOptions(max_depth=4)
+        assert "layer_backend" not in options.to_dict()
         assert CheckOptions.from_dict(options.to_dict()) == options
-        session = Session(options)
-        assert _check_interner(session).layer_backend == "python"
+        with pytest.raises(TypeError):
+            CheckOptions(max_depth=4, layer_backend="python")
+        assert Session(options).check(ONLY_TO).certified_depth == 1
 
-    def test_default_follows_import_time_selection(self):
-        from repro.core.views import DEFAULT_LAYER_BACKEND
-
-        session = Session(CheckOptions(max_depth=4))
-        assert _check_interner(session).layer_backend == DEFAULT_LAYER_BACKEND
+    def test_default_follows_import_time_selection(self, monkeypatch):
+        calls = _numpy_kernel_calls(monkeypatch)
+        _check_interner(Session(CheckOptions(max_depth=4)))
+        assert bool(calls) == numpy_available()
 
     @pytest.mark.skipif(not numpy_available(), reason="needs the numpy backend")
-    def test_per_call_backend_overrides_the_session_default(self):
-        session = Session(CheckOptions(max_depth=4, layer_backend="numpy"))
-        assert _check_interner(session).layer_backend == "numpy"
-        options = CheckOptions(max_depth=4, layer_backend="python")
-        assert _check_interner(session, options).layer_backend == "python"
+    def test_per_call_backend_overrides_the_session_default(self, monkeypatch):
+        # Per-call options still override the session's, but the backend
+        # an old document names does not: the depth-1 layer runs numpy.
+        calls = _numpy_kernel_calls(monkeypatch)
+        session = Session(CheckOptions.from_dict({"max_depth": 0, "layer_backend": "numpy"}))
+        options = CheckOptions.from_dict({"max_depth": 4, "layer_backend": "python"})
+        assert session.check(ONLY_TO).certified_depth is None
+        assert calls == []
+        assert session.check(ONLY_TO, options=options).certified_depth == 1
+        assert calls == [4]
 
     def test_finished_check_releases_its_interner(self, monkeypatch):
         # ViewInterner's slots leave out __weakref__; a subclass adds it.
@@ -517,31 +562,34 @@ class TestLayerBackendOption:
         assert ref() is None
 
     def test_manifest_carries_the_backend_to_shard_runners(self, tmp_path):
+        # A manifest written while the option existed still loads, to
+        # options without it.
         from repro.backends import load_manifest, write_manifest
         from repro.api import jobs_for
 
         spec = AdversarySpec("two-process", {"index": 3})
         path = tmp_path / "shard.json"
         write_manifest(
-            jobs_for([spec], max_depth=3),
-            path,
-            options=CheckOptions(max_depth=3, layer_backend="python"),
+            jobs_for([spec], max_depth=3), path, options=CheckOptions(max_depth=3)
         )
-        manifest = load_manifest(path)
-        assert manifest["options"].layer_backend == "python"
+        document = json.loads(path.read_text())
+        document["options"]["layer_backend"] = "python"
+        path.write_text(json.dumps(document))
+        assert load_manifest(path)["options"] == CheckOptions(max_depth=3)
 
     def test_backend_choice_does_not_change_verdicts(self):
         from repro.adversaries import two_process_oblivious_family
         from repro.api import jobs_for
 
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        fingerprints = []
-        for backend in backends:
-            session = Session(CheckOptions(max_depth=5, layer_backend=backend))
-            fingerprints.append([
+        def fingerprint():
+            session = Session(CheckOptions(max_depth=5))
+            return [
                 (r.status, r.certificate, r.certified_depth)
                 for r in session.sweep(
                     jobs_for(two_process_oblivious_family(), max_depth=5)
                 )
-            ])
-        assert all(fp == fingerprints[0] for fp in fingerprints)
+            ]
+
+        with without_numpy():
+            python = fingerprint()
+        assert fingerprint() == python

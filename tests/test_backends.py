@@ -10,6 +10,7 @@ from repro.backends import (
     ProcessBackend,
     SerialBackend,
     SweepBackend,
+    SweepJob,
     iter_job_records,
     jobs_for,
     load_manifest,
@@ -70,6 +71,19 @@ class TestBackendEquivalence:
         jobs = jobs_for(_two_process_specs()[:5], max_depth=4)
         records = run_sweep(jobs, backend=_fleet(tmp_path / "fleet"))
         assert _fingerprint(records) == _fingerprint(run_sweep(jobs, workers=1))
+
+
+@pytest.mark.parametrize("bad", [-1, True, "3", 2.0, None], ids=repr)
+def test_sweep_job_refuses_a_max_depth_that_is_not_a_depth(bad, tmp_path):
+    spec = AdversarySpec("two-process", {"index": 0})
+    with pytest.raises(AnalysisError, match="max_depth"):
+        SweepJob(0, max_depth=bad, spec=spec)
+    path = write_manifest(jobs_for([spec], max_depth=2), tmp_path / "shard.json")
+    payload = json.loads(path.read_text())
+    payload["jobs"][0]["max_depth"] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(AnalysisError, match="max_depth"):
+        load_manifest(path)
 
 
 class TestManifestRoundTrip:

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.adversaries.lossylink import lossy_link_no_hub
-from repro.cli import ADVERSARIES, main
+from repro.cli import main
 from repro.core.digraph import Digraph, arrow
 from repro.core.graphword import GraphWord
 from repro.core.ptg import PTGPrefix
 from repro.core.views import ViewInterner
+from repro.specs import NAMED_ADVERSARIES
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
 from repro.viz import (
@@ -78,7 +79,7 @@ class TestRenderers:
 
 class TestCLI:
     def test_registry_instantiates(self):
-        for name, factory in ADVERSARIES.items():
+        for name, factory in NAMED_ADVERSARIES.items():
             adversary = factory()
             assert adversary.n in (2, 3), name
 
@@ -94,12 +95,33 @@ class TestCLI:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         interner = ViewInterner(3)
-        check_consensus(ADVERSARIES["sw-n3-1"](), max_depth=3, interner=interner)
+        check_consensus(NAMED_ADVERSARIES["sw-n3-1"](), max_depth=3, interner=interner)
         assert lines[-1] == f"  view tables: {interner.stats()!r}"
 
     def test_check_unknown_adversary(self):
         with pytest.raises(SystemExit):
             main(["check", "--adversary", "bogus"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--adversary", "only-to"],
+            ["census"],
+            ["sweep", "--family", "two-process"],
+            ["fleet", "run", "--dir", "unused"],
+            ["load-test"],
+            ["simulate", "--adversary", "only-to"],
+            ["kset", "--adversary", "only-to"],
+            ["heardof"],
+        ],
+        ids=["check", "census", "sweep", "fleet-run", "load-test", "simulate", "kset",
+             "heardof"],
+    )
+    def test_negative_max_depth_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--max-depth", "-1"])
+        assert exit_info.value.code == 2
+        assert "--max-depth: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_simulate_command(self, capsys):
         assert main(["simulate", "--adversary", "no-hub", "--trials", "5"]) == 0

@@ -3,7 +3,7 @@
 The columnar pipeline (``ComponentAnalysis`` labelling the layer's view
 graph, ``build_decision_table`` folding over component-id columns)
 replaced the object-based construction.  These tests pin it — on both
-kernel backends — to a self-contained reimplementation of the PR-4
+kernels — to a self-contained reimplementation of the PR-4
 algorithm: per-node bucket union-find over materialized level tuples,
 eager member lists, and the tuple-driven decision-map construction.  The
 contract is exact: identical component partitions (member lists in
@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import BACKENDS, without_numpy
 
 import repro.topology.components as components_module
 from repro.adversaries import (
@@ -47,8 +48,6 @@ from repro.topology.components import ComponentAnalysis, UnionFind
 from repro.topology.prefixspace import PrefixSpace
 
 TO, FRO = arrow("->"), arrow("<-")
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture(autouse=True)
@@ -246,7 +245,7 @@ FAMILIES = [
     "label, factory, depth", FAMILIES, ids=[f[0] for f in FAMILIES]
 )
 def test_columnar_components_match_reference(label, factory, depth, backend):
-    space = PrefixSpace(factory(), layer_backend=backend)
+    space = PrefixSpace(factory())
     for t in range(depth + 1):
         assert_components_match(space, t)
 
@@ -260,7 +259,7 @@ def test_columnar_decision_tables_match_reference(
     label, factory, depth, backend, validity
 ):
     spec = ConsensusSpec(validity=validity)
-    space = PrefixSpace(factory(), layer_backend=backend)
+    space = PrefixSpace(factory())
     for t in range(depth + 1):
         analysis, reference = assert_components_match(space, t)
         assert_tables_match(analysis, reference, spec)
@@ -285,7 +284,7 @@ def test_columnar_pipeline_matches_on_random_oblivious(
         )
     except Exception:
         return  # some (n, size, rooted) draws admit no family
-    space = PrefixSpace(adversary, layer_backend=backend)
+    space = PrefixSpace(adversary)
     analysis, reference = assert_components_match(space, depth)
     assert_tables_match(analysis, reference, ConsensusSpec())
 
@@ -335,7 +334,7 @@ def test_sv_fallback_matches_reference():
     layers deep enough to take it many hooking rounds it must reproduce
     the reference partitions and decision tables exactly."""
     for _, factory, depth in DEEP_LAYERS:
-        space = PrefixSpace(factory(), layer_backend="numpy")
+        space = PrefixSpace(factory())
         space.ensure_depth(depth)
         analysis, reference = assert_components_match(space, depth)
         assert_tables_match(analysis, reference, ConsensusSpec())
@@ -347,7 +346,7 @@ def test_scipy_solver_matches_reference():
     into the same partitions as the numpy pass."""
     pytest.importorskip("scipy")
     for _, factory, depth in FAMILIES + DEEP_LAYERS:
-        space = PrefixSpace(factory(), layer_backend="numpy")
+        space = PrefixSpace(factory())
         for t in range(depth + 1):
             analysis = ComponentAnalysis(space, t)
             assert analysis.comp_ids.tolist() == scipy_comp_ids(space, t)
@@ -367,7 +366,7 @@ def test_view_graph_node_range_stays_bounded_under_shared_interner(
     if oracle == "scipy":
         pytest.importorskip("scipy")
     family = random_rooted_family(random.Random(3), 4, 12)
-    interner = ViewInterner(4, layer_backend="numpy")
+    interner = ViewInterner(4)
     for adversary in family[:-1]:
         PrefixSpace(adversary, interner=interner).ensure_depth(3)
     space = PrefixSpace(family[-1], interner=interner)
@@ -512,7 +511,7 @@ def test_many_valued_domains_fall_back_to_exact_valences():
     dispatch must route such spaces to the arbitrary-precision pass."""
     vectors = [(v, v) for v in range(70)] + [(0, 1)]
     space = PrefixSpace(
-        lossy_link_no_hub(), input_vectors=vectors, layer_backend="numpy"
+        lossy_link_no_hub(), input_vectors=vectors
     )
     for t in (0, 1):
         analysis, _ = assert_components_match(space, t)
@@ -528,10 +527,8 @@ def test_many_valued_domains_fall_back_to_exact_valences():
 @pytest.mark.skipif(not numpy_available(), reason="needs both backends")
 def test_backends_agree_on_summaries():
     for factory in (lossy_link_full, lambda: santoro_widmayer_family(3, 1)):
-        summaries = {}
-        for backend in ("python", "numpy"):
-            space = PrefixSpace(factory(), layer_backend=backend)
-            summaries[backend] = [
-                ComponentAnalysis(space, t).summary() for t in range(3)
-            ]
-        assert summaries["python"] == summaries["numpy"]
+        with without_numpy():
+            space = PrefixSpace(factory())
+            python = [ComponentAnalysis(space, t).summary() for t in range(3)]
+        space = PrefixSpace(factory())
+        assert [ComponentAnalysis(space, t).summary() for t in range(3)] == python

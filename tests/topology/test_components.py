@@ -1,6 +1,7 @@
 """Tests for indistinguishability components and ε-approximations."""
 
 import pytest
+from kernels import BACKENDS
 
 from repro.adversaries.generators import out_star_set, santoro_widmayer_family
 from repro.adversaries.lossylink import (
@@ -18,7 +19,6 @@ from repro.topology.approximation import (
     eps_approximation_of_value,
     eps_ball,
 )
-from repro.core.views import numpy_available
 from repro.topology.components import (
     _COMPONENT_NUMPY_MIN_CELLS,
     ComponentAnalysis,
@@ -27,8 +27,6 @@ from repro.topology.components import (
 from repro.topology.prefixspace import PrefixSpace
 
 TO, FRO, BOTH = arrow("->"), arrow("<-"), arrow("<->")
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 class TestUnionFind:
@@ -94,7 +92,7 @@ class TestComponentStructure:
     def test_component_of_view_on_layers_past_the_numpy_floor(
         self, backend, make, depth
     ):
-        space = PrefixSpace(make(), layer_backend=backend)
+        space = PrefixSpace(make())
         analysis = ComponentAnalysis(space, depth)
         n = space.adversary.n
         ids = list(space.layer_store(depth).levels.ids)

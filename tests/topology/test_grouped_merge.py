@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernels import BACKENDS
 
 from repro.adversaries.generators import all_digraphs, all_rooted_digraphs
 from repro.adversaries.lossylink import eventually_one_direction
@@ -44,14 +45,12 @@ from repro.adversaries.stabilizing import (
 from repro.adversaries.oblivious import ObliviousAdversary
 from repro.core.digraph import Digraph, arrow
 from repro.core.inputs import all_assignments, binary_domain
-from repro.core.views import LayerTable, ViewInterner, numpy_available, plain_ids
+from repro.core.views import LayerTable, ViewInterner, plain_ids
 from repro.specs import NAMED_ADVERSARIES
 from repro.topology.prefixspace import PrefixSpace
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
 from test_kernel_parity import structure  # noqa: E402
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 # --------------------------------------------------------------------- #
@@ -60,14 +59,14 @@ BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 # --------------------------------------------------------------------- #
 
 
-def reference_layers(adversary, depth: int, backend: str):
+def reference_layers(adversary, depth: int):
     """Every layer's five columns, built by the old loop.
 
     Levels, parents and input indices are int64 ``array('q')`` columns;
     graphs and states are plain lists.
     """
     n = adversary.n
-    interner = ViewInterner(n, layer_backend=backend)
+    interner = ViewInterner(n)
     vectors = all_assignments(n, binary_domain)
     flat = array("q")
     for vec in vectors:
@@ -155,12 +154,12 @@ def assert_interners_match(interner, reference) -> None:
     assert interner.stats().rows == reference.stats().rows
 
 
-def assert_layers_match(adversary, depth: int, backend: str) -> None:
-    space = PrefixSpace(adversary, layer_backend=backend)
+def assert_layers_match(adversary, depth: int) -> None:
+    space = PrefixSpace(adversary)
     space.ensure_depth(depth)
-    frontier = PrefixSpace(adversary, layer_backend=backend, retain="frontier")
+    frontier = PrefixSpace(adversary, retain="frontier")
     frontier.ensure_depth(depth)
-    layers, reference = reference_layers(adversary, depth, backend)
+    layers, reference = reference_layers(adversary, depth)
     width = input_width(space)
     cache: dict = {}
     reference_cache: dict = {}
@@ -197,13 +196,13 @@ NAMED_STATEFUL = ["eventually-to", "eventually-to-full-base", "stabilizing-w2"]
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", NAMED_STATEFUL)
 def test_named_stateful_layers_match_reference(name, backend):
-    assert_layers_match(NAMED_ADVERSARIES[name](), 7, backend)
+    assert_layers_match(NAMED_ADVERSARIES[name](), 7)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_three_process_stabilizing_layers_match_reference(backend):
     graphs = list(all_rooted_digraphs(3))[:4]
-    assert_layers_match(StabilizingAdversary(3, graphs, window=2), 4, backend)
+    assert_layers_match(StabilizingAdversary(3, graphs, window=2), 4)
 
 
 def _random_stateful(kind: str, n: int, seed: int, window: int):
@@ -230,13 +229,13 @@ def _random_stateful(kind: str, n: int, seed: int, window: int):
 @settings(max_examples=25, deadline=None)
 def test_random_stateful_layers_match_reference(backend, kind, n, seed, window, depth):
     adversary = _random_stateful(kind, n, seed, window)
-    assert_layers_match(adversary, min(depth, 3) if n == 3 else depth, backend)
+    assert_layers_match(adversary, min(depth, 3) if n == 3 else depth)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_grouped_layers_store_coded_columns(backend):
     """Grouped layers keep a small palette plus narrow int codes."""
-    space = PrefixSpace(eventually_one_direction("->"), layer_backend=backend)
+    space = PrefixSpace(eventually_one_direction("->"))
     space.ensure_depth(5)
     store = space.layer_store(5)
     assert sorted(map(repr, store.graphs.items)) == sorted(
@@ -252,7 +251,7 @@ def test_grouped_layers_store_coded_columns(backend):
 def test_eight_process_input_indices_are_int16(backend):
     """n=8 has 256 binary assignments: input indices widen to int16."""
     adversary = ObliviousAdversary(8, [Digraph.complete(8), Digraph(8, [])])
-    space = PrefixSpace(adversary, layer_backend=backend)
+    space = PrefixSpace(adversary)
     space.ensure_depth(2)
     assert len(space.input_vectors) == 256
     # Eight owner bits need the int16 mask width.
