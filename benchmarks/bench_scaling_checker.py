@@ -360,11 +360,14 @@ def test_scaling_stateful_check_quick(benchmark, backend):
     groups, so each extension runs one kernel call per group and the
     grouped merge scatters their columns into the child layer; the check
     walks every depth through the 78,732-prefix depth-9 layer (components
-    at each depth) before the broadcaster certificate answers.  Small
-    enough for the CI quick run on both legs; this is the entry that keeps
-    the grouped merge honest between full re-recordings.
+    at each depth) before the broadcaster certificate answers.  The
+    impossibility provers are off: with them on, the checker certifies
+    the adversary's limit closure impossible and skips the deepening, so
+    the row would time the provers instead.  Small enough for the CI
+    quick run on both legs; this is the entry that keeps the grouped
+    merge honest between full re-recordings.
     """
-    options = CheckOptions(max_depth=9)
+    options = CheckOptions(max_depth=9, use_impossibility_provers=False)
     result = benchmark.pedantic(
         lambda: check_consensus_with_options(
             NAMED_ADVERSARIES["eventually-to-full-base"](), options

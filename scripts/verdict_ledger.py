@@ -54,6 +54,9 @@ LEDGER = Path(__file__).resolve().parents[1] / "tests" / "verdict_ledger.json"
 #: The two-process graph keys: none, ->, <-, <->.
 TWO_PROCESS_KEYS = (0, 2, 4, 6)
 
+#: Section name -> rows.
+Ledger = dict[str, list[dict[str, Any]]]
+
 
 def _subsets(keys: tuple[int, ...]) -> Iterator[list[int]]:
     """Every nonempty subset of ``keys``, by size, then lexicographically."""
@@ -66,7 +69,8 @@ def _named() -> list[AdversarySpec]:
     return [AdversarySpec("named", {"name": name}) for name in sorted(NAMED_ADVERSARIES)]
 
 
-def _two_process_families() -> list[AdversarySpec]:
+def two_process_families() -> list[AdversarySpec]:
+    """The 50 eventually-forever and 120 stabilizing two-process specs."""
     specs = []
     for base in _subsets(TWO_PROCESS_KEYS):
         for eventual in _subsets(tuple(base)):
@@ -87,7 +91,7 @@ def sections() -> list[tuple[str, int, list[AdversarySpec]]]:
     """``(name, max_depth, specs)`` of every ledger section, in order."""
     return [
         ("named", 10, _named()),
-        ("two-process-families", 10, _two_process_families()),
+        ("two-process-families", 10, two_process_families()),
         ("two-process-oblivious", 6,
          [AdversarySpec("two-process", {"index": index}) for index in range(15)]),
         ("census", 6, random_rooted_specs(1, 4, 1000) + _named()),
@@ -113,7 +117,7 @@ def ledger_row(spec: AdversarySpec, max_depth: int) -> dict[str, Any]:
     return row
 
 
-def compute() -> dict[str, list[dict[str, Any]]]:
+def compute() -> Ledger:
     """The whole ledger, section name -> rows."""
     return {
         name: [ledger_row(spec, max_depth) for spec in specs]
@@ -121,7 +125,7 @@ def compute() -> dict[str, list[dict[str, Any]]]:
     }
 
 
-def disagreements(ledger: dict[str, list[dict[str, Any]]]) -> Counter:
+def disagreements(ledger: Ledger) -> Counter:
     """``(section, baseline) -> rows`` whose decided status the baseline contradicts."""
     found: Counter = Counter()
     for name, rows in ledger.items():
@@ -138,7 +142,7 @@ def _verdict(row: dict[str, Any]) -> tuple:
     return row.get("error"), row.get("status"), row.get("certificate_kind")
 
 
-def changes(old: dict[str, list[dict]], new: dict[str, list[dict]]) -> list[tuple[str, dict, dict]]:
+def changes(old: Ledger, new: Ledger) -> list[tuple[str, dict, dict]]:
     """``(section, old row, new row)`` for every row whose verdict differs.
 
     Rows are matched by section and spec; a spec present on one side only
@@ -155,7 +159,7 @@ def changes(old: dict[str, list[dict]], new: dict[str, list[dict]]) -> list[tupl
     return changed
 
 
-def flips(old: dict[str, list[dict]], new: dict[str, list[dict]]) -> list[tuple[str, dict, dict]]:
+def flips(old: Ledger, new: Ledger) -> list[tuple[str, dict, dict]]:
     """The changes that turn SOLVABLE into IMPOSSIBLE or the other way round."""
     decided = {"solvable", "impossible"}
     return [
@@ -165,7 +169,7 @@ def flips(old: dict[str, list[dict]], new: dict[str, list[dict]]) -> list[tuple[
     ]
 
 
-def dumps(ledger: dict[str, list[dict[str, Any]]]) -> str:
+def dumps(ledger: Ledger) -> str:
     """The ledger as JSON text with one row per line, so diffs are per row."""
     parts = []
     for name, rows in ledger.items():
@@ -174,7 +178,7 @@ def dumps(ledger: dict[str, list[dict[str, Any]]]) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
-def load(path: Path = LEDGER) -> dict[str, list[dict[str, Any]]]:
+def load(path: Path = LEDGER) -> Ledger:
     return json.loads(path.read_text(encoding="utf-8"))
 
 

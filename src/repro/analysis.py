@@ -5,10 +5,11 @@ of its output.  This module turns any stream of
 :class:`~repro.records.RunRecord` — a fresh in-memory sweep, a merged
 fleet run, an archived JSONL file from an earlier revision — into a
 :class:`SweepReport`: status and certificate histograms, per-family and
-per-``(n, |D|)`` pivot tables, the undecided frontier (the scenarios that
-exhausted their depth budget, i.e. where to spend more compute next), and
-the slowest jobs.  ``repro-consensus report records.jsonl`` renders it
-from the command line; :func:`repro.consensus.census` rows and
+per-``(n, |D|)`` pivot tables, the undecided records in two kinds (the
+frontier that exhausted its depth budget, i.e. where to spend more compute
+next, and the ``undecided:no-finite-table`` records that no budget can
+decide), and the slowest jobs.  ``repro-consensus report records.jsonl``
+renders it from the command line; :func:`repro.consensus.census` rows and
 :func:`~repro.api.run_sweep` results feed it directly.
 
 >>> from repro.records import RunRecord
@@ -26,7 +27,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
-from repro.records import RunRecord, read_jsonl
+from repro.records import NO_FINITE_TABLE, RunRecord, read_jsonl
 from repro.schemas import SWEEP_REPORT
 
 __all__ = [
@@ -62,8 +63,8 @@ def certificate_kind(certificate: str | None) -> str:
 
     Strips instance detail: ``decision-table@3`` → ``decision-table``,
     ``broadcaster p1`` → ``broadcaster``, ``undecided@6`` → ``undecided``;
-    the impossibility witness kinds and the legacy ``"-"`` placeholder
-    pass through unchanged.
+    the impossibility witness kinds, ``undecided:no-finite-table`` and the
+    legacy ``"-"`` placeholder pass through unchanged.
     """
     if not certificate:
         return "-"
@@ -173,7 +174,9 @@ class SweepReport:
         #: (n, alphabet size) -> status counter.
         self.by_shape = by_shape
         #: Undecided records, deepest-explored first: the frontier where a
-        #: bigger depth budget (or a new prover) would earn new verdicts.
+        #: bigger depth budget (or a new prover) would earn new verdicts,
+        #: then the ``undecided:no-finite-table`` records, where only a new
+        #: prover would.
         self.undecided = undecided
         self.slowest = slowest
         self.total_elapsed_s = total_elapsed_s
@@ -262,7 +265,13 @@ def summarize(records: Iterable[RunRecord], top: int = 5) -> SweepReport:
             else:
                 heapq.heappushpop(slow_heap, entry)
     undecided.sort(
-        key=lambda r: (-_explored_depth(r), -r.max_depth, r.n, r.index)
+        key=lambda r: (
+            r.certificate == NO_FINITE_TABLE,
+            -_explored_depth(r),
+            -r.max_depth,
+            r.n,
+            r.index,
+        )
     )
     slowest = [entry[2] for entry in sorted(slow_heap, key=lambda e: (-e[0], -e[1]))]
     return SweepReport(
@@ -356,10 +365,17 @@ def render_report(report: SweepReport) -> str:
                     f"checker={record.status:11s} "
                     f"{validation.label} predicted {predicted}"
                 )
-    if report.undecided:
+    settled = [r for r in report.undecided if r.certificate == NO_FINITE_TABLE]
+    frontier = [r for r in report.undecided if r.certificate != NO_FINITE_TABLE]
+    for title, group in (
+        ("undecided frontier", frontier),
+        ("undecided, no finite decision table at any depth", settled),
+    ):
+        if not group:
+            continue
         lines.append("")
-        lines.append(f"undecided frontier ({len(report.undecided)} records)")
-        for record in report.undecided:
+        lines.append(f"{title} ({len(group)} records)")
+        for record in group:
             lines.append(
                 f"  #{record.index:<4d} {record.adversary:32s} "
                 f"{record.certificate:16s} budget max_depth={record.max_depth}"

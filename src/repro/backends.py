@@ -38,7 +38,7 @@ from repro.consensus.solvability import CheckOptions
 from repro.core.views import ViewInterner
 from repro.errors import AnalysisError
 from repro.io.atomic import atomic_write_text
-from repro.records import RunRecord, certificate_summary
+from repro.records import NO_FINITE_TABLE, RunRecord, certificate_summary
 from repro.schemas import SWEEP_MANIFEST
 from repro.specs import AdversarySpec
 
@@ -167,19 +167,22 @@ def retry_jobs(
 ) -> tuple[list[SweepJob], list[RunRecord]]:
     """Re-queue the undecided frontier of a sweep at a deeper budget.
 
-    ``undecided@d`` records are exactly the scenarios where more depth (or
-    a new prover) could earn a verdict; this turns them back into jobs.
+    An ``undecided@d`` record is a scenario where more depth (or a new
+    prover) could still earn a verdict; this turns such records back into
+    jobs.  An ``undecided:no-finite-table`` record is not: its limit
+    closure is certified impossible, so no depth has a decision table.
     Pass exactly one of ``extra_depth`` (new budget = record's
     ``max_depth`` + ``extra_depth``, the ``--max-depth +2`` CLI form) or
     ``max_depth`` (absolute new budget).  Only records whose status is in
     ``statuses`` are re-queued, and only when the retry can tell the
     checker something new: records without a serialized spec cannot be
-    rebuilt, and records whose new budget would not exceed their original
-    one would just reproduce the same undecided verdict — both land in
-    ``skipped`` instead of a job.  Returns ``(jobs, skipped)``: the retry
-    jobs (original indices and tags preserved, retry provenance added to
-    the tags) and the matching records that were not re-queued, so
-    callers can report rather than silently drop them.
+    rebuilt, records whose new budget would not exceed their original
+    one would just reproduce the same undecided verdict, and
+    ``undecided:no-finite-table`` records would too at any budget — all
+    three land in ``skipped`` instead of a job.  Returns ``(jobs,
+    skipped)``: the retry jobs (original indices and tags preserved, retry
+    provenance added to the tags) and the matching records that were not
+    re-queued, so callers can report rather than silently drop them.
     """
     if (extra_depth is None) == (max_depth is None):
         raise AnalysisError(
@@ -197,7 +200,11 @@ def retry_jobs(
         else:
             assert max_depth is not None  # exactly-one check above
             depth = max_depth
-        if record.spec is None or depth <= record.max_depth:
+        if (
+            record.spec is None
+            or depth <= record.max_depth
+            or record.certificate == NO_FINITE_TABLE
+        ):
             skipped.append(record)
             continue
         tags = dict(record.tags)

@@ -46,6 +46,7 @@ import argparse
 import random
 import sys
 from collections import Counter
+from typing import Callable
 
 from repro.core.digraph import Digraph
 from repro.specs import NAMED_ADVERSARIES
@@ -60,15 +61,30 @@ def _resolve(name: str):
         )
 
 
-def _depth(text: str) -> int:
-    """argparse type of ``--max-depth``: a depth budget, an int >= 0."""
-    try:
-        depth = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {depth}")
-    return depth
+def _int_in(floor: int, ceiling: int | None = None) -> Callable[[str], int]:
+    """The argparse type of a numeric argument: an int in ``[floor, ceiling]``.
+
+    Any other value is a usage error (exit 2) that names the argument.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be <= {ceiling}, got {value}")
+        return value
+
+    return parse
+
+
+#: Depth budgets and budgets where 0 means "none" (``--top``, gc limits).
+_depth = _int_in(0)
+#: Counts of things to do or to run on: processes, samples, workers, rounds.
+_count = _int_in(1)
 
 
 def _sweep_depth(text: str) -> str:
@@ -129,13 +145,13 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
                         help="scenario family (default two-process)")
     parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for sampled families")
-    parser.add_argument("--n", type=int, default=3,
+    parser.add_argument("--n", type=_count, default=3,
                         help="processes for rooted/sw families")
-    parser.add_argument("--samples", type=int, default=25,
+    parser.add_argument("--samples", type=_count, default=25,
                         help="sample count for the rooted family")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[1, 2, 3],
+    parser.add_argument("--sizes", type=_count, nargs="+", default=[1, 2, 3],
                         help="alphabet sizes for the rooted family")
-    parser.add_argument("--losses", type=int, default=1,
+    parser.add_argument("--losses", type=_count, default=1,
                         help="max losses for the Santoro-Widmayer family")
 
 
@@ -169,7 +185,7 @@ def _sweep_backend(args: argparse.Namespace):
     if args.backend == "serial":
         return SerialBackend(record_timing=record_timing)
     if args.backend == "process":
-        return ProcessBackend(max(args.workers, 1), record_timing=record_timing)
+        return ProcessBackend(args.workers, record_timing=record_timing)
     if args.no_timing:
         # No explicit backend: mirror run_sweep's worker-count default but
         # thread record_timing through, which run_sweep cannot do itself.
@@ -257,8 +273,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if skipped:
             print(
                 f"note: {len(skipped)} undecided record(s) skipped "
-                "(no serialized spec, or the new budget is not deeper "
-                "than the original)"
+                "(no serialized spec, a new budget that is not deeper "
+                "than the original, or no finite decision table at any "
+                "depth)"
             )
         if not jobs:
             print(f"{args.retry}: no undecided records to retry")
@@ -641,13 +658,13 @@ def main(argv: list[str] | None = None) -> int:
 
     census = sub.add_parser("census", help="oblivious adversary census")
     census.add_argument("--max-depth", type=_depth, default=6)
-    census.add_argument("--workers", type=int, default=1,
+    census.add_argument("--workers", type=_count, default=1,
                         help="fan checker jobs across this many processes")
     census.add_argument("--rooted", action="store_true",
                         help="census random rooted adversaries instead of the "
                              "exhaustive two-process family")
-    census.add_argument("--n", type=int, default=3, help="processes (--rooted)")
-    census.add_argument("--samples", type=int, default=25,
+    census.add_argument("--n", type=_count, default=3, help="processes (--rooted)")
+    census.add_argument("--samples", type=_count, default=25,
                         help="sample count (--rooted)")
     census.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for --rooted sampling")
@@ -657,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep", help="sharded (adversary, depth) sweep with JSONL output"
     )
     _add_family_arguments(sweep)
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_count, default=1,
                        help="process-pool size (ignored with --backend "
                             "serial); use `fleet run` for crash-tolerant "
                             "subprocess shards")
@@ -694,10 +711,10 @@ def main(argv: list[str] | None = None) -> int:
         cache_cmd.add_argument("--store", metavar="DIR", required=True,
                                help="store root directory")
         if name == "gc":
-            cache_cmd.add_argument("--max-objects", type=int, default=None,
+            cache_cmd.add_argument("--max-objects", type=_depth, default=None,
                                    help="keep at most this many objects "
                                         "(least recently put evicted first)")
-            cache_cmd.add_argument("--max-bytes", type=int, default=None,
+            cache_cmd.add_argument("--max-bytes", type=_depth, default=None,
                                    help="trim the object payload to at most "
                                         "this many bytes")
         cache_cmd.set_defaults(func=cmd_cache)
@@ -708,12 +725,12 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--store", metavar="DIR", required=True,
                        help="result store backing the service")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=_int_in(0, 65535), default=0,
                        help="TCP port (0 = ephemeral, printed on the "
                             "ready line)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_count, default=2,
                        help="cold-query worker threads")
-    serve.add_argument("--queue-limit", type=int, default=64,
+    serve.add_argument("--queue-limit", type=_count, default=64,
                        help="max queued cold queries before rejection")
     serve.set_defaults(func=cmd_serve)
 
@@ -726,17 +743,17 @@ def main(argv: list[str] | None = None) -> int:
                                 "ephemeral port (default mode)")
     load_test.add_argument("--connect", metavar="HOST:PORT",
                            help="target an already-running server instead")
-    load_test.add_argument("--total", type=int, default=1000,
+    load_test.add_argument("--total", type=_count, default=1000,
                            help="total queries to issue")
-    load_test.add_argument("--cold-stride", type=int, default=10,
+    load_test.add_argument("--cold-stride", type=_count, default=10,
                            help="every Nth query is cold (10 = 90/10 mix)")
-    load_test.add_argument("--connections", type=int, default=50,
+    load_test.add_argument("--connections", type=_count, default=50,
                            help="concurrent client connections")
     load_test.add_argument("--max-depth", type=_depth, default=2,
                            help="depth budget of the load-test queries")
-    load_test.add_argument("--workers", type=int, default=2,
+    load_test.add_argument("--workers", type=_count, default=2,
                            help="server worker threads (self-hosted mode)")
-    load_test.add_argument("--queue-limit", type=int, default=256,
+    load_test.add_argument("--queue-limit", type=_count, default=256,
                            help="server queue limit (self-hosted mode)")
     load_test.set_defaults(func=cmd_load_test)
 
@@ -754,9 +771,9 @@ def main(argv: list[str] | None = None) -> int:
                                 "hold a fleet)")
     _add_family_arguments(fleet_run)
     fleet_run.add_argument("--max-depth", type=_depth, default=6)
-    fleet_run.add_argument("--shards", type=int, default=4,
+    fleet_run.add_argument("--shards", type=_count, default=4,
                            help="work-queue shards (capped at the job count)")
-    fleet_run.add_argument("--workers", type=int, default=2,
+    fleet_run.add_argument("--workers", type=_count, default=2,
                            help="worker subprocesses to keep alive")
     fleet_run.add_argument("--chaos", default=None,
                            help="fault-injection schedule: inline JSON "
@@ -768,7 +785,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="seconds before an unrenewed lease expires")
     fleet_run.add_argument("--heartbeat", type=float, default=3.0,
                            help="worker lease-renewal cadence in seconds")
-    fleet_run.add_argument("--max-attempts", type=int, default=4,
+    fleet_run.add_argument("--max-attempts", type=_count, default=4,
                            help="attempts per shard before poisoning it")
     fleet_run.add_argument("--backoff-base", type=float, default=0.25,
                            help="base retry delay (doubles per failure)")
@@ -790,7 +807,7 @@ def main(argv: list[str] | None = None) -> int:
                               help="emit the repro.fleet-state/1 status "
                                    "document with an embedded sweep report "
                                    "over the merged-so-far records")
-    fleet_status.add_argument("--top", type=int, default=5,
+    fleet_status.add_argument("--top", type=_depth, default=5,
                               help="slowest-job count for the embedded report")
     fleet_status.set_defaults(func=cmd_fleet_status)
 
@@ -798,7 +815,7 @@ def main(argv: list[str] | None = None) -> int:
         "resume", help="pick up an interrupted fleet exactly where it died"
     )
     fleet_resume.add_argument("--dir", required=True)
-    fleet_resume.add_argument("--workers", type=int, default=2)
+    fleet_resume.add_argument("--workers", type=_count, default=2)
     fleet_resume.add_argument("--timeout", type=float, default=None)
     fleet_resume.add_argument("--out",
                               help="also copy the merged records to this file")
@@ -816,7 +833,7 @@ def main(argv: list[str] | None = None) -> int:
         "report", help="aggregate a sweep JSONL file into histograms/tables"
     )
     report.add_argument("records", help="sweep JSONL file (v1 or v2 schema)")
-    report.add_argument("--top", type=int, default=5,
+    report.add_argument("--top", type=_depth, default=5,
                         help="how many slowest jobs to list")
     report.add_argument("--json", action="store_true",
                         help="emit the machine-readable JSON report "
@@ -826,32 +843,33 @@ def main(argv: list[str] | None = None) -> int:
 
     simulate = sub.add_parser("simulate", help="simulate the certified algorithm")
     simulate.add_argument("--adversary", required=True)
-    simulate.add_argument("--trials", type=int, default=50)
-    simulate.add_argument("--rounds", type=int, default=8)
+    simulate.add_argument("--trials", type=_count, default=50)
+    simulate.add_argument("--rounds", type=_count, default=8)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--max-depth", type=_depth, default=8)
     simulate.set_defaults(func=cmd_simulate)
 
     ptg = sub.add_parser("ptg", help="print the Figure 2 process-time graph")
-    ptg.add_argument("--process", type=int, default=0)
+    ptg.add_argument("--process", type=_int_in(0, 2), default=0,
+                     help="process to highlight (0-2)")
     ptg.set_defaults(func=cmd_ptg)
 
     kset = sub.add_parser("kset", help="k-set agreement depth sweep")
     kset.add_argument("--adversary", required=True)
-    kset.add_argument("--k", type=int, default=2)
-    kset.add_argument("--values", type=int, default=2)
+    kset.add_argument("--k", type=_count, default=2)
+    kset.add_argument("--values", type=_int_in(2), default=2)
     kset.add_argument("--max-depth", type=_depth, default=3)
     kset.set_defaults(func=cmd_kset)
 
     heardof = sub.add_parser("heardof", help="classify Heard-Of predicate families")
-    heardof.add_argument("--n", type=int, default=3)
+    heardof.add_argument("--n", type=_count, default=3)
     heardof.add_argument("--max-depth", type=_depth, default=3)
     heardof.set_defaults(func=cmd_heardof)
 
     fair = sub.add_parser("fair", help="extract fair-sequence candidates")
     fair.add_argument("--adversary", required=True)
-    fair.add_argument("--depth", type=int, default=4)
-    fair.add_argument("--limit", type=int, default=5)
+    fair.add_argument("--depth", type=_count, default=4)
+    fair.add_argument("--limit", type=_count, default=5)
     fair.set_defaults(func=cmd_fair)
 
     args = parser.parse_args(argv)

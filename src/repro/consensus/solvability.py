@@ -7,24 +7,34 @@
    (:func:`~repro.consensus.provers.find_nonbroadcastable_lasso`,
    Theorem 5.11) and, for oblivious adversaries, the single-component
    induction (:class:`~repro.consensus.provers.SingleComponentInduction`,
-   Corollary 5.6).
+   Corollary 5.6).  When both fail on an adversary ``A`` that is not
+   limit-closed, they run again on its limit closure ``cl(A)``.  ``A`` and
+   ``cl(A)`` have the same finite prefixes (Section 6.3), so ``A`` has a
+   decision table at some depth iff ``cl(A)`` does; a certificate for
+   ``cl(A)`` proves that no depth has one, and step 2 is skipped.
 
-2. **Guaranteed-broadcaster solvability** (Theorem 5.11/6.7 sufficiency):
-   a process heard by all in every admissible sequence yields the
-   "decide x_p upon hearing p" algorithm — the certificate that resolves
-   non-compact adversaries whose prefix spaces never separate.
-
-3. **Iterative deepening** over the prefix space: at each depth ``t``
+2. **Iterative deepening** over the prefix space: at each depth ``t``
    compute the indistinguishability components (= ``ε = 2^{-t}``
    approximations); if a valid value assignment exists, consensus is
    certified SOLVABLE with an executable decision table (Theorem 5.5's
    universal algorithm).  En route the checker records the equivalence
    data of Theorem 6.6 (bivalence vs broadcastability per depth).
 
-If no certificate fires by ``max_depth`` the result is UNDECIDED, with the
-full depth history as evidence (for the paper's impossible examples the
-impossibility provers fire, so UNDECIDED indicates either a too-small depth
-bound or an adversary outside the library's certified classes).
+3. **Guaranteed-broadcaster solvability** (Theorem 5.11/6.7 sufficiency):
+   a process heard by all in every admissible sequence yields the
+   "decide x_p upon hearing p" algorithm — the certificate that resolves
+   non-compact adversaries whose prefix spaces never separate.
+
+The provers assume the full input space of the spec's domain; with
+``input_vectors`` restricted to fewer assignments they do not run, and the
+checker goes straight to step 2.
+
+If no certificate fires the result is UNDECIDED, in one of two kinds.
+Either the deepening explored every depth up to ``max_depth`` (or up to
+the ``max_nodes`` budget) and the depth history is the evidence, so a
+bigger budget might still find a table; or the closure certificate of
+step 1 proved that no depth has one, the deepening never ran, and the
+result carries that certificate (``closure_impossibility``) instead.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.adversaries.base import MessageAdversary
+from repro.adversaries.compactness import limit_closure
 from repro.consensus.decision import DecisionTable, build_decision_table
 from repro.consensus.provers import (
     SingleComponentInduction,
@@ -41,7 +52,7 @@ from repro.consensus.provers import (
     find_nonbroadcastable_lasso,
 )
 from repro.consensus.spec import ConsensusSpec
-from repro.core.inputs import all_assignments
+from repro.core.inputs import all_assignments, validate_assignment
 from repro.core.views import ViewInterner
 from repro.errors import AnalysisError
 from repro.topology.components import ComponentAnalysis
@@ -258,7 +269,13 @@ class BroadcasterCertificate:
 
 
 class SolvabilityResult:
-    """Complete outcome of :func:`check_consensus`."""
+    """Complete outcome of :func:`check_consensus`.
+
+    ``closure_impossibility`` is set when the provers certified the
+    adversary's limit closure impossible, so no depth has a decision
+    table and the deepening was skipped (``history`` is then empty): the
+    result is SOLVABLE by a broadcaster or UNDECIDED with this witness.
+    """
 
     __slots__ = (
         "adversary",
@@ -267,6 +284,7 @@ class SolvabilityResult:
         "decision_table",
         "broadcaster",
         "impossibility",
+        "closure_impossibility",
         "history",
         "certified_depth",
         "max_depth",
@@ -319,10 +337,12 @@ class SolvabilityResult:
 
     def explain(self) -> str:
         """One-paragraph summary of the verdict and its certificate."""
-        lines = [
-            f"{self.adversary.name}: {self.status.value.upper()} "
-            f"(explored depth <= {self.max_depth})"
-        ]
+        explored = (
+            "deepening skipped: no finite decision table exists"
+            if self.closure_impossibility is not None
+            else f"explored depth <= {self.max_depth}"
+        )
+        lines = [f"{self.adversary.name}: {self.status.value.upper()} ({explored})"]
         if self.decision_table is not None:
             lines.append(
                 f"  decision table certified at depth {self.certified_depth} "
@@ -332,6 +352,14 @@ class SolvabilityResult:
             lines.append("  " + self.broadcaster.explain())
         if self.impossibility is not None:
             lines.append("  " + self.impossibility.explain().replace("\n", "\n  "))
+        if self.closure_impossibility is not None:
+            lines.append(
+                "  The limit closure has the same finite prefixes and is "
+                "impossible, so no depth has a decision table (Section 6.3):"
+            )
+            lines.append(
+                "    " + self.closure_impossibility.explain().replace("\n", "\n    ")
+            )
         for report in self.history:
             lines.append(f"  {report!r}")
         return "\n".join(lines)
@@ -375,7 +403,8 @@ def check_consensus(
         Input domain and validity condition (default binary, weak validity).
     input_vectors:
         Restrict the input assignments (default: the full assignment space
-        of the spec's domain, as in the paper).
+        of the spec's domain, as in the paper).  The impossibility provers
+        assume the full space, so they run only when these cover it.
     options:
         A :class:`CheckOptions` bundle; explicit keywords win over it.
 
@@ -385,7 +414,9 @@ def check_consensus(
         With an executable certificate: a validated
         :class:`~repro.consensus.decision.DecisionTable`, a
         :class:`BroadcasterCertificate`, or an
-        :class:`ImpossibilityWitness`; UNDECIDED carries the depth history.
+        :class:`ImpossibilityWitness`; UNDECIDED carries the depth history,
+        or, when no depth can have a decision table, the limit closure's
+        witness as ``closure_impossibility``.
     """
     overrides = {
         name: value
@@ -409,6 +440,19 @@ def check_consensus(
     )
 
 
+def _impossibility_witness(adversary: MessageAdversary) -> ImpossibilityWitness | None:
+    """The first sound impossibility certificate for ``adversary``, if any."""
+    lasso = find_nonbroadcastable_lasso(adversary)
+    if lasso is not None:
+        return ImpossibilityWitness("nonbroadcastable-lasso", lasso=lasso)
+    # Applies to oblivious adversaries and, via the oblivious core, to any
+    # limit-closed adversary.
+    induction = SingleComponentInduction(adversary)
+    if induction.applies:
+        return ImpossibilityWitness("single-component-induction", induction=induction)
+    return None
+
+
 def check_consensus_with_options(
     adversary: MessageAdversary,
     options: CheckOptions,
@@ -419,63 +463,68 @@ def check_consensus_with_options(
     """The options-driven checker core behind :func:`check_consensus`."""
     max_depth = options.max_depth
     max_nodes = options.max_nodes
-    use_impossibility_provers = options.use_impossibility_provers
     use_broadcaster_certificate = options.use_broadcaster_certificate
     spec = spec or ConsensusSpec()
+    every_input = all_assignments(adversary.n, spec.domain)
     if input_vectors is None:
-        input_vectors = all_assignments(adversary.n, spec.domain)
+        input_vectors = every_input
+    else:
+        input_vectors = [
+            validate_assignment(vec, adversary.n, spec.domain) for vec in input_vectors
+        ]
+    # The provers certify impossibility over the full input space only: a
+    # restricted one can be solvable where the full one is not.
+    full_space = set(input_vectors) >= set(every_input)
+    use_provers = options.use_impossibility_provers and full_space
 
     history: list[DepthReport] = []
 
     # 1. Sound impossibility certificates.
-    impossibility = None
-    if use_impossibility_provers:
-        lasso = find_nonbroadcastable_lasso(adversary)
-        if lasso is not None:
-            impossibility = ImpossibilityWitness(
-                "nonbroadcastable-lasso", lasso=lasso
+    closure_impossibility = None
+    if use_provers:
+        impossibility = _impossibility_witness(adversary)
+        if impossibility is not None:
+            return SolvabilityResult(
+                adversary=adversary,
+                spec=spec,
+                status=SolvabilityStatus.IMPOSSIBLE,
+                impossibility=impossibility,
+                history=history,
+                certified_depth=None,
+                max_depth=max_depth,
             )
-        else:
-            # Applies to oblivious adversaries and, via the oblivious core,
-            # to any limit-closed adversary.
-            induction = SingleComponentInduction(adversary)
-            if induction.applies:
-                impossibility = ImpossibilityWitness(
-                    "single-component-induction", induction=induction
-                )
-    if impossibility is not None:
-        return SolvabilityResult(
-            adversary=adversary,
-            spec=spec,
-            status=SolvabilityStatus.IMPOSSIBLE,
-            impossibility=impossibility,
-            history=history,
-            certified_depth=None,
-            max_depth=max_depth,
-        )
+        # A and cl(A) have the same finite prefixes, so an impossible
+        # closure rules out a decision table at every depth.  An adversary
+        # with no live initial state has no closure; the prefix space
+        # below reports it.
+        if not adversary.is_limit_closed() and (
+            adversary.initial_states() & adversary.live_states()
+        ):
+            closure_impossibility = _impossibility_witness(limit_closure(adversary))
 
     # 2. Iterative deepening for a decision-table certificate.
-    space = PrefixSpace(
-        adversary,
-        input_vectors=input_vectors,
-        interner=interner,
-        max_nodes=max_nodes,
-    )
     table: DecisionTable | None = None
     certified_depth = None
-    for depth in range(max_depth + 1):
-        try:
-            analysis = ComponentAnalysis(space, depth)
-        except AnalysisError:
-            break
-        history.append(DepthReport(analysis.summary()))
-        if all(spec.allowed_values(c) for c in analysis.components):
-            table = build_decision_table(analysis, spec)
-            certified_depth = depth
-            break
-        # Release this depth's component columns before the next depth's
-        # extension and labelling allocate theirs.
-        del analysis
+    if closure_impossibility is None:
+        space = PrefixSpace(
+            adversary,
+            input_vectors=input_vectors,
+            interner=interner,
+            max_nodes=max_nodes,
+        )
+        for depth in range(max_depth + 1):
+            try:
+                analysis = ComponentAnalysis(space, depth)
+            except AnalysisError:
+                break
+            history.append(DepthReport(analysis.summary()))
+            if all(spec.allowed_values(c) for c in analysis.components):
+                table = build_decision_table(analysis, spec)
+                certified_depth = depth
+                break
+            # Release this depth's component columns before the next
+            # depth's extension and labelling allocate theirs.
+            del analysis
 
     if table is not None:
         return SolvabilityResult(
@@ -498,6 +547,7 @@ def check_consensus_with_options(
                 spec=spec,
                 status=SolvabilityStatus.SOLVABLE,
                 broadcaster=BroadcasterCertificate(broadcaster),
+                closure_impossibility=closure_impossibility,
                 history=history,
                 certified_depth=None,
                 max_depth=max_depth,
@@ -507,6 +557,7 @@ def check_consensus_with_options(
         adversary=adversary,
         spec=spec,
         status=SolvabilityStatus.UNDECIDED,
+        closure_impossibility=closure_impossibility,
         history=history,
         certified_depth=None,
         max_depth=max_depth,

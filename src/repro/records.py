@@ -27,6 +27,7 @@ from repro.schemas import RUN_RECORD
 
 __all__ = [
     "SCHEMA",
+    "NO_FINITE_TABLE",
     "RunRecord",
     "JsonlCorruption",
     "certificate_summary",
@@ -38,16 +39,23 @@ __all__ = [
 #: canonical definition lives in :mod:`repro.schemas`).
 SCHEMA = RUN_RECORD
 
+#: Certificate of an UNDECIDED result whose limit closure is certified
+#: impossible: no depth has a decision table, so more depth cannot help.
+NO_FINITE_TABLE = "undecided:no-finite-table"
+
 
 def certificate_summary(result) -> str:
     """Short description of a solvability result's certificate.
 
     SOLVABLE results name their decision table or broadcaster, IMPOSSIBLE
-    results their witness kind.  UNDECIDED results report the deepest depth
-    the iterative deepening actually explored (``undecided@6``) — or
-    ``undecided@-`` when not even depth 0 was analyzable (e.g. the node
-    budget was exhausted building the first layer) — so sweep records show
-    how far the search got rather than a bare ``"-"``.
+    results their witness kind.  UNDECIDED results come in two kinds.
+    ``undecided:no-finite-table`` means the provers certified the
+    adversary's limit closure impossible, so no depth has a decision table
+    and the deepening was skipped: a bigger budget cannot help.  Otherwise
+    the summary reports the deepest depth the iterative deepening actually
+    explored (``undecided@6``), or ``undecided@-`` when not even depth 0
+    was analyzable (e.g. the node budget was exhausted building the first
+    layer), so sweep records show how far the search got.
     """
     if result.decision_table is not None:
         return f"decision-table@{result.certified_depth}"
@@ -55,6 +63,8 @@ def certificate_summary(result) -> str:
         return f"broadcaster p{result.broadcaster.process}"
     if result.impossibility is not None:
         return result.impossibility.kind
+    if result.closure_impossibility is not None:
+        return NO_FINITE_TABLE
     if result.history:
         return f"undecided@{result.history[-1].depth}"
     return "undecided@-"

@@ -51,7 +51,9 @@ __all__ = [
 #: alter a verdict, a certificate, or a recorded depth without changing
 #: the record schema itself; every bump invalidates the whole store (old
 #: entries become unaddressable garbage, collected by ``cache gc``).
-KERNEL_EPOCH = 1
+#: Epoch 2: an UNDECIDED check whose limit closure is certified impossible
+#: skips the deepening and records ``undecided:no-finite-table``.
+KERNEL_EPOCH = 2
 
 #: The :class:`CheckOptions` fields that participate in the cache key —
 #: exactly those that can change what the checker concludes, as opposed

@@ -159,6 +159,29 @@ class TestSpecVariants:
         )
         assert result.status is SolvabilityStatus.SOLVABLE
 
+    @pytest.mark.parametrize(
+        "factory", [lossy_link_full, lossy_link_with_silence], ids=["lossy-full", "silence"]
+    )
+    def test_provers_skip_a_restricted_input_space(self, factory):
+        """The provers certify the full input space only.
+
+        With the unanimous assignments alone, "decide your own input" is a
+        depth-0 table; the provers used to answer IMPOSSIBLE here anyway
+        (single-component induction on lossy-full, the non-broadcastable
+        lasso on silence).
+        """
+        unanimous = [(0, 0), (1, 1)]
+        result = check_consensus(factory(), input_vectors=unanimous)
+        without_provers = check_consensus(
+            factory(), input_vectors=unanimous, use_impossibility_provers=False
+        )
+        for checked in (result, without_provers):
+            assert checked.status is SolvabilityStatus.SOLVABLE
+            assert checked.certified_depth == 0
+        # Listing every assignment, in any order, keeps the provers on.
+        every = [(1, 1), (1, 0), (0, 1), (0, 0)]
+        assert check_consensus(factory(), input_vectors=every).impossibility is not None
+
     def test_impossible_stays_impossible_with_strong_validity(self):
         spec = ConsensusSpec(validity="strong")
         result = check_consensus(lossy_link_full(), spec=spec)

@@ -36,9 +36,10 @@ def test_key_is_pinned_across_releases():
     # stored verdict, so any change here must come with a KERNEL_EPOCH
     # bump.  Removing option fields that were never part of the key
     # (e.g. the old extension-memo switch) must leave it untouched.
+    # Frozen at KERNEL_EPOCH 2 (the no-finite-table certificate).
     spec = AdversarySpec("oblivious", {"n": 2, "graphs": [2, 4]})
     assert cache_key(spec, CheckOptions(max_depth=6)) == (
-        "3da42dfdd982f9e0132b95f20bac5e867b697f711df0e1085212c2f49e1306eb"
+        "e3017d55d2c877eaac6e0653f656cf2388e962b66db6f9f608c59a87dc5bff6f"
     )
     legacy = CheckOptions.from_dict({"max_depth": 6, "memo_extensions": True})
     assert cache_key(spec, legacy) == cache_key(spec, CheckOptions(max_depth=6))

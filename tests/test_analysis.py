@@ -67,6 +67,20 @@ class TestSummarize:
         # Deepest-explored first; legacy "-" certificates sort last.
         assert [r.index for r in report.undecided] == [1, 0, 2]
 
+    def test_no_finite_table_records_sort_after_the_frontier(self):
+        records = [
+            _record(0, status="undecided", certificate="undecided:no-finite-table",
+                    certified_depth=None, max_depth=10),
+            _record(1, status="undecided", certificate="-",  # legacy records
+                    certified_depth=None, max_depth=6),
+            _record(2, status="undecided", certificate="undecided@2",
+                    certified_depth=None, max_depth=6),
+        ]
+        report = summarize(records)
+        assert [r.index for r in report.undecided] == [2, 1, 0]
+        assert report.certificate_counts == {"undecided": 1, "-": 1,
+                                             "undecided:no-finite-table": 1}
+
     def test_summarize_streams_without_buffering(self):
         def stream():
             for index in range(2000):
@@ -95,6 +109,21 @@ class TestRenderReport:
         assert "per-(n, |D|) statuses" in text
         assert "undecided frontier (1 records)" in text
         assert "undecided@4" in text
+
+    def test_undecided_kinds_are_listed_apart(self):
+        records = [
+            _record(0, status="undecided", certificate="undecided@4",
+                    certified_depth=None),
+            _record(1, status="undecided", certificate="undecided:no-finite-table",
+                    certified_depth=None),
+            _record(2, status="undecided", certificate="undecided:no-finite-table",
+                    certified_depth=None),
+        ]
+        lines = render_report(summarize(records)).splitlines()
+        frontier = lines.index("undecided frontier (1 records)")
+        settled = lines.index("undecided, no finite decision table at any depth (2 records)")
+        assert "#0" in lines[frontier + 1]
+        assert "#1" in lines[settled + 1] and "#2" in lines[settled + 2]
 
     def test_report_from_fresh_sweep(self, tmp_path):
         path = tmp_path / "fresh.jsonl"

@@ -10,6 +10,7 @@ failure to update.
 from repro.adversaries.stabilizing import StabilizingAdversary
 from repro.consensus.solvability import SolvabilityStatus, check_consensus
 from repro.core.digraph import arrow
+from repro.records import certificate_summary
 
 TO, FRO, BOTH = arrow("->"), arrow("<-"), arrow("<->")
 
@@ -23,15 +24,21 @@ class TestVSSCWindowOverImpossibleBase:
     sequences stabilize on different roots, so there is no single
     guaranteed broadcaster, and the prefix space (which sees only the
     safety closure — the impossible lossy link) never separates.  The
-    checker therefore honestly reports UNDECIDED.
+    checker certifies the closure impossible, skips the deepening that
+    cannot succeed, and honestly reports UNDECIDED.
     """
 
     def test_undecided_with_full_diagnostics(self):
         adversary = StabilizingAdversary(2, [TO, FRO, BOTH], window=2)
         result = check_consensus(adversary, max_depth=4)
         assert result.status is SolvabilityStatus.UNDECIDED
-        # The diagnostics show why: bivalence never dies in the closure.
-        assert all(report.bivalent >= 1 for report in result.history)
+        # The diagnostics show why: the closure is the lossy link, one
+        # component at every depth, so no depth has a decision table.
+        assert certificate_summary(result) == "undecided:no-finite-table"
+        witness = result.closure_impossibility
+        assert witness.kind == "single-component-induction"
+        assert witness.induction.core == frozenset({TO, FRO, BOTH})
+        assert result.history == []
         # And no liveness certificate exists:
         assert result.broadcaster is None
         assert result.impossibility is None

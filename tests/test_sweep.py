@@ -241,6 +241,19 @@ class TestRetry:
         assert jobs == []
         assert skipped == [bare]
 
+    def test_no_finite_table_records_are_skipped(self):
+        from repro.api import retry_jobs
+        from repro.specs import AdversarySpec
+
+        spec = AdversarySpec("stabilizing", {"n": 2, "graphs": [2, 4, 6], "window": 2})
+        [record] = run_sweep(jobs_for([spec], max_depth=4))
+        assert record.status == "undecided"
+        assert record.certificate == "undecided:no-finite-table"
+        for budget in ({"extra_depth": 2}, {"max_depth": 12}):
+            jobs, skipped = retry_jobs([record], **budget)
+            assert jobs == []
+            assert skipped == [record]
+
     def test_cli_retry_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 

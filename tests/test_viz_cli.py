@@ -77,6 +77,49 @@ class TestRenderers:
         assert "disagrees" not in text
 
 
+#: (argv, usage-error text) of an out-of-range integer argument per subcommand.
+_BAD_NUMBERS = [
+    (["fair", "--adversary", "no-hub", "--depth", "-1"], "--depth: must be >= 1, got -1"),
+    (["fair", "--adversary", "no-hub", "--limit", "0"], "--limit: must be >= 1, got 0"),
+    (["simulate", "--adversary", "no-hub", "--trials", "-3"],
+     "--trials: must be >= 1, got -3"),
+    (["simulate", "--adversary", "no-hub", "--rounds", "0"],
+     "--rounds: must be >= 1, got 0"),
+    (["census", "--rooted", "--samples", "-2"], "--samples: must be >= 1, got -2"),
+    (["census", "--rooted", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["census", "--workers", "0"], "--workers: must be >= 1, got 0"),
+    (["sweep", "--family", "rooted", "--samples", "0"], "--samples: must be >= 1, got 0"),
+    (["sweep", "--family", "rooted", "--sizes", "1", "-1"],
+     "--sizes: must be >= 1, got -1"),
+    (["sweep", "--family", "sw", "--losses", "0"], "--losses: must be >= 1, got 0"),
+    (["sweep", "--workers", "-1"], "--workers: must be >= 1, got -1"),
+    (["fleet", "run", "--dir", "unused", "--shards", "0"], "--shards: must be >= 1, got 0"),
+    (["fleet", "run", "--dir", "unused", "--max-attempts", "0"],
+     "--max-attempts: must be >= 1, got 0"),
+    (["fleet", "status", "--dir", "unused", "--top", "-1"], "--top: must be >= 0, got -1"),
+    (["fleet", "resume", "--dir", "unused", "--workers", "0"],
+     "--workers: must be >= 1, got 0"),
+    (["report", "unused.jsonl", "--top", "-5"], "--top: must be >= 0, got -5"),
+    (["cache", "gc", "--store", "unused", "--max-objects", "-1"],
+     "--max-objects: must be >= 0, got -1"),
+    (["cache", "gc", "--store", "unused", "--max-bytes", "-1"],
+     "--max-bytes: must be >= 0, got -1"),
+    (["serve", "--store", "unused", "--queue-limit", "0"],
+     "--queue-limit: must be >= 1, got 0"),
+    (["load-test", "--total", "0"], "--total: must be >= 1, got 0"),
+    (["load-test", "--cold-stride", "0"], "--cold-stride: must be >= 1, got 0"),
+    (["load-test", "--connections", "-4"], "--connections: must be >= 1, got -4"),
+    (["kset", "--adversary", "no-hub", "--k", "0"], "--k: must be >= 1, got 0"),
+    (["kset", "--adversary", "no-hub", "--values", "1"], "--values: must be >= 2, got 1"),
+    (["heardof", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["simulate", "--adversary", "no-hub", "--trials", "many"],
+     "--trials: invalid int value: 'many'"),
+    (["serve", "--store", "unused", "--port", "70000"], "--port: must be <= 65535, got 70000"),
+    (["ptg", "--process", "3"], "--process: must be <= 2, got 3"),
+    (["ptg", "--process", "-1"], "--process: must be >= 0, got -1"),
+]
+
+
 class TestCLI:
     def test_registry_instantiates(self):
         for name, factory in NAMED_ADVERSARIES.items():
@@ -122,6 +165,15 @@ class TestCLI:
             main([*argv, "--max-depth", "-1"])
         assert exit_info.value.code == 2
         assert "--max-depth: must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message", _BAD_NUMBERS, ids=[" ".join(argv) for argv, _ in _BAD_NUMBERS]
+    )
+    def test_out_of_range_number_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_simulate_command(self, capsys):
         assert main(["simulate", "--adversary", "no-hub", "--trials", "5"]) == 0
