@@ -65,8 +65,9 @@ class SweepJob:
     A job carries a live ``adversary``, a serializable ``spec``
     (:class:`~repro.specs.AdversarySpec`), or both.  Spec-carrying jobs
     build their adversary lazily — on whichever worker runs them — which
-    is what lets shard manifests ship jobs as JSON.  ``max_depth`` must be
-    a non-negative int (a bool is not one), or
+    is what lets shard manifests ship jobs as JSON.  ``adversary`` must be
+    ``None`` or a :class:`~repro.adversaries.base.MessageAdversary`, and
+    ``max_depth`` a non-negative int (a bool is not one), or
     :class:`~repro.errors.AnalysisError` is raised.
     """
 
@@ -82,6 +83,11 @@ class SweepJob:
     ) -> None:
         if adversary is None and spec is None:
             raise AnalysisError("a sweep job needs an adversary or a spec")
+        if adversary is not None and not isinstance(adversary, MessageAdversary):
+            raise AnalysisError(
+                "a sweep job's adversary must be a MessageAdversary, got "
+                f"{type(adversary).__name__}"
+            )
         if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
             raise AnalysisError(
                 f"a sweep job's max_depth must be an int >= 0, got {max_depth!r}"

@@ -262,8 +262,7 @@ class DecisionTable:
         input_vectors = space.input_vectors
         strong = self.spec.validity == "strong"
         palette = self.early.palette
-        input_idx = store.input_idx
-        for index in range(len(store)):
+        for index, input_index in enumerate(store.input_idx):
             base = index * n
             code = vid_codes[ids[base] - lo]
             for p in range(n):
@@ -280,7 +279,6 @@ class DecisionTable:
                         f"{{{palette[code]!r}, {palette[decided]!r}}}"
                     )
             value = palette[code]
-            input_index = input_idx[index]
             unanimous = unanimity[input_index]
             if unanimous is not None and value != unanimous:
                 raise CertificateError(
@@ -413,18 +411,18 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     The vectorized pass below reproduces :meth:`ConsensusSpec.pick_value`
     for the library spec; subclasses overriding ``pick_value`` or
     ``allowed_values`` keep the per-component calls (their overrides must
-    observe every component).  The columnar pass also needs the
-    vectorized component analysis to have run (it leaves the member
-    order and component offsets behind) and the domain to fit the int64
-    value bitmaps.
+    observe every component).  The columnar pass also needs the domain
+    to fit the int64 value bitmaps and the vectorized component analysis
+    to have run: its member order and component offsets, sorted on this
+    first read, are the grouping the pass folds over.
     """
     np = numpy_module()
     if (
         np is None
         or type(spec).pick_value is not ConsensusSpec.pick_value
         or type(spec).allowed_values is not ConsensusSpec.allowed_values
-        or analysis.member_order is None
         or len(spec.domain) > _NUMPY_MAX_VALUES
+        or analysis.member_order is None
     ):
         return {
             component.id: spec.pick_value(component)
@@ -584,10 +582,9 @@ def _decision_maps_python(
             # are the depth-t views: single-valued, and the final map.
             final_count = len(possible)
         if s:
-            parents = level_store.parents
             parent_bits = [0] * len(space.layer_store(s - 1))
-            for index, bits in enumerate(value_bits):
-                parent_bits[parents[index]] |= bits
+            for parent, bits in zip(level_store.parents, value_bits):
+                parent_bits[parent] |= bits
             value_bits = parent_bits
     early = {
         view: bits.bit_length() - 1

@@ -556,11 +556,14 @@ class ColumnarHotPathRule(Rule):
             "repro.topology.components::_node_column",
             "repro.topology.components::_bits_dtype",
             "repro.topology.components::_sv_labels",
+            "repro.topology.components::_resolve_roots",
             "repro.topology.components::_compress_parents",
             "repro.topology.components::_first_member_ids",
+            "repro.topology.components::_member_order",
             "repro.topology.prefixspace::extend",
             "repro.topology.prefixspace::_ragged_codes",
             "repro.topology.prefixspace::_repeat_rows",
+            "repro.topology.prefixspace::_column_array",
             "repro.topology.prefixspace::_group_rows",
             "repro.consensus.decision::_validate_python",
             "repro.consensus.decision::_validate_numpy",

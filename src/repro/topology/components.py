@@ -36,12 +36,14 @@ the platform and the layer pick one, not the caller:
   connectivity is that of the layer's *view graph*, whose nodes are the
   layer's views and where each prefix joins its ``n`` views by ``n - 1``
   edges (column 0 to column ``p``).  One int32 Shiloach–Vishkin loop
-  labels it (:func:`_sv_labels`): the first round hooks one view column
-  at a time, parent pointers compress in place, and edges drop out once
-  both ends share a root.  Every temporary is sized by the prefix count,
-  canonical ids come from a first-member pass, ``comp_ids`` and the
-  member order are int32 columns, and the per-component masks/valences
-  fold with ``reduceat``;
+  labels it (:func:`_sv_labels`): every round, the pointer compression,
+  the final label gather and the first-member renumbering read the view
+  columns in :data:`~repro.core.views._REHASH_CHUNK`-row chunks, so the
+  labeller holds one parent pointer per node and one label per prefix
+  and otherwise only chunk-sized buffers.  ``comp_ids`` is an int32
+  column, per-component masks and valences fold straight over it, and
+  the member order (an int32 column grouping prefixes by component) is
+  sorted only when a decision table or a member list reads it;
 * pure Python, everywhere else — the batched union-find pass over the
   flat column (one dict probe per cell on its view id, inlined union by
   size with path halving).
@@ -59,7 +61,7 @@ from array import array
 from typing import Iterator
 
 from repro.core.graphword import full_mask
-from repro.core.views import numpy_module, plain_ids
+from repro.core.views import _REHASH_CHUNK, numpy_module, plain_ids
 from repro.errors import AnalysisError
 from repro.topology.prefixspace import PrefixNode, PrefixSpace
 
@@ -118,90 +120,150 @@ def _node_column(np, cells, offset: int, out=None):
 def _sv_labels(np, nodes, offset: int, node_count: int):
     """Shiloach–Vishkin connectivity over the view graph, in int32 numpy.
 
-    The first round hooks every edge one view column at a time: each
-    (column 0, column ``p``) edge points the larger of its two nodes at
-    the smaller with ``np.minimum.at``.  Parent pointers then compress in
-    place, and each edge is checked once: an edge whose ends share a root
-    is dropped, the rest become pairs of roots.  From then on only roots
-    are re-pointed, so trees only merge and a dropped edge never matters
-    again.  Each later round hooks the surviving root pairs, pointer-jumps
-    just the roots it moved and drops the edges it settled, so its cost
-    shrinks with the edge list.  Returns each prefix's label: the root of
-    its column-0 view, in ``range(node_count)``.
+    Every round reads the view columns in :data:`_REHASH_CHUNK`-row chunks
+    through preallocated buffers, so apart from the parent pointers (one
+    per node) and the returned labels no temporary grows with the layer.
+    The first round hooks every (column 0, column ``p``) edge: the larger
+    of its two nodes points at the smaller with ``np.minimum.at``, which
+    commutes, so the chunk order does not matter.  Parent pointers then
+    compress in place (:func:`_compress_parents`), and the second round
+    settles one chunk of edges at a time.  An edge whose ends' parents
+    agree shares a tree and is settled for good: from here on only roots
+    are re-pointed, so trees only merge.  The other ends are resolved to
+    their *current* roots first (:func:`_resolve_roots`): an earlier
+    chunk may have hooked the root a parent pointer names, and
+    re-pointing that former root would cut it from its new tree and lose
+    a union.  Each later round then hooks the chunk's surviving root
+    pairs, pointer-jumps just the roots it moved and drops the edges it
+    settled, until the chunk has none left.  Returns each prefix's label:
+    the root of its column-0 view, in ``range(node_count)``.
     """
-    n = nodes.shape[1]
-    heads = _node_column(np, nodes[:, 0], offset)
+    count, n = nodes.shape
     if n == 1:
-        return heads
+        return _node_column(np, nodes[:, 0], offset)
     parent = np.arange(node_count, dtype=np.int32)
-    tails = np.empty_like(heads)
-    low = np.empty_like(heads)
-    for p in range(1, n):
-        _node_column(np, nodes[:, p], offset, tails)
-        np.minimum(heads, tails, out=low)
-        np.maximum(heads, tails, out=tails)
-        np.minimum.at(parent, tails, low)
+    step = min(_REHASH_CHUNK, count)
+    spans = [(start, min(start + step, count)) for start in range(0, count, step)]
+    heads = np.empty(step, dtype=np.int32)
+    tails = np.empty(step, dtype=np.int32)
+    low = np.empty(step, dtype=np.int32)
+    for start, stop in spans:
+        size = stop - start
+        head = _node_column(np, nodes[start:stop, 0], offset, heads[:size])
+        for p in range(1, n):
+            tail = _node_column(np, nodes[start:stop, p], offset, tails[:size])
+            np.minimum(head, tail, out=low[:size])
+            np.maximum(head, tail, out=tail)
+            np.minimum.at(parent, tail, low[:size])
     del low
     _compress_parents(np, parent)
-    head_roots = parent[heads]
-    del heads
-    lows = []
-    highs = []
-    for p in range(1, n):
-        tail_roots = parent[_node_column(np, nodes[:, p], offset, tails)]
-        unsettled = head_roots != tail_roots
-        lows.append(head_roots[unsettled])
-        highs.append(tail_roots[unsettled])
-    del tails, tail_roots, unsettled
-    a = np.concatenate(lows)
-    b = np.concatenate(highs)
-    del lows, highs
-    while len(a):
-        low = np.minimum(a, b)
-        np.maximum(a, b, out=b)
-        np.minimum.at(parent, b, low)
-        # Only the hooked roots moved; jump their pointers to the new roots.
-        up = parent[b]
-        while True:
-            jumped = parent[up]
-            if np.array_equal(jumped, up):
-                break
-            parent[b] = jumped
-            up = jumped
-        a = parent[low]
-        unsettled = a != up
+    for start, stop in spans:
+        size = stop - start
+        head_roots = parent[
+            _node_column(np, nodes[start:stop, 0], offset, heads[:size])
+        ]
+        lows = []
+        highs = []
+        for p in range(1, n):
+            tail_roots = parent[
+                _node_column(np, nodes[start:stop, p], offset, tails[:size])
+            ]
+            unsettled = head_roots != tail_roots
+            lows.append(head_roots[unsettled])
+            highs.append(tail_roots[unsettled])
+        a = np.concatenate(lows)
+        b = np.concatenate(highs)
+        del lows, highs
+        _resolve_roots(np, parent, a)
+        _resolve_roots(np, parent, b)
+        unsettled = a != b
         a = a[unsettled]
-        b = up[unsettled]
+        b = b[unsettled]
+        while len(a):
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            np.minimum.at(parent, b, low)
+            # Only the hooked roots moved; jump their pointers to the new roots.
+            up = parent[b]
+            while True:
+                jumped = parent[up]
+                if np.array_equal(jumped, up):
+                    break
+                parent[b] = jumped
+                up = jumped
+            a = parent[low]
+            unsettled = a != up
+            a = a[unsettled]
+            b = up[unsettled]
     _compress_parents(np, parent)
-    return parent[head_roots]
+    labels = np.empty(count, dtype=np.int32)
+    for start, stop in spans:
+        head = _node_column(np, nodes[start:stop, 0], offset, heads[: stop - start])
+        labels[start:stop] = parent[head]
+    return labels
+
+
+def _resolve_roots(np, parent, nodes) -> None:
+    """Replace each of ``nodes`` by its current root, in place.
+
+    Only the entries not yet at a root climb further, so the few long
+    chains a chunk meets (roots an earlier chunk hooked) cost a few small
+    gathers, not a pass over every node each.
+    """
+    pending = np.flatnonzero(parent[nodes] != nodes)
+    while len(pending):
+        climbed = parent[nodes[pending]]
+        nodes[pending] = climbed
+        pending = pending[parent[climbed] != climbed]
 
 
 def _compress_parents(np, parent) -> None:
-    """Point every node straight at its root: pointer jumping, in place."""
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            return
-        parent[...] = jumped
+    """Point every node straight at its root: pointer jumping, in place.
+
+    Each pass jumps :data:`_REHASH_CHUNK` pointers at a time; a pass that
+    moves no pointer ends the loop.
+    """
+    step = _REHASH_CHUNK
+    moved = True
+    while moved:
+        moved = False
+        for start in range(0, len(parent), step):
+            chunk = parent[start : start + step]
+            jumped = parent[chunk]
+            if not np.array_equal(jumped, chunk):
+                chunk[...] = jumped
+                moved = True
 
 
 def _first_member_ids(np, labels, bound: int):
     """Renumber component labels by each component's smallest member index.
 
-    One ``np.minimum.at`` pass finds every label's first member; sorted,
-    those first members number the components.  Returns ``(comp_ids,
-    component_count)`` with int32 ids — the Python pass's canonical
-    order, whatever the labels were.
+    ``np.minimum.at`` finds every label's first member, one
+    :data:`_REHASH_CHUNK`-row chunk of labels at a time; sorted, those
+    first members number the components.  The ``bound``-sized
+    first-member buffer then becomes the renumbering table, and the
+    labels are renumbered in place, chunk by chunk.  Returns
+    ``(comp_ids, component_count)``: ``labels`` itself, now int32 ids in
+    the Python pass's canonical order, whatever the labels were.
     """
     count = len(labels)
+    step = min(_REHASH_CHUNK, count)
     first = np.full(bound, count, dtype=np.int32)
-    np.minimum.at(first, labels, np.arange(count, dtype=np.int32))
+    offsets = np.arange(step, dtype=np.int32)
+    index = np.empty(step, dtype=np.int32)
+    for start in range(0, count, step):
+        chunk = labels[start : start + step]
+        size = len(chunk)
+        np.minimum.at(first, chunk, np.add(offsets[:size], start, out=index[:size]))
     leaders = first[first < count]
-    del first
     leaders.sort()
-    remap = np.empty(bound, dtype=np.int32)
+    remap = first
     remap[labels[leaders]] = np.arange(len(leaders), dtype=np.int32)
-    return remap[labels], len(leaders)
+    for start in range(0, count, step):
+        chunk = labels[start : start + step]
+        # ``take`` buffers ``out`` in its default mode: in place is safe.
+        np.take(remap, chunk, out=chunk)
+    return labels, len(leaders)
 
 
 class UnionFind:
@@ -230,11 +292,56 @@ class UnionFind:
         self.size[ra] += self.size[rb]
 
 
+class _MemberOrder:
+    """A vectorized layer's prefix indices grouped by component, built on first read.
+
+    Holds the analysis's ``comp_ids`` column and the component sizes (a
+    list).  :meth:`columns` sorts the member order
+    the first time a decision table or a member list asks for it; a check
+    that never certifies never builds it.  Components keep this object,
+    not their analysis: a component → analysis reference would close a
+    cycle that only the cyclic collector frees, so a depth's columns
+    could outlive the depth.
+    """
+
+    __slots__ = ("comp_ids", "sizes", "_columns")
+
+    def __init__(self, comp_ids, sizes: list[int]) -> None:
+        self.comp_ids = comp_ids
+        self.sizes = sizes
+        self._columns: tuple | None = None
+
+    def columns(self) -> tuple:
+        """``(member_order, comp_starts)``: int32 prefix indices grouped by
+        component (ascending within one) and each component's int64 offset
+        into them, plus the offsets as a list."""
+        if self._columns is None:
+            self._columns = _member_order(numpy_module(), self.comp_ids, self.sizes)
+        return self._columns
+
+    def members(self, cid: int):
+        """Component ``cid``'s members: a slice of the member order."""
+        order, _, bounds = self.columns()
+        return order[bounds[cid] : bounds[cid] + self.sizes[cid]]
+
+
+def _member_order(np, comp_ids, sizes: list[int]) -> tuple:
+    """The member order of a ``comp_ids`` column (see :class:`_MemberOrder`)."""
+    order = np.argsort(comp_ids, kind="stable").astype(np.int32)
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return order, starts, starts.tolist()
+
+
 class Component:
     """One connected component of a depth-``t`` layer.
 
     Member indices are held as whatever column the analysis produced (an
-    int32 numpy array on the vectorized path, a list on the Python path);
+    int32 numpy array on the vectorized path, a list on the Python path).
+    On the vectorized path that column is a slice of the layer's member
+    order, which is sorted only when some component first reads its
+    members; until then the component holds the shared
+    :class:`_MemberOrder` and knows only its size.
     :attr:`member_indices` materializes — and caches — the plain-int list
     on first access, so columnar consumers never pay for it.
     """
@@ -245,7 +352,7 @@ class Component:
         "valences",
         "broadcast_mask",
         "_space",
-        "_members",
+        "_rows",
     )
 
     def __init__(
@@ -259,7 +366,7 @@ class Component:
     ) -> None:
         self.id = component_id
         self.depth = depth
-        self._members = member_indices
+        self._rows = member_indices
         self.valences = valences
         self.broadcast_mask = broadcast_mask
         self._space = space
@@ -267,20 +374,33 @@ class Component:
     # -- membership -----------------------------------------------------
 
     @property
+    def _members(self):
+        """The member column, sliced from the member order on first read."""
+        rows = self._rows
+        if isinstance(rows, _MemberOrder):
+            rows = self._rows = rows.members(self.id)
+        return rows
+
+    @property
     def member_indices(self) -> list[int]:
         """The member prefix indices as a plain list (lazily materialized)."""
         members = self._members
         if not isinstance(members, list):
-            members = self._members = list(
-                members.tolist() if hasattr(members, "tolist") else members
-            )
+            members = self._rows = plain_ids(members)
         return members
 
     def member_input_indices(self) -> Iterator[int]:
-        """Input-vector index of every member, without node wrappers."""
-        input_idx = self._space.layer_store(self.depth).input_idx
-        for i in self._members:
-            yield int(input_idx[i])
+        """Input-vector index of every member, without node wrappers.
+
+        A member column from the vectorized pass gathers its inputs in one
+        numpy call, without materializing an implicit input column.
+        """
+        store = self._space.layer_store(self.depth)
+        members = self._members
+        if isinstance(members, list):
+            input_idx = store.input_idx
+            return (int(input_idx[i]) for i in members)
+        return iter(store.input_array(members).tolist())
 
     def members(self) -> Iterator[PrefixNode]:
         """Iterate over the member prefix nodes."""
@@ -288,7 +408,10 @@ class Component:
         return (layer[i] for i in self._members)
 
     def __len__(self) -> int:
-        return len(self._members)
+        rows = self._rows
+        if isinstance(rows, _MemberOrder):
+            return rows.sizes[self.id]
+        return len(rows)
 
     @property
     def representative(self) -> PrefixNode:
@@ -315,12 +438,8 @@ class Component:
 
     def broadcaster_value(self, p: int):
         """The input value of broadcaster ``p`` (constant by Theorem 5.9)."""
-        store = self._space.layer_store(self.depth)
-        input_idx = store.input_idx
         input_vectors = self._space.input_vectors
-        values = {
-            input_vectors[input_idx[i]][p] for i in self._members
-        }
+        values = {input_vectors[i][p] for i in self.member_input_indices()}
         if len(values) != 1:
             raise AnalysisError(
                 f"Theorem 5.9 violation: broadcaster {p} has values {values} "
@@ -351,7 +470,8 @@ class ComponentAnalysis:
         On the vectorized path, the prefix indices grouped by component
         (int32, ascending within a component) and each component's
         offset into that order (int64) — the grouping the decision-table
-        builder folds over.  ``None`` on the Python path.
+        builder folds over, sorted on first read.  ``None`` on the Python
+        path.
 
     Examples
     --------
@@ -370,8 +490,7 @@ class ComponentAnalysis:
         n = space.adversary.n
         np = numpy_module()
         count = len(table)
-        self.member_order = None
-        self.comp_starts = None
+        self._order: _MemberOrder | None = None
         # The vectorized pass folds valences as int64 bitmaps; instances
         # with more distinct unanimity values than fit take the Python
         # pass (arbitrary-precision sets).
@@ -388,6 +507,16 @@ class ComponentAnalysis:
         else:
             self._analyze_python(store, table, interner, n, count)
         self._view_map: dict[int, int] | None = None
+
+    @property
+    def member_order(self):
+        order = self._order
+        return None if order is None else order.columns()[0]
+
+    @property
+    def comp_starts(self):
+        order = self._order
+        return None if order is None else order.columns()[1]
 
     # ------------------------------------------------------------------ #
     # The two component passes
@@ -438,11 +567,10 @@ class ComponentAnalysis:
         # ``members_of`` is already the canonical (first-member) component
         # order — no sort needed.
         unanimity = self.space.unanimity_by_index
-        input_idx = store.input_idx
         members_of: dict[int, list[int]] = {}
         valences_of: dict[int, set] = {}
         mask_of: dict[int, int] = {}
-        for index, common in enumerate(node_masks):
+        for index, (common, input_index) in enumerate(zip(node_masks, store.input_idx)):
             root = index
             while parent[root] != root:
                 parent[root] = root = parent[parent[root]]
@@ -453,7 +581,7 @@ class ComponentAnalysis:
             else:
                 members.append(index)
                 mask_of[root] &= common
-            value = unanimity[input_idx[index]]
+            value = unanimity[input_index]
             if value is not None:
                 held = valences_of.get(root)
                 if held is None:
@@ -491,12 +619,15 @@ class ComponentAnalysis:
         """Vectorized component pass over the layer's view graph.
 
         A prefix's component is that of its column-0 view in the view
-        graph (see the module docstring), labelled by :func:`_sv_labels`.
-        Node masks fold column by column from the views' rows (each
-        column's ``// n`` lands in one reused int32 buffer), so no
-        ``(count, n)`` temporary is built, and labels are canonicalized by
-        smallest member index (:func:`_first_member_ids`), matching the
-        Python pass ordering exactly.
+        graph (see the module docstring), labelled by :func:`_sv_labels`
+        and renumbered in place by smallest member index
+        (:func:`_first_member_ids`), matching the Python pass ordering
+        exactly.  Then one chunked pass folds node masks (column by column
+        from the views' rows, each column's ``// n`` into one reused
+        chunk buffer), valences and sizes straight over ``comp_ids``: the
+        only other layer-sized temporary is the one-byte input column,
+        and no member order is sorted until something reads one
+        (:class:`_MemberOrder`).
         """
         mat = table.array()
         nodes, offset, node_count, _ = _view_nodes(np, mat)
@@ -507,47 +638,54 @@ class ComponentAnalysis:
         row_masks = np.frombuffer(
             interner._row_masks, dtype=interner._row_masks.typecode
         )
-        rows = np.empty(count, dtype=np.int32)
-        np.floor_divide(mat[:, 0], n, out=rows)
-        node_masks = row_masks[rows]
-        column_masks = np.empty_like(node_masks)
-        for p in range(1, n):
-            np.floor_divide(mat[:, p], n, out=rows)
-            node_masks &= np.take(row_masks, rows, out=column_masks)
-        del row_masks, rows, column_masks
-        member_order = np.argsort(comp_ids, kind="stable").astype(np.int32)
-        comp_sizes = np.bincount(comp_ids, minlength=ncomp)
-        comp_starts = np.zeros(ncomp, dtype=np.int64)
-        np.cumsum(comp_sizes[:-1], out=comp_starts[1:])
-        comp_masks = np.bitwise_and.reduceat(node_masks[member_order], comp_starts)
-        del node_masks
-
         # Valence bitmaps: unanimity values code into one bit per distinct
-        # value once per space (uint8 up to 8 values), then fold per
-        # component with one reduceat.
+        # value once per space (uint8 up to 8 values).
         space = self.space
-        value_list: list = []
         value_index: dict = {}
-        input_bits = []
-        for value in space.unanimity_by_index:
-            if value is None:
-                input_bits.append(0)
-                continue
-            code = value_index.get(value)
-            if code is None:
-                code = value_index[value] = len(value_list)
-                value_list.append(value)
-            input_bits.append(1 << code)
-        input_bits = np.array(input_bits, dtype=_bits_dtype(np, len(value_list)))
-        comp_bits = np.bitwise_or.reduceat(
-            input_bits[store.input_array()[member_order]], comp_starts
+        input_codes = np.array(
+            [
+                -1 if value is None else value_index.setdefault(value, len(value_index))
+                for value in space.unanimity_by_index
+            ],
+            dtype=np.int8,
         )
+        value_list = list(value_index)
+        inputs = store.input_array()
+        # One pass over the layer in chunks folds each prefix's node mask
+        # (the AND of its views' rows), its valence bit and its count into
+        # per-component columns.  A component lacks broadcaster p when a
+        # member lacks it, and has a valence when a member has it: each
+        # bit folds by one scatter over those members' ``comp_ids``, and
+        # every write of a scatter stores the same bit, so repeated ids
+        # are harmless.  (numpy's ``bitwise_and.at`` has no fast indexed
+        # loop: 15 ms on a 708,588-prefix layer, against 0.9 ms.)
+        missing = np.zeros(ncomp, dtype=row_masks.dtype)
+        comp_bits = np.zeros(ncomp, dtype=_bits_dtype(np, len(value_list)))
+        sizes = np.zeros(ncomp, dtype=np.int64)
+        step = min(_REHASH_CHUNK, count)
+        rows = np.empty(step, dtype=np.int32)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            chunk_rows = rows[: stop - start]
+            np.floor_divide(mat[start:stop, 0], n, out=chunk_rows)
+            node_masks = row_masks[chunk_rows]
+            for p in range(1, n):
+                np.floor_divide(mat[start:stop, p], n, out=chunk_rows)
+                node_masks &= row_masks[chunk_rows]
+            ids = comp_ids[start:stop]
+            for p in range(n):
+                missing[ids[(node_masks & (1 << p)) == 0]] |= 1 << p
+            codes = input_codes[inputs[start:stop]]
+            for code in range(len(value_list)):
+                comp_bits[ids[codes == code]] |= 1 << code
+            sizes += np.bincount(ids, minlength=ncomp)
+        del row_masks, rows, inputs
+        comp_masks = ~missing & full_mask(n)
+        order = _MemberOrder(comp_ids, sizes.tolist())
 
-        # Per-component values leave numpy once, as lists, and members are
-        # slices of one int32 column: a layer with thousands of components
-        # must not pay a numpy scalar or a split piece per component.
-        bounds = comp_starts.tolist()
-        bounds.append(count)
+        # Per-component values leave numpy once, as lists: a layer with
+        # thousands of components must not pay a numpy scalar per
+        # component.
         valences_of: dict[int, frozenset] = {0: frozenset()}
         depth = self.depth
         self.components = []
@@ -564,15 +702,14 @@ class ComponentAnalysis:
                 Component(
                     component_id=cid,
                     depth=depth,
-                    member_indices=member_order[bounds[cid] : bounds[cid + 1]],
+                    member_indices=order,
                     valences=valences,
                     broadcast_mask=mask,
                     space=space,
                 )
             )
         self.comp_ids = comp_ids
-        self.member_order = member_order
-        self.comp_starts = comp_starts
+        self._order = order
 
     # ------------------------------------------------------------------ #
     # Lookup

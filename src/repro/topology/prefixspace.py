@@ -21,9 +21,14 @@ end: the view levels of a layer are one flat
 :class:`~repro.core.views.LayerTable` column (``count * n`` interned int32
 view ids), parent indices are int32 columns, input indices are as narrow as
 the input palette allows, and the round-graph/state columns are coded —
-a small palette plus one int code per prefix, implicit (a constant-width
-tile) on single-alphabet layers — so they never hold per-child Python
-references.  This is the
+a small palette plus one int code per prefix — so they never hold
+per-child Python references.  A single-group layer (every layer of an
+oblivious adversary) gives each parent the same number of children, so
+four of its columns are pure functions of its shape and stay implicit:
+the graph and state codes are a constant-width tile, and the parents
+and input indices repeat each parent's entry (:class:`_RepeatedColumn`).
+Such a layer stores only its view ids; its parents and inputs materialize,
+at their own widths, when a consumer asks for a numpy column.  This is the
 representation the hot analyses (components, decision tables,
 ε-approximations) consume directly — the whole-layer extension kernel
 produces it, the component analysis unions over it, and the decision-table
@@ -201,6 +206,59 @@ class _CodedColumn(Sequence):
         return f"_CodedColumn({self.items!r}, {len(self)} codes)"
 
 
+class _RepeatedColumn(Sequence):
+    """A per-prefix column that repeats each entry of ``base`` ``repeats`` times.
+
+    A single-group layer gives every parent the same ``w`` children, so
+    its parents column is ``i // w`` and its input-index column is the
+    parent layer's ``input_idx[i // w]``: both are pure functions of the
+    layer's shape and stay implicit, like the graph and state tiles.
+    ``base`` is a ``range`` for a parents column and the parent layer's
+    input column otherwise; a repeated base folds into one, repeats
+    multiplied, so an oblivious layer's input column is the root layer's
+    repeated ``w**t`` times.  Reads behave like the materialized column
+    at ``typecode``: ``column[i] == base[i // repeats]``, and
+    :meth:`LayerStore.parent_array` / :meth:`LayerStore.input_array`
+    build it as numpy.
+    """
+
+    __slots__ = ("base", "repeats", "typecode")
+
+    def __init__(self, base, repeats: int, typecode: str) -> None:
+        if isinstance(base, _RepeatedColumn):
+            base, repeats = base.base, base.repeats * repeats
+        self.base = base
+        self.repeats = repeats
+        self.typecode = typecode
+
+    @property
+    def itemsize(self) -> int:
+        """Bytes per entry of the materialized column."""
+        return array(self.typecode).itemsize
+
+    def __len__(self) -> int:
+        return len(self.base) * self.repeats
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        size = len(self)
+        if item < 0:
+            item += size
+        if not 0 <= item < size:
+            raise IndexError(item)
+        return self.base[item // self.repeats]
+
+    def __iter__(self):
+        base = self.base
+        if not isinstance(base, range):
+            base = plain_ids(base)
+        return chain.from_iterable(map(repeat, base, repeat(self.repeats)))
+
+    def __repr__(self) -> str:
+        return f"_RepeatedColumn({self.base!r} x {self.repeats})"
+
+
 def _parent_typecode(count: int) -> str:
     """The ``array`` typecode (also a numpy dtype) of a parents column.
 
@@ -222,12 +280,16 @@ class LayerStore:
     parents:
         Per prefix, the index of its depth ``t - 1`` truncation (``-1`` on
         the root layer); an int32 ``array('i')`` or numpy column (int64
-        only past 2**31 parents, see :func:`_parent_typecode`).
+        only past 2**31 parents, see :func:`_parent_typecode`) on a ragged
+        layer, an implicit :class:`_RepeatedColumn` on a single-group one.
+        Either indexes, iterates and reports ``itemsize``;
+        :meth:`parent_array` is the numpy column.
     input_idx:
-        Per prefix, the index into ``space.input_vectors``, an ``array``
-        or numpy column at the palette width of the input vectors
+        Per prefix, the index into ``space.input_vectors``, at the palette
+        width of the input vectors
         (:func:`~repro.core.views._code_typecode`: int8 up to 128
-        assignments, int16 up to 32768).
+        assignments, int16 up to 32768): stored or implicit like
+        ``parents``, and :meth:`input_array` is the numpy column.
     graphs:
         Per prefix, the communication graph of the last round (``None`` on
         the root layer); a coded column (palette plus int codes, a tile on
@@ -268,11 +330,36 @@ class LayerStore:
 
     def parent_array(self):
         """The parents column as a numpy array at its own (int32) width."""
-        return numpy_column(self.parents)
+        return _column_array(self.parents)
 
-    def input_array(self):
-        """The input-index column as a numpy array at its own width."""
-        return numpy_column(self.input_idx)
+    def input_array(self, rows=None):
+        """The input-index column as a numpy array at its own width.
+
+        With ``rows`` (a numpy index array), only those prefixes' entries,
+        gathered without materializing an implicit column.
+        """
+        column = self.input_idx
+        if rows is None:
+            return _column_array(column)
+        if isinstance(column, _RepeatedColumn):
+            column, rows = column.base, rows // column.repeats
+        return numpy_column(column)[rows]
+
+
+def _column_array(column, typecode: str | None = None):
+    """A parents or input column as a numpy array at its own width.
+
+    An implicit column materializes, and a ``range`` (the base of an
+    implicit parents column) becomes an ``arange`` at ``typecode``.
+    """
+    if isinstance(column, _RepeatedColumn):
+        return _column_array(column.base, column.typecode).repeat(column.repeats)
+    if isinstance(column, range):
+        np = numpy_module()
+        if np is None:
+            raise AnalysisError("a numpy column requires numpy")
+        return np.arange(column.start, column.stop, dtype=typecode)
+    return numpy_column(column)
 
 
 class LayerView(Sequence):
@@ -426,9 +513,11 @@ class PrefixSpace:
         ``i``'s ``w_i`` children contiguous, in parent order, ``w_i`` the
         number of admissible extensions of its state set.  The parents
         and input-index columns repeat each parent's entry ``w_i`` times,
-        and round graphs and next state sets code into per-layer palettes;
-        a single group keeps its codes implicit (a tile).  Columns are
-        numpy arrays only when the kernel returned one.
+        and round graphs and next state sets code into per-layer palettes.
+        A single group keeps all four implicit: its codes are a tile and
+        its parents and inputs a :class:`_RepeatedColumn`.  A ragged
+        layer's columns are numpy arrays only when the kernel returned
+        one.
         """
         current = self._stores[-1]
         if current.condensed:
@@ -470,15 +559,13 @@ class PrefixSpace:
         else:
             widths, graphs, states = _ragged_codes(np, count, exts, members)
         parent_code = _parent_typecode(count)
-        if np is not None:
-            parents, inputs = np.arange(count, dtype=parent_code), current.input_array()
-        else:
-            parents, inputs = array(parent_code, range(count)), current.input_idx
         self._stores.append(
             LayerStore(
                 levels=levels,
-                parents=_repeat_rows(np, parents, widths, parent_code),
-                input_idx=_repeat_rows(np, inputs, widths, self._input_typecode),
+                parents=_repeat_rows(np, range(count), widths, parent_code),
+                input_idx=_repeat_rows(
+                    np, current.input_idx, widths, self._input_typecode
+                ),
                 graphs=graphs,
                 states=states,
             )
@@ -629,21 +716,16 @@ class PrefixSpace:
 def _repeat_rows(np, column, widths, typecode: str):
     """``column[i]`` repeated ``widths[i]`` times (``widths`` an int: for every row).
 
-    With ``np`` the result is a numpy array (``column`` is one at
-    ``typecode``), otherwise an ``array`` at ``typecode``: one strided
-    slice assignment per child position for a uniform width (building it
-    from an iterator costs about 15x more on census-sized layers).
+    ``column`` is a ``range`` (a parents column) or a stored column at
+    ``typecode``.  A uniform width (a single-group layer) gives an
+    implicit :class:`_RepeatedColumn`; ragged widths a numpy array with
+    ``np``, otherwise an ``array`` at ``typecode``.
     """
+    if isinstance(widths, int):
+        return _RepeatedColumn(column, widths, typecode)
     if np is not None:
-        return np.repeat(column, widths)
-    if not isinstance(widths, int):
-        return array(typecode, chain.from_iterable(map(repeat, plain_ids(column), widths)))
-    if not isinstance(column, array):
-        column = array(typecode, plain_ids(column))
-    out = array(typecode, [0]) * (len(column) * widths)
-    for j in range(widths):
-        out[j::widths] = column
-    return out
+        return np.repeat(_column_array(column, typecode), widths)
+    return array(typecode, chain.from_iterable(map(repeat, plain_ids(column), widths)))
 
 
 def _ragged_codes(np, count: int, exts: list, members: list) -> tuple:

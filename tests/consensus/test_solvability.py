@@ -24,6 +24,7 @@ from repro.adversaries.stabilizing import (
 from repro.consensus.solvability import SolvabilityStatus, check_consensus
 from repro.consensus.spec import ConsensusSpec
 from repro.core.digraph import Digraph, arrow
+from repro.core.views import numpy_available
 
 TO, FRO, BOTH, NONE = arrow("->"), arrow("<-"), arrow("<->"), arrow("none")
 
@@ -266,3 +267,34 @@ def test_deepening_releases_each_depth_before_the_next(monkeypatch):
         lossy_link_full(), max_depth=5, use_impossibility_provers=False
     )
     assert len(analyses) == 6 and len(result.history) == 6
+
+
+@pytest.mark.skipif(
+    not numpy_available(),
+    reason="the member order belongs to the vectorized component pass",
+)
+def test_only_a_certified_depth_sorts_its_member_order(monkeypatch):
+    """An undecided check reads component sizes and valences, never members.
+
+    The vectorized pass folds masks and valences over ``comp_ids``, so the
+    prefixes are grouped by component only when a decision table (or a
+    member list) asks: never on a walk that stays undecided.
+    """
+    import repro.topology.components as components
+
+    sorted_layers = []
+    member_order = components._member_order
+
+    def spy(np, comp_ids, sizes):
+        sorted_layers.append(len(comp_ids))
+        return member_order(np, comp_ids, sizes)
+
+    monkeypatch.setattr(components, "_member_order", spy)
+    result = check_consensus(
+        lossy_link_full(), max_depth=8, use_impossibility_provers=False
+    )
+    assert result.status is SolvabilityStatus.UNDECIDED
+    assert len(result.history) == 9 and sorted_layers == []
+    result = check_consensus(santoro_widmayer_family(3, 1))
+    assert result.status is SolvabilityStatus.SOLVABLE
+    assert sorted_layers == [392]  # the certified depth-2 layer only

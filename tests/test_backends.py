@@ -86,6 +86,29 @@ def test_sweep_job_refuses_a_max_depth_that_is_not_a_depth(bad, tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "bad", [6, "lossy-full", AdversarySpec("two-process", {"index": 0})], ids=repr
+)
+def test_sweep_job_refuses_an_adversary_that_is_not_one(bad):
+    """The second positional parameter is the adversary: ``SweepJob(0, 6,
+    spec=s)`` must fail here, not as an ``AttributeError`` in a worker."""
+    spec = AdversarySpec("two-process", {"index": 0})
+    with pytest.raises(AnalysisError, match="MessageAdversary"):
+        SweepJob(0, bad, spec=spec)
+    with pytest.raises(AnalysisError, match="MessageAdversary"):
+        SweepJob(0, bad)
+
+
+def test_a_manifest_refuses_a_spec_document_passed_as_an_adversary(tmp_path):
+    """``jobs_for`` takes adversaries or :class:`AdversarySpec` objects; a
+    spec's JSON form is neither, and no manifest is written for it."""
+    spec = AdversarySpec("two-process", {"index": 0})
+    path = tmp_path / "shard.json"
+    with pytest.raises(AnalysisError, match="MessageAdversary"):
+        write_manifest(jobs_for([spec, spec.to_dict()], max_depth=2), path)
+    assert not path.exists()
+
+
 class TestManifestRoundTrip:
     def test_end_to_end_without_pickled_adversaries(self, tmp_path):
         """Specs -> shard manifests on disk -> subprocesses -> merged JSONL."""

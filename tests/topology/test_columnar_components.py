@@ -451,10 +451,24 @@ def view_matrices(draw):
     return [[base + spread * v for v in row] for row in raw], spread
 
 
+#: Chunk sizes for the labeler: small ones split the synthetic matrices
+#: into many chunks, the default keeps each in one.
+CHUNKS = [1, 2, 3, 5, components_module._REHASH_CHUNK]
+
+
 @pytest.mark.skipif(not numpy_available(), reason="numpy-only labeler")
+@pytest.mark.parametrize(
+    "chunk", CHUNKS, ids=[str(c) for c in CHUNKS[:-1]] + ["default"]
+)
 @given(case=view_matrices())
 @settings(max_examples=150, deadline=None)
-def test_sv_labels_match_union_find(case):
+def test_sv_labels_match_union_find(chunk, case):
+    """Labels match union-find at every chunk size.
+
+    Across chunks, the labeler's later rounds must resolve each edge's
+    ends to their current roots: a root hooked by an earlier chunk and
+    re-pointed again would drop the union it was hooked for.
+    """
     rows, spread = case
     np = numpy_module()
     mat = np.array(rows, dtype=np.int32)
@@ -465,8 +479,10 @@ def test_sv_labels_match_union_find(case):
         assert nodes is mat
     else:
         assert (node_views[nodes] == mat).all()  # each node's view id
-    labels = components_module._sv_labels(np, nodes, offset, node_count)
-    comp_ids, count = components_module._first_member_ids(np, labels, node_count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(components_module, "_REHASH_CHUNK", chunk)
+        labels = components_module._sv_labels(np, nodes, offset, node_count)
+        comp_ids, count = components_module._first_member_ids(np, labels, node_count)
     expected = union_find_ids(rows)
     assert comp_ids.dtype == np.int32
     assert comp_ids.tolist() == expected

@@ -1,6 +1,7 @@
 """Tests for the layered admissible prefix space."""
 
 import pytest
+from kernels import BACKENDS
 
 from repro.adversaries.lossylink import (
     eventually_one_direction,
@@ -9,8 +10,10 @@ from repro.adversaries.lossylink import (
 )
 from repro.adversaries.oblivious import ObliviousAdversary
 from repro.core.digraph import arrow
+from repro.core.views import numpy_module, plain_ids
 from repro.errors import AnalysisError
-from repro.topology.prefixspace import PrefixSpace
+from repro.specs import NAMED_ADVERSARIES
+from repro.topology.prefixspace import PrefixSpace, _RepeatedColumn
 
 TO, FRO = arrow("->"), arrow("<-")
 
@@ -82,6 +85,62 @@ class TestStructure:
             words = {node.prefix.graphs for node in space.layer(t)}
             expected = {w.graphs for w in adversary.iter_words(t)}
             assert words == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(NAMED_ADVERSARIES))
+def test_single_group_layers_repeat_parent_entries_implicitly(name, backend):
+    """A single-group layer's parents and inputs read like the stored columns.
+
+    Every parent of a single-group layer has the same ``w`` children, so
+    its parents and input indices repeat each parent's entry ``w`` times.
+    Those columns stay implicit (no per-prefix buffer), and every read —
+    indexing, iteration, width and the numpy column — matches the
+    materialized reference.  Layers past 50,000 prefixes are not built.
+    """
+    space = PrefixSpace(NAMED_ADVERSARIES[name](), max_nodes=50_000)
+    inputs = list(range(len(space.input_vectors)))
+    stored = [space.layer_store(0).input_idx]
+    single = 0
+    for t in range(1, 7):
+        try:
+            store = space.layer_store(t)
+        except AnalysisError:
+            break
+        previous = space.layer_store(t - 1)
+        if len(set(previous.states)) > 1:
+            parents = plain_ids(store.parents)
+        else:
+            single += 1
+            width = len(store) // len(previous)
+            parents = [i for i in range(len(previous)) for _ in range(width)]
+        inputs = [inputs[i] for i in parents]
+        if not isinstance(store.parents, _RepeatedColumn):
+            assert len(set(previous.states)) > 1, t  # ragged: stored columns
+            stored.append(store.input_idx)
+            continue
+        assert isinstance(store.parents.base, range), t
+        assert any(store.input_idx.base is column for column in stored), t
+        np = numpy_module()
+        for column, expected, width in (
+            (store.parents, parents, 4),
+            (store.input_idx, inputs, 1),
+        ):
+            assert len(column) == len(expected) and column.itemsize == width, t
+            assert list(column) == expected, t
+            assert [int(column[i]) for i in range(len(expected))] == expected, t
+            assert int(column[-1]) == expected[-1], t
+            with pytest.raises(IndexError):
+                column[len(expected)]
+        if np is not None:
+            for array, expected, dtype in (
+                (store.parent_array(), parents, np.int32),
+                (store.input_array(), inputs, np.int8),
+            ):
+                assert array.dtype == dtype and array.tolist() == expected, t
+            rows = np.arange(len(store) - 1, -1, -7, dtype=np.int32)
+            assert store.input_array(rows).tolist() == inputs[::-7], t
+    assert single, name
 
 
 class TestStreaming:
