@@ -337,7 +337,9 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
     Elsewhere use the platform default: fork is unsafe with threads on
     macOS (CPython itself switched that default to spawn), and spawn
-    requires only that jobs and records pickle, which they do.
+    requires only that jobs and records pickle, which they do.  A
+    coordinator that runs no check has not loaded numpy, so a forked
+    worker inherits none and imports it at its first kernel.
     """
     if sys.platform == "linux":
         return multiprocessing.get_context("fork")
@@ -362,7 +364,11 @@ class ProcessBackend:
     Shard ``k`` runs jobs ``k, k + workers, k + 2*workers, ...`` — strided,
     deterministic: a sweep's record set is a pure function of
     ``(jobs, workers)``.  Jobs cross the process boundary by pickling; jobs
-    that carry only a spec ship the spec and build on the worker.
+    that carry only a spec ship the spec and build on the worker.  With
+    two or more shards the calling process runs no check, so it never
+    loads numpy; each worker of a pool imports it once, at its first
+    kernel (:func:`~repro.core.views.numpy_module`).  One shard runs
+    inline, in the calling process.
     """
 
     def __init__(self, workers: int, record_timing: bool = True) -> None:

@@ -101,6 +101,11 @@ the caller:
 * pure Python — the same batched structure in plain loops, for every
   other call, so ``dependencies = []`` stays true.
 
+Importing this module does not import numpy: :func:`numpy_module`, the
+one gate of every columnar stage, imports it on its first call and
+caches it, so a process that runs no kernel, component pass or decision
+fold (a sweep coordinator, a store reader) never loads it.
+
 Both kernels run serially in the calling process; sweeps parallelize
 across jobs (process-pool and fleet backends), never inside one layer.
 This is the only layer-extension path.  Two thin entry points sit on top
@@ -124,13 +129,13 @@ from typing import Iterable, Sequence
 from repro.core.digraph import Digraph
 from repro.errors import AnalysisError, CapacityError
 
-try:  # Optional acceleration; REPRO_PURE_PYTHON=1 forces the fallback.
-    if os.environ.get("REPRO_PURE_PYTHON"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+#: The import gate's state before its first call.
+_UNRESOLVED = object()
+
+#: The gate :func:`numpy_module` returns: ``_UNRESOLVED`` until its first
+#: call, then numpy, or ``None`` where numpy does not import.
+#: ``REPRO_PURE_PYTHON=1`` vetoes it here, at import time.
+_np = None if os.environ.get("REPRO_PURE_PYTHON") else _UNRESOLVED
 
 __all__ = [
     "LayerTable",
@@ -183,8 +188,11 @@ _XX_SUFFIX = _XXPRIME_5 ^ 3527539
 
 
 def numpy_available() -> bool:
-    """Whether the columnar stages run their numpy paths on this platform."""
-    return _np is not None
+    """Whether the columnar stages run their numpy paths on this platform.
+
+    Asks :func:`numpy_module`, so a first call loads numpy.
+    """
+    return numpy_module() is not None
 
 
 def numpy_module():
@@ -193,9 +201,29 @@ def numpy_module():
     The one import gate of the columnar pipeline: the layer kernel, the
     prefix space's columns, the component analysis and the decision
     tables take their numpy paths exactly when this returns numpy and
-    their cell floors allow it.
+    their cell floors allow it.  numpy is imported by the first call and
+    cached in ``_np`` (``None`` where it does not import); the veto was
+    read when this module was imported, so setting the variable later
+    changes nothing.
     """
+    global _np
+    if _np is _UNRESOLVED:
+        try:
+            import numpy as module
+        except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+            module = None
+        _np = module
     return _np
+
+
+def _is_ndarray(column) -> bool:
+    """Whether ``column`` is a numpy array, without loading numpy.
+
+    No ndarray exists before something imports numpy, so this holds for
+    arrays made before the gate resolved or while a test vetoes it.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(column, np.ndarray)
 
 
 def _code_typecode(palette_size: int) -> str:
@@ -232,13 +260,14 @@ def numpy_column(column):
     width.  The single normalizer behind :meth:`LayerTable.array` and the
     layer stores' parent/input column accessors.
     """
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         raise AnalysisError("numpy_column() requires numpy")
-    if isinstance(column, _np.ndarray):
+    if isinstance(column, np.ndarray):
         return column
     if isinstance(column, array):
-        return _np.frombuffer(column, dtype=column.typecode)
-    return _np.array(column, dtype=_np.int32)
+        return np.frombuffer(column, dtype=column.typecode)
+    return np.array(column, dtype=np.int32)
 
 
 def plain_ids(ids) -> list:
@@ -349,7 +378,7 @@ def _check_partition(count: int, members: Sequence) -> None:
     A ``None`` group (the whole layer) is refused: only a sole group may
     give it.
     """
-    np = _np
+    np = numpy_module()
     if any(rows is None for rows in members):
         ok = False
     elif np is None:
@@ -446,14 +475,14 @@ class LayerTable(Sequence):
             raise IndexError(item)
         base = item * n
         chunk = self.ids[base : base + n]
-        if _np is not None and isinstance(chunk, _np.ndarray):
+        if _is_ndarray(chunk):
             chunk = chunk.tolist()  # plain ints: hashable keys, no wraparound
         return tuple(chunk)
 
     def __iter__(self):
         n = self.n
         ids = self.ids
-        if _np is not None and isinstance(ids, _np.ndarray):
+        if _is_ndarray(ids):
             ids = ids.tolist()
         for base in range(0, len(ids), n):
             yield tuple(ids[base : base + n])
@@ -769,8 +798,8 @@ class ViewInterner:
         nrows = len(self._row_hashes)
         slots = self._row_slots
         mask = self._row_slot_mask
-        if _np is not None and nrows - first >= 4096:
-            np = _np
+        np = numpy_module() if nrows - first >= 4096 else None
+        if np is not None:
             slots_np = np.frombuffer(slots, dtype=np.int32)
             hashes_np = np.frombuffer(self._row_hashes, dtype=np.uint32)
             umask = np.uint32(mask)
@@ -1178,7 +1207,11 @@ class ViewInterner:
         if not cells:
             return LayerTable(n, array("i"))
         uses = _inlist_uses([plan for plan, _ in groups], sizes)
-        if _np is not None and n <= _MASK_ARRAY_MAX_N and cells >= _NUMPY_MIN_CELLS:
+        if (
+            n <= _MASK_ARRAY_MAX_N
+            and cells >= _NUMPY_MIN_CELLS
+            and numpy_module() is not None
+        ):
             return LayerTable(n, self._extend_layer_numpy(table, groups, uses))
         return LayerTable(n, self._extend_layer_python(table, groups, uses))
 
@@ -1333,7 +1366,7 @@ class ViewInterner:
         every ``frombuffer`` window is dropped before the underlying array
         can resize.
         """
-        np = _np
+        np = numpy_module()
         n = self.n
         level_matrix = table.array()
         count = len(level_matrix)

@@ -105,7 +105,9 @@ NAMED_ADVERSARIES: dict[str, Callable[[], MessageAdversary]] = {
 class _Family:
     """One registered adversary family."""
 
-    __slots__ = ("name", "builder", "requires_seed", "required", "allowed")
+    __slots__ = (
+        "name", "builder", "requires_seed", "required", "allowed", "int_ranges"
+    )
 
     def __init__(
         self,
@@ -114,6 +116,7 @@ class _Family:
         requires_seed: bool,
         required: Iterable[str] | None,
         optional: Iterable[str],
+        int_ranges: Mapping[str, tuple[int, int | None]],
     ) -> None:
         self.name = name
         self.builder = builder
@@ -121,6 +124,7 @@ class _Family:
         # None: the family declared no param names, so none are checked.
         self.required = None if required is None else frozenset(required)
         self.allowed = frozenset(optional).union(self.required or ())
+        self.int_ranges = dict(int_ranges)
 
 
 _REGISTRY: dict[str, _Family] = {}
@@ -132,6 +136,7 @@ def register_family(
     requires_seed: bool = False,
     required: Iterable[str] | None = None,
     optional: Iterable[str] = (),
+    int_ranges: Mapping[str, tuple[int, int | None]] | None = None,
 ) -> None:
     """Register an adversary family under ``name``.
 
@@ -144,10 +149,20 @@ def register_family(
     spec of a family that declares them is refused when it names another
     param, lacks a required one, or carries a seed the family does not
     take; without them, any params pass and an unused seed is ignored.
+    ``int_ranges`` maps the integer params to their inclusive ``(low,
+    high)`` range (``high`` ``None`` when unbounded): a spec giving one
+    that is not an int (a bool is not) or lies outside is refused.
     """
     if name in _REGISTRY:
         raise AdversaryError(f"adversary family {name!r} already registered")
-    _REGISTRY[name] = _Family(name, builder, requires_seed, required, optional)
+    _REGISTRY[name] = _Family(
+        name,
+        builder,
+        requires_seed,
+        required,
+        optional,
+        {} if int_ranges is None else int_ranges,
+    )
 
 
 def families() -> tuple[str, ...]:
@@ -230,6 +245,23 @@ class AdversarySpec:
             if missing:
                 raise AdversaryError(
                     f"family {family!r} needs param(s) {', '.join(sorted(missing))}"
+                )
+        # Checked here, not in the build: a worker would fail on them with
+        # whatever error the builder happens to hit first.
+        for name, (low, high) in entry.int_ranges.items():
+            if name not in self.params:
+                continue
+            value = self.params[name]
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < low
+                or (high is not None and value > high)
+            ):
+                bound = f">= {low}" if high is None else f"in {low}..{high}"
+                raise AdversaryError(
+                    f"family {family!r} needs param {name!r} to be an int "
+                    f"{bound}, got {value!r}"
                 )
         try:
             self._canonical = json.dumps(
@@ -337,13 +369,7 @@ def _build_oblivious(params: Mapping[str, Any], rng: random.Random | None) -> Me
 
 
 def _build_two_process(params: Mapping[str, Any], rng: random.Random | None) -> MessageAdversary:
-    family = two_process_oblivious_family()
-    index = params["index"]
-    if not 0 <= index < len(family):
-        raise AdversaryError(
-            f"two-process index {index} out of range 0..{len(family) - 1}"
-        )
-    return family[index]
+    return two_process_oblivious_family()[params["index"]]
 
 
 def _build_santoro_widmayer(params: Mapping[str, Any], rng: random.Random | None) -> MessageAdversary:
@@ -422,13 +448,36 @@ def _build_random_oblivious(params: Mapping[str, Any], rng: random.Random) -> Me
     )
 
 
+#: Every family's process count: an adversary needs at least one process.
+_N_RANGE = {"n": (1, None)}
+
 register_family(
-    "oblivious", _build_oblivious, required=("n", "graphs"), optional=("name",)
+    "oblivious",
+    _build_oblivious,
+    required=("n", "graphs"),
+    optional=("name",),
+    int_ranges=_N_RANGE,
 )
-register_family("two-process", _build_two_process, required=("index",))
-register_family("santoro-widmayer", _build_santoro_widmayer, required=("n", "losses"))
+# The 15 members of two_process_oblivious_family(): the nonempty subsets of
+# the four two-process graphs.
 register_family(
-    "heard-of", _build_heard_of, required=("n", "predicate"), optional=("k",)
+    "two-process",
+    _build_two_process,
+    required=("index",),
+    int_ranges={"index": (0, 14)},
+)
+register_family(
+    "santoro-widmayer",
+    _build_santoro_widmayer,
+    required=("n", "losses"),
+    int_ranges={**_N_RANGE, "losses": (0, None)},
+)
+register_family(
+    "heard-of",
+    _build_heard_of,
+    required=("n", "predicate"),
+    optional=("k",),
+    int_ranges={**_N_RANGE, "k": (1, None)},
 )
 register_family("named", _build_named, required=("name",))
 register_family(
@@ -436,12 +485,14 @@ register_family(
     _build_eventually_forever,
     required=("n", "base", "eventual"),
     optional=("name",),
+    int_ranges=_N_RANGE,
 )
 register_family(
     "stabilizing",
     _build_stabilizing,
     required=("n", "graphs", "window"),
     optional=("require_rooted", "name"),
+    int_ranges={**_N_RANGE, "window": (1, None)},
 )
 register_family(
     "random-rooted",
@@ -449,6 +500,7 @@ register_family(
     requires_seed=True,
     required=("n", "size"),
     optional=("p",),
+    int_ranges={**_N_RANGE, "size": (1, None)},
 )
 register_family(
     "random-oblivious",
@@ -456,6 +508,7 @@ register_family(
     requires_seed=True,
     required=("n", "size"),
     optional=("rooted_only", "p"),
+    int_ranges={**_N_RANGE, "size": (1, None)},
 )
 
 

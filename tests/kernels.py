@@ -5,8 +5,11 @@ component analysis and the decision folds — takes its numpy path exactly
 when :func:`repro.core.views.numpy_module` returns numpy.  A test gets the
 pure-Python pipeline on a host with numpy by emulating the platform
 without it: :func:`without_numpy` patches ``repro.core.views._np``, the
-import gate that function returns, to ``None``.  ``conftest.py`` applies
-it to every test whose ``backend`` parameter is ``"python"``.
+import gate that function returns, to ``None``.  That holds whether or
+not the gate has resolved yet, and the block's exit restores the gate as
+it was, so an unresolved gate still imports numpy at its next call.
+``conftest.py`` applies it to every test whose ``backend`` parameter is
+``"python"``.
 """
 
 from contextlib import contextmanager

@@ -17,7 +17,7 @@ from repro.adversaries import (
     lossy_link_full,
     lossy_link_no_hub,
 )
-from repro.adversaries.generators import all_digraphs
+from repro.adversaries.generators import all_digraphs, two_process_oblivious_family
 from repro.adversaries.stabilizing import (
     EventuallyForeverAdversary,
     StabilizingAdversary,
@@ -225,6 +225,32 @@ class TestAdversarySpecRoundTrip:
     ):
         with pytest.raises(AdversaryError, match=message):
             AdversarySpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, param",
+        [
+            # Each of these used to decode and fail only in the build, with
+            # "needs at least one graph", InvalidGraphError and a bare
+            # TypeError.
+            ({"family": "oblivious", "params": {"n": "x", "graphs": []}}, "n"),
+            ({"family": "santoro-widmayer", "params": {"n": -1, "losses": 1}}, "n"),
+            ({"family": "two-process", "params": {"index": 1.5}}, "index"),
+            ({"family": "two-process", "params": {"index": True}}, "index"),
+        ],
+        ids=["oblivious-n-str", "sw-n-negative", "two-process-float", "two-process-bool"],
+    )
+    def test_integer_params_are_checked_at_decode(self, data, param):
+        message = f"family {data['family']!r} needs param {param!r} to be an int"
+        with pytest.raises(AdversaryError, match=message):
+            AdversarySpec.from_dict(data)
+
+    def test_two_process_index_range_is_the_family(self):
+        last = len(two_process_oblivious_family()) - 1
+        assert AdversarySpec("two-process", {"index": last}).build() == (
+            two_process_oblivious_family()[last]
+        )
+        with pytest.raises(AdversaryError, match=f"in 0..{last}, got {last + 1}"):
+            AdversarySpec("two-process", {"index": last + 1})
 
     def test_families_without_declared_names_accept_any_params(self, monkeypatch):
         monkeypatch.setattr(specs_module, "_REGISTRY", dict(specs_module._REGISTRY))
