@@ -27,7 +27,7 @@ MODULES = [
     "repro.simulation.runner", "repro.simulation.drivers",
     "repro.simulation.traces",
     "repro.viz.ascii", "repro.cli",
-    "repro.api", "repro.specs", "repro.records", "repro.backends",
+    "repro.api", "repro.options", "repro.specs", "repro.records", "repro.backends",
     "repro.fleet", "repro.store", "repro.service", "repro.io",
     "repro.analysis",
 ]

@@ -19,10 +19,14 @@ arXiv:1905.09590).  The library provides:
   universal algorithm (and others) against admissible graph sequences;
 * :mod:`repro.api` — the stable experiment surface: serializable
   :class:`~repro.specs.AdversarySpec` scenario descriptions,
-  :class:`~repro.consensus.solvability.CheckOptions`,
+  :class:`~repro.options.CheckOptions`,
   :class:`~repro.api.Session`, pluggable sweep backends
   (:mod:`repro.backends`), the unified :class:`~repro.records.RunRecord`
   schema, and the :mod:`repro.analysis` report layer.
+
+The names this package exports resolve on first use (PEP 562):
+``import repro`` loads no layer until one of them is read, and
+``repro.core``, ``repro.store`` and ``repro.api`` re-export the same way.
 
 Quickstart
 ----------
@@ -39,20 +43,38 @@ Or, through the session API:
 True
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core import (
-    Digraph,
-    GraphWord,
-    PTGPrefix,
-    ViewInterner,
-    all_assignments,
-    arrow,
-    d_max,
-    d_min,
-    d_p,
-    d_view,
-    unanimous,
-)
+
+if TYPE_CHECKING:
+    from repro.adversaries.base import MessageAdversary
+    from repro.adversaries.oblivious import ObliviousAdversary
+    from repro.adversaries.safety import SafetyAdversary
+    from repro.analysis import render_report, summarize
+    from repro.api import Session, run_sweep
+    from repro.backends import (
+        ProcessBackend,
+        SerialBackend,
+        SweepBackend,
+        SweepJob,
+        jobs_for,
+        retry_jobs,
+    )
+    from repro.consensus.solvability import SolvabilityStatus, check_consensus
+    from repro.core.digraph import Digraph, arrow
+    from repro.core.distances import d_max, d_min, d_p, d_view
+    from repro.core.graphword import GraphWord
+    from repro.core.inputs import all_assignments, unanimous
+    from repro.core.ptg import PTGPrefix
+    from repro.core.views import ViewInterner
+    from repro.fleet import FleetBackend
+    from repro.options import CheckOptions
+    from repro.records import RunRecord, read_jsonl, write_jsonl
+    from repro.specs import AdversarySpec, families, register_family
 
 __all__ = [
     "AdversarySpec",
@@ -73,42 +95,44 @@ __all__ = [
     "__version__",
 ]
 
-#: Names lazily re-exported from the high-level API (avoids import cycles
-#: and keeps ``import repro`` light).
-_API_NAMES = {
-    "AdversarySpec",
-    "CheckOptions",
-    "Session",
-    "RunRecord",
-    "SweepJob",
-    "SweepBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "FleetBackend",
-    "run_sweep",
-    "jobs_for",
-    "retry_jobs",
-    "read_jsonl",
-    "write_jsonl",
-    "register_family",
-    "families",
-    "summarize",
-    "render_report",
-}
-
-
-def __getattr__(name: str):
-    """Lazily re-export the high-level API to avoid import cycles."""
-    if name in {"ObliviousAdversary", "SafetyAdversary", "MessageAdversary"}:
-        import repro.adversaries as _adv
-
-        return getattr(_adv, name)
-    if name in {"check_consensus", "SolvabilityStatus"}:
-        import repro.consensus as _cons
-
-        return getattr(_cons, name)
-    if name in _API_NAMES:
-        import repro.api as _api
-
-        return getattr(_api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# The names of __all__, plus the adversary, checker and sweep entry points
+# the quickstart reaches for.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "MessageAdversary": "repro.adversaries.base",
+        "ObliviousAdversary": "repro.adversaries.oblivious",
+        "SafetyAdversary": "repro.adversaries.safety",
+        "render_report": "repro.analysis",
+        "summarize": "repro.analysis",
+        "Session": "repro.api",
+        "run_sweep": "repro.api",
+        "ProcessBackend": "repro.backends",
+        "SerialBackend": "repro.backends",
+        "SweepBackend": "repro.backends",
+        "SweepJob": "repro.backends",
+        "jobs_for": "repro.backends",
+        "retry_jobs": "repro.backends",
+        "SolvabilityStatus": "repro.consensus.solvability",
+        "check_consensus": "repro.consensus.solvability",
+        "Digraph": "repro.core.digraph",
+        "arrow": "repro.core.digraph",
+        "d_max": "repro.core.distances",
+        "d_min": "repro.core.distances",
+        "d_p": "repro.core.distances",
+        "d_view": "repro.core.distances",
+        "GraphWord": "repro.core.graphword",
+        "all_assignments": "repro.core.inputs",
+        "unanimous": "repro.core.inputs",
+        "PTGPrefix": "repro.core.ptg",
+        "ViewInterner": "repro.core.views",
+        "FleetBackend": "repro.fleet",
+        "CheckOptions": "repro.options",
+        "RunRecord": "repro.records",
+        "read_jsonl": "repro.records",
+        "write_jsonl": "repro.records",
+        "AdversarySpec": "repro.specs",
+        "families": "repro.specs",
+        "register_family": "repro.specs",
+    },
+)

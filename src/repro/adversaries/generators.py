@@ -70,12 +70,15 @@ def santoro_widmayer_family(n: int, losses: int) -> ObliviousAdversary:
     In every round the adversary starts from the complete graph and may
     suppress up to ``losses`` of the ``n(n-1)`` messages.  [21] proves
     consensus impossible when ``losses >= n - 1``; [22] sharpens the
-    solvable/unsolvable frontier for structured loss patterns.
+    solvable/unsolvable frontier for structured loss patterns.  ``losses``
+    must lie in ``0 .. n(n-1)``: a larger bound names the same adversary
+    as ``n(n-1)``, so it is refused rather than clamped.
     """
-    if losses < 0:
-        raise AdversaryError("losses must be nonnegative")
     edges = all_possible_edges(n)
-    losses = min(losses, len(edges))
+    if not 0 <= losses <= len(edges):
+        raise AdversaryError(
+            f"losses must be in 0..{len(edges)} (the n(n-1) messages), got {losses}"
+        )
     full_key = 0
     for u, v in edges:
         full_key |= 1 << (u * n + v)

@@ -6,8 +6,8 @@ library's workflow around four ideas:
 * :class:`~repro.specs.AdversarySpec` — a *serializable* description of a
   message adversary (family name + JSON params + optional seed) that any
   worker can rebuild; the unit sweep manifests are made of.
-* :class:`~repro.consensus.solvability.CheckOptions` — the checker's
-  tuning knobs as one value object, instead of a pile of kwargs.
+* :class:`~repro.options.CheckOptions` — the checker's tuning knobs as
+  one value object, instead of a pile of kwargs.
 * :class:`Session` — default options plus an optional result store;
   ``session.check(...)`` accepts specs or live adversaries,
   ``session.sweep(...)`` fans a family out through any
@@ -27,6 +27,14 @@ Quickstart
 >>> [r.status for r in session.sweep([spec])]
 ['solvable']
 
+Importing this module loads the session, the options and the result
+store, and nothing else: every other name resolves on first use (PEP 562),
+and a session loads the checker when it first runs a check.  So
+``Session(store=ResultStore(path))`` loads no module of
+:mod:`repro.consensus`, :mod:`repro.topology`, :mod:`repro.backends` or
+:mod:`repro.specs`, and a ``check_record`` answered from the store loads
+no checker module.
+
 The compatibility wrappers (:func:`repro.consensus.check_consensus` with
 keywords, headerless JSONL reading) remain in place; see README "Public
 API" for the old → new migration table.
@@ -35,50 +43,48 @@ API" for the old → new migration table.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.adversaries.base import MessageAdversary
-from repro.analysis import (
-    SweepReport,
-    json_report_jsonl,
-    render_report,
-    report_jsonl,
-    summarize,
-)
-from repro.backends import (
-    ProcessBackend,
-    SerialBackend,
-    SweepBackend,
-    SweepJob,
-    jobs_for,
-    load_manifest,
-    retry_jobs,
-    write_manifest,
-)
-from repro.consensus.solvability import (
-    CheckOptions,
-    SolvabilityResult,
-    check_consensus,
-    check_consensus_with_options,
-)
-from repro.consensus.spec import ConsensusSpec
+from repro._lazy import lazy_exports
 from repro.errors import AdversaryError
-from repro.fleet import FleetBackend
-from repro.records import (
-    RunRecord,
-    certificate_summary,
-    read_jsonl,
-    write_jsonl,
-)
-from repro.specs import (
-    AdversarySpec,
-    build_adversary,
-    families,
-    random_rooted_specs,
-    register_family,
-)
-from repro.store.backend import CachedBackend
+from repro.options import CheckOptions
+from repro.records import RunRecord, certificate_summary, read_jsonl, write_jsonl
 from repro.store.cache import ResultStore
+
+if TYPE_CHECKING:
+    from repro.adversaries.base import MessageAdversary
+    from repro.analysis import (
+        SweepReport,
+        json_report_jsonl,
+        render_report,
+        report_jsonl,
+        summarize,
+    )
+    from repro.backends import (
+        ProcessBackend,
+        SerialBackend,
+        SweepBackend,
+        SweepJob,
+        jobs_for,
+        load_manifest,
+        retry_jobs,
+        write_manifest,
+    )
+    from repro.consensus.solvability import (
+        SolvabilityResult,
+        check_consensus,
+        check_consensus_with_options,
+    )
+    from repro.consensus.spec import ConsensusSpec
+    from repro.fleet import FleetBackend
+    from repro.specs import (
+        AdversarySpec,
+        build_adversary,
+        families,
+        random_rooted_specs,
+        register_family,
+    )
+    from repro.store.backend import CachedBackend
 
 __all__ = [
     "AdversarySpec",
@@ -113,6 +119,39 @@ __all__ = [
     "write_manifest",
 ]
 
+# The rest of __all__, and the names the annotations below use: this
+# module imported them all eagerly before, so their imports keep working.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "MessageAdversary": "repro.adversaries.base",
+        "SweepReport": "repro.analysis",
+        "json_report_jsonl": "repro.analysis",
+        "render_report": "repro.analysis",
+        "report_jsonl": "repro.analysis",
+        "summarize": "repro.analysis",
+        "ProcessBackend": "repro.backends",
+        "SerialBackend": "repro.backends",
+        "SweepBackend": "repro.backends",
+        "SweepJob": "repro.backends",
+        "jobs_for": "repro.backends",
+        "load_manifest": "repro.backends",
+        "retry_jobs": "repro.backends",
+        "write_manifest": "repro.backends",
+        "check_consensus": "repro.consensus.solvability",
+        "check_consensus_with_options": "repro.consensus.solvability",
+        "SolvabilityResult": "repro.consensus.solvability",
+        "ConsensusSpec": "repro.consensus.spec",
+        "FleetBackend": "repro.fleet",
+        "AdversarySpec": "repro.specs",
+        "build_adversary": "repro.specs",
+        "families": "repro.specs",
+        "random_rooted_specs": "repro.specs",
+        "register_family": "repro.specs",
+        "CachedBackend": "repro.store.backend",
+    },
+)
+
 
 def run_sweep(
     jobs: Sequence[SweepJob],
@@ -140,6 +179,9 @@ def run_sweep(
     schema header; the write happens after the backend completes, so an
     interrupted sweep leaves no partial file).
     """
+    from repro.backends import ProcessBackend, SerialBackend
+    from repro.store.backend import CachedBackend
+
     jobs = list(jobs)
     if backend is None:
         if workers <= 1 or len(jobs) <= 1:
@@ -192,6 +234,8 @@ class Session:
 
     @staticmethod
     def _resolve(target: AdversarySpec | MessageAdversary) -> MessageAdversary:
+        from repro.specs import AdversarySpec
+
         if isinstance(target, AdversarySpec):
             return target.build()
         return target
@@ -206,6 +250,8 @@ class Session:
 
         ``options`` default to the session's.
         """
+        from repro.consensus.solvability import check_consensus_with_options
+
         return check_consensus_with_options(
             self._resolve(target), options or self.options, spec=spec
         )
@@ -228,6 +274,10 @@ class Session:
         spec is resolved first, so its record carries it; adversaries
         without a canonical spec are checked but never cached.
         """
+        from repro.backends import SerialBackend, SweepJob
+        from repro.specs import AdversarySpec
+        from repro.store.backend import CachedBackend
+
         effective = options or self.options
         adversary: MessageAdversary | None = None
         spec: AdversarySpec | None = None
@@ -273,6 +323,8 @@ class Session:
         repeat sweeps of equal specs into pure cache reads — see
         :func:`run_sweep`.
         """
+        from repro.backends import SweepJob, jobs_for
+
         effective = options or self.options
         targets = list(targets)
         if targets and all(isinstance(item, SweepJob) for item in targets):

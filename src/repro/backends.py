@@ -22,6 +22,11 @@ observability fields (``elapsed_s`` wall-clock and the per-check
 ``views_interned`` count) — this makes equal-spec runs
 byte-identical across backends *and shard counts*, which the tests (and
 the fault-tolerance guarantees of :mod:`repro.fleet`) assert.
+
+Importing this module loads no checker module: :func:`iter_job_records`
+imports the checker when it runs its first job, and
+:meth:`ProcessBackend.run` before it forks.  Building jobs, writing
+manifests and serving a sweep from a store never load it.
 """
 
 from __future__ import annotations
@@ -30,14 +35,14 @@ import json
 import multiprocessing
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.adversaries.base import MessageAdversary
-from repro.consensus.solvability import CheckOptions
-from repro.core.views import ViewInterner
 from repro.errors import AnalysisError
 from repro.io.atomic import atomic_write_text
+from repro.options import CheckOptions
 from repro.records import NO_FINITE_TABLE, RunRecord, certificate_summary
 from repro.schemas import SWEEP_MANIFEST
 from repro.specs import AdversarySpec
@@ -253,6 +258,7 @@ def iter_job_records(
     equal-spec runs are byte-identical across backends and shard counts.
     """
     from repro.consensus.solvability import check_consensus_with_options
+    from repro.core.views import ViewInterner
 
     base = options or CheckOptions()
     for job in jobs:
@@ -337,9 +343,10 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
     Elsewhere use the platform default: fork is unsafe with threads on
     macOS (CPython itself switched that default to spawn), and spawn
-    requires only that jobs and records pickle, which they do.  A
-    coordinator that runs no check has not loaded numpy, so a forked
-    worker inherits none and imports it at its first kernel.
+    requires only that jobs and records pickle, which they do.  Before
+    it forks, :meth:`ProcessBackend.run` imports the checker but not
+    numpy: a forked worker inherits the checker's modules already
+    compiled, and imports numpy itself at its first kernel.
     """
     if sys.platform == "linux":
         return multiprocessing.get_context("fork")
@@ -367,7 +374,9 @@ class ProcessBackend:
     that carry only a spec ship the spec and build on the worker.  With
     two or more shards the calling process runs no check, so it never
     loads numpy; each worker of a pool imports it once, at its first
-    kernel (:func:`~repro.core.views.numpy_module`).  One shard runs
+    kernel (:func:`~repro.core.views.numpy_module`).  The calling process
+    does import the checker's modules before it forks, so the workers
+    share them instead of each importing them again.  One shard runs
     inline, in the calling process.
     """
 
@@ -391,6 +400,7 @@ class ProcessBackend:
                 (k, jobs[k::workers], options, self.record_timing)
                 for k in range(workers)
             ]
+            import_module("repro.consensus.solvability")
             with _pool_context().Pool(workers) as pool:
                 shard_records = pool.map(_run_shard, shards)
             records = [record for shard in shard_records for record in shard]

@@ -353,7 +353,7 @@ def cmd_load_test(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.consensus.solvability import CheckOptions
+    from repro.options import CheckOptions
     from repro.service import QueryService, run_load_test
     from repro.store import ResultStore
 

@@ -39,13 +39,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.backends import SweepJob, _validate_jobs
-from repro.consensus.solvability import CheckOptions
 from repro.errors import AnalysisError
 from repro.fleet import state
 from repro.fleet.chaos import ChaosSpec
 from repro.fleet.clock import sleep, wall_now
 from repro.fleet.state import FleetConfig, FleetPaths
 from repro.io import atomic
+from repro.options import CheckOptions
 from repro.records import RunRecord
 
 __all__ = ["FleetRunner", "FleetBackend"]

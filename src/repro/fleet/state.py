@@ -41,11 +41,11 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.backends import SweepJob, load_manifest, write_manifest
-from repro.consensus.solvability import CheckOptions
 from repro.errors import AnalysisError
 from repro.fleet.chaos import ChaosSpec
 from repro.fleet.clock import wall_now
 from repro.io import atomic
+from repro.options import CheckOptions
 from repro.records import RunRecord, read_jsonl, write_jsonl
 from repro.schemas import FLEET_STATE
 

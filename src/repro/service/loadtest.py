@@ -25,8 +25,8 @@ import json
 import time
 from typing import Any, Sequence
 
-from repro.consensus.solvability import CheckOptions
 from repro.errors import AnalysisError
+from repro.options import CheckOptions
 from repro.schemas import SERVICE_PROTOCOL
 from repro.specs import AdversarySpec
 

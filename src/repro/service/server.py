@@ -37,6 +37,13 @@ its counters and journal never race.  Worker threads are CPU-bound and
 GIL-serialized — the pool bounds memory and keeps the event loop (and
 therefore every hot query) responsive, which is the point: hot queries
 are O(1) *regardless* of how much cold work is queued behind them.
+
+Importing this module loads the checker with the store, the specs and
+the sweep backends: a server exists to run checks, so no query waits on
+that import.  (Imported later, at :meth:`QueryService.start`, after a
+host process had imported scipy, the checker's modules held about 3 MB
+more of the server's memory.)  A process that only reads the store
+imports :mod:`repro.store`, which loads none of it.
 """
 
 from __future__ import annotations
@@ -48,9 +55,10 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+import repro.consensus.solvability  # noqa: F401  (loaded with the server; see above)
 from repro.backends import SerialBackend, SweepJob
-from repro.consensus.solvability import CheckOptions
 from repro.errors import AnalysisError, ReproError
+from repro.options import CheckOptions
 from repro.records import RunRecord
 from repro.schemas import SERVICE_PROTOCOL
 from repro.specs import AdversarySpec

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.adversaries.generators import (
@@ -272,6 +273,9 @@ class AdversarySpec:
             raise AdversaryError(
                 f"spec params for {family!r} are not JSON-serializable: {exc}"
             ) from None
+        related = _RELATED_PARAM_CHECKS.get(family)
+        if related is not None:
+            related(family, self.params)
 
     def build(self) -> MessageAdversary:
         """Reconstruct the adversary this spec describes."""
@@ -450,6 +454,79 @@ def _build_random_oblivious(params: Mapping[str, Any], rng: random.Random) -> Me
 
 #: Every family's process count: an adversary needs at least one process.
 _N_RANGE = {"n": (1, None)}
+
+
+def _check_graph_keys(
+    family: str, params: Mapping[str, Any], lists: Mapping[str, bool]
+) -> None:
+    """Refuse a graph-key list that does not encode graphs on ``n`` nodes.
+
+    ``lists`` maps each param that holds packed edge keys
+    (:attr:`~repro.core.digraph.Digraph.key`) to whether the family's
+    builder needs it nonempty.  A key must be an int (a bool is not) in
+    ``0 .. 2**(n*n) - 1`` with no self-loop bit.  Bit ``u * n + u`` is bit
+    ``u * (n + 1)``, so the self-loop test steps through the key's length
+    in strides of ``n + 1`` and costs nothing for a huge ``n``.
+    """
+    n = params["n"]
+    for name, nonempty in lists.items():
+        if name not in params:
+            continue
+        keys = params[name]
+        if not isinstance(keys, list):
+            raise AdversaryError(
+                f"family {family!r} needs param {name!r} to be a list of graph "
+                f"keys, got {keys!r}"
+            )
+        if nonempty and not keys:
+            raise AdversaryError(
+                f"family {family!r} needs param {name!r} to hold at least one "
+                f"graph key"
+            )
+        for key in keys:
+            if isinstance(key, bool) or not isinstance(key, int):
+                raise AdversaryError(
+                    f"family {family!r} param {name!r} holds key {key!r}, "
+                    f"which is not an int"
+                )
+            if key < 0 or key >> (n * n):
+                raise AdversaryError(
+                    f"family {family!r} param {name!r} holds key {key}, outside "
+                    f"0 .. 2**{n * n} - 1 for n={n}"
+                )
+            loops = [b for b in range(0, key.bit_length(), n + 1) if key >> b & 1]
+            if loops:
+                raise AdversaryError(
+                    f"family {family!r} param {name!r} holds key {key}, which "
+                    f"sets the self-loop bit of node {loops[0] // (n + 1)}"
+                )
+
+
+def _check_losses(family: str, params: Mapping[str, Any]) -> None:
+    """Refuse a loss bound above the ``n(n-1)`` messages of a round.
+
+    Any larger bound builds the adversary of ``n(n-1)``: accepting it
+    would cache one verdict under many keys.
+    """
+    n, losses = params["n"], params["losses"]
+    if losses > n * (n - 1):
+        raise AdversaryError(
+            f"family {family!r} needs param 'losses' to be at most "
+            f"n(n-1) = {n * (n - 1)}, got {losses}"
+        )
+
+
+#: Decode-time checks of the built-in families that relate a param to
+#: ``n``.  They run last, after the names, the integer ranges (so ``n`` is
+#: an int >= 1 by then) and the JSON check.
+_RELATED_PARAM_CHECKS: dict[str, Callable[[str, Mapping[str, Any]], None]] = {
+    "oblivious": partial(_check_graph_keys, lists={"graphs": True}),
+    "stabilizing": partial(_check_graph_keys, lists={"graphs": True}),
+    "eventually-forever": partial(
+        _check_graph_keys, lists={"base": False, "eventual": True}
+    ),
+    "santoro-widmayer": _check_losses,
+}
 
 register_family(
     "oblivious",

@@ -16,15 +16,20 @@ Every write goes through the :mod:`repro.io.atomic` funnel (lint R9).
 
 from __future__ import annotations
 
-from repro.store.backend import CachedBackend
-from repro.store.cache import ResultStore, normalize_record
-from repro.store.keys import (
-    KERNEL_EPOCH,
-    SEMANTIC_OPTION_FIELDS,
-    cache_key,
-    key_payload,
-    semantic_options,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.store.backend import CachedBackend
+    from repro.store.cache import ResultStore, normalize_record
+    from repro.store.keys import (
+        KERNEL_EPOCH,
+        SEMANTIC_OPTION_FIELDS,
+        cache_key,
+        key_payload,
+        semantic_options,
+    )
 
 __all__ = [
     "KERNEL_EPOCH",
@@ -36,3 +41,19 @@ __all__ = [
     "normalize_record",
     "semantic_options",
 ]
+
+# Resolved on first use: a store reader never loads the sweep backends
+# that CachedBackend wraps.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CachedBackend": "repro.store.backend",
+        "ResultStore": "repro.store.cache",
+        "normalize_record": "repro.store.cache",
+        "KERNEL_EPOCH": "repro.store.keys",
+        "SEMANTIC_OPTION_FIELDS": "repro.store.keys",
+        "cache_key": "repro.store.keys",
+        "key_payload": "repro.store.keys",
+        "semantic_options": "repro.store.keys",
+    },
+)

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.backends import SerialBackend, SweepBackend, SweepJob, _validate_jobs
-from repro.consensus.solvability import CheckOptions
 from repro.errors import AdversaryError
+from repro.options import CheckOptions
 from repro.records import RunRecord
 from repro.specs import AdversarySpec
 from repro.store.cache import ResultStore

@@ -34,15 +34,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.consensus.solvability import CheckOptions
 from repro.errors import AnalysisError
 from repro.io.atomic import append_line, atomic_write_json, atomic_write_text, read_lines
 from repro.records import RunRecord
 from repro.schemas import RESULT_STORE, RUN_RECORD
-from repro.specs import AdversarySpec
 from repro.store.keys import KERNEL_EPOCH, cache_key, key_payload
+
+if TYPE_CHECKING:
+    from repro.options import CheckOptions
+    from repro.specs import AdversarySpec
 
 __all__ = [
     "ResultStore",

@@ -7,8 +7,8 @@ ingredients:
 
 1. the serialized :class:`~repro.specs.AdversarySpec` (family + params +
    seed — the complete description of the adversary);
-2. the *semantic* subset of :class:`~repro.consensus.solvability.
-   CheckOptions` (:data:`SEMANTIC_OPTION_FIELDS`): the fields that can
+2. the *semantic* subset of :class:`~repro.options.CheckOptions`
+   (:data:`SEMANTIC_OPTION_FIELDS`): the fields that can
    change a verdict or certificate.  The platform's kernel is not an
    ingredient — kernel parity is a tested invariant of the library, so
    a record computed where numpy imports is byte-identical (timing
@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.consensus.solvability import CheckOptions
 from repro.schemas import RUN_RECORD
-from repro.specs import AdversarySpec
+
+if TYPE_CHECKING:
+    from repro.options import CheckOptions
+    from repro.specs import AdversarySpec
 
 __all__ = [
     "KERNEL_EPOCH",

@@ -437,15 +437,18 @@ def test_cold_job_exceptions_fail_the_job_not_the_worker(tmp_path, monkeypatch):
     """A cold job that raises anything must answer its waiters (and every
     coalesced twin) with one terminal error and leave the pool full.
 
-    A graph key the family cannot build (``1`` sets a self-loop bit)
-    passes spec decoding, which checks param names and integer ranges,
-    and raises inside the worker's spec build; a malformed option value is
-    refused by the options decoder before it is queued; and an arbitrary
-    exception from the executor stands in for any other bug.
+    A stabilizing spec over the empty graph alone with ``window`` 1
+    decodes and builds, but admits no infinite sequence, so its check
+    raises ``AnalysisError`` inside the worker; a malformed option value
+    is refused by the options decoder before it is queued; and an
+    arbitrary exception from the executor stands in for any other bug.
     """
     import repro.service.server as server_module
 
-    bad_spec = {"family": "oblivious", "params": {"n": 2, "graphs": [1]}}
+    bad_spec = {
+        "family": "stabilizing",
+        "params": {"n": 2, "graphs": [0], "window": 1, "require_rooted": False},
+    }
     real_execute = server_module.execute_query
 
     def flaky_execute(spec_dict, options_dict):

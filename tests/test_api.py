@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import pytest
@@ -17,7 +18,11 @@ from repro.adversaries import (
     lossy_link_full,
     lossy_link_no_hub,
 )
-from repro.adversaries.generators import all_digraphs, two_process_oblivious_family
+from repro.adversaries.generators import (
+    all_digraphs,
+    santoro_widmayer_family,
+    two_process_oblivious_family,
+)
 from repro.adversaries.stabilizing import (
     EventuallyForeverAdversary,
     StabilizingAdversary,
@@ -251,6 +256,53 @@ class TestAdversarySpecRoundTrip:
         )
         with pytest.raises(AdversaryError, match=f"in 0..{last}, got {last + 1}"):
             AdversarySpec("two-process", {"index": last + 1})
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            # Each of these used to decode and fail only in a worker's
+            # build: InvalidGraphError for the first four, a bare TypeError
+            # for "x", and "needs at least one graph" for the empty lists.
+            ("oblivious", {"n": 2, "graphs": [1]},
+             "param 'graphs' holds key 1, which sets the self-loop bit of node 0"),
+            ("oblivious", {"n": 2, "graphs": [16]},
+             "param 'graphs' holds key 16, outside 0 .. 2**4 - 1 for n=2"),
+            ("oblivious", {"n": 2, "graphs": [-2]},
+             "param 'graphs' holds key -2, outside 0 .. 2**4 - 1 for n=2"),
+            ("stabilizing", {"n": 2, "graphs": [2, 8], "window": 1},
+             "param 'graphs' holds key 8, which sets the self-loop bit of node 1"),
+            ("oblivious", {"n": 2, "graphs": "x"},
+             "needs param 'graphs' to be a list of graph keys, got 'x'"),
+            ("oblivious", {"n": 2, "graphs": [2, True]},
+             "param 'graphs' holds key True, which is not an int"),
+            ("oblivious", {"n": 2, "graphs": []},
+             "needs param 'graphs' to hold at least one graph key"),
+            ("eventually-forever", {"n": 2, "base": [2], "eventual": []},
+             "needs param 'eventual' to hold at least one graph key"),
+            ("eventually-forever", {"n": 2, "base": [16], "eventual": [2]},
+             "param 'base' holds key 16, outside 0 .. 2**4 - 1 for n=2"),
+        ],
+        ids=["self-loop", "too-large", "negative", "stabilizing-self-loop",
+             "not-a-list", "bool-key", "empty-graphs", "empty-eventual", "base-range"],
+    )
+    def test_graph_keys_are_checked_against_n_at_decode(self, family, params, message):
+        with pytest.raises(AdversaryError, match=re.escape(f"family {family!r} ")):
+            AdversarySpec(family, params)
+        with pytest.raises(AdversaryError, match=re.escape(message)):
+            AdversarySpec.from_dict({"family": family, "params": params})
+
+    def test_an_empty_base_stays_valid(self):
+        spec = AdversarySpec("eventually-forever", {"n": 2, "base": [], "eventual": [2]})
+        assert spec.build().n == 2
+
+    def test_santoro_widmayer_losses_are_bounded_by_the_messages(self):
+        most = AdversarySpec("santoro-widmayer", {"n": 2, "losses": 2})
+        assert most.build().name == "SantoroWidmayer(n=2, losses=2)"
+        message = "family 'santoro-widmayer' needs param 'losses' to be at most n(n-1) = 2, got 5"
+        with pytest.raises(AdversaryError, match=re.escape(message)):
+            AdversarySpec("santoro-widmayer", {"n": 2, "losses": 5})
+        with pytest.raises(AdversaryError, match="losses must be in 0..2"):
+            santoro_widmayer_family(2, 3)
 
     def test_families_without_declared_names_accept_any_params(self, monkeypatch):
         monkeypatch.setattr(specs_module, "_REGISTRY", dict(specs_module._REGISTRY))

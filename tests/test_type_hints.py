@@ -4,12 +4,17 @@ The modules ``pyproject.toml`` opts into strict mypy promise complete
 annotations.  Under ``from __future__ import annotations`` a name that is
 used in an annotation but never imported stays invisible until something
 evaluates it; ``typing.get_type_hints`` does exactly that, so this suite
-catches the bug class without mypy installed.
+catches the bug class without mypy installed.  A facade that re-exports
+lazily (PEP 562) makes a name available through its module
+``__getattr__`` rather than its globals, so the names resolve through the
+module itself: one imported only under ``TYPE_CHECKING`` and served by no
+``__getattr__`` still fails.
 """
 
 import importlib
 import inspect
 import typing
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -47,6 +52,25 @@ def defined_functions(module):
                     yield f"{name}.{attr}", member
 
 
+class ModuleNamespace(Mapping):
+    """A module's runtime names: its globals, then its ``__getattr__``."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def __getitem__(self, name):
+        try:
+            return getattr(self.module, name)
+        except AttributeError:
+            raise KeyError(name) from None
+
+    def __iter__(self):
+        return iter(dir(self.module))
+
+    def __len__(self):
+        return len(dir(self.module))
+
+
 def test_the_strict_module_list_is_found():
     assert "repro.backends" in strict_modules()
 
@@ -57,7 +81,7 @@ def test_every_annotation_resolves(module_name):
     unresolved = []
     for qualname, function in defined_functions(module):
         try:
-            typing.get_type_hints(function)
+            typing.get_type_hints(function, localns=ModuleNamespace(module))
         except Exception as exc:  # noqa: BLE001 - report every failure
             unresolved.append(f"{qualname}: {type(exc).__name__}: {exc}")
     assert unresolved == []
