@@ -24,22 +24,81 @@ Subclasses implement four methods (:meth:`MessageAdversary.alphabet`,
 :meth:`~MessageAdversary.accepting_states`); everything else — prefix
 admissibility, enumeration, sampling, lasso (ultimately periodic word)
 acceptance, liveness analysis — is derived here.
+
+Every search over an automaton, or over a product of one with other
+finite data, is one of two walks: :func:`reachable`, the nodes a
+depth-first walk reaches, and :func:`labelled_path`, the edge labels of
+the first depth-first path to a node.  The reachable states, the live
+states, lasso admission, the stabilizing adversaries' table and the lasso
+provers of :mod:`repro.consensus.provers` are all built on them.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.digraph import Digraph
 from repro.core.graphword import GraphWord
 from repro.errors import AdversaryError, InadmissibleWordError
 
-__all__ = ["MessageAdversary", "State"]
+__all__ = ["MessageAdversary", "State", "reachable", "labelled_path"]
 
 #: Automaton states may be any hashable value.
 State = Hashable
+
+
+def reachable(starts: Iterable[Any], successors: Callable[[Any], Iterable[Any]]) -> set[Any]:
+    """The nodes a depth-first walk from ``starts`` reaches, ``starts`` included.
+
+    A node is marked when it is pushed, and ``successors(node)`` is called
+    once for each reached node as it is popped, so a caller may record
+    what it returns during the walk.
+    """
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def labelled_path(
+    edges: Mapping[Any, Sequence[tuple[Any, Any]]],
+    sources: Collection[Any],
+    target: Any,
+    strict: bool = False,
+) -> list[Any] | None:
+    """The edge labels of the first depth-first path from ``sources`` to ``target``.
+
+    ``edges[node]`` lists the ``(label, successor)`` edges of ``node`` in
+    walk order.  The walk marks a node when it pushes it and stops at the
+    first edge into ``target``.  A ``target`` among the ``sources`` gives
+    ``[]``, unless ``strict`` asks for at least one edge: with ``sources ==
+    {target}`` the path is then a cycle through ``target``.  Returns
+    ``None`` when no such path exists.
+    """
+    if not strict and target in sources:
+        return []
+    # A source maps to None, a reached node to its (parent, label) edge.
+    back: dict = dict.fromkeys(sources)
+    stack = list(back)
+    while stack:
+        node = stack.pop()
+        for label, nxt in edges.get(node, ()):
+            if nxt == target:
+                labels = [label]
+                while back[node] is not None:
+                    node, label = back[node]
+                    labels.append(label)
+                return labels[::-1]
+            if nxt not in back:
+                back[nxt] = (node, label)
+                stack.append(nxt)
+    return None
 
 
 class MessageAdversary(ABC):
@@ -98,66 +157,37 @@ class MessageAdversary(ABC):
     def all_states(self) -> frozenset:
         """All states reachable from the initial states."""
         if self._state_cache is None:
-            seen: set = set(self.initial_states())
-            stack = list(seen)
-            while stack:
-                state = stack.pop()
-                for successors in self.transitions(state).values():
-                    for nxt in successors:
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-            self._state_cache = frozenset(seen)
+            self._state_cache = frozenset(reachable(self.initial_states(), self._successors))
         return self._state_cache
+
+    def _successors(self, state: State) -> list[State]:
+        """The successors of ``state`` under every letter, in table order."""
+        return [nxt for nexts in self.transitions(state).values() for nxt in nexts]
 
     def live_states(self) -> frozenset:
         """States from which some infinite *accepting* run exists.
 
-        A state is live iff it reaches a cycle through an accepting state.
-        Prefixes whose reachable state set contains a live state are exactly
-        the prefixes of admissible infinite sequences.
+        A state is live iff it reaches an accepting state that reaches
+        itself.  One forward :func:`reachable` per accepting state finds
+        those on a cycle; one backward :func:`reachable` over the
+        predecessor map finds every state that reaches them.  Prefixes whose
+        reachable state set contains a live state are exactly the prefixes
+        of admissible infinite sequences.
         """
-        if self._live_cache is not None:
-            return self._live_cache
-        states = self.all_states()
-        accepting = self.accepting_states() & states
-        # Successor adjacency ignoring letters.
-        succ: dict = {
-            s: sorted(
-                {nxt for nexts in self.transitions(s).values() for nxt in nexts},
-                key=repr,
-            )
-            for s in states
-        }
-        # A state lies on an accepting cycle iff it is accepting and can
-        # reach itself.  Compute states that can reach an accepting cycle.
-        on_cycle = {
-            s for s in accepting if self._reaches(succ, s, target=s, strict=True)
-        }
-        live = set(on_cycle)
-        changed = True
-        while changed:
-            changed = False
-            for s in states:
-                if s not in live and any(nxt in live for nxt in succ[s]):
-                    live.add(s)
-                    changed = True
-        self._live_cache = frozenset(live)
+        if self._live_cache is None:
+            states = self.all_states()
+            succ = {s: self._successors(s) for s in states}
+            pred: dict = {s: set() for s in states}
+            for s, nexts in succ.items():
+                for nxt in nexts:
+                    pred[nxt].add(s)
+            cycling = [
+                s
+                for s in self.accepting_states() & states
+                if s in reachable(succ[s], succ.__getitem__)
+            ]
+            self._live_cache = frozenset(reachable(cycling, pred.__getitem__))
         return self._live_cache
-
-    @staticmethod
-    def _reaches(succ: Mapping, start, target, strict: bool) -> bool:
-        seen: set = set()
-        stack = list(succ[start]) if strict else [start]
-        while stack:
-            s = stack.pop()
-            if s == target:
-                return True
-            if s in seen:
-                continue
-            seen.add(s)
-            stack.extend(succ[s])
-        return False
 
     # ------------------------------------------------------------------ #
     # Prefix-level queries
@@ -273,55 +303,28 @@ class MessageAdversary(ABC):
     def admits_lasso(self, stem: GraphWord, cycle: GraphWord) -> bool:
         """Whether the ultimately periodic sequence ``stem · cycle^ω`` is admissible.
 
-        Uses the standard product construction: a run is accepting iff in
-        the graph over (state, cycle position) nodes some cycle through an
-        accepting state is reachable from the states after the stem.
+        The walk runs over the product of states and cycle positions: node
+        ``(state, pos)`` steps by the letter ``cycle[pos]`` to position
+        ``pos + 1`` modulo the period.  The lasso is admitted iff some node
+        that :func:`reachable` finds from the states after the stem, at
+        position 0, is accepting and reaches itself (every cycle of the
+        product reads whole periods, so positions wrap consistently).
         """
         if len(cycle) == 0:
             raise AdversaryError("lasso cycle must be nonempty")
-        start_states = self.run_prefix(stem)
-        if not start_states:
-            return False
         period = len(cycle)
         accepting = self.accepting_states()
 
-        # Build reachable subgraph over (state, pos).
-        edges: dict[tuple, set[tuple]] = {}
-        stack = [(s, 0) for s in start_states]
-        seen = set(stack)
-        while stack:
-            state, pos = stack.pop()
-            nxt_states = self.transitions(state).get(cycle[pos], frozenset())
+        def successors(node: tuple) -> list[tuple]:
+            state, pos = node
             nxt_pos = (pos + 1) % period
-            targets = {(s, nxt_pos) for s in nxt_states}
-            edges[(state, pos)] = targets
-            for node in targets:
-                if node not in seen:
-                    seen.add(node)
-                    stack.append(node)
+            return [(s, nxt_pos) for s in self.transitions(state).get(cycle[pos], ())]
 
-        # A lasso is accepted iff some accepting node lies on a cycle of
-        # this graph (every cycle has length a multiple of the period, so
-        # positions wrap consistently).
-        for node in seen:
-            state, _ = node
-            if state in accepting and self._node_on_cycle(edges, node):
-                return True
-        return False
-
-    @staticmethod
-    def _node_on_cycle(edges: Mapping[tuple, set], node: tuple) -> bool:
-        seen: set = set()
-        stack = list(edges.get(node, ()))
-        while stack:
-            current = stack.pop()
-            if current == node:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(edges.get(current, ()))
-        return False
+        nodes = reachable([(s, 0) for s in self.run_prefix(stem)], successors)
+        return any(
+            node[0] in accepting and node in reachable(successors(node), successors)
+            for node in nodes
+        )
 
     # ------------------------------------------------------------------ #
     # Misc

@@ -16,6 +16,7 @@ sequences has its limit admissible.  For ω-automaton adversaries:
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from repro.adversaries.base import MessageAdversary
@@ -68,19 +69,10 @@ def _lassos(
     adversary: MessageAdversary, max_stem: int, max_cycle: int
 ) -> Iterator[tuple[GraphWord, GraphWord]]:
     alphabet = adversary.alphabet()
-
-    def words(length: int) -> Iterator[tuple]:
-        if length == 0:
-            yield ()
-            return
-        for shorter in words(length - 1):
-            for g in alphabet:
-                yield shorter + (g,)
-
     for stem_len in range(max_stem + 1):
-        for stem in words(stem_len):
+        for stem in product(alphabet, repeat=stem_len):
             for cycle_len in range(1, max_cycle + 1):
-                for cycle in words(cycle_len):
+                for cycle in product(alphabet, repeat=cycle_len):
                     yield (
                         GraphWord(stem, n=adversary.n),
                         GraphWord(cycle, n=adversary.n),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.adversaries.base import MessageAdversary
+from repro.adversaries.base import MessageAdversary, reachable
 from repro.core.digraph import Digraph
 from repro.errors import AdversaryError
 
@@ -182,63 +182,41 @@ class StabilizingAdversary(MessageAdversary):
         return None
 
     def _build_table(self) -> dict:
+        """The row of every state a walk from ``SEARCHING`` and ``SATISFIED`` reaches."""
         table: dict = {}
-        window = self.window
 
-        def progress_states(graph: Digraph) -> frozenset:
-            """Successor states after reading ``graph`` in SEARCHING."""
-            successors = {self.SEARCHING}
-            root = self._stable_root(graph)
-            if root is not None:
-                successors.add(
-                    self.SATISFIED if window == 1 else ("window", root, 1)
-                )
-            return frozenset(successors)
+        def successors(state) -> list:
+            table[state] = self._row(state)
+            return [nxt for nexts in table[state].values() for nxt in nexts]
 
-        searching_row = {g: progress_states(g) for g in self._alphabet}
-        table[self.SEARCHING] = searching_row
-
-        # Window-in-progress states.
-        pending = [
-            state
-            for row in searching_row.values()
-            for state in row
-            if isinstance(state, tuple)
-        ]
-        seen = set(pending)
-        while pending:
-            state = pending.pop()
-            _, root, count = state
-            row: dict[Digraph, frozenset] = {}
-            for g in self._alphabet:
-                successors = {self.SEARCHING}
-                g_root = self._stable_root(g)
-                if g_root is not None:
-                    # Either extend the current window...
-                    if g_root == root:
-                        nxt = (
-                            self.SATISFIED
-                            if count + 1 >= self.window
-                            else ("window", root, count + 1)
-                        )
-                        successors.add(nxt)
-                    # ...or restart a fresh window at this round.
-                    successors.add(
-                        self.SATISFIED
-                        if self.window == 1
-                        else ("window", g_root, 1)
-                    )
-                row[g] = frozenset(successors)
-                for nxt in row[g]:
-                    if isinstance(nxt, tuple) and nxt not in seen:
-                        seen.add(nxt)
-                        pending.append(nxt)
-            table[state] = row
-
-        table[self.SATISFIED] = {
-            g: frozenset({self.SATISFIED}) for g in self._alphabet
-        }
+        reachable((self.SEARCHING, self.SATISFIED), successors)
         return table
+
+    def _row(self, state) -> dict[Digraph, frozenset]:
+        """The successors of ``state`` under each alphabet graph.
+
+        ``SATISFIED`` is absorbing.  From any other state every graph may
+        be read while searching.  A rooted graph also starts a window on its
+        root and extends the window ``("window", root, count)`` in progress
+        when the roots agree; ``SEARCHING`` is the state with no window.
+        """
+        if state == self.SATISFIED:
+            return {g: frozenset({self.SATISFIED}) for g in self._alphabet}
+        root, count = (None, 0) if state == self.SEARCHING else state[1:]
+        row: dict[Digraph, frozenset] = {}
+        for g in self._alphabet:
+            successors = {self.SEARCHING}
+            g_root = self._stable_root(g)
+            if g_root is not None:
+                if g_root == root:
+                    successors.add(self._window(g_root, count + 1))
+                successors.add(self._window(g_root, 1))
+            row[g] = frozenset(successors)
+        return row
+
+    def _window(self, root: frozenset[int], count: int):
+        """The state after ``count`` consecutive rounds rooted at ``root``."""
+        return self.SATISFIED if count >= self.window else ("window", root, count)
 
     def alphabet(self) -> tuple[Digraph, ...]:
         return self._alphabet

@@ -43,16 +43,16 @@ Named adversaries (``--adversary``, the ``named`` spec family):
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from collections import Counter
 from typing import Callable
 
-from repro.core.digraph import Digraph
-from repro.specs import NAMED_ADVERSARIES
-
 
 def _resolve(name: str):
+    from repro.specs import NAMED_ADVERSARIES
+
     try:
         return NAMED_ADVERSARIES[name]()
     except KeyError:
@@ -81,10 +81,37 @@ def _int_in(floor: int, ceiling: int | None = None) -> Callable[[str], int]:
     return parse
 
 
+def _float_in(floor: float, strict: bool) -> Callable[[str], float]:
+    """The float twin of :func:`_int_in`: a finite float ``>= floor``, or
+    ``> floor`` when ``strict``.
+
+    Any other value, ``inf`` and ``nan`` included, is a usage error (exit
+    2) that names the argument.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if value < floor or (strict and value == floor):
+            bound = f"> {floor:g}" if strict else f">= {floor:g}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
 #: Depth budgets and budgets where 0 means "none" (``--top``, gc limits).
 _depth = _int_in(0)
 #: Counts of things to do or to run on: processes, samples, workers, rounds.
 _count = _int_in(1)
+#: Fleet periods and time limits: lease ttl, heartbeat, poll, timeout.
+_period = _float_in(0.0, strict=True)
+#: Fleet retry delays, where 0 retries at once.
+_delay = _float_in(0.0, strict=False)
 
 
 def _sweep_depth(text: str) -> str:
@@ -623,6 +650,7 @@ def cmd_fair(args: argparse.Namespace) -> int:
 
 
 def cmd_ptg(args: argparse.Namespace) -> int:
+    from repro.core.digraph import Digraph
     from repro.core.ptg import PTGPrefix
     from repro.core.views import ViewInterner
     from repro.viz import render_ptg
@@ -781,19 +809,19 @@ def main(argv: list[str] | None = None) -> int:
     fleet_run.add_argument("--no-timing", action="store_true",
                            help="zero timing fields (byte-identical to a "
                                 "serial --no-timing sweep)")
-    fleet_run.add_argument("--lease-ttl", type=float, default=15.0,
+    fleet_run.add_argument("--lease-ttl", type=_period, default=15.0,
                            help="seconds before an unrenewed lease expires")
-    fleet_run.add_argument("--heartbeat", type=float, default=3.0,
+    fleet_run.add_argument("--heartbeat", type=_period, default=3.0,
                            help="worker lease-renewal cadence in seconds")
     fleet_run.add_argument("--max-attempts", type=_count, default=4,
                            help="attempts per shard before poisoning it")
-    fleet_run.add_argument("--backoff-base", type=float, default=0.25,
+    fleet_run.add_argument("--backoff-base", type=_delay, default=0.25,
                            help="base retry delay (doubles per failure)")
-    fleet_run.add_argument("--backoff-cap", type=float, default=5.0,
+    fleet_run.add_argument("--backoff-cap", type=_delay, default=5.0,
                            help="retry delay ceiling in seconds")
-    fleet_run.add_argument("--poll", type=float, default=0.2,
+    fleet_run.add_argument("--poll", type=_period, default=0.2,
                            help="coordinator/worker poll interval in seconds")
-    fleet_run.add_argument("--timeout", type=float, default=None,
+    fleet_run.add_argument("--timeout", type=_period, default=None,
                            help="abort the drive loop after this many seconds")
     fleet_run.add_argument("--out",
                            help="also copy the merged records to this file")
@@ -816,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     fleet_resume.add_argument("--dir", required=True)
     fleet_resume.add_argument("--workers", type=_count, default=2)
-    fleet_resume.add_argument("--timeout", type=float, default=None)
+    fleet_resume.add_argument("--timeout", type=_period, default=None)
     fleet_resume.add_argument("--out",
                               help="also copy the merged records to this file")
     fleet_resume.set_defaults(func=cmd_fleet_resume)

@@ -8,8 +8,11 @@ alone.  This module contributes sound certificates:
   sequence on which no process is ever heard by everyone.  By the
   input-flipping chain in the proof of Theorem 5.11 this connects ``z_v``
   to ``z_w`` inside one component, so consensus is impossible.  The search
-  is exact over the finite product (adversary state × heard-of masks):
-  heard-of masks are monotone, hence constant on cycles.
+  is exact over the finite product (adversary state × heard-of masks),
+  which one :func:`~repro.adversaries.base.reachable` walk explores, and
+  :func:`~repro.adversaries.base.labelled_path` reads the stem and the
+  cycle off the edges that walk records.  Heard-of masks are monotone,
+  hence constant on cycles.
 
 * :class:`SingleComponentInduction` — for *oblivious* adversaries: if the
   depth-0 layer is connected and (C1) every process has a graph in which it
@@ -37,7 +40,7 @@ alone.  This module contributes sound certificates:
 
 from __future__ import annotations
 
-from repro.adversaries.base import MessageAdversary
+from repro.adversaries.base import MessageAdversary, labelled_path, reachable
 from repro.adversaries.oblivious import ObliviousAdversary
 from repro.core.digraph import Digraph
 from repro.core.graphword import GraphWord, full_mask, heard_of_step
@@ -75,97 +78,39 @@ def _product_lasso_search(
     initial_masks = tuple(1 << p for p in range(n))
     if not forbidden_mask_test(initial_masks):
         return None
-
-    # Forward exploration of the reachable, test-satisfying product graph.
     start_nodes = {
         (state, initial_masks)
         for state in adversary.initial_states() & adversary.live_states()
     }
+    # The pruned product edges, recorded as the forward walk reaches each node.
     edges: dict[tuple, list[tuple[Digraph, tuple]]] = {}
-    stack = list(start_nodes)
-    seen = set(start_nodes)
-    while stack:
-        state, masks = stack.pop()
-        rows = adversary.transitions(state)
-        out: list[tuple[Digraph, tuple]] = []
-        for graph, successors in rows.items():
-            nxt_masks = heard_of_step(graph, masks)
-            if not forbidden_mask_test(nxt_masks):
-                continue
-            for nxt_state in successors:
-                node = (nxt_state, nxt_masks)
-                out.append((graph, node))
-                if node not in seen:
-                    seen.add(node)
-                    stack.append(node)
-        edges[(state, masks)] = out
 
-    # Look for a cycle through an accepting state.  Masks are constant on
-    # cycles, so it is enough to find an accepting node that reaches itself.
-    for node in sorted(seen, key=repr):
-        state, _ = node
-        if state not in accepting:
+    def successors(node: tuple) -> list[tuple]:
+        state, masks = node
+        out: list[tuple[Digraph, tuple]] = []
+        nodes: list[tuple] = []
+        edges[node] = out
+        for graph, nexts in adversary.transitions(state).items():
+            nxt_masks = heard_of_step(graph, masks)
+            if forbidden_mask_test(nxt_masks):
+                for nxt_state in nexts:
+                    nxt = (nxt_state, nxt_masks)
+                    out.append((graph, nxt))
+                    nodes.append(nxt)
+        return nodes
+
+    # Masks are constant on cycles, so it is enough to find an accepting
+    # node that reaches itself, which it can only by an edge keeping its masks.
+    for node in sorted(reachable(start_nodes, successors), key=repr):
+        state, masks = node
+        if state not in accepting or all(nxt[1] != masks for _, nxt in edges[node]):
             continue
-        cycle = _find_cycle(edges, node)
+        cycle = labelled_path(edges, {node}, node, strict=True)
         if cycle is None:
             continue
-        stem = _find_path(edges, start_nodes, node)
-        if stem is None:
-            continue
-        return (
-            GraphWord(stem, n=n),
-            GraphWord(cycle, n=n),
-        )
-    return None
-
-
-def _find_cycle(edges, node) -> list[Digraph] | None:
-    """A graph-labelled cycle from ``node`` back to itself (None if absent)."""
-    back: dict[tuple, tuple[tuple, Digraph]] = {}
-    stack = [node]
-    visited = set()
-    while stack:
-        current = stack.pop()
-        for graph, nxt in edges.get(current, ()):
-            if nxt == node:
-                # Reconstruct node -> ... -> current -> node.
-                labels = [graph]
-                walk = current
-                while walk != node:
-                    walk, label = back[walk]
-                    labels.append(label)
-                labels.reverse()
-                return labels
-            if nxt not in visited:
-                visited.add(nxt)
-                back[nxt] = (current, graph)
-                stack.append(nxt)
-    return None
-
-
-def _find_path(edges, sources: set, target) -> list[Digraph] | None:
-    """A graph-labelled path from any source to ``target`` (None if absent)."""
-    if target in sources:
-        return []
-    back: dict[tuple, tuple[tuple, Digraph]] = {}
-    stack = list(sources)
-    visited = set(sources)
-    while stack:
-        current = stack.pop()
-        for graph, nxt in edges.get(current, ()):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            back[nxt] = (current, graph)
-            if nxt == target:
-                labels = []
-                walk = nxt
-                while walk not in sources:
-                    walk, label = back[walk]
-                    labels.append(label)
-                labels.reverse()
-                return labels
-            stack.append(nxt)
+        stem = labelled_path(edges, start_nodes, node)
+        if stem is not None:
+            return GraphWord(stem, n=n), GraphWord(cycle, n=n)
     return None
 
 

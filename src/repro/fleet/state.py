@@ -34,6 +34,7 @@ Every document carries the :data:`repro.schemas.FLEET_STATE` tag plus a
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import sys
@@ -121,8 +122,26 @@ class FleetConfig:
             raise AnalysisError("a fleet needs shards >= 1")
         if max_attempts < 1:
             raise AnalysisError("a fleet needs max_attempts >= 1")
-        if lease_ttl_s <= 0 or heartbeat_s <= 0:
-            raise AnalysisError("lease_ttl_s and heartbeat_s must be positive")
+        # A non-finite value would make fleet.json invalid JSON, and a lease
+        # that never expires would never hand a dead worker's shard back.
+        for name, value, positive in (
+            ("lease_ttl_s", lease_ttl_s, True),
+            ("heartbeat_s", heartbeat_s, True),
+            ("backoff_base_s", backoff_base_s, False),
+            ("backoff_cap_s", backoff_cap_s, False),
+            ("poll_s", poll_s, True),
+        ):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value < 0
+                or (positive and value == 0)
+            ):
+                bound = "> 0" if positive else ">= 0"
+                raise AnalysisError(
+                    f"a fleet needs {name} to be a finite number {bound}, got {value!r}"
+                )
         self.shards = shards
         self.jobs = jobs
         self.record_timing = record_timing

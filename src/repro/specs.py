@@ -21,7 +21,8 @@ Registered families (see :func:`families`):
     Bounded message loss [21]: ``{"n", "losses"}``.
 ``heard-of``
     HO communication predicates [7]: ``{"n", "predicate", "k"?}`` with
-    predicate in ``kernel`` / ``no-split`` / ``rooted`` / ``min-degree``.
+    predicate in ``kernel`` / ``no-split`` / ``rooted`` / ``min-degree``;
+    ``k``, in ``1..n``, comes with ``min-degree`` and only with it.
 ``named``
     The named literature adversaries of the CLI: ``{"name"}``.
 ``eventually-forever``
@@ -391,13 +392,7 @@ def _build_heard_of(params: Mapping[str, Any], rng: random.Random | None) -> Mes
     predicate = params["predicate"]
     if predicate == "min-degree":
         return min_degree_adversary(params["n"], params["k"])
-    try:
-        return _HEARD_OF[predicate](params["n"])
-    except KeyError:
-        raise AdversaryError(
-            f"unknown heard-of predicate {predicate!r}; choose from "
-            f"{sorted(_HEARD_OF)} or 'min-degree'"
-        ) from None
+    return _HEARD_OF[predicate](params["n"])
 
 
 def _build_named(params: Mapping[str, Any], rng: random.Random | None) -> MessageAdversary:
@@ -516,9 +511,39 @@ def _check_losses(family: str, params: Mapping[str, Any]) -> None:
         )
 
 
+def _check_heard_of(family: str, params: Mapping[str, Any]) -> None:
+    """Refuse an unknown predicate, and a ``k`` that the predicate ignores,
+    or that ``min-degree`` lacks or cannot meet (``k`` above ``n``).
+
+    An ignored ``k`` would cache the verdict of the adversary without it
+    under another key.
+    """
+    predicate = params["predicate"]
+    predicates = (*_HEARD_OF, "min-degree")
+    if predicate not in predicates:
+        raise AdversaryError(
+            f"family {family!r} needs param 'predicate' to be one of "
+            f"{', '.join(predicates)}, got {predicate!r}"
+        )
+    if predicate != "min-degree" and "k" in params:
+        raise AdversaryError(
+            f"family {family!r} takes param 'k' only with predicate "
+            f"'min-degree', not {predicate!r}"
+        )
+    if predicate == "min-degree" and "k" not in params:
+        raise AdversaryError(
+            f"family {family!r} needs param 'k' with predicate 'min-degree'"
+        )
+    if predicate == "min-degree" and params["k"] > params["n"]:
+        raise AdversaryError(
+            f"family {family!r} needs param 'k' to be in 1..n = "
+            f"1..{params['n']}, got {params['k']}"
+        )
+
+
 #: Decode-time checks of the built-in families that relate a param to
-#: ``n``.  They run last, after the names, the integer ranges (so ``n`` is
-#: an int >= 1 by then) and the JSON check.
+#: ``n`` or to another param.  They run last, after the names, the integer
+#: ranges (so ``n`` is an int >= 1 by then) and the JSON check.
 _RELATED_PARAM_CHECKS: dict[str, Callable[[str, Mapping[str, Any]], None]] = {
     "oblivious": partial(_check_graph_keys, lists={"graphs": True}),
     "stabilizing": partial(_check_graph_keys, lists={"graphs": True}),
@@ -526,6 +551,7 @@ _RELATED_PARAM_CHECKS: dict[str, Callable[[str, Mapping[str, Any]], None]] = {
         _check_graph_keys, lists={"base": False, "eventual": True}
     ),
     "santoro-widmayer": _check_losses,
+    "heard-of": _check_heard_of,
 }
 
 register_family(

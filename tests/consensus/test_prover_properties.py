@@ -1,6 +1,8 @@
 """Property-based soundness tests for the provers' core constructions."""
 
+import json
 import random
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from repro.consensus.provers import (
 )
 from repro.core.digraph import arrow
 from repro.core.graphword import GraphWord
+from repro.errors import AdversaryError
+from repro.specs import AdversarySpec
 
 GRAPHS2 = tuple(arrow(name) for name in ("->", "<-", "<->", "none"))
 
@@ -104,3 +108,59 @@ class TestObliviousCoreSoundness:
             for _ in range(5):
                 word = [rng.choice(sorted(core)) for _ in range(6)]
                 assert adversary.admits_prefix(word), (core, word)
+
+
+LEDGER = Path(__file__).resolve().parents[1] / "verdict_ledger.json"
+
+#: ``find_nonbroadcastable_lasso`` witnesses ``(stem, cycle)``, as graph
+#: names, of the specs in the ledger's named and two-process sections,
+#: keyed by family and params.  The other specs that build have none.
+NONBROADCASTABLE_WITNESSES = {
+    ("named", '{"name": "silence"}'): ([], ["none"]),
+    ("eventually-forever", '{"base": [0, 2], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 4], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 6], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4], "eventual": [0, 2], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4], "eventual": [0, 4], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 6], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 6], "eventual": [0, 2], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 6], "eventual": [0, 6], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 4, 6], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 4, 6], "eventual": [0, 4], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 4, 6], "eventual": [0, 6], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0, 2], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0, 4], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0, 6], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0, 2, 4], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0, 2, 6], "n": 2}'): (["none"], ["none"]),
+    ("eventually-forever", '{"base": [0, 2, 4, 6], "eventual": [0, 4, 6], "n": 2}'): (["none"], ["none"]),
+    ("two-process", '{"index": 3}'): ([], ["none"]),
+    ("two-process", '{"index": 6}'): ([], ["none"]),
+    ("two-process", '{"index": 8}'): ([], ["none"]),
+    ("two-process", '{"index": 9}'): ([], ["none"]),
+    ("two-process", '{"index": 11}'): ([], ["none"]),
+    ("two-process", '{"index": 12}'): ([], ["none"]),
+    ("two-process", '{"index": 13}'): ([], ["none"]),
+    ("two-process", '{"index": 14}'): ([], ["none"]),
+}
+
+
+def test_nonbroadcastable_witnesses_are_pinned():
+    """A change of walk order shows up here as a witness diff."""
+    ledger = json.loads(LEDGER.read_text(encoding="utf-8"))
+    built, found = 0, {}
+    for section in ("named", "two-process-families", "two-process-oblivious"):
+        for row in ledger[section]:
+            try:
+                adversary = AdversarySpec.from_dict(row["spec"]).build()
+            except AdversaryError:
+                continue
+            built += 1
+            lasso = find_nonbroadcastable_lasso(adversary)
+            if lasso is not None:
+                key = row["spec"]["family"], json.dumps(row["spec"]["params"], sort_keys=True)
+                found[key] = tuple([g.name for g in word.graphs] for word in lasso)
+    assert built == 164
+    assert found == NONBROADCASTABLE_WITNESSES

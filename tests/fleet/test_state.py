@@ -25,6 +25,32 @@ def fleet(tmp_path, jobs6):
     return root, runner
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lease_ttl_s", float("inf")),
+        ("heartbeat_s", float("nan")),
+        ("poll_s", 0.0),
+        ("backoff_base_s", -3.0),
+        ("backoff_cap_s", float("inf")),
+        ("lease_ttl_s", "15"),
+    ],
+    ids=["ttl-inf", "heartbeat-nan", "poll-zero", "backoff-base-negative",
+         "backoff-cap-inf", "ttl-str"],
+)
+def test_config_refuses_non_finite_and_negative_timings(field, value):
+    with pytest.raises(AnalysisError, match=f"a fleet needs {field} to be a finite number"):
+        FleetConfig(**{field: value})
+    data = dict(FleetConfig().to_dict(), **{field: value})
+    with pytest.raises(AnalysisError, match=field):
+        FleetConfig.from_dict(data)
+
+
+def test_config_allows_retrying_at_once():
+    config = FleetConfig(backoff_base_s=0.0, backoff_cap_s=0.0)
+    assert state.backoff_delay(config, 0, 3) == 0.0
+
+
 def test_init_layout_and_double_init(fleet, jobs6):
     root, runner = fleet
     paths = FleetPaths(root)

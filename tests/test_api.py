@@ -291,6 +291,35 @@ class TestAdversarySpecRoundTrip:
         with pytest.raises(AdversaryError, match=re.escape(message)):
             AdversarySpec.from_dict({"family": family, "params": params})
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # Each of these used to decode: the first failed in a worker's
+            # build with a bare KeyError, the next three with an
+            # AdversaryError raised only there, and the last built the
+            # adversary of the spec without "k" under another cache key.
+            ({"n": 3, "predicate": "min-degree"},
+             "needs param 'k' with predicate 'min-degree'"),
+            ({"n": 3, "predicate": "bogus"},
+             "needs param 'predicate' to be one of kernel, no-split, rooted, "
+             "min-degree, got 'bogus'"),
+            ({"n": 3, "predicate": 7},
+             "needs param 'predicate' to be one of kernel, no-split, rooted, "
+             "min-degree, got 7"),
+            ({"n": 3, "predicate": "min-degree", "k": 9},
+             "needs param 'k' to be in 1..n = 1..3, got 9"),
+            ({"n": 3, "predicate": "kernel", "k": 5},
+             "takes param 'k' only with predicate 'min-degree', not 'kernel'"),
+        ],
+        ids=["min-degree-without-k", "unknown-predicate", "non-string-predicate",
+             "k-above-n", "k-without-min-degree"],
+    )
+    def test_heard_of_params_are_checked_at_decode(self, params, message):
+        with pytest.raises(AdversaryError, match=re.escape("family 'heard-of' ")):
+            AdversarySpec("heard-of", params)
+        with pytest.raises(AdversaryError, match=re.escape(message)):
+            AdversarySpec.from_dict({"family": "heard-of", "params": params})
+
     def test_an_empty_base_stays_valid(self):
         spec = AdversarySpec("eventually-forever", {"n": 2, "base": [], "eventual": [2]})
         assert spec.build().n == 2

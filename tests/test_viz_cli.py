@@ -175,6 +175,31 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # --poll -1 used to create the fleet directory and then die with
+            # a traceback, --timeout -1 to fail at once, and inf/nan to be
+            # written into fleet.json, which is then not valid JSON.
+            (["run", "--lease-ttl", "inf"], "--lease-ttl: must be finite, got inf"),
+            (["run", "--heartbeat", "nan"], "--heartbeat: must be finite, got nan"),
+            (["run", "--backoff-base", "-3"], "--backoff-base: must be >= 0, got -3.0"),
+            (["run", "--backoff-cap", "-0.5"], "--backoff-cap: must be >= 0, got -0.5"),
+            (["run", "--poll", "-1"], "--poll: must be > 0, got -1.0"),
+            (["run", "--timeout", "-1"], "--timeout: must be > 0, got -1.0"),
+            (["resume", "--timeout", "0"], "--timeout: must be > 0, got 0.0"),
+        ],
+        ids=["lease-ttl", "heartbeat", "backoff-base", "backoff-cap", "poll",
+             "run-timeout", "resume-timeout"],
+    )
+    def test_fleet_timing_argument_is_a_usage_error(self, tmp_path, argv, message, capsys):
+        fleet_dir = tmp_path / "fleet"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", argv[0], "--dir", str(fleet_dir), *argv[1:]])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not fleet_dir.exists()
+
     def test_simulate_command(self, capsys):
         assert main(["simulate", "--adversary", "no-hub", "--trials", "5"]) == 0
         out = capsys.readouterr().out
